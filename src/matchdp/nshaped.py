@@ -24,7 +24,6 @@ from .graphs import ArrivalDistribution, CostVector, MatchingGraph
 from .states import n_layout
 
 RHO_FORMULA_LIMIT = 0.999
-BRUTE_FORCE_RANGE = 200
 
 ATOMS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -192,9 +191,25 @@ def threshold_location(params: NModelParams) -> float:
     return math.log(ratio) / log_rho - 1.0
 
 
-def _brute_force_threshold(params: NModelParams, upper: int = BRUTE_FORCE_RANGE) -> int:
-    values = [average_cost(params, t) for t in range(upper + 1)]
-    return int(np.argmin(values))
+def _first_rise(params: NModelParams) -> int:
+    """Smallest t with f(t + 1) > f(t), found by doubling then bisection.
+
+    f is convex in t, so that t is the argmin (the larger one on ties).
+    """
+
+    def rises(t: int) -> bool:
+        return average_cost(params, t + 1) > average_cost(params, t)
+
+    lo, hi = 0, 1
+    while not rises(hi):
+        lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if rises(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def optimal_threshold(params: NModelParams) -> int:
@@ -202,12 +217,14 @@ def optimal_threshold(params: NModelParams) -> int:
 
     Rounds the continuous minimizer, comparing f at the floor and ceiling
     (preferring the ceiling on ties) with both candidates clamped at zero.
-    Very heavy traffic (rho above 0.999) falls back to a brute-force argmin
-    over 0..200 because the logarithm ratio loses precision there.
+    Very heavy traffic (rho above 0.999) searches the integers directly for
+    the first rise of the convex f, with no upper bound, because the
+    logarithm ratio of the continuous minimizer is ill-conditioned as rho
+    approaches 1.
     """
     params._require_stable()
     if params.rho > RHO_FORMULA_LIMIT:
-        return _brute_force_threshold(params)
+        return _first_rise(params)
     k = threshold_location(params)
     lo = max(0, math.floor(k))
     hi = max(0, math.ceil(k))

@@ -432,15 +432,16 @@ def _aggregate(label: str, outs: Sequence[tuple], cfg: SimConfig) -> SimResult:
     return SimResult(label, mean, se, rep_means, node_means, level_freqs)
 
 
-def _thread_width(threads: int | None) -> int:
+def _thread_width(threads: int | None, replications: int) -> int:
+    """Worker count: the requested width (0 = one per CPU), clamped to the
+    replications and the CPU count so no worker starts without work."""
     if threads is None:
         raw = os.environ.get("MATCHDP_THREADS", "").strip()
         threads = int(raw) if raw else 1
-    if threads == 0:
-        threads = os.cpu_count() or 1
     if threads < 0:
         raise ValueError(f"thread width must be nonnegative, got {threads}")
-    return threads
+    cpus = os.cpu_count() or 1
+    return min(threads or cpus, replications, cpus)
 
 
 def simulate(
@@ -460,9 +461,9 @@ def simulate(
     identical for every thread width.
     """
     cfg.initial_queue(graph)
-    width = _thread_width(threads)
+    width = _thread_width(threads, cfg.replications)
     reps = range(cfg.replications)
-    if width > 1 and cfg.replications > 1:
+    if width > 1:
         with ProcessPoolExecutor(max_workers=width) as pool:
             outs = list(
                 pool.map(
@@ -501,9 +502,9 @@ def compare(
     if len(policies) < 2:
         raise ValueError(f"compare needs at least 2 policies, got {len(policies)}")
     cfg.initial_queue(graph)
-    width = _thread_width(threads)
+    width = _thread_width(threads, cfg.replications)
     reps = range(cfg.replications)
-    if width > 1 and cfg.replications > 1:
+    if width > 1:
         with ProcessPoolExecutor(max_workers=width) as pool:
             per_rep = list(
                 pool.map(

@@ -1,45 +1,93 @@
-"""Exact dynamic programming on box-truncated state spaces.
+"""Exact dynamic programming on the balanced sector of a truncated box.
 
 The model's states are the balanced vectors q (equal demand and supply
-totals) inside [0, cap]^nodes, paired with the arrival atom.  Optimality
-sweeps store tables on the full integer box because the minimization over
-matchings vectorizes along box axes, but cells at unbalanced vectors are
-not states: they are pinned to +inf so the minimization can never route
-through a successor that leaves the balanced sector.  A successor leaves
-the sector only when per-node clipping at the cap truncates one side of a
-would-be overflow; pinning those reads to +inf means such matchings are
-simply not offered, while clips that truncate both sides at once (the only
-unavoidable kind on the graph families treated here) land on balanced
-cells and stay available.
+totals) inside [0, cap]^nodes, paired with the arrival atom.  Every value
+table, iterate and starting table has one row per balanced vector, in the
+lexicographic order of ``TruncatedStateSpace.balanced_states``, and one
+column per arrival atom in ``graph.arrival_atoms`` order;
+``TruncatedStateSpace.rows`` maps vectors to their rows.
 
-The minimization over admissible matchings is not enumerated.  Writing a
-matching as a sequence of single-pair decrements sorted by edge shows that
-relaxing one edge at a time, fully, in any fixed order reaches exactly the
-set {x - usage(u)}: each edge relaxation is a one-dimensional running
-minimum along the edge's diagonal direction, so a Bellman backup costs a
-handful of vectorized passes over the box instead of an enumeration per
-state.
+A matching decision acts on the post-arrival vector x = q + a, which can
+reach cap + 1 on the two arriving coordinates, so the optimality operator
+works on the *extended* sector: the balanced vectors in [0, cap + 1]^nodes,
+sorted by level (the demand total).  A successor is clipped per node at
+the cap.  When the clip truncates one side of a would-be overflow only,
+the clipped vector is unbalanced and not a state, so that matching is not
+offered; clips that truncate both sides at once (the only unavoidable kind
+on the graph families treated here) land on states and stay available.
 
-Fixed-policy evaluation skips the box entirely and iterates on the packed
-list of balanced states, which keeps sweeps cheap at the large caps used
-for average-cost cross-checks.
+The minimization over admissible matchings is not enumerated.  The
+successors of x are exactly the vectors reachable from it by removing one
+matched pair at a time, and each removal lowers the level by one, so the
+matching minimum obeys m(x) = min(w(clip(x)), min over edges e of m(x - e))
+and one gather-min per level computes it for the whole extended sector.
+
+Fixed-policy evaluation iterates on the same rows with the policy's
+successor map precomputed once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import Inadmissible, MatchDPError, NoConvergence, Unstable
 from .graphs import ArrivalDistribution, CostVector, MatchingGraph, check_stability
 from .policies import Policy, Tabular
+from .states import arrival_vector
 
 VI_TOL = 1e-9
 RVI_SPAN_TOL = 1e-8
 MAX_ITERS = 100_000
 EXTRACT_GRID_LIMIT = 2_000_000
+
+
+def _sector(graph: MatchingGraph, side: int) -> np.ndarray:
+    """Balanced vectors in [0, side]^nodes as rows, lexicographically ordered."""
+    demand = np.indices((side + 1,) * graph.n_d).reshape(graph.n_d, -1).T
+    supply = np.indices((side + 1,) * graph.n_s).reshape(graph.n_s, -1).T
+    d_rows, s_rows = np.nonzero(demand.sum(axis=1)[:, None] == supply.sum(axis=1))
+    return np.hstack([demand[d_rows], supply[s_rows]])
+
+
+def _rows(codes: np.ndarray, shape: tuple[int, ...], vectors) -> np.ndarray:
+    """Positions of vectors in a set given by its ascending ravel codes.
+
+    Raises KeyError naming the first vector that is not in the set.
+    """
+    vectors = np.asarray(vectors, dtype=np.int64).reshape(-1, len(shape))
+    want = np.ravel_multi_index(vectors.T, shape)
+    pos = np.searchsorted(codes, want)
+    found = codes[np.minimum(pos, len(codes) - 1)] == want
+    if not np.all(found):
+        bad = tuple(int(v) for v in vectors[np.flatnonzero(~found)[0]])
+        raise KeyError(f"{bad} is not a balanced state of this space")
+    return pos
+
+
+class BackupIndex(NamedTuple):
+    """Index arrays of the optimality operator on the extended sector.
+
+    Extended rows are the balanced vectors in [0, cap + 1]^nodes sorted by
+    level, followed by one sentinel row that always reads +inf.
+
+    - ``extended``: the vectors of the extended rows, without the sentinel.
+    - ``read``: per extended row, the state row of its clip at the cap, or
+      ``len(balanced_states)`` (a +inf read) when the clip is unbalanced.
+    - ``pred``: per extended row and edge, the row one matched pair lower,
+      or the sentinel row when the edge has no item at one endpoint.
+    - ``levels``: (start, stop) of the rows of levels 1, 2, ... in turn.
+    - ``post``: per state row and atom, the row of the post-arrival vector.
+    """
+
+    extended: np.ndarray
+    read: np.ndarray
+    pred: np.ndarray
+    levels: tuple[tuple[int, int], ...]
+    post: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -66,6 +114,7 @@ class TruncatedStateSpace:
 
     @property
     def shape(self) -> tuple[int, ...]:
+        """Side lengths of the box whose ravel codes identify states."""
         return (self.cap + 1,) * self.graph.n_nodes
 
     @property
@@ -73,27 +122,9 @@ class TruncatedStateSpace:
         return self.graph.n_d * self.graph.n_s
 
     @cached_property
-    def balanced_mask(self) -> np.ndarray:
-        """Boolean box grid marking the balanced vectors."""
-        n_d, n_s = self.graph.n_d, self.graph.n_s
-        side = np.arange(self.cap + 1)
-        d_sum = np.zeros((self.cap + 1,) * n_d, dtype=np.int64)
-        for axis in range(n_d):
-            d_sum = d_sum + side.reshape([-1 if k == axis else 1 for k in range(n_d)])
-        s_sum = np.zeros((self.cap + 1,) * n_s, dtype=np.int64)
-        for axis in range(n_s):
-            s_sum = s_sum + side.reshape([-1 if k == axis else 1 for k in range(n_s)])
-        mask = (
-            d_sum.reshape(d_sum.shape + (1,) * n_s)
-            == s_sum.reshape((1,) * n_d + s_sum.shape)
-        )
-        mask.setflags(write=False)
-        return mask
-
-    @cached_property
     def balanced_states(self) -> np.ndarray:
         """Balanced vectors as rows, lexicographically ordered."""
-        states = np.argwhere(self.balanced_mask)
+        states = _sector(self.graph, self.cap)
         states.setflags(write=False)
         return states
 
@@ -104,24 +135,19 @@ class TruncatedStateSpace:
         codes.setflags(write=False)
         return codes
 
-    @cached_property
-    def nonstate_flat(self) -> np.ndarray:
-        flat = np.flatnonzero(~self.balanced_mask.ravel())
-        flat.setflags(write=False)
-        return flat
-
     @property
     def n_states(self) -> int:
         """Number of (queue, arrival) model states."""
         return len(self.balanced_states) * self.n_atoms
 
+    def rows(self, vectors) -> np.ndarray:
+        """Row of each balanced vector (one per row of ``vectors``) in
+        ``balanced_states`` and in every value table on this space."""
+        return _rows(self.balanced_codes, self.shape, vectors)
+
     def state_index(self, q) -> int:
         """Position of a balanced vector in the packed state list."""
-        code = int(np.ravel_multi_index(tuple(int(v) for v in q), self.shape))
-        pos = int(np.searchsorted(self.balanced_codes, code))
-        if pos == len(self.balanced_codes) or self.balanced_codes[pos] != code:
-            raise KeyError(f"{tuple(q)} is not a balanced state of this space")
-        return pos
+        return int(self.rows(q)[0])
 
     def is_interior(self, q) -> bool:
         return bool(np.all(np.asarray(q) <= self.cap - self.margin))
@@ -141,21 +167,52 @@ class TruncatedStateSpace:
     def tainted_state_count(self) -> int:
         return len(self.balanced_states) - len(self.interior_balanced_states)
 
+    @cached_property
+    def backup_index(self) -> BackupIndex:
+        """Index arrays of :func:`bellman_backup`, built on its first call."""
+        graph, n_d = self.graph, self.graph.n_d
+        ext = _sector(graph, self.cap + 1)
+        ext_shape = (self.cap + 2,) * graph.n_nodes
+        ext_codes = np.ravel_multi_index(ext.T, ext_shape)
+        level = ext[:, :n_d].sum(axis=1)
+        order = np.argsort(level, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        ext, level = ext[order], level[order]
+
+        def ext_rows(vectors: np.ndarray) -> np.ndarray:
+            return rank[_rows(ext_codes, ext_shape, vectors)]
+
+        clipped = np.minimum(ext, self.cap)
+        is_state = clipped[:, :n_d].sum(axis=1) == clipped[:, n_d:].sum(axis=1)
+        read = np.full(len(ext) + 1, len(self.balanced_states))
+        read[:-1][is_state] = self.rows(clipped[is_state])
+        pred = np.full((len(ext), len(graph.edges)), len(ext))
+        for e, (i, j) in enumerate(graph.edge_index):
+            has = (ext[:, i] > 0) & (ext[:, n_d + j] > 0)
+            pred[has, e] = ext_rows(ext[has] - arrival_vector(graph, i, j))
+        starts = np.searchsorted(level, np.arange(1, level[-1] + 2)).tolist()
+        post = np.stack(
+            [
+                ext_rows(self.balanced_states + arrival_vector(graph, i, j))
+                for i, j in graph.arrival_atoms
+            ],
+            axis=1,
+        )
+        levels = tuple(zip(starts[:-1], starts[1:]))
+        return BackupIndex(ext, read, pred, levels, post)
+
 
 @dataclass(frozen=True)
 class DPConfig:
-    """Iteration controls; ``tol`` defaults per mode when left unset.
-
-    ``cap`` and ``margin`` are carried for callers that build the state
-    space from a flat configuration; the solver functions themselves read
-    the geometry from the space they are given.
-    """
+    """Iteration controls: the discount ``theta`` (value iteration and
+    discounted evaluation only), the stopping tolerance ``tol`` (defaults
+    per mode when left unset) and the sweep limit ``max_iters``.  The
+    state-space geometry comes from the space passed to each solver."""
 
     theta: float = 0.95
     tol: float | None = None
     max_iters: int = MAX_ITERS
-    cap: int | None = None
-    margin: int | None = None
 
     def resolved_tol(self, mode: str) -> float:
         if self.tol is not None:
@@ -169,9 +226,9 @@ class DPConfig:
 class ValueFunction:
     """A value table tagged with how it was produced.
 
-    ``layout`` is "box" for tables over the whole grid (unbalanced cells
-    hold +inf because they are not states) or "sector" for packed tables
-    with one row per balanced state.
+    ``data`` has shape ``(len(space.balanced_states), space.n_atoms)``:
+    one row per balanced state in the order of ``space.balanced_states``,
+    one column per arrival atom in ``graph.arrival_atoms`` order.
     """
 
     space: TruncatedStateSpace
@@ -179,41 +236,13 @@ class ValueFunction:
     theta: float | None
     iterations: int
     residual: float
-    layout: str = "box"
 
     def value(self, q, atom: tuple[int, int]) -> float:
         a_idx = atom[0] * self.space.graph.n_s + atom[1]
-        if self.layout == "box":
-            return float(self.data[tuple(int(v) for v in q) + (a_idx,)])
         return float(self.data[self.space.state_index(q), a_idx])
-
-    def as_box(self) -> np.ndarray:
-        """Box-shaped copy of the table; non-state cells hold +inf."""
-        if self.layout == "box":
-            return self.data.copy()
-        box = np.full(self.space.shape + (self.space.n_atoms,), np.inf)
-        box.reshape(-1, self.space.n_atoms)[self.space.balanced_codes] = self.data
-        return box
-
-    def balanced_values(self) -> np.ndarray:
-        """Packed (state, atom) matrix of values at balanced states."""
-        if self.layout == "sector":
-            return self.data.copy()
-        return self.data.reshape(-1, self.space.n_atoms)[
-            self.space.balanced_codes
-        ].copy()
 
 
 # ---- kernels ----
-
-
-def _cost_field(space: TruncatedStateSpace, costs: CostVector) -> np.ndarray:
-    side = np.arange(space.cap + 1, dtype=float)
-    n = space.graph.n_nodes
-    field = np.zeros(space.shape)
-    for axis, c in enumerate(costs.vector):
-        field = field + c * side.reshape([-1 if k == axis else 1 for k in range(n)])
-    return field
 
 
 def _atom_cost(graph: MatchingGraph, costs: CostVector) -> np.ndarray:
@@ -225,47 +254,25 @@ def _atom_cost(graph: MatchingGraph, costs: CostVector) -> np.ndarray:
     )
 
 
+def _post_arrival_costs(space: TruncatedStateSpace, costs: CostVector) -> np.ndarray:
+    """Holding cost of q + a per (state row, atom), summed node by node."""
+    state_cost = np.zeros(len(space.balanced_states))
+    for k, c in enumerate(costs.vector):
+        state_cost = state_cost + c * space.balanced_states[:, k]
+    return state_cost[:, None] + _atom_cost(space.graph, costs)
+
+
 def _expected(table: np.ndarray, arrivals: ArrivalDistribution) -> np.ndarray:
     return table @ arrivals.atom_probs()
 
 
-def _relax_edge(m: np.ndarray, ax_d: int, ax_s: int) -> None:
-    """Running minimum along the (-1, -1) diagonal of two axes, in place."""
-    view = np.moveaxis(m, (ax_d, ax_s), (0, 1))
-    for s in range(1, view.shape[0]):
-        np.minimum(view[s, 1:], view[s - 1, :-1], out=view[s, 1:])
-
-
-def _matching_min(space: TruncatedStateSpace, w: np.ndarray) -> np.ndarray:
-    """min over admissible matchings of w(clip(x - usage)) on the extended box.
-
-    Padding with edge replication implements per-node clipping at the cap;
-    relaxing each edge once, fully, is exact because matchings decompose
-    into edge-sorted single-pair decrements.  Reads that land on +inf cells
-    of w (sector escapes) drop out of the minimum automatically.
-    """
-    n = space.graph.n_nodes
-    m = np.pad(w, [(0, 1)] * n, mode="edge")
-    for i, j in space.graph.edge_index:
-        _relax_edge(m, i, space.graph.n_d + j)
-    return m
-
-
-def _mask_nonstates(space: TruncatedStateSpace, table: np.ndarray) -> None:
-    table.reshape(-1, table.shape[-1])[space.nonstate_flat] = np.inf
-
-
 def _initial_table(space: TruncatedStateSpace, v0: np.ndarray | None) -> np.ndarray:
+    want = (len(space.balanced_states), space.n_atoms)
     if v0 is None:
-        table = np.zeros(space.shape + (space.n_atoms,))
-    else:
-        table = np.asarray(v0, dtype=float).copy()
-        if table.shape != space.shape + (space.n_atoms,):
-            raise ValueError(
-                f"v0 must have shape {space.shape + (space.n_atoms,)}, "
-                f"got {table.shape}"
-            )
-    _mask_nonstates(space, table)
+        return np.zeros(want)
+    table = np.array(v0, dtype=float)
+    if table.shape != want:
+        raise ValueError(f"v0 must have shape {want}, got {table.shape}")
     return table
 
 
@@ -278,38 +285,32 @@ def bellman_backup(
 ) -> np.ndarray:
     """One synchronous sweep of the optimality operator (theta=1: average).
 
-    Input and output tables live on the box with +inf at non-state cells;
-    argmin ties are irrelevant here because only the minimum value is
-    produced (extraction breaks ties lexicographically).
+    Input and output are packed tables.  A state whose every matching
+    leaves the sector gets +inf.  Argmin ties are irrelevant here because
+    only the minimum value is produced (extraction breaks ties
+    lexicographically).
     """
-    graph = space.graph
-    cost_field = _cost_field(space, costs)
-    atom_cost = _atom_cost(graph, costs)
-    new = np.empty_like(table)
+    base = _post_arrival_costs(space, costs)
     if theta == 0.0:
-        for a_idx in range(space.n_atoms):
-            new[..., a_idx] = cost_field + atom_cost[a_idx]
-    else:
-        w = _expected(table, arrivals)
-        m = _matching_min(space, w)
-        for a_idx, (i, j) in enumerate(graph.arrival_atoms):
-            sl = [slice(0, space.cap + 1)] * graph.n_nodes
-            sl[i] = slice(1, space.cap + 2)
-            sl[graph.n_d + j] = slice(1, space.cap + 2)
-            new[..., a_idx] = cost_field + atom_cost[a_idx] + theta * m[tuple(sl)]
-    _mask_nonstates(space, new)
-    return new
+        return base
+    m = _sector_min(space, _expected(table, arrivals))
+    return base + theta * m[space.backup_index.post]
 
 
-def _balanced_view(space: TruncatedStateSpace, table: np.ndarray) -> np.ndarray:
-    return table[space.balanced_mask]
+def _sector_min(space: TruncatedStateSpace, w: np.ndarray) -> np.ndarray:
+    """min over admissible matchings u of w(clip(x - usage(u))), per extended
+    row x, with +inf where the clip leaves the sector (sentinel row last)."""
+    _, read, pred, levels, _ = space.backup_index
+    m = np.append(w, np.inf)[read]
+    for start, stop in levels:
+        np.minimum(m[start:stop], m[pred[start:stop]].min(axis=1), out=m[start:stop])
+    return m
 
 
 def _require_finite(space: TruncatedStateSpace, table: np.ndarray) -> None:
-    view = _balanced_view(space, table)
-    if not np.all(np.isfinite(view)):
-        bad = int(np.flatnonzero((~np.isfinite(view)).any(axis=-1))[0])
-        q = tuple(int(v) for v in space.balanced_states[bad])
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    if len(bad):
+        q = tuple(int(v) for v in space.balanced_states[bad[0]])
         raise MatchDPError(
             f"state {q} has no transition that stays balanced inside the cap; "
             "raise the cap or reconsider the graph"
@@ -320,15 +321,16 @@ def _require_finite(space: TruncatedStateSpace, table: np.ndarray) -> None:
 
 
 def _argmin_decision(
-    graph: MatchingGraph, w: np.ndarray, x: np.ndarray
+    space: TruncatedStateSpace, w: np.ndarray, x: np.ndarray
 ) -> np.ndarray:
     """Lexicographically smallest minimizer of w(x - usage(u)) over matchings.
 
     Enumerates the per-edge count grid (pruned by per-node caps), looks the
-    successors up in the value table, and takes the first minimum, which is
-    the lexicographically smallest because the grid flattens in ascending
-    lexicographic order.
+    successors up in the packed expected-value vector w, and takes the
+    first minimum, which is the lexicographically smallest because the
+    grid flattens in ascending lexicographic order.
     """
+    graph = space.graph
     caps = [int(min(x[i], x[graph.n_d + j])) for i, j in graph.edge_index]
     total = 1
     for c in caps:
@@ -347,8 +349,7 @@ def _argmin_decision(
     feasible = np.all(used <= x, axis=1)
     grid = grid[feasible]
     succ = x - used[feasible]
-    flat = np.ravel_multi_index(succ.T, w.shape)
-    best = int(np.argmin(w.ravel()[flat]))
+    best = int(np.argmin(w[space.rows(succ)]))
     return grid[best]
 
 
@@ -357,12 +358,12 @@ def extract_policy(
     table: np.ndarray,
     arrivals: ArrivalDistribution,
 ) -> Tabular:
-    """Greedy policy of a box value table on interior balanced states.
+    """Greedy policy of a packed value table on interior balanced states.
 
     Decisions depend on the state only through x = q + a, so the table is
     keyed by post-arrival vectors.  Interior states keep x and all its
-    successors strictly inside the box, and matching preserves balance, so
-    every candidate read is a real state's value.
+    successors inside [0, cap], and matching preserves balance, so every
+    candidate read is a real state's value.
     """
     graph = space.graph
     w = _expected(table, arrivals)
@@ -374,7 +375,7 @@ def extract_policy(
             x[graph.n_d + j] += 1
             key = tuple(int(v) for v in x)
             if key not in seen:
-                seen[key] = _argmin_decision(graph, w, x)
+                seen[key] = _argmin_decision(space, w, x)
     return Tabular(graph, seen)
 
 
@@ -390,11 +391,12 @@ def value_iteration(
     v0: np.ndarray | None = None,
     extract: bool = True,
 ) -> tuple[ValueFunction, Tabular | None]:
-    """Discounted value iteration from v = 0 to sup-norm tolerance.
+    """Discounted value iteration from v = 0 (or a packed ``v0``) to
+    sup-norm tolerance.
 
     Synchronous sweeps with double buffering; the residual is the largest
-    absolute change over balanced states.  Raises :class:`NoConvergence`
-    with the last residual when the sweep limit is hit.
+    absolute change over all states.  Raises :class:`NoConvergence` with
+    the last residual when the sweep limit is hit.
     """
     config = config or DPConfig()
     if not 0.0 <= config.theta < 1.0:
@@ -406,9 +408,7 @@ def value_iteration(
         new = bellman_backup(space, table, costs, arrivals, config.theta)
         if sweep == 1:
             _require_finite(space, new)
-        residual = float(
-            np.abs(_balanced_view(space, new) - _balanced_view(space, table)).max()
-        )
+        residual = float(np.abs(new - table).max())
         table = new
         if residual < tol:
             vf = ValueFunction(space, table, config.theta, sweep, residual)
@@ -434,7 +434,7 @@ def relative_value_iteration(
     """Average-cost iteration, normalized at the zero queue and first atom.
 
     Requires stable arrival rates.  Stops when the span of the change over
-    balanced states drops below tolerance; the gain estimate is the
+    all states drops below tolerance; the gain estimate is the
     pre-normalization value at the reference state.
     """
     config = config or DPConfig()
@@ -446,15 +446,14 @@ def relative_value_iteration(
             violations=report.violations,
         )
     tol = config.resolved_tol("average")
-    ref = (0,) * space.graph.n_nodes + (0,)
     table = _initial_table(space, v0)
     span = np.inf
     for sweep in range(1, config.max_iters + 1):
         new = bellman_backup(space, table, costs, arrivals, theta=1.0)
         if sweep == 1:
             _require_finite(space, new)
-        gain = float(new[ref])
-        diff = _balanced_view(space, new) - _balanced_view(space, table)
+        gain = float(new[0, 0])  # row 0 is the zero queue
+        diff = new - table
         span = float(diff.max() - diff.min())
         table = new - gain
         if span < tol:
@@ -472,10 +471,8 @@ def relative_value_iteration(
 # ---- fixed-policy evaluation ----
 
 
-def _sector_successors(
-    space: TruncatedStateSpace, policy: Policy
-) -> list[np.ndarray]:
-    """Per-atom successor positions in the packed balanced-state list.
+def _sector_successors(space: TruncatedStateSpace, policy: Policy) -> np.ndarray:
+    """Successor row per (state row, atom) under the policy.
 
     Raises :class:`Inadmissible` when the policy's clipped successor leaves
     the balanced sector, because such a policy does not act on this state
@@ -484,11 +481,9 @@ def _sector_successors(
     graph = space.graph
     n_d = graph.n_d
     states = space.balanced_states
-    out = []
-    for i, j in graph.arrival_atoms:
-        x = states.copy()
-        x[:, i] += 1
-        x[:, n_d + j] += 1
+    out = np.empty((len(states), space.n_atoms), dtype=np.int64)
+    for a_idx, (i, j) in enumerate(graph.arrival_atoms):
+        x = states + arrival_vector(graph, i, j)
         if hasattr(policy, "decide_box"):
             decided = policy.decide_box([x[:, k] for k in range(x.shape[1])])
         else:
@@ -509,9 +504,7 @@ def _sector_successors(
                 f"policy {policy.label!r} leaves the balanced sector from state "
                 f"{tuple(int(v) for v in bad)} under arrival {(i, j)}"
             )
-        codes = np.ravel_multi_index(y.T, space.shape)
-        pos = np.searchsorted(space.balanced_codes, codes)
-        out.append(pos.astype(np.int64))
+        out[:, a_idx] = space.rows(y)
     return out
 
 
@@ -526,7 +519,7 @@ def evaluate_policy(
     """Value of a fixed policy: discounted table, or (gain, bias) when
     ``mode="average"``.
 
-    Iterates on the packed balanced-state list with the policy's successor
+    Iterates on the packed balanced-state rows with the policy's successor
     map precomputed once; stopping mirrors the optimality iterations.
     """
     if mode not in ("discounted", "average"):
@@ -537,38 +530,23 @@ def evaluate_policy(
         raise ValueError(f"discounted mode needs 0 <= theta < 1, got {theta}")
     tol = config.resolved_tol(mode)
     succ = _sector_successors(space, policy)
-    states = space.balanced_states
-    state_cost = states @ costs.vector
-    atom_cost = _atom_cost(space.graph, costs)
-    probs = arrivals.atom_probs()
-    table = np.zeros((len(states), space.n_atoms))
+    base = _post_arrival_costs(space, costs)
+    table = _initial_table(space, None)
     resid = np.inf
     for sweep in range(1, config.max_iters + 1):
-        w = table @ probs
-        new = np.empty_like(table)
-        for a_idx in range(space.n_atoms):
-            if theta == 0.0:
-                new[:, a_idx] = state_cost + atom_cost[a_idx]
-            else:
-                new[:, a_idx] = (
-                    state_cost + atom_cost[a_idx] + theta * w[succ[a_idx]]
-                )
+        new = base + theta * _expected(table, arrivals)[succ]
         if mode == "average":
             gain = float(new[0, 0])
             diff = new - table
             resid = float(diff.max() - diff.min())
             table = new - gain
             if resid < tol:
-                return gain, ValueFunction(
-                    space, table, None, sweep, resid, layout="sector"
-                )
+                return gain, ValueFunction(space, table, None, sweep, resid)
         else:
             resid = float(np.abs(new - table).max())
             table = new
             if resid < tol:
-                return ValueFunction(
-                    space, table, theta, sweep, resid, layout="sector"
-                )
+                return ValueFunction(space, table, theta, sweep, resid)
     raise NoConvergence(
         f"policy evaluation did not converge within {config.max_iters} sweeps "
         f"(last residual {resid:g})",

@@ -15,6 +15,10 @@ enter a verdict.  Reports are deterministic: the largest violation wins,
 and ties resolve to the lexicographically smallest witness because states
 are scanned in ascending lexicographic order.
 
+Value arguments are :class:`ValueFunction` objects or packed arrays of
+shape ``(len(space.balanced_states), space.n_atoms)`` in the row order of
+``space.balanced_states``.
+
 Pair arguments are (demand index, supply index) pairs in file order, the
 same convention as arrival atoms; a pair does not need to be an edge of
 the graph, since adding one item to each side keeps a state balanced
@@ -121,25 +125,13 @@ def write_reports(
 # ---- table access ----
 
 
-def _box_table(space: TruncatedStateSpace, v) -> np.ndarray:
-    if isinstance(v, ValueFunction):
-        data = v.as_box() if v.layout != "box" else v.data
-    else:
-        data = np.asarray(v, dtype=float)
-    want = space.shape + (space.n_atoms,)
+def _table(space: TruncatedStateSpace, v) -> np.ndarray:
+    """Packed table of a value function or array, one row per balanced state."""
+    data = v.data if isinstance(v, ValueFunction) else np.asarray(v, dtype=float)
+    want = (len(space.balanced_states), space.n_atoms)
     if data.shape != want:
         raise ValueError(f"value table must have shape {want}, got {data.shape}")
     return data
-
-
-def _values_at(
-    space: TruncatedStateSpace, table: np.ndarray, states: np.ndarray
-) -> np.ndarray:
-    """Rows of the table at the given states, one column per arrival atom."""
-    if len(states) == 0:
-        return np.empty((0, space.n_atoms))
-    flat = np.ravel_multi_index(states.T, space.shape)
-    return table.reshape(-1, space.n_atoms)[flat]
 
 
 def _interior_base(
@@ -216,10 +208,10 @@ def check_increasing(
     """
     graph = space.graph
     i, j = _class_pair(graph, pair)
-    table = _box_table(space, v)
+    table = _table(space, v)
     delta = _pair_vector(graph, i, j)
     base = _interior_base(space, [delta])
-    excess = _values_at(space, table, base) - _values_at(space, table, base + delta)
+    excess = table[space.rows(base)] - table[space.rows(base + delta)]
     return _reduce(f"increasing[{_pair_label(graph, i, j)}]", space, base, excess, tol)
 
 
@@ -273,16 +265,16 @@ def check_convex(
             f"graph; supported: {names}"
         )
     high, low = guards[(i, j)]
-    table = _box_table(space, v)
+    table = _table(space, v)
     delta = _pair_vector(graph, i, j)
     base = _interior_base(
         space, [delta, 2 * delta], keep=lambda b: b[:, high] >= b[:, low]
     )
-    mid = _values_at(space, table, base + delta)
+    mid = table[space.rows(base + delta)]
     excess = (
         2.0 * mid
-        - _values_at(space, table, base)
-        - _values_at(space, table, base + 2 * delta)
+        - table[space.rows(base)]
+        - table[space.rows(base + 2 * delta)]
     )
     return _reduce(f"convex[{_pair_label(graph, i, j)}]", space, base, excess, tol)
 
@@ -343,11 +335,11 @@ def check_boundary(
             "the interior box must contain the single-pair states; raise the "
             "cap or lower the margin"
         )
-    table = _box_table(space, v)
+    table = _table(space, v)
     origin = np.zeros((1, graph.n_nodes), dtype=np.int64)
-    at_origin = _values_at(space, table, origin)
-    at_lhs = _values_at(space, table, origin + _pair_vector(graph, *lhs_pair))
-    at_rhs = _values_at(space, table, origin + _pair_vector(graph, *rhs_pair))
+    at_origin = table[space.rows(origin)]
+    at_lhs = table[space.rows(origin + _pair_vector(graph, *lhs_pair))]
+    at_rhs = table[space.rows(origin + _pair_vector(graph, *rhs_pair))]
     excess = (at_origin - at_lhs) - (at_rhs - at_origin)
     return _reduce(
         f"boundary[{_pair_label(graph, *rhs_pair)}]", space, origin, excess, tol
@@ -378,7 +370,7 @@ def check_undesirable(
             f"({_pair_label(graph, i1, j1)}) is not an extreme edge; extreme "
             f"edges: {[(_pair_label(graph, a, b)) for a, b in info.extreme_edges]}"
         )
-    table = _box_table(space, v)
+    table = _table(space, v)
     name = f"undesirable[{_pair_label(graph, i1, j1)}]"
     checked = 0
     best: tuple[float, PropertyReport] | None = None
@@ -387,9 +379,7 @@ def check_undesirable(
             continue
         delta = _pair_vector(graph, i1, j1) - _pair_vector(graph, i2, j2)
         base = _interior_base(space, [delta])
-        excess = _values_at(space, table, base) - _values_at(
-            space, table, base + delta
-        )
+        excess = table[space.rows(base)] - table[space.rows(base + delta)]
         checked += excess.size
         report = _reduce(
             name, space, base, excess, tol, extra={"neighbor": [i2, j2]}
@@ -453,14 +443,12 @@ def check_exchangeable(
         raise ValueError(
             f"unsupported exchange pair; supported (middle, missing) pairs: {names}"
         )
-    table = _box_table(space, v)
+    table = _table(space, v)
     e1 = _pair_vector(graph, *first)
     e2 = _pair_vector(graph, *second)
     base = _interior_base(space, [e1, e2, e2 - e1])
-    lhs = _values_at(space, table, base + e1) - _values_at(space, table, base)
-    rhs = _values_at(space, table, base + e2) - _values_at(
-        space, table, base + e2 - e1
-    )
+    lhs = table[space.rows(base + e1)] - table[space.rows(base)]
+    rhs = table[space.rows(base + e2)] - table[space.rows(base + e2 - e1)]
     excess = np.abs(lhs - rhs)
     name = (
         f"exchangeable[{_pair_label(graph, *first)}|{_pair_label(graph, *second)}]"
@@ -482,13 +470,13 @@ def check_modular(
     graph = space.graph
     e1 = _pair_vector(graph, *roles["middle1"])
     e2 = _pair_vector(graph, *roles["middle2"])
-    table = _box_table(space, v)
+    table = _table(space, v)
     base = _interior_base(space, [e1, e2, e1 + e2])
     excess = np.abs(
-        _values_at(space, table, base + e1 + e2)
-        - _values_at(space, table, base + e1)
-        - _values_at(space, table, base + e2)
-        + _values_at(space, table, base)
+        table[space.rows(base + e1 + e2)]
+        - table[space.rows(base + e1)]
+        - table[space.rows(base + e2)]
+        + table[space.rows(base)]
     )
     name = (
         f"modular[{_pair_label(graph, *roles['middle1'])}"

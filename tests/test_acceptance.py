@@ -37,7 +37,6 @@ from matchdp.solver import (
     relative_value_iteration,
     value_iteration,
 )
-from matchdp.solver import _mask_nonstates
 from matchdp.states import admissible_matchings, n_layout
 from matchdp.structure import (
     check_boundary,
@@ -248,8 +247,7 @@ def test_criterion_07_value_iterates_keep_all_six_properties():
         alpha=np.array([0.9, 0.1]), beta=np.array([0.1, 0.9])
     )
     costs = unit_costs(graph)
-    table = np.zeros(space.shape + (space.n_atoms,))
-    _mask_nonstates(space, table)
+    table = np.zeros((len(space.balanced_states), space.n_atoms))
     worst = 0.0
     for sweep in range(200):
         table = bellman_backup(space, table, costs, arrivals, 0.95)

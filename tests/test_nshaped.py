@@ -192,11 +192,16 @@ def test_optimal_threshold_is_discrete_argmin():
 
 
 def test_heavy_traffic_falls_back_to_brute_force():
-    params = NModelParams(alpha=0.5001, beta=0.5, costs=(1, 2, 2, 1))
-    assert params.rho > 0.999
-    t_star = optimal_threshold(params)
-    values = [average_cost(params, t) for t in range(201)]
-    assert values[t_star] == min(values)
+    # The argmins (1732 and 2746) lie far beyond any fixed search range.
+    for costs in [(1, 1, 1, 1), (1, 2, 2, 1)]:
+        params = NModelParams(alpha=0.5001, beta=0.5, costs=costs)
+        assert params.rho > 0.999
+        t_star = optimal_threshold(params)
+        k = threshold_location(params)
+        window = range(max(0, math.floor(k) - 100), math.ceil(k) + 101)
+        assert t_star in window
+        values = {t: average_cost(params, t) for t in window}
+        assert values[t_star] == min(values.values())
 
 
 def test_unstable_params_raise():

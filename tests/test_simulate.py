@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import math
+import os
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from matchdp.policies import (
 from matchdp.simulate import (
     SimConfig,
     SimResult,
+    _thread_width,
     compare,
     simulate,
     write_comparison_csv,
@@ -125,6 +127,19 @@ class TestDeterminism:
         serial = simulate(graph, arrivals, costs, policy, cfg, threads=1)
         pooled = simulate(graph, arrivals, costs, policy, cfg, threads=2)
         assert serial == pooled
+
+    def test_pool_width_is_clamped_to_replications_and_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.delenv("MATCHDP_THREADS", raising=False)
+        assert _thread_width(64, 2) == 2
+        assert _thread_width(64, 100) == 8
+        assert _thread_width(0, 3) == 3
+        assert _thread_width(0, 100) == 8
+        assert _thread_width(None, 100) == 1
+        monkeypatch.setenv("MATCHDP_THREADS", "64")
+        assert _thread_width(None, 2) == 2
+        with pytest.raises(ValueError):
+            _thread_width(-1, 2)
 
     def test_single_replication_has_nan_se(self):
         graph, arrivals, costs = n_setup()

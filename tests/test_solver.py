@@ -17,7 +17,7 @@ from matchdp.solver import (
     _argmin_decision,
     _expected,
     _initial_table,
-    _matching_min,
+    _sector_min,
     bellman_backup,
     evaluate_policy,
     extract_policy,
@@ -42,18 +42,39 @@ def uniform_arrivals(graph) -> ArrivalDistribution:
     )
 
 
-def assert_box_agrees(space, table, dense, tol=1e-12):
+def two_class_arrivals(graph) -> ArrivalDistribution:
+    return ArrivalDistribution(
+        alpha=np.array([0.7, 0.3]), beta=np.array([0.45, 0.55])
+    )
+
+
+def assert_table_agrees(space, table, dense, tol=1e-12):
     for q in brute_balanced_states(space.graph.n_d, space.graph.n_s, space.cap):
         for a in range(space.n_atoms):
-            assert table[q + (a,)] == pytest.approx(dense[q, a], abs=tol)
+            got = table[space.state_index(q), a]
+            assert got == pytest.approx(dense[q, a], abs=tol)
 
 
 def assert_sector_agrees(vf, dense, tol=1e-12):
-    values = vf.balanced_values()
-    for row, q in enumerate(vf.space.balanced_states):
-        for a in range(vf.space.n_atoms):
-            key = tuple(int(v) for v in q)
-            assert values[row, a] == pytest.approx(dense[key, a], abs=tol)
+    assert_table_agrees(vf.space, vf.data, dense, tol)
+
+
+def brute_matching_min(space, w, x):
+    """min of w over the clipped successors of x that are states, by
+    enumeration; +inf when every successor leaves the sector."""
+    graph, cap = space.graph, space.cap
+    n_d = graph.n_d
+    best = np.inf
+    for u in brute_admissible(graph, x):
+        y = list(x)
+        for count, (i, j) in zip(u, graph.edge_index):
+            y[i] -= count
+            y[n_d + j] -= count
+        y = tuple(min(v, cap) for v in y)
+        if sum(y[:n_d]) != sum(y[n_d:]):
+            continue
+        best = min(best, w[space.state_index(y)])
+    return best
 
 
 class TestTruncatedStateSpace:
@@ -109,7 +130,7 @@ class TestBackupKernel:
                 x = list(q)
                 x[i] += 1
                 x[2 + j] += 1
-                assert out[q + (a_idx,)] == pytest.approx(
+                assert out[space.state_index(q), a_idx] == pytest.approx(
                     float(np.dot(costs.vector, x)), abs=1e-12
                 )
 
@@ -121,18 +142,20 @@ class TestBackupKernel:
         cap = 2
         space = TruncatedStateSpace(graph, cap=cap)
         rng = np.random.default_rng(7)
-        w = rng.standard_normal(space.shape)
-        m = _matching_min(space, w)
+        w = rng.standard_normal(len(space.balanced_states))
+        m = _sector_min(space, w)
+        extended = space.backup_index.extended
         n_d = graph.n_d
-        for x in itertools.product(range(cap + 2), repeat=graph.n_nodes):
-            best = np.inf
-            for u in brute_admissible(graph, x):
-                y = list(x)
-                for count, (i, j) in zip(u, graph.edge_index):
-                    y[i] -= count
-                    y[n_d + j] -= count
-                best = min(best, w[tuple(min(v, cap) for v in y)])
-            assert m[x] == pytest.approx(best, abs=1e-12)
+        expected = [
+            x
+            for x in itertools.product(range(cap + 2), repeat=graph.n_nodes)
+            if sum(x[:n_d]) == sum(x[n_d:])
+        ]
+        assert sorted(map(tuple, extended.tolist())) == expected
+        assert m[-1] == np.inf
+        for row, x in enumerate(extended):
+            best = brute_matching_min(space, w, x)
+            assert m[row] == pytest.approx(best, abs=1e-12)
 
     @pytest.mark.parametrize("maker", [make_n_graph, make_complete22])
     def test_matching_min_with_masked_grid_skips_sector_escapes(self, maker):
@@ -140,29 +163,33 @@ class TestBackupKernel:
         cap = 2
         space = TruncatedStateSpace(graph, cap=cap)
         rng = np.random.default_rng(13)
-        w = rng.standard_normal(space.shape)
-        w[~space.balanced_mask] = np.inf
-        m = _matching_min(space, w)
+        w = rng.standard_normal(len(space.balanced_states))
+        # Zero costs and theta 1 leave exactly the matching minimum at q + a.
+        zero_costs = CostVector(demand=np.zeros(graph.n_d), supply=np.zeros(graph.n_s))
+        table = np.repeat(w[:, None], space.n_atoms, axis=1)
+        out = bellman_backup(
+            space, table, zero_costs, uniform_arrivals(graph), theta=1.0
+        )
         n_d = graph.n_d
         for q in brute_balanced_states(graph.n_d, graph.n_s, cap):
-            for i, j in graph.arrival_atoms:
+            for a_idx, (i, j) in enumerate(graph.arrival_atoms):
                 x = list(q)
                 x[i] += 1
                 x[n_d + j] += 1
-                best = np.inf
-                for u in brute_admissible(graph, x):
-                    y = list(x)
-                    for count, (ei, ej) in zip(u, graph.edge_index):
-                        y[ei] -= count
-                        y[n_d + ej] -= count
-                    y = tuple(min(v, cap) for v in y)
-                    if sum(y[:n_d]) != sum(y[n_d:]):
-                        continue
-                    best = min(best, w[y])
-                assert m[tuple(x)] == pytest.approx(best, abs=1e-12)
+                best = brute_matching_min(space, w, x)
+                got = out[space.state_index(q), a_idx]
+                assert got == pytest.approx(best, abs=1e-12)
 
-    @pytest.mark.parametrize("maker", [make_complete22, make_n_graph])
-    def test_optimality_sweeps_match_dense_reference(self, maker):
+    @pytest.mark.parametrize(
+        "maker, arrivals_of",
+        [
+            (make_complete22, two_class_arrivals),
+            (make_n_graph, two_class_arrivals),
+            (make_w_graph, uniform_arrivals),
+        ],
+        ids=["make_complete22", "make_n_graph", "make_w_graph"],
+    )
+    def test_optimality_sweeps_match_dense_reference(self, maker, arrivals_of):
         graph = maker()
         cap = 3
         theta = 0.9
@@ -171,15 +198,13 @@ class TestBackupKernel:
             demand=np.arange(1.0, graph.n_d + 1.0),
             supply=np.arange(2.0, graph.n_s + 2.0),
         )
-        arrivals = ArrivalDistribution(
-            alpha=np.array([0.7, 0.3]), beta=np.array([0.45, 0.55])
-        )
+        arrivals = arrivals_of(graph)
         table = _initial_table(space, None)
         dense = dense_zero(graph, cap)
         for _ in range(4):
             table = bellman_backup(space, table, costs, arrivals, theta)
             dense = dense_backup(graph, arrivals, costs, cap, dense, theta)
-            assert_box_agrees(space, table, dense)
+            assert_table_agrees(space, table, dense)
 
 
 class TestValueIteration:
@@ -189,9 +214,7 @@ class TestValueIteration:
         table = _initial_table(space, None)
         for _ in range(30):
             new = bellman_backup(space, table, costs, n_arrivals, theta=0.9)
-            assert np.all(
-                new[space.balanced_mask] >= table[space.balanced_mask] - 1e-12
-            )
+            assert np.all(new >= table - 1e-12)
             table = new
 
     def test_residuals_nonincreasing_after_first_sweep(self):
@@ -203,13 +226,7 @@ class TestValueIteration:
         residuals = []
         for _ in range(40):
             new = bellman_backup(space, table, costs, arrivals, theta=0.9)
-            residuals.append(
-                float(
-                    np.abs(
-                        new[space.balanced_mask] - table[space.balanced_mask]
-                    ).max()
-                )
-            )
+            residuals.append(float(np.abs(new - table).max()))
             table = new
         for before, after in zip(residuals[1:], residuals[2:]):
             assert after <= before + 1e-12
@@ -222,9 +239,7 @@ class TestValueIteration:
         assert vf.residual < 1e-9
         assert vf.theta == 0.9
         again = bellman_backup(space, vf.data, costs, n_arrivals, 0.9)
-        gap = np.abs(
-            again[space.balanced_mask] - vf.data[space.balanced_mask]
-        ).max()
+        gap = np.abs(again - vf.data).max()
         assert gap < 1e-8
         assert policy is not None
 
@@ -311,15 +326,11 @@ class TestRelativeValueIteration:
             space,
             costs,
             n_arrivals,
-            v0=np.full(space.shape + (4,), 7.0),
+            v0=np.full((len(space.balanced_states), 4), 7.0),
             extract=False,
         )
         assert base[0] == pytest.approx(shifted[0], abs=1e-12)
-        assert np.allclose(
-            base[1].data[space.balanced_mask],
-            shifted[1].data[space.balanced_mask],
-            atol=1e-12,
-        )
+        assert np.allclose(base[1].data, shifted[1].data, atol=1e-12)
 
     def test_extracted_policy_matches_closed_form_threshold(self):
         graph = make_n_graph()
@@ -356,7 +367,7 @@ class TestPolicyEvaluation:
         )
         policy = FullMatch(graph)
         vf = evaluate_policy(space, policy, costs, arrivals, DPConfig(theta=theta))
-        assert vf.layout == "sector"
+        assert vf.data.shape == (len(space.balanced_states), space.n_atoms)
 
         def decide(x):
             return policy.decide(np.asarray(x, dtype=np.int64))
@@ -475,16 +486,16 @@ class TestPolicyEvaluation:
 
 class TestExtraction:
     def test_argmin_prefers_lexicographically_smallest_on_ties(self):
-        graph = make_complete22()
-        w = np.zeros((4, 4, 4, 4))
-        u = _argmin_decision(graph, w, np.array([2, 1, 1, 2]))
+        space = TruncatedStateSpace(make_complete22(), cap=3)
+        w = np.zeros(len(space.balanced_states))
+        u = _argmin_decision(space, w, np.array([2, 1, 1, 2]))
         assert tuple(u) == (0, 0, 0, 0)
 
     def test_argmin_finds_strict_minimum(self):
         graph = make_n_graph()
         space = TruncatedStateSpace(graph, cap=3)
         rng = np.random.default_rng(11)
-        w = rng.standard_normal(space.shape)
+        w = rng.standard_normal(len(space.balanced_states))
         n_d = graph.n_d
         for x in ([2, 1, 1, 2], [3, 0, 2, 1], [1, 1, 2, 0]):
             x = np.asarray(x)
@@ -494,10 +505,10 @@ class TestExtraction:
                 for count, (i, j) in zip(u, graph.edge_index):
                     y[i] -= count
                     y[n_d + j] -= count
-                val = w[tuple(y)]
+                val = w[space.state_index(y)]
                 if val < best_val:
                     best_u, best_val = u, val
-            assert tuple(_argmin_decision(graph, w, x)) == best_u
+            assert tuple(_argmin_decision(space, w, x)) == best_u
 
     def test_extracted_keys_cover_interior_post_arrival_vectors(
         self, n_graph, n_arrivals
@@ -532,7 +543,7 @@ class TestExtraction:
                 for count, (i, j) in zip(cand, n_graph.edge_index):
                     y[i] -= count
                     y[n_d + j] -= count
-                val = w[tuple(y)]
+                val = w[space.state_index(y)]
                 if val < best_val:
                     best_u, best_val = cand, val
             assert tuple(u) == best_u

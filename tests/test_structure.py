@@ -18,7 +18,6 @@ from matchdp.policies import FullMatch, Policy, PriorityExtreme, Tabular, Thresh
 from matchdp.solver import (
     DPConfig,
     TruncatedStateSpace,
-    _mask_nonstates,
     bellman_backup,
     relative_value_iteration,
 )
@@ -48,27 +47,26 @@ EPS = 1e-3
 
 
 def linear_table(space: TruncatedStateSpace, coeffs) -> np.ndarray:
-    """Box table with value coeffs . q at every cell, equal across atoms."""
+    """Packed table with value coeffs . q at every state, equal across atoms."""
     c = np.asarray(coeffs, dtype=float)
-    side = np.arange(space.cap + 1, dtype=float)
-    n = space.graph.n_nodes
-    field = np.zeros(space.shape)
+    field = np.zeros(len(space.balanced_states))
     for axis, coef in enumerate(c):
-        field = field + coef * side.reshape(
-            [-1 if k == axis else 1 for k in range(n)]
-        )
-    return np.repeat(field[..., None], space.n_atoms, axis=-1)
+        field = field + coef * space.balanced_states[:, axis]
+    return np.repeat(field[:, None], space.n_atoms, axis=-1)
 
 
 def table_from(space: TruncatedStateSpace, fn) -> np.ndarray:
-    """Box table holding fn(q, atom) at every cell, atoms in file order."""
-    table = np.empty(space.shape + (space.n_atoms,))
+    """Packed table holding fn(q, atom) at every state, atoms in file order."""
+    table = np.empty((len(space.balanced_states), space.n_atoms))
     atoms = space.graph.arrival_atoms
-    for idx in np.ndindex(space.shape):
-        q = np.asarray(idx)
+    for row, q in enumerate(space.balanced_states):
         for a, atom in enumerate(atoms):
-            table[idx + (a,)] = fn(q, atom)
+            table[row, a] = fn(q, atom)
     return table
+
+
+def zero_table(space: TruncatedStateSpace) -> np.ndarray:
+    return np.zeros((len(space.balanced_states), space.n_atoms))
 
 
 def n_space(cap: int = 8, margin: int = 2) -> TruncatedStateSpace:
@@ -180,8 +178,8 @@ class TestSoundness:
 
     def test_boundary_detects_cheap_flexible_state(self):
         space = n_space()
-        v = np.zeros(space.shape + (space.n_atoms,))
-        v[1, 0, 0, 1, :] = -EPS
+        v = zero_table(space)
+        v[space.state_index([1, 0, 0, 1])] = -EPS
         report = check_boundary(space, v)
         assert not report.passed
         assert report.worst_violation == pytest.approx(EPS)
@@ -189,8 +187,8 @@ class TestSoundness:
 
     def test_boundary_passes_when_flexible_state_costs(self):
         space = n_space()
-        v = np.zeros(space.shape + (space.n_atoms,))
-        v[1, 0, 0, 1, :] = EPS
+        v = zero_table(space)
+        v[space.state_index([1, 0, 0, 1])] = EPS
         assert check_boundary(space, v).passed
 
     def test_undesirable_detects_cheap_extreme_node(self):
@@ -289,9 +287,9 @@ class TestConvexGuards:
 class TestBoundaryVariants:
     def test_middle_edges_read_disjoint_missing_partners(self):
         space = w_space()
-        v = np.zeros(space.shape + (space.n_atoms,))
+        v = zero_table(space)
         # Single-pair state of the missing diagonal (d1, s2).
-        v[1, 0, 0, 0, 1, :] = -EPS
+        v[space.state_index([1, 0, 0, 0, 1])] = -EPS
         lay = w_layout(space.graph)
         hit = check_boundary(space, v, (lay.d2, lay.s1_local))
         assert not hit.passed
@@ -304,7 +302,7 @@ class TestBoundaryVariants:
 
     def test_w_requires_an_edge_argument(self):
         space = w_space()
-        v = np.zeros(space.shape + (space.n_atoms,))
+        v = zero_table(space)
         with pytest.raises(ValueError, match="middle edge"):
             check_boundary(space, v)
 
@@ -408,10 +406,9 @@ class TestInteriorDiscipline:
         lay = n_layout(space.graph)
         base = linear_table(space, (1.0, 2.0, 3.0, 4.0))
         corrupt = base.copy()
-        for q in space.balanced_states:
+        for row, q in enumerate(space.balanced_states):
             if space.is_tainted(q):
-                corrupt[tuple(int(v) for v in q)] = -1e6
-        corrupt.reshape(-1, space.n_atoms)[space.nonstate_flat] = np.nan
+                corrupt[row] = -1e6
 
         def all_six(table):
             return [
@@ -447,8 +444,7 @@ class TestValueIterates:
             alpha=np.array([0.9, 0.1]), beta=np.array([0.1, 0.9])
         )
         costs = unit_costs(graph)
-        table = np.zeros(space.shape + (space.n_atoms,))
-        _mask_nonstates(space, table)
+        table = zero_table(space)
         for sweep in range(60):
             table = bellman_backup(space, table, costs, arrivals, 0.95)
             reports = [
