@@ -18,6 +18,7 @@ from __future__ import annotations
 from matchdp.errors import (
     Inadmissible,
     MatchDPError,
+    MissingDecision,
     NoConvergence,
     ParseError,
     Unstable,
@@ -89,6 +90,7 @@ __all__ = [
     "MatchLongest",
     "MatchingGraph",
     "MaxWeight",
+    "MissingDecision",
     "NModelParams",
     "NoConvergence",
     "ParseError",

@@ -37,6 +37,13 @@ class Inadmissible(MatchDPError):
     """A matching vector violates the per-node availability constraints."""
 
 
+class MissingDecision(MatchDPError, KeyError):
+    """A table policy has no decision stored for a state and no fallback."""
+
+    # KeyError's own str() would print the message in quotes.
+    __str__ = MatchDPError.__str__
+
+
 class Unstable(MatchDPError):
     """Arrival rates violate the strict subset drift condition."""
 

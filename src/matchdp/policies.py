@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import Inadmissible, ParseError, WrongGraphClass
+from .errors import Inadmissible, MissingDecision, ParseError, WrongGraphClass
 from .graphs import (
     ACYCLIC,
     COMPLETE,
@@ -66,6 +66,13 @@ class Policy:
         self.graph = graph
 
     def decide(self, x: Sequence[int]) -> np.ndarray:
+        """Per-edge match counts for the post-arrival vector x.
+
+        The result must be a deterministic function of x alone: the
+        simulator memoizes it per (state, arrival) pair for the length of
+        a :func:`~matchdp.simulate.simulate` or ``compare`` call, and the
+        solvers may ask for the same x many times.
+        """
         raise NotImplementedError
 
     def spec_dict(self) -> dict:
@@ -580,7 +587,8 @@ class Tabular(Policy):
 
     The optimal matching of a Bellman backup depends on the state only
     through x = q + a, so solver extractions store decisions per x.  States
-    missing from the table go to the fallback policy when one is given.
+    missing from the table go to the fallback policy when one is given;
+    without one they raise :class:`MissingDecision`, which names x.
     """
 
     def __init__(
@@ -604,7 +612,7 @@ class Tabular(Policy):
             return hit.copy()
         if self.fallback is not None:
             return self.fallback.decide(x)
-        raise KeyError(
+        raise MissingDecision(
             f"no stored decision for x={list(key)} and no fallback policy"
         )
 

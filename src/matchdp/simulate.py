@@ -11,47 +11,45 @@ uniform stream of a Philox counter generator keyed by (s, r).  Step n uses
 row n of a (horizon, 2) uniform block; the demand class is the inverse-CDF
 index of column 0 under alpha, the supply class of column 1 under beta.
 The same (seed, replication) therefore yields the same arrival sequence
-for every policy, which is what makes comparisons paired.
+for every policy, which is what makes comparisons paired.  The block is
+drawn in pieces of CHUNK_STEPS rows, which yields the same doubles, and
+every policy walks each piece before the next is drawn, so memory does not
+grow with the horizon.
 
-The structured policies have closed per-step updates, so simulation
-dispatches to integer fast paths for them (the threshold rule on an N
-graph reduces to a one-dimensional level walk); any other policy runs
-through its ``decide`` method.  Both paths produce identical results on
-the same stream.
+Every policy runs through one kernel.  A step depends only on the queue
+vector and the arrival atom, so the kernel memoizes the successor of each
+(state, atom) pair it meets and calls ``decide`` (and checks admissibility)
+only for a pair it has not seen.  The hot loop is one table read and one
+visit count per step; costs, queue means and level frequencies are
+computed afterwards from the visit counts.  With integer costs every
+partial sum is exact, so the result equals a step-by-step run bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import operator
 import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
 from .errors import Inadmissible
 from .graphs import (
-    COMPLETE,
     ArrivalDistribution,
     CostVector,
     MatchingGraph,
     N_SHAPED,
-    W_SHAPED,
     classify,
 )
 from .nshaped import level_of_state
-from .policies import (
-    FullMatch,
-    Policy,
-    ThresholdN,
-    ThresholdW,
-    ThresholdWWorkload,
-)
-from .states import n_layout, w_layout
+from .policies import Policy, ThresholdN
+from .states import n_layout
 
 MAX_SEED = 2**64
 
@@ -175,232 +173,206 @@ class CompareResult:
         }
 
 
-# ---- arrival streams ----
+# ---- the simulation kernel ----
+
+CHUNK_STEPS = 1 << 16
+"""Arrival steps drawn, and walked by every policy, per piece of a stream."""
+
+MEMO_LIMIT = 1 << 18
+"""Entries a policy's transition table may hold (a full one takes ~25 MB)."""
 
 
-def _arrival_streams(
-    graph: MatchingGraph,
-    arrivals: ArrivalDistribution,
-    cfg: SimConfig,
-    rep: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-step class indices for one replication, policy-independent."""
+def _arrival_chunks(graph: MatchingGraph, arrivals: ArrivalDistribution,
+                    cfg: SimConfig, rep: int) -> Iterator[tuple[bool, list[int]]]:
+    """Yield (counted, atoms) pieces of one replication's arrival stream.
+
+    ``atoms`` lists atom indices i * n_s + j of at most CHUNK_STEPS
+    consecutive steps; a piece never straddles the end of the burn-in.
+    """
     rng = np.random.Generator(np.random.Philox(key=[cfg.seed, rep]))
-    u = rng.random((cfg.horizon, 2))
-    d_idx = np.searchsorted(np.cumsum(arrivals.alpha), u[:, 0], side="right")
-    s_idx = np.searchsorted(np.cumsum(arrivals.beta), u[:, 1], side="right")
-    np.minimum(d_idx, graph.n_d - 1, out=d_idx)
-    np.minimum(s_idx, graph.n_s - 1, out=s_idx)
-    atom = cfg.initial_atom(graph)
-    if atom is not None:
-        d_idx[0], s_idx[0] = atom
-    return d_idx, s_idx
-
-
-def _atom_costs(
-    graph: MatchingGraph, costs: CostVector, d_idx: np.ndarray, s_idx: np.ndarray
-) -> np.ndarray:
-    vec = costs.vector
-    return vec[d_idx] + vec[graph.n_d + s_idx]
-
-
-# ---- per-replication kernels ----
-# Each returns (total counted cost, node occupancy sums, level counts).
-
-
-def _run_generic(graph, costs, policy, cfg, d_idx, s_idx, threshold):
-    nd = graph.n_d
-    n_nodes = graph.n_nodes
-    cvec = [float(v) for v in costs.vector]
-    edge_index = list(graph.edge_index)
-    burn = cfg.burn_in
-    q = cfg.initial_queue(graph)
-    total = 0.0
-    node_sums = [0] * n_nodes
-    counts: list[int] | None = [] if threshold is not None else None
-    for n, (i, j) in enumerate(zip(d_idx.tolist(), s_idx.tolist())):
-        on = n >= burn
-        if on:
-            for k in range(n_nodes):
-                node_sums[k] += q[k]
-            if counts is not None:
-                level = level_of_state(threshold, q)
-                if level is not None:
-                    while len(counts) <= level:
-                        counts.append(0)
-                    counts[level] += 1
-        q[i] += 1
-        q[nd + j] += 1
-        if on:
-            c = 0.0
-            for k in range(n_nodes):
-                c += cvec[k] * q[k]
-            total += c
-        u = [int(v) for v in policy.decide(np.asarray(q, dtype=np.int64))]
-        for e, (ei, ej) in enumerate(edge_index):
-            take = u[e]
-            q[ei] -= take
-            q[nd + ej] -= take
-        if min(u) < 0 or min(q) < 0:
-            x = list(q)
-            for e, (ei, ej) in enumerate(edge_index):
-                x[ei] += u[e]
-                x[nd + ej] += u[e]
-            raise Inadmissible(
-                f"policy {policy.label} returned u={u} at x={x} "
-                f"(step {n}, replication stream)"
-            )
-    return total, node_sums, counts
-
-
-def _run_threshold_n(graph, costs, policy, cfg, d_idx, s_idx):
-    """Level walk of the threshold rule; None when q0 is off the track."""
-    lay = n_layout(graph)
-    q = cfg.initial_queue(graph)
-    flex, miss = q[lay.d1], q[lay.d2]
-    t = policy.t
-    if q[lay.s2] != flex or q[lay.s1] != miss or (flex and miss) or flex > t:
-        return None
-    z = flex - miss
-    cap = None if t == math.inf else int(t)
-    # dz: +1 for a flexible (d1, s2) arrival, -1 for the unmatchable pair.
-    up = (d_idx == lay.d1) & (s_idx == lay.s2_local)
-    down = (d_idx == lay.d2) & (s_idx == lay.s1_local)
-    dz = (up.astype(np.int8) - down.astype(np.int8)).tolist()
-    cvec = costs.vector
-    flex_cost = float(cvec[lay.d1] + cvec[lay.s2])
-    miss_cost = float(cvec[lay.d2] + cvec[lay.s1])
-    burn = cfg.burn_in
-    total = float(_atom_costs(graph, costs, d_idx, s_idx)[burn:].sum())
-    flex_sum = 0
-    miss_sum = 0
-    counts: list[int] | None = None if cap is None else [0] * (cap + 1)
-    for n, step in enumerate(dz):
-        if n >= burn:
-            if z > 0:
-                total += flex_cost * z
-                flex_sum += z
-            elif z < 0:
-                total -= miss_cost * z
-                miss_sum -= z
-            if counts is not None:
-                level = cap - z
-                while len(counts) <= level:
-                    counts.append(0)
-                counts[level] += 1
-        if step:
-            z += step
-            if cap is not None and z > cap:
-                z = cap
-    node_sums = [0] * graph.n_nodes
-    node_sums[lay.d1] = node_sums[lay.s2] = flex_sum
-    node_sums[lay.d2] = node_sums[lay.s1] = miss_sum
-    return total, node_sums, counts
-
-
-def _run_threshold_w(graph, costs, policy, cfg, d_idx, s_idx):
-    lay = w_layout(graph)
-    role_d = {lay.d1: 0, lay.d2: 1, lay.d3: 2}
-    q = cfg.initial_queue(graph)
-    d1, d2, d3 = q[lay.d1], q[lay.d2], q[lay.d3]
-    s1, s2 = q[lay.s1], q[lay.s2]
-    workload = isinstance(policy, ThresholdWWorkload)
-    t21 = policy.t21
-    t22 = None if workload else policy.t22
-    t32 = policy.t32 if workload else None
-    cvec = costs.vector
-    c1, c2, c3 = float(cvec[lay.d1]), float(cvec[lay.d2]), float(cvec[lay.d3])
-    c4, c5 = float(cvec[lay.s1]), float(cvec[lay.s2])
-    burn = cfg.burn_in
-    total = float(_atom_costs(graph, costs, d_idx, s_idx)[burn:].sum())
-    sums = [0, 0, 0, 0, 0]
-    for n, (i, j) in enumerate(zip(d_idx.tolist(), s_idx.tolist())):
-        if n >= burn:
-            total += c1 * d1 + c2 * d2 + c3 * d3 + c4 * s1 + c5 * s2
-            sums[0] += d1
-            sums[1] += d2
-            sums[2] += d3
-            sums[3] += s1
-            sums[4] += s2
-        role = role_d[i]
-        if role == 0:
-            d1 += 1
-        elif role == 1:
-            d2 += 1
+    # The class is the count of CDF knots at or below the uniform, the
+    # inverse-CDF index; the last knot is left out so a CDF that rounds
+    # below 1 cannot yield a class past the last one.
+    d_knots = np.cumsum(arrivals.alpha)[:-1]
+    s_knots = np.cumsum(arrivals.beta)[:-1]
+    first = cfg.initial_atom(graph)
+    for start in range(0, cfg.horizon, CHUNK_STEPS):
+        u = rng.random((min(CHUNK_STEPS, cfg.horizon - start), 2))
+        atom = np.zeros(len(u), dtype=np.intp)
+        for knot in d_knots:
+            atom += u[:, 0] >= knot
+        atom *= graph.n_s
+        for knot in s_knots:
+            atom += u[:, 1] >= knot
+        atoms = atom.tolist()
+        if start == 0 and first is not None:
+            atoms[0] = first[0] * graph.n_s + first[1]
+        cut = cfg.burn_in - start
+        if 0 < cut < len(atoms):
+            yield False, atoms[:cut]
+            yield True, atoms[cut:]
         else:
-            d3 += 1
-        if j == lay.s1_local:
-            s1 += 1
-        else:
-            s2 += 1
-        if workload:
-            u11 = d1 if d1 < s1 else s1
-            u22 = d2 if d2 < s2 else s2
-            rem_s1 = s1 - u11
-            rem_d2 = d2 - u22
-            rem_s2 = s2 - u22
-            u32 = d3 - t32 if d3 > t32 else 0
-            if u32 > rem_s2:
-                u32 = rem_s2
-            load = rem_d2 + d3 - u32
-            u21 = load - t21 if load > t21 else 0
-            if u21 > rem_s1:
-                u21 = rem_s1
-            if u21 > rem_d2:
-                u21 = rem_d2
-            d1 -= u11
-            d2 -= u22 + u21
-            d3 -= u32
-            s1 -= u11 + u21
-            s2 -= u22 + u32
-        else:
-            u11 = d1 if d1 < s1 else s1
-            u32 = d3 if d3 < s2 else s2
-            k = s1 - d1 - t21 if s1 - d1 > t21 else 0
-            if k > d2:
-                k = d2
-            jj = s2 - d3 - t22 if s2 - d3 > t22 else 0
-            if jj > d2 - k:
-                jj = d2 - k
-            d1 -= u11
-            d2 -= k + jj
-            d3 -= u32
-            s1 -= u11 + k
-            s2 -= u32 + jj
-    node_sums = [0] * graph.n_nodes
-    for role, pos in enumerate((lay.d1, lay.d2, lay.d3, lay.s1, lay.s2)):
-        node_sums[pos] = sums[role]
-    return total, node_sums, None
+            yield cut <= 0, atoms
 
 
-def _run_full_match(graph, costs, cfg, d_idx, s_idx):
-    """Complete graph from the empty queue: everything clears each step."""
-    burn = cfg.burn_in
-    total = float(_atom_costs(graph, costs, d_idx, s_idx)[burn:].sum())
-    return total, [0] * graph.n_nodes, None
+class _Chain:
+    """One policy's chain, memoized per (queue vector, arrival atom).
+
+    Visited queue vectors get small integer ids; with A arrival atoms,
+    ``next[id * A + a]`` holds the row offset (id * A) of the successor
+    after atom a, or -1 until ``decide`` has been asked.  ``hits`` counts
+    the counted steps per entry; costs, queue sums and level counts follow
+    from them state by state.  A table that would pass MEMO_LIMIT entries
+    is folded into the running sums and restarted from the current state.
+    """
+
+    def __init__(self, graph: MatchingGraph, costs: CostVector, policy: Policy):
+        self.graph = graph
+        self.policy = policy
+        self.n_atoms = graph.n_d * graph.n_s
+        self.cvec = [float(c) for c in costs.vector]
+        self.layout = None
+        if (isinstance(policy, ThresholdN) and classify(graph).tag == N_SHAPED
+                and policy.t != math.inf):
+            self.layout = n_layout(graph)
+        self._forget()
+
+    def _forget(self) -> None:
+        self.ids: dict[tuple[int, ...], int] = {}
+        self.states: list[tuple[int, ...]] = []
+        self.levels: list[int | None] = []
+        self.next: list[int] = []
+        self.hits: list[int] = []
+
+    def _locate(self, key: tuple[int, ...]) -> int:
+        """Row offset of a queue vector, registering it when new."""
+        sid = self.ids.get(key)
+        if sid is None:
+            if len(self.next) + self.n_atoms > MEMO_LIMIT:
+                self._fold()
+                self._forget()
+            sid = self.ids[key] = len(self.states)
+            self.states.append(key)
+            if self.layout is not None:
+                lay = self.layout
+                self.levels.append(level_of_state(
+                    self.policy.t, (key[lay.d1], key[lay.d2], key[lay.s1], key[lay.s2])
+                ))
+            self.next += [-1] * self.n_atoms
+            self.hits += [0] * self.n_atoms
+        return sid * self.n_atoms
+
+    def _fold(self) -> None:
+        """Add the counted visits gathered so far to the running sums."""
+        if not self.counting:
+            return
+        hits, width = self.hits, self.n_atoms
+        visits = [sum(hits[b:b + width]) for b in range(0, len(hits), width)]
+        for a in range(width):
+            self.atom_counts[a] += sum(hits[a::width])
+        for k, column in enumerate(zip(*self.states)):
+            self.node_sums[k] += sum(map(operator.mul, visits, column))
+        if self.layout is not None:
+            counts = self.level_counts
+            for level, seen in zip(self.levels, visits):
+                if level is not None and seen:
+                    counts.extend([0] * (level + 1 - len(counts)))
+                    counts[level] += seen
+
+    def start(self, q0: tuple[int, ...]) -> None:
+        """Begin a replication at q0; the memo carries over."""
+        self.counting = False
+        self.node_sums = [0] * self.graph.n_nodes
+        self.atom_counts = [0] * self.n_atoms
+        self.level_counts = None if self.layout is None else [0] * (self.policy.t + 1)
+        self.s = self._locate(q0)
+
+    def walk(self, atoms: list[int], counted: bool) -> None:
+        """Advance the chain over a piece of the arrival stream.
+
+        Steps are counted in every piece; the first counted piece of a
+        replication drops what the burn-in (or the last replication) left.
+        """
+        if counted and not self.counting:
+            self.hits = [0] * len(self.next)
+            self.counting = True
+        nxt, hits, s = self.next, self.hits, self.s
+        for a in atoms:
+            k = s + a
+            hits[k] += 1
+            s = nxt[k]
+            if s < 0:
+                s = self._miss(k)
+                nxt, hits = self.next, self.hits
+        self.s = s
+
+    def _miss(self, k: int) -> int:
+        """Ask ``decide`` for the entry k = row offset + atom and store it."""
+        graph, nd = self.graph, self.graph.n_d
+        sid, a = divmod(k, self.n_atoms)
+        x = list(self.states[sid])
+        i, j = divmod(a, graph.n_s)
+        x[i] += 1
+        x[nd + j] += 1
+        u = [int(v) for v in self.policy.decide(np.asarray(x, dtype=np.int64))]
+        y = list(x)
+        for e, (ei, ej) in enumerate(graph.edge_index):
+            y[ei] -= u[e]
+            y[nd + ej] -= u[e]
+        if min(u) < 0 or min(y) < 0:
+            raise Inadmissible(f"policy {self.policy.label} returned u={u} at x={x}")
+        nxt = self.next
+        # After a restart ``nxt`` is the discarded table, so the store is moot.
+        nxt[k] = off = self._locate(tuple(y))
+        return off
+
+    def finish(self) -> tuple[float, list[int], list[int] | None]:
+        """(total counted cost, node occupancy sums, level counts)."""
+        self._fold()
+        nd = self.graph.n_d
+        post = list(self.node_sums)
+        for (i, j), seen in zip(self.graph.arrival_atoms, self.atom_counts):
+            post[i] += seen
+            post[nd + j] += seen
+        total = float(sum(c * n for c, n in zip(self.cvec, post)))
+        return total, self.node_sums, self.level_counts
 
 
-def _run_replication(graph, arrivals, costs, policy, cfg, rep):
-    d_idx, s_idx = _arrival_streams(graph, arrivals, cfg, rep)
-    return _dispatch(graph, costs, policy, cfg, d_idx, s_idx)
+def _replicate(chains: Sequence[_Chain], graph: MatchingGraph,
+               arrivals: ArrivalDistribution, cfg: SimConfig, rep: int) -> tuple:
+    """Walk every chain over one replication's stream, piece by piece."""
+    q0 = tuple(cfg.initial_queue(graph))
+    for chain in chains:
+        chain.start(q0)
+    for counted, atoms in _arrival_chunks(graph, arrivals, cfg, rep):
+        for chain in chains:
+            chain.walk(atoms, counted)
+    return tuple(chain.finish() for chain in chains)
 
 
-def _dispatch(graph, costs, policy, cfg, d_idx, s_idx):
-    tag = classify(graph).tag
-    if type(policy) is ThresholdN and tag == N_SHAPED:
-        out = _run_threshold_n(graph, costs, policy, cfg, d_idx, s_idx)
-        if out is not None:
-            return out
-    if type(policy) in (ThresholdW, ThresholdWWorkload) and tag == W_SHAPED:
-        return _run_threshold_w(graph, costs, policy, cfg, d_idx, s_idx)
-    if type(policy) is FullMatch and tag == COMPLETE and not any(
-        cfg.initial_queue(graph)
-    ):
-        return _run_full_match(graph, costs, cfg, d_idx, s_idx)
-    threshold = None
-    if isinstance(policy, ThresholdN) and tag == N_SHAPED and policy.t != math.inf:
-        threshold = int(policy.t)
-    return _run_generic(graph, costs, policy, cfg, d_idx, s_idx, threshold)
+def _replication_job(args) -> tuple:
+    graph, arrivals, costs, policies, cfg, rep = args
+    chains = [_Chain(graph, costs, p) for p in policies]
+    return _replicate(chains, graph, arrivals, cfg, rep)
+
+
+def _run(graph, arrivals, costs, policies, cfg, threads) -> list[tuple]:
+    """Per replication, one (cost, node sums, level counts) per policy.
+
+    Serially each policy keeps one memo across its replications; in a
+    pool every job builds its own.
+    """
+    cfg.initial_queue(graph)
+    width = _thread_width(threads, cfg.replications)
+    reps = range(cfg.replications)
+    if width > 1:
+        with ProcessPoolExecutor(max_workers=width) as pool:
+            return list(pool.map(
+                _replication_job,
+                [(graph, arrivals, costs, policies, cfg, r) for r in reps],
+            ))
+    chains = [_Chain(graph, costs, p) for p in policies]
+    return [_replicate(chains, graph, arrivals, cfg, r) for r in reps]
 
 
 # ---- aggregation ----
@@ -460,26 +432,8 @@ def simulate(
     and aggregation is ordered by replication index, so the result is
     identical for every thread width.
     """
-    cfg.initial_queue(graph)
-    width = _thread_width(threads, cfg.replications)
-    reps = range(cfg.replications)
-    if width > 1:
-        with ProcessPoolExecutor(max_workers=width) as pool:
-            outs = list(
-                pool.map(
-                    _replication_job,
-                    [(graph, arrivals, costs, policy, cfg, r) for r in reps],
-                )
-            )
-    else:
-        outs = [
-            _run_replication(graph, arrivals, costs, policy, cfg, r) for r in reps
-        ]
-    return _aggregate(policy.label, outs, cfg)
-
-
-def _replication_job(args):
-    return _run_replication(*args)
+    per_rep = _run(graph, arrivals, costs, (policy,), cfg, threads)
+    return _aggregate(policy.label, [outs[0] for outs in per_rep], cfg)
 
 
 def compare(
@@ -501,22 +455,7 @@ def compare(
     """
     if len(policies) < 2:
         raise ValueError(f"compare needs at least 2 policies, got {len(policies)}")
-    cfg.initial_queue(graph)
-    width = _thread_width(threads, cfg.replications)
-    reps = range(cfg.replications)
-    if width > 1:
-        with ProcessPoolExecutor(max_workers=width) as pool:
-            per_rep = list(
-                pool.map(
-                    _compare_job,
-                    [(graph, arrivals, costs, tuple(policies), cfg, r) for r in reps],
-                )
-            )
-    else:
-        per_rep = [
-            _compare_rep(graph, arrivals, costs, tuple(policies), cfg, r)
-            for r in reps
-        ]
+    per_rep = _run(graph, arrivals, costs, tuple(policies), cfg, threads)
     by_policy = list(zip(*per_rep))
     results = [
         _aggregate(policy.label, outs, cfg)
@@ -545,17 +484,6 @@ def compare(
                 )
             )
     return CompareResult(ordered, tuple(pairs))
-
-
-def _compare_rep(graph, arrivals, costs, policies, cfg, rep):
-    d_idx, s_idx = _arrival_streams(graph, arrivals, cfg, rep)
-    return tuple(
-        _dispatch(graph, costs, policy, cfg, d_idx, s_idx) for policy in policies
-    )
-
-
-def _compare_job(args):
-    return _compare_rep(*args)
 
 
 # ---- CSV output ----

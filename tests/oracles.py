@@ -11,7 +11,19 @@ import itertools
 import math
 from typing import Callable, Sequence
 
-from matchdp.graphs import ArrivalDistribution, CostVector, MatchingGraph
+import numpy as np
+
+from matchdp.errors import Inadmissible
+from matchdp.graphs import (
+    N_SHAPED,
+    ArrivalDistribution,
+    CostVector,
+    MatchingGraph,
+    classify,
+)
+from matchdp.nshaped import level_of_state
+from matchdp.policies import Policy, ThresholdN
+from matchdp.simulate import SimConfig, SimResult, _aggregate
 
 
 def brute_admissible(graph: MatchingGraph, x: Sequence[int]) -> list[tuple[int, ...]]:
@@ -153,3 +165,95 @@ def dense_policy_backup(
         return _next_value(graph, probs, key, table)
 
     return _dense_sweep(graph, arrivals, costs, cap, v, theta, choose)
+
+
+def reference_streams(
+    graph: MatchingGraph, arrivals: ArrivalDistribution, cfg: SimConfig, rep: int
+) -> tuple[list[int], list[int]]:
+    """Per-step class indices of one replication from a single (horizon, 2)
+    uniform block, by inverse-CDF search; the first step honors ``a0``."""
+    rng = np.random.Generator(np.random.Philox(key=[cfg.seed, rep]))
+    u = rng.random((cfg.horizon, 2))
+    d_idx = np.searchsorted(np.cumsum(arrivals.alpha), u[:, 0], side="right")
+    s_idx = np.searchsorted(np.cumsum(arrivals.beta), u[:, 1], side="right")
+    np.minimum(d_idx, graph.n_d - 1, out=d_idx)
+    np.minimum(s_idx, graph.n_s - 1, out=s_idx)
+    atom = cfg.initial_atom(graph)
+    if atom is not None:
+        d_idx[0], s_idx[0] = atom
+    return d_idx.tolist(), s_idx.tolist()
+
+
+def reference_replication(graph, costs, policy, cfg, d_idx, s_idx, threshold):
+    """Step-by-step run calling ``decide`` on every step.
+
+    Returns (total counted cost, node occupancy sums, level counts), with
+    level counts only when ``threshold`` is given.
+    """
+    nd = graph.n_d
+    n_nodes = graph.n_nodes
+    cvec = [float(v) for v in costs.vector]
+    edge_index = list(graph.edge_index)
+    burn = cfg.burn_in
+    q = cfg.initial_queue(graph)
+    total = 0.0
+    node_sums = [0] * n_nodes
+    counts: list[int] | None = [] if threshold is not None else None
+    for n, (i, j) in enumerate(zip(d_idx, s_idx)):
+        on = n >= burn
+        if on:
+            for k in range(n_nodes):
+                node_sums[k] += q[k]
+            if counts is not None:
+                level = level_of_state(threshold, q)
+                if level is not None:
+                    while len(counts) <= level:
+                        counts.append(0)
+                    counts[level] += 1
+        q[i] += 1
+        q[nd + j] += 1
+        if on:
+            c = 0.0
+            for k in range(n_nodes):
+                c += cvec[k] * q[k]
+            total += c
+        u = [int(v) for v in policy.decide(np.asarray(q, dtype=np.int64))]
+        for e, (ei, ej) in enumerate(edge_index):
+            take = u[e]
+            q[ei] -= take
+            q[nd + ej] -= take
+        if min(u) < 0 or min(q) < 0:
+            x = list(q)
+            for e, (ei, ej) in enumerate(edge_index):
+                x[ei] += u[e]
+                x[nd + ej] += u[e]
+            raise Inadmissible(
+                f"policy {policy.label} returned u={u} at x={x} (step {n})"
+            )
+    return total, node_sums, counts
+
+
+def reference_simulate(
+    graph: MatchingGraph,
+    arrivals: ArrivalDistribution,
+    costs: CostVector,
+    policy: Policy,
+    cfg: SimConfig,
+) -> SimResult:
+    """Serial step-by-step simulation with the package's aggregation.
+
+    Level counts are kept for a finite threshold rule on an N graph, read
+    from the queue in file order.
+    """
+    threshold = None
+    if (isinstance(policy, ThresholdN) and classify(graph).tag == N_SHAPED
+            and policy.t != math.inf):
+        threshold = int(policy.t)
+    outs = [
+        reference_replication(
+            graph, costs, policy, cfg,
+            *reference_streams(graph, arrivals, cfg, rep), threshold,
+        )
+        for rep in range(cfg.replications)
+    ]
+    return _aggregate(policy.label, outs, cfg)
