@@ -71,7 +71,9 @@ class Policy:
         The result must be a deterministic function of x alone: the
         simulator memoizes it per (state, arrival) pair for the length of
         a :func:`~matchdp.simulate.simulate` or ``compare`` call, and the
-        solvers may ask for the same x many times.
+        solvers call it once per distinct x (``evaluate_policy`` on every
+        post-arrival vector of the space, ``verify_policy_shape`` on the
+        interior ones).
         """
         raise NotImplementedError
 
@@ -138,20 +140,6 @@ class ThresholdN(Policy):
         k = _surplus_after(d1 - s1, self.t)
         u[self._e12] = min(k, d1 - u[self._e11], s2 - u[self._e22])
         return u
-
-    def decide_box(self, coords: Sequence[np.ndarray]) -> list[tuple[int, np.ndarray]]:
-        """Vectorized decision over coordinate grids; returns (edge, counts) pairs."""
-        lay = self.layout
-        d1, d2 = coords[lay.d1], coords[lay.d2]
-        s1, s2 = coords[lay.s1], coords[lay.s2]
-        u11 = np.minimum(d1, s1)
-        u22 = np.minimum(d2, s2)
-        if self.t == math.inf:
-            k = np.zeros(np.broadcast(d1, s1).shape, dtype=np.int64)
-        else:
-            k = np.clip(d1 - s1 - int(self.t), 0, None)
-        k = np.minimum(k, np.minimum(d1 - u11, s2 - u22))
-        return [(self._e11, u11), (self._e12, k), (self._e22, u22)]
 
     def spec_dict(self) -> dict:
         return {"type": "threshold_n", "t": "inf" if self.t == math.inf else self.t}

@@ -9,9 +9,10 @@ column per arrival atom in ``graph.arrival_atoms`` order;
 
 A matching decision acts on the post-arrival vector x = q + a, which can
 reach cap + 1 on the two arriving coordinates, so the optimality operator
-works on the *extended* sector: the balanced vectors in [0, cap + 1]^nodes,
-sorted by level (the demand total).  A successor is clipped per node at
-the cap.  When the clip truncates one side of a would-be overflow only,
+works on the *extended* sector: the balanced vectors in [0, cap + 1]^nodes
+with at most one coordinate at cap + 1 on each side (as x has), sorted by
+level (the demand total).  A successor is clipped per node at the cap.
+When the clip truncates one side of a would-be overflow only,
 the clipped vector is unbalanced and not a state, so that matching is not
 offered; clips that truncate both sides at once (the only unavoidable kind
 on the graph families treated here) land on states and stay available.
@@ -22,8 +23,9 @@ matched pair at a time, and each removal lowers the level by one, so the
 matching minimum obeys m(x) = min(w(clip(x)), min over edges e of m(x - e))
 and one gather-min per level computes it for the whole extended sector.
 
-Fixed-policy evaluation iterates on the same rows with the policy's
-successor map precomputed once.
+Policy extraction reads its decisions on the same rows, and fixed-policy
+evaluation iterates with the policy's successor map precomputed once, from
+one ``decide`` call per distinct post-arrival row.
 """
 
 from __future__ import annotations
@@ -42,13 +44,20 @@ from .states import arrival_vector
 VI_TOL = 1e-9
 RVI_SPAN_TOL = 1e-8
 MAX_ITERS = 100_000
-EXTRACT_GRID_LIMIT = 2_000_000
 
 
-def _sector(graph: MatchingGraph, side: int) -> np.ndarray:
-    """Balanced vectors in [0, side]^nodes as rows, lexicographically ordered."""
-    demand = np.indices((side + 1,) * graph.n_d).reshape(graph.n_d, -1).T
-    supply = np.indices((side + 1,) * graph.n_s).reshape(graph.n_s, -1).T
+def _sector(graph: MatchingGraph, side: int, one_at_side: bool = False) -> np.ndarray:
+    """Balanced vectors in [0, side]^nodes as rows, lexicographically ordered.
+
+    With ``one_at_side``, only vectors with at most one coordinate equal to
+    ``side`` on each side of the graph are kept.
+    """
+
+    def grid(n: int) -> np.ndarray:
+        rows = np.indices((side + 1,) * n).reshape(n, -1).T
+        return rows[(rows == side).sum(axis=1) <= 1] if one_at_side else rows
+
+    demand, supply = grid(graph.n_d), grid(graph.n_s)
     d_rows, s_rows = np.nonzero(demand.sum(axis=1)[:, None] == supply.sum(axis=1))
     return np.hstack([demand[d_rows], supply[s_rows]])
 
@@ -71,8 +80,10 @@ def _rows(codes: np.ndarray, shape: tuple[int, ...], vectors) -> np.ndarray:
 class BackupIndex(NamedTuple):
     """Index arrays of the optimality operator on the extended sector.
 
-    Extended rows are the balanced vectors in [0, cap + 1]^nodes sorted by
-    level, followed by one sentinel row that always reads +inf.
+    Extended rows are the balanced vectors in [0, cap + 1]^nodes with at
+    most one coordinate at cap + 1 on each side, sorted by level, followed
+    by one sentinel row that always reads +inf.  They are closed under
+    removing a matched pair, and they hold every post-arrival vector.
 
     - ``extended``: the vectors of the extended rows, without the sentinel.
     - ``read``: per extended row, the state row of its clip at the cap, or
@@ -164,6 +175,21 @@ class TruncatedStateSpace:
         return out
 
     @cached_property
+    def interior_post_arrivals(self) -> np.ndarray:
+        """Distinct post-arrival vectors q + a of the interior states, as
+        rows in lexicographic order: where decisions are read and checked.
+
+        margin >= 1 keeps each of them inside [0, cap], so they are
+        balanced states and their rows order them.
+        """
+        graph = self.graph
+        atoms = np.array([arrival_vector(graph, i, j) for i, j in graph.arrival_atoms])
+        xs = self.interior_balanced_states[:, None, :] + atoms
+        out = self.balanced_states[np.unique(self.rows(xs))]
+        out.setflags(write=False)
+        return out
+
+    @cached_property
     def tainted_state_count(self) -> int:
         return len(self.balanced_states) - len(self.interior_balanced_states)
 
@@ -171,7 +197,7 @@ class TruncatedStateSpace:
     def backup_index(self) -> BackupIndex:
         """Index arrays of :func:`bellman_backup`, built on its first call."""
         graph, n_d = self.graph, self.graph.n_d
-        ext = _sector(graph, self.cap + 1)
+        ext = _sector(graph, self.cap + 1, one_at_side=True)
         ext_shape = (self.cap + 2,) * graph.n_nodes
         ext_codes = np.ravel_multi_index(ext.T, ext_shape)
         level = ext[:, :n_d].sum(axis=1)
@@ -301,7 +327,12 @@ def _sector_min(space: TruncatedStateSpace, w: np.ndarray) -> np.ndarray:
     """min over admissible matchings u of w(clip(x - usage(u))), per extended
     row x, with +inf where the clip leaves the sector (sentinel row last)."""
     _, read, pred, levels, _ = space.backup_index
-    m = np.append(w, np.inf)[read]
+    return _relax(np.append(w, np.inf)[read], pred, levels)
+
+
+def _relax(m: np.ndarray, pred: np.ndarray, levels) -> np.ndarray:
+    """Lower each extended row of m, in place and level by level, to the
+    least of itself and its (already lowered) rows in ``pred``."""
     for start, stop in levels:
         np.minimum(m[start:stop], m[pred[start:stop]].min(axis=1), out=m[start:stop])
     return m
@@ -320,39 +351,6 @@ def _require_finite(space: TruncatedStateSpace, table: np.ndarray) -> None:
 # ---- policy extraction ----
 
 
-def _argmin_decision(
-    space: TruncatedStateSpace, w: np.ndarray, x: np.ndarray
-) -> np.ndarray:
-    """Lexicographically smallest minimizer of w(x - usage(u)) over matchings.
-
-    Enumerates the per-edge count grid (pruned by per-node caps), looks the
-    successors up in the packed expected-value vector w, and takes the
-    first minimum, which is the lexicographically smallest because the
-    grid flattens in ascending lexicographic order.
-    """
-    graph = space.graph
-    caps = [int(min(x[i], x[graph.n_d + j])) for i, j in graph.edge_index]
-    total = 1
-    for c in caps:
-        total *= c + 1
-    if total > EXTRACT_GRID_LIMIT:
-        raise Inadmissible(
-            f"decision grid at x={x.tolist()} needs {total} candidates, "
-            f"over the extraction limit {EXTRACT_GRID_LIMIT}"
-        )
-    grid = np.indices([c + 1 for c in caps]).reshape(len(caps), -1).T
-    usage = np.zeros((len(caps), graph.n_nodes), dtype=np.int64)
-    for e, (i, j) in enumerate(graph.edge_index):
-        usage[e, i] = 1
-        usage[e, graph.n_d + j] = 1
-    used = grid @ usage
-    feasible = np.all(used <= x, axis=1)
-    grid = grid[feasible]
-    succ = x - used[feasible]
-    best = int(np.argmin(w[space.rows(succ)]))
-    return grid[best]
-
-
 def extract_policy(
     space: TruncatedStateSpace,
     table: np.ndarray,
@@ -361,22 +359,40 @@ def extract_policy(
     """Greedy policy of a packed value table on interior balanced states.
 
     Decisions depend on the state only through x = q + a, so the table is
-    keyed by post-arrival vectors.  Interior states keep x and all its
-    successors inside [0, cap], and matching preserves balance, so every
-    candidate read is a real state's value.
+    keyed by ``space.interior_post_arrivals``.  Interior x and all its
+    successors stay inside [0, cap], and matching preserves balance, so
+    every candidate read is a real state's value.
+
+    Each decision is the lexicographically smallest minimizer of
+    w(x - usage(u)).  The suffix minima tail[k](x), over the counts on
+    edges k, k + 1, ..., are relaxed one edge at a time on the backup's
+    extended rows; walking the edges in file order, edge k then takes the
+    smallest count c with tail[k + 1](x - c e_k) == tail[0](x).  The test
+    is exact because a minimum returns one of its inputs.
     """
-    graph = space.graph
-    w = _expected(table, arrivals)
-    seen: dict[tuple[int, ...], np.ndarray] = {}
-    for q in space.interior_balanced_states:
-        for i, j in graph.arrival_atoms:
-            x = q.copy()
-            x[i] += 1
-            x[graph.n_d + j] += 1
-            key = tuple(int(v) for v in x)
-            if key not in seen:
-                seen[key] = _argmin_decision(space, w, x)
-    return Tabular(graph, seen)
+    ext, read, pred, levels, _ = space.backup_index
+    n_edges = pred.shape[1]
+    tail = np.empty((n_edges + 1, len(read)))
+    tail[n_edges] = np.append(_expected(table, arrivals), np.inf)[read]
+    for k in range(n_edges - 1, -1, -1):
+        tail[k] = _relax(tail[k + 1].copy(), pred[:, k : k + 1], levels)
+    xs = space.interior_post_arrivals
+    # Interior x lies inside the cap, where an extended row reads itself.
+    inside = np.flatnonzero(np.all(ext <= space.cap, axis=1))
+    ext_row = np.empty(len(space.balanced_states), dtype=np.int64)
+    ext_row[read[inside]] = inside
+    rows = ext_row[space.rows(xs)]
+    best = tail[0, rows]
+    u = np.zeros((len(xs), n_edges), dtype=np.int64)
+    for k in range(n_edges):
+        pending = np.arange(len(xs))
+        while True:
+            pending = pending[tail[k + 1, rows[pending]] != best[pending]]
+            if not len(pending):
+                break
+            u[pending, k] += 1
+            rows[pending] = pred[rows[pending], k]
+    return Tabular(space.graph, dict(zip(map(tuple, xs.tolist()), u)))
 
 
 # ---- optimality iterations ----
@@ -474,38 +490,36 @@ def relative_value_iteration(
 def _sector_successors(space: TruncatedStateSpace, policy: Policy) -> np.ndarray:
     """Successor row per (state row, atom) under the policy.
 
-    Raises :class:`Inadmissible` when the policy's clipped successor leaves
-    the balanced sector, because such a policy does not act on this state
-    space.
+    ``decide`` runs once per distinct post-arrival row of the backup index.
+    Raises :class:`Inadmissible` when a decision overdraws x, or when its
+    successor clipped at the cap leaves the balanced sector, because such a
+    policy does not act on this state space.
     """
-    graph = space.graph
-    n_d = graph.n_d
-    states = space.balanced_states
-    out = np.empty((len(states), space.n_atoms), dtype=np.int64)
-    for a_idx, (i, j) in enumerate(graph.arrival_atoms):
-        x = states + arrival_vector(graph, i, j)
-        if hasattr(policy, "decide_box"):
-            decided = policy.decide_box([x[:, k] for k in range(x.shape[1])])
-        else:
-            counts = np.empty((len(x), len(graph.edges)), dtype=np.int64)
-            for row, x_vec in enumerate(x):
-                counts[row] = policy.decide(x_vec)
-            decided = [(e, counts[:, e]) for e in range(len(graph.edges))]
-        y = x
-        for e, count in decided:
-            ei, ej = graph.edge_index[e]
-            y[:, ei] -= count
-            y[:, n_d + ej] -= count
-        y = np.clip(y, 0, space.cap)
-        unbalanced = y[:, :n_d].sum(axis=1) != y[:, n_d:].sum(axis=1)
-        if np.any(unbalanced):
-            bad = states[np.flatnonzero(unbalanced)[0]]
-            raise Inadmissible(
-                f"policy {policy.label!r} leaves the balanced sector from state "
-                f"{tuple(int(v) for v in bad)} under arrival {(i, j)}"
-            )
-        out[:, a_idx] = space.rows(y)
-    return out
+    graph, n_d = space.graph, space.graph.n_d
+    ext, _, _, _, post = space.backup_index
+    rows = np.unique(post)
+    xs = ext[rows]
+    u = np.array([policy.decide(x) for x in xs], dtype=np.int64)
+    y = xs.copy()
+    for e, (i, j) in enumerate(graph.edge_index):
+        y[:, i] -= u[:, e]
+        y[:, n_d + j] -= u[:, e]
+    bad = np.flatnonzero(np.any(u < 0, axis=1) | np.any(y < 0, axis=1))
+    if len(bad):
+        raise Inadmissible(
+            f"policy {policy.label} returned u={u[bad[0]].tolist()} "
+            f"at x={xs[bad[0]].tolist()}"
+        )
+    y = np.minimum(y, space.cap)
+    bad = np.flatnonzero(y[:, :n_d].sum(axis=1) != y[:, n_d:].sum(axis=1))
+    if len(bad):
+        raise Inadmissible(
+            f"policy {policy.label!r} leaves the balanced sector from the "
+            f"post-arrival vector x={xs[bad[0]].tolist()}"
+        )
+    row_succ = np.empty(len(ext), dtype=np.int64)
+    row_succ[rows] = space.rows(y)
+    return row_succ[post]
 
 
 def evaluate_policy(

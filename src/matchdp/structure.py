@@ -39,7 +39,7 @@ from .errors import WrongGraphClass
 from .graphs import COMPLETE, MatchingGraph, N_SHAPED, W_SHAPED, classify
 from .policies import Policy
 from .solver import TruncatedStateSpace, ValueFunction
-from .states import n_layout, node_usage, w_layout
+from .states import arrival_vector, n_layout, node_usage, w_layout
 
 PROPERTY_TOL = 1e-9
 MAX_WITNESSES = 10
@@ -161,13 +161,6 @@ def _class_pair(graph: MatchingGraph, pair: Sequence[int]) -> tuple[int, int]:
     return i, j
 
 
-def _pair_vector(graph: MatchingGraph, i: int, j: int) -> np.ndarray:
-    vec = np.zeros(graph.n_nodes, dtype=np.int64)
-    vec[i] += 1
-    vec[graph.n_d + j] += 1
-    return vec
-
-
 def _pair_label(graph: MatchingGraph, i: int, j: int) -> str:
     return f"{graph.demand_nodes[i]},{graph.supply_nodes[j]}"
 
@@ -209,7 +202,7 @@ def check_increasing(
     graph = space.graph
     i, j = _class_pair(graph, pair)
     table = _table(space, v)
-    delta = _pair_vector(graph, i, j)
+    delta = arrival_vector(graph, i, j)
     base = _interior_base(space, [delta])
     excess = table[space.rows(base)] - table[space.rows(base + delta)]
     return _reduce(f"increasing[{_pair_label(graph, i, j)}]", space, base, excess, tol)
@@ -266,7 +259,7 @@ def check_convex(
         )
     high, low = guards[(i, j)]
     table = _table(space, v)
-    delta = _pair_vector(graph, i, j)
+    delta = arrival_vector(graph, i, j)
     base = _interior_base(
         space, [delta, 2 * delta], keep=lambda b: b[:, high] >= b[:, low]
     )
@@ -338,8 +331,8 @@ def check_boundary(
     table = _table(space, v)
     origin = np.zeros((1, graph.n_nodes), dtype=np.int64)
     at_origin = table[space.rows(origin)]
-    at_lhs = table[space.rows(origin + _pair_vector(graph, *lhs_pair))]
-    at_rhs = table[space.rows(origin + _pair_vector(graph, *rhs_pair))]
+    at_lhs = table[space.rows(origin + arrival_vector(graph, *lhs_pair))]
+    at_rhs = table[space.rows(origin + arrival_vector(graph, *rhs_pair))]
     excess = (at_origin - at_lhs) - (at_rhs - at_origin)
     return _reduce(
         f"boundary[{_pair_label(graph, *rhs_pair)}]", space, origin, excess, tol
@@ -377,7 +370,7 @@ def check_undesirable(
     for i2, j2 in graph.edge_index:
         if (i2, j2) == (i1, j1) or (i2 != i1 and j2 != j1):
             continue
-        delta = _pair_vector(graph, i1, j1) - _pair_vector(graph, i2, j2)
+        delta = arrival_vector(graph, i1, j1) - arrival_vector(graph, i2, j2)
         base = _interior_base(space, [delta])
         excess = table[space.rows(base)] - table[space.rows(base + delta)]
         checked += excess.size
@@ -444,8 +437,8 @@ def check_exchangeable(
             f"unsupported exchange pair; supported (middle, missing) pairs: {names}"
         )
     table = _table(space, v)
-    e1 = _pair_vector(graph, *first)
-    e2 = _pair_vector(graph, *second)
+    e1 = arrival_vector(graph, *first)
+    e2 = arrival_vector(graph, *second)
     base = _interior_base(space, [e1, e2, e2 - e1])
     lhs = table[space.rows(base + e1)] - table[space.rows(base)]
     rhs = table[space.rows(base + e2)] - table[space.rows(base + e2 - e1)]
@@ -468,8 +461,8 @@ def check_modular(
     """
     roles = _w_pairs(space)
     graph = space.graph
-    e1 = _pair_vector(graph, *roles["middle1"])
-    e2 = _pair_vector(graph, *roles["middle2"])
+    e1 = arrival_vector(graph, *roles["middle1"])
+    e2 = arrival_vector(graph, *roles["middle2"])
     table = _table(space, v)
     base = _interior_base(space, [e1, e2, e1 + e2])
     excess = np.abs(
@@ -486,18 +479,6 @@ def check_modular(
 
 
 # ---- policy shape verification ----
-
-
-def _interior_post_arrivals(space: TruncatedStateSpace) -> list[tuple[int, ...]]:
-    graph = space.graph
-    seen: set[tuple[int, ...]] = set()
-    for q in space.interior_balanced_states:
-        for i, j in graph.arrival_atoms:
-            x = q.copy()
-            x[i] += 1
-            x[graph.n_d + j] += 1
-            seen.add(tuple(int(val) for val in x))
-    return sorted(seen)
 
 
 def _shape_report(
@@ -526,9 +507,8 @@ def _verify_full_match(space: TruncatedStateSpace, policy: Policy) -> ShapeRepor
         )
     witnesses: list[dict] = []
     violations = 0
-    xs = _interior_post_arrivals(space)
-    for key in xs:
-        x = np.asarray(key, dtype=np.int64)
+    xs = space.interior_post_arrivals
+    for x, key in zip(xs, xs.tolist()):
         u = np.asarray(policy.decide(x), dtype=np.int64)
         residual = x - node_usage(graph, u)
         if np.any(residual < 0):
@@ -561,9 +541,8 @@ def _verify_threshold_n(space: TruncatedStateSpace, policy: Policy) -> ShapeRepo
     violations = 0
     implied: dict[int, list[tuple[int, ...]]] = {}
     held_back: list[tuple[int, tuple[int, ...]]] = []
-    xs = _interior_post_arrivals(space)
-    for key in xs:
-        x = np.asarray(key, dtype=np.int64)
+    xs = space.interior_post_arrivals
+    for x, key in zip(xs, xs.tolist()):
         u = np.asarray(policy.decide(x), dtype=np.int64)
         d1, d2, s1, s2 = lay.pack(x)
         residual = x - node_usage(graph, u)
@@ -641,9 +620,8 @@ def _verify_priority_extreme(
     positions = [graph.edge_position[e] for e in extremes]
     witnesses: list[dict] = []
     violations = 0
-    xs = _interior_post_arrivals(space)
-    for key in xs:
-        x = np.asarray(key, dtype=np.int64)
+    xs = space.interior_post_arrivals
+    for x, key in zip(xs, xs.tolist()):
         u = np.asarray(policy.decide(x), dtype=np.int64)
         residual = x - node_usage(graph, u)
         if np.any(residual < 0) or np.any(u < 0):
@@ -684,7 +662,7 @@ def verify_policy_shape(
     threshold, which is inferred and returned), and "priority_extreme"
     (the total over extreme edges is the largest any admissible matching
     could reach).  Decisions are read through ``policy.decide`` on every
-    interior post-arrival state of the space.
+    interior post-arrival state of the space, ``space.interior_post_arrivals``.
     """
     if family == "full_match":
         return _verify_full_match(space, policy)

@@ -24,6 +24,9 @@ from matchdp.graphs import (
 from matchdp.nshaped import level_of_state
 from matchdp.policies import Policy, ThresholdN
 from matchdp.simulate import SimConfig, SimResult, _aggregate
+from matchdp.solver import TruncatedStateSpace
+
+EXTRACT_GRID_LIMIT = 2_000_000
 
 
 def brute_admissible(graph: MatchingGraph, x: Sequence[int]) -> list[tuple[int, ...]]:
@@ -165,6 +168,39 @@ def dense_policy_backup(
         return _next_value(graph, probs, key, table)
 
     return _dense_sweep(graph, arrivals, costs, cap, v, theta, choose)
+
+
+def _argmin_decision(
+    space: TruncatedStateSpace, w: np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    """Lexicographically smallest minimizer of w(x - usage(u)) over matchings.
+
+    Enumerates the per-edge count grid (pruned by per-node caps), looks the
+    successors up in the packed expected-value vector w, and takes the
+    first minimum, which is the lexicographically smallest because the
+    grid flattens in ascending lexicographic order.
+    """
+    graph = space.graph
+    caps = [int(min(x[i], x[graph.n_d + j])) for i, j in graph.edge_index]
+    total = 1
+    for c in caps:
+        total *= c + 1
+    if total > EXTRACT_GRID_LIMIT:
+        raise Inadmissible(
+            f"decision grid at x={x.tolist()} needs {total} candidates, "
+            f"over the extraction limit {EXTRACT_GRID_LIMIT}"
+        )
+    grid = np.indices([c + 1 for c in caps]).reshape(len(caps), -1).T
+    usage = np.zeros((len(caps), graph.n_nodes), dtype=np.int64)
+    for e, (i, j) in enumerate(graph.edge_index):
+        usage[e, i] = 1
+        usage[e, graph.n_d + j] = 1
+    used = grid @ usage
+    feasible = np.all(used <= x, axis=1)
+    grid = grid[feasible]
+    succ = x - used[feasible]
+    best = int(np.argmin(w[space.rows(succ)]))
+    return grid[best]
 
 
 def reference_streams(

@@ -7,14 +7,13 @@ import itertools
 import numpy as np
 import pytest
 
-from matchdp.errors import NoConvergence, Unstable
+from matchdp.errors import Inadmissible, NoConvergence, Unstable
 from matchdp.graphs import ArrivalDistribution, CostVector
 from matchdp.nshaped import NModelParams, average_cost, optimal_threshold
-from matchdp.policies import FullMatch, ThresholdN, ThresholdW
+from matchdp.policies import FullMatch, Policy, ThresholdN, ThresholdW
 from matchdp.solver import (
     DPConfig,
     TruncatedStateSpace,
-    _argmin_decision,
     _expected,
     _initial_table,
     _sector_min,
@@ -25,8 +24,16 @@ from matchdp.solver import (
     value_iteration,
 )
 
-from conftest import make_complete22, make_n_graph, make_w_graph, unit_costs
+from conftest import (
+    make_cmo33,
+    make_complete22,
+    make_n_graph,
+    make_nn_graph,
+    make_w_graph,
+    unit_costs,
+)
 from oracles import (
+    _argmin_decision,
     brute_admissible,
     brute_balanced_states,
     dense_backup,
@@ -115,6 +122,33 @@ class TestTruncatedStateSpace:
         with pytest.raises(ValueError):
             TruncatedStateSpace(make_n_graph(), cap=3, margin=4)
 
+    @pytest.mark.parametrize("maker", [make_n_graph, make_w_graph, make_nn_graph])
+    def test_extended_rows_are_the_closure_of_post_arrival_vectors(self, maker):
+        graph = maker()
+        cap = 3
+        n_d = graph.n_d
+        todo = []
+        for q in brute_balanced_states(graph.n_d, graph.n_s, cap):
+            for i, j in graph.arrival_atoms:
+                x = list(q)
+                x[i] += 1
+                x[n_d + j] += 1
+                todo.append(tuple(x))
+        closure = set()
+        while todo:
+            x = todo.pop()
+            if x in closure:
+                continue
+            closure.add(x)
+            for i, j in graph.edge_index:
+                if x[i] > 0 and x[n_d + j] > 0:
+                    y = list(x)
+                    y[i] -= 1
+                    y[n_d + j] -= 1
+                    todo.append(tuple(y))
+        extended = TruncatedStateSpace(graph, cap=cap).backup_index.extended
+        assert sorted(map(tuple, extended.tolist())) == sorted(closure)
+
 
 class TestBackupKernel:
     def test_backup_of_zero_is_post_arrival_cost(self):
@@ -150,6 +184,8 @@ class TestBackupKernel:
             x
             for x in itertools.product(range(cap + 2), repeat=graph.n_nodes)
             if sum(x[:n_d]) == sum(x[n_d:])
+            and x[:n_d].count(cap + 1) <= 1
+            and x[n_d:].count(cap + 1) <= 1
         ]
         assert sorted(map(tuple, extended.tolist())) == expected
         assert m[-1] == np.inf
@@ -389,7 +425,6 @@ class TestPolicyEvaluation:
             alpha=np.array([0.6, 0.4]), beta=np.array([0.4, 0.6])
         )
         policy = ThresholdN(graph, 1)
-        assert hasattr(policy, "decide_box")
         vf = evaluate_policy(space, policy, costs, arrivals, DPConfig(theta=theta))
 
         def decide(x):
@@ -484,6 +519,33 @@ class TestPolicyEvaluation:
             )
 
 
+    def test_overdrawn_decision_is_rejected(self, n_graph, n_arrivals):
+        class Overdraw(ThresholdN):
+            def decide(self, x):
+                if list(x) == [1, 0, 1, 0]:
+                    return np.array([2, 0, 0])
+                return super().decide(x)
+
+        space = TruncatedStateSpace(n_graph, cap=4)
+        with pytest.raises(Inadmissible, match=r"u=\[2, 0, 0\] at x=\[1, 0, 1, 0\]"):
+            evaluate_policy(
+                space, Overdraw(n_graph, 0), unit_costs(n_graph), n_arrivals
+            )
+
+    def test_one_sided_clip_is_rejected(self, n_graph, n_arrivals):
+        class NeverMatch(Policy):
+            label = "NeverMatch"
+
+            def decide(self, x):
+                return np.zeros(len(self.graph.edges), dtype=np.int64)
+
+        space = TruncatedStateSpace(n_graph, cap=3)
+        with pytest.raises(Inadmissible, match="leaves the balanced sector"):
+            evaluate_policy(
+                space, NeverMatch(n_graph), unit_costs(n_graph), n_arrivals
+            )
+
+
 class TestExtraction:
     def test_argmin_prefers_lexicographically_smallest_on_ties(self):
         space = TruncatedStateSpace(make_complete22(), cap=3)
@@ -547,3 +609,31 @@ class TestExtraction:
                 if val < best_val:
                     best_u, best_val = cand, val
             assert tuple(u) == best_u
+
+    @pytest.mark.parametrize(
+        "maker",
+        [make_n_graph, make_w_graph, make_nn_graph, make_complete22, make_cmo33],
+    )
+    @pytest.mark.parametrize("cap, margin", [(4, 1), (6, 2)])
+    def test_extraction_matches_oracle_under_heavy_ties(self, maker, cap, margin):
+        graph = maker()
+        space = TruncatedStateSpace(graph, cap=cap, margin=margin)
+        rng = np.random.default_rng(cap)
+        # Integer values repeated over the atoms keep every tie exact in w.
+        values = rng.integers(0, 3, size=len(space.balanced_states)).astype(float)
+        table = np.repeat(values[:, None], space.n_atoms, axis=1)
+        arrivals = uniform_arrivals(graph)
+        policy = extract_policy(space, table, arrivals)
+        n_d = graph.n_d
+        keys = set()
+        for q in brute_balanced_states(graph.n_d, graph.n_s, cap - margin):
+            for i, j in graph.arrival_atoms:
+                x = list(q)
+                x[i] += 1
+                x[n_d + j] += 1
+                keys.add(tuple(x))
+        assert set(policy.table) == keys
+        assert list(map(tuple, space.interior_post_arrivals.tolist())) == sorted(keys)
+        w = _expected(table, arrivals)
+        for x, u in policy.table.items():
+            assert tuple(u) == tuple(_argmin_decision(space, w, np.asarray(x)))
