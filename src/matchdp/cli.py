@@ -149,22 +149,20 @@ def _policy_family_line(
     space: TruncatedStateSpace, policy: Policy
 ) -> tuple[str, dict | None]:
     """Name the structured family the extracted policy falls into, if any."""
-    tag = classify(space.graph).tag
-    if tag == COMPLETE:
-        report = verify_policy_shape(space, policy, "full_match")
-        if report.passed:
-            return "FullMatch", report.to_record()
-    elif tag == N_SHAPED:
-        report = verify_policy_shape(space, policy, "threshold_n")
-        if report.passed and report.inferred.get("t") is not None:
-            t = report.inferred["t"]
-            shown = "inf" if t == math.inf else t
-            return f"ThresholdN(t={shown})", report.to_record()
-    elif classify(space.graph).extreme_edges:
-        report = verify_policy_shape(space, policy, "priority_extreme")
-        if report.passed:
-            return "PriorityExtreme", report.to_record()
-    return "unstructured", None
+    try:
+        family = _default_family(space.graph)
+    except WrongGraphClass:
+        return "unstructured", None
+    report = verify_policy_shape(space, policy, family)
+    t = report.inferred.get("t")
+    if not report.passed or (family == "threshold_n" and t is None):
+        return "unstructured", None
+    names = {
+        "full_match": "FullMatch",
+        "threshold_n": f"ThresholdN(t={'inf' if t == math.inf else t})",
+        "priority_extreme": "PriorityExtreme",
+    }
+    return names[family], report.to_record()
 
 
 # ---- mode handlers ----
@@ -580,13 +578,7 @@ def _ordering_recipe(name: str) -> RecipeResult:
     graph, arrivals, costs = load_graph(pins["graph"])
     policies = [policy_from_spec(graph, spec, costs) for spec in pins["policies"]]
     cfg = pins["config"]
-    sim_cfg = SimConfig(
-        horizon=cfg["steps"],
-        burn_in=cfg["burn_in"],
-        replications=cfg["reps"],
-        seed=cfg["seed"],
-    )
-    result = compare(graph, arrivals, costs, policies, sim_cfg)
+    result = compare(graph, arrivals, costs, policies, _sim_config(cfg))
     means = {entry.label: entry.mean for entry in result.results}
     diff, se = _paired_ordering(result, policies[0].label, policies[1].label)
     z = abs(diff) / se if se > 0 else math.inf

@@ -144,9 +144,6 @@ class MatchingGraph:
             out[j].append(i)
         return tuple(tuple(sorted(iis)) for iis in out)
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return (i, j) in self.edge_position
-
     @cached_property
     def node_labels(self) -> tuple[str, ...]:
         return self.demand_nodes + self.supply_nodes

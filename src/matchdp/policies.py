@@ -57,6 +57,19 @@ def _surplus_after(value: int, threshold: float) -> int:
     return max(0, value - int(threshold))
 
 
+def _take(
+    graph: MatchingGraph, u: np.ndarray, rem: np.ndarray, e: int, limit=math.inf
+) -> int:
+    """Match as many pairs on edge e as both endpoints still hold in rem, at
+    most ``limit``; updates u and rem in place and returns the count."""
+    i, j = graph.edge_index[e]
+    take = min(limit, rem[i], rem[graph.n_d + j])
+    u[e] += take
+    rem[i] -= take
+    rem[graph.n_d + j] -= take
+    return take
+
+
 class Policy:
     """Base class; subclasses set ``label`` and implement :meth:`decide`."""
 
@@ -84,6 +97,21 @@ class Policy:
         return f"<{type(self).__name__} {self.label}>"
 
 
+def read_decisions(
+    policy: Policy, xs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decisions of a policy on a block of post-arrival vectors.
+
+    Calls ``decide`` once per row of ``xs`` and returns the counts u (one
+    row per vector, one column per edge), the residuals ``xs - usage(u)``,
+    and the mask of inadmissible rows: a negative count or a negative
+    residual.  A decision of the wrong length raises ValueError.
+    """
+    u = np.array([policy.decide(x) for x in xs], dtype=np.int64)
+    residual = xs - node_usage(policy.graph, u)
+    return u, residual, np.any(u < 0, axis=1) | np.any(residual < 0, axis=1)
+
+
 class FullMatch(Policy):
     """Greedy exhaustive matching on a complete graph.
 
@@ -102,11 +130,8 @@ class FullMatch(Policy):
     def decide(self, x: Sequence[int]) -> np.ndarray:
         rem = as_state(self.graph, x).copy()
         u = np.zeros(len(self.graph.edges), dtype=np.int64)
-        for k, (i, j) in enumerate(self.graph.edge_index):
-            take = min(rem[i], rem[self.graph.n_d + j])
-            u[k] = take
-            rem[i] -= take
-            rem[self.graph.n_d + j] -= take
+        for e in range(len(u)):
+            _take(self.graph, u, rem, e)
         return u
 
     def spec_dict(self) -> dict:
@@ -192,24 +217,11 @@ class ThresholdCMO(Policy):
 
         rem = vec.copy()
         u = np.zeros(len(graph.edges), dtype=np.int64)
-        for total, group in ((total_11, self._grp_priority_d),
-                             (total_22, self._grp_priority_s)):
-            left = total
+        for left, group in ((total_11, self._grp_priority_d),
+                            (total_22, self._grp_priority_s),
+                            (k, self._grp_cross)):
             for e in group:
-                i, j = graph.edge_index[e]
-                take = min(left, rem[i], rem[graph.n_d + j])
-                u[e] += take
-                rem[i] -= take
-                rem[graph.n_d + j] -= take
-                left -= take
-        left = k
-        for e in self._grp_cross:
-            i, j = graph.edge_index[e]
-            take = min(left, rem[i], rem[graph.n_d + j])
-            u[e] += take
-            rem[i] -= take
-            rem[graph.n_d + j] -= take
-            left -= take
+                left -= _take(graph, u, rem, e, left)
         return u
 
     def spec_dict(self) -> dict:
@@ -377,11 +389,7 @@ class PriorityExtreme(Policy):
         rem = as_state(graph, x).copy()
         u = np.zeros(len(graph.edges), dtype=np.int64)
         for e in self._extreme_positions:
-            i, j = graph.edge_index[e]
-            take = min(rem[i], rem[graph.n_d + j])
-            u[e] += take
-            rem[i] -= take
-            rem[graph.n_d + j] -= take
+            _take(graph, u, rem, e)
         if self.inner is not None:
             extra = self.inner.decide(rem)
             if not is_admissible(graph, rem, extra):
@@ -465,10 +473,7 @@ class MatchLongest(Policy):
                         best_e = e
             if best_e < 0:
                 return u
-            i, j = graph.edge_index[best_e]
-            u[best_e] += 1
-            rem[i] -= 1
-            rem[graph.n_d + j] -= 1
+            _take(graph, u, rem, best_e, 1)
 
     def spec_dict(self) -> dict:
         return {"type": "match_longest"}
@@ -548,16 +553,11 @@ class AcyclicHeuristic(Policy):
                 i, j = graph.edge_index[e]
                 avail_d = int(rem[i])
                 avail_s = int(rem[graph.n_d + j])
-                if level == 0:
-                    take = min(avail_d, avail_s)
-                else:
-                    take = min(
-                        _surplus_after(avail_d, self._node_threshold("d", i)),
-                        _surplus_after(avail_s, self._node_threshold("s", j)),
-                    )
-                u[e] += take
-                rem[i] -= take
-                rem[graph.n_d + j] -= take
+                limit = math.inf if level == 0 else min(
+                    _surplus_after(avail_d, self._node_threshold("d", i)),
+                    _surplus_after(avail_s, self._node_threshold("s", j)),
+                )
+                _take(graph, u, rem, e, limit)
         return u
 
     def spec_dict(self) -> dict:

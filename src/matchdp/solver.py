@@ -32,13 +32,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import Inadmissible, MatchDPError, NoConvergence, Unstable
 from .graphs import ArrivalDistribution, CostVector, MatchingGraph, check_stability
-from .policies import Policy, Tabular
+from .policies import Policy, Tabular, read_decisions
 from .states import arrival_vector
 
 VI_TOL = 1e-9
@@ -398,6 +398,58 @@ def extract_policy(
 # ---- optimality iterations ----
 
 
+def _iterate(
+    space: TruncatedStateSpace,
+    config: DPConfig | None,
+    mode: str,
+    v0: np.ndarray | None,
+    solver: str,
+    sweep: Callable[[np.ndarray, float], np.ndarray],
+) -> tuple[float | None, ValueFunction]:
+    """Run ``table = sweep(table, theta)`` from v0 (zeros by default) until
+    the stopping rule of the mode holds; returns (gain, value function).
+
+    ``mode="discounted"`` sweeps with ``config.theta`` (0 <= theta < 1) and
+    stops when the sup norm of the change drops below tolerance; the gain
+    is None.  ``mode="average"`` sweeps with theta = 1, renormalizes each
+    iterate at row 0 (the zero queue), atom 0, and stops when the span of
+    the change drops below tolerance; the gain is the pre-normalization
+    value there.  Raises :class:`NoConvergence`, naming ``solver`` and
+    carrying the last residual, when the sweep limit is hit.
+    """
+    config = config or DPConfig()
+    discounted = mode == "discounted"
+    theta = config.theta if discounted else 1.0
+    if discounted and not 0.0 <= theta < 1.0:
+        raise ValueError(f"discounted mode needs 0 <= theta < 1, got {theta}")
+    tol = config.resolved_tol(mode)
+    table = _initial_table(space, v0)
+    residual = np.inf
+    for n in range(1, config.max_iters + 1):
+        new = sweep(table, theta)
+        if n == 1:
+            _require_finite(space, new)
+        diff = new - table
+        if discounted:
+            gain = None
+            residual = float(np.abs(diff).max())
+            table = new
+        else:
+            gain = float(new[0, 0])  # row 0 is the zero queue
+            residual = float(diff.max() - diff.min())
+            table = new - gain
+        if residual < tol:
+            vf = ValueFunction(space, table, theta if discounted else None, n, residual)
+            return gain, vf
+    rule, last = ("tol", "residual") if discounted else ("span tol", "span")
+    raise NoConvergence(
+        f"{solver} did not reach {rule}={tol:g} within {config.max_iters} "
+        f"sweeps (last {last} {residual:g})",
+        iterations=config.max_iters,
+        residual=residual,
+    )
+
+
 def value_iteration(
     space: TruncatedStateSpace,
     costs: CostVector,
@@ -414,28 +466,12 @@ def value_iteration(
     absolute change over all states.  Raises :class:`NoConvergence` with
     the last residual when the sweep limit is hit.
     """
-    config = config or DPConfig()
-    if not 0.0 <= config.theta < 1.0:
-        raise ValueError(f"discounted mode needs 0 <= theta < 1, got {config.theta}")
-    tol = config.resolved_tol("discounted")
-    table = _initial_table(space, v0)
-    residual = np.inf
-    for sweep in range(1, config.max_iters + 1):
-        new = bellman_backup(space, table, costs, arrivals, config.theta)
-        if sweep == 1:
-            _require_finite(space, new)
-        residual = float(np.abs(new - table).max())
-        table = new
-        if residual < tol:
-            vf = ValueFunction(space, table, config.theta, sweep, residual)
-            policy = extract_policy(space, table, arrivals) if extract else None
-            return vf, policy
-    raise NoConvergence(
-        f"value iteration did not reach tol={tol:g} within "
-        f"{config.max_iters} sweeps (last residual {residual:g})",
-        iterations=config.max_iters,
-        residual=residual,
+    _, vf = _iterate(
+        space, config, "discounted", v0, "value iteration",
+        lambda table, theta: bellman_backup(space, table, costs, arrivals, theta),
     )
+    policy = extract_policy(space, vf.data, arrivals) if extract else None
+    return vf, policy
 
 
 def relative_value_iteration(
@@ -453,7 +489,6 @@ def relative_value_iteration(
     all states drops below tolerance; the gain estimate is the
     pre-normalization value at the reference state.
     """
-    config = config or DPConfig()
     report = check_stability(space.graph, arrivals)
     if not report.stable:
         raise Unstable(
@@ -461,27 +496,12 @@ def relative_value_iteration(
             f"({report.violation_count} subset violations)",
             violations=report.violations,
         )
-    tol = config.resolved_tol("average")
-    table = _initial_table(space, v0)
-    span = np.inf
-    for sweep in range(1, config.max_iters + 1):
-        new = bellman_backup(space, table, costs, arrivals, theta=1.0)
-        if sweep == 1:
-            _require_finite(space, new)
-        gain = float(new[0, 0])  # row 0 is the zero queue
-        diff = new - table
-        span = float(diff.max() - diff.min())
-        table = new - gain
-        if span < tol:
-            vf = ValueFunction(space, table, None, sweep, span)
-            policy = extract_policy(space, table, arrivals) if extract else None
-            return gain, vf, policy
-    raise NoConvergence(
-        f"relative value iteration did not reach span tol={tol:g} within "
-        f"{config.max_iters} sweeps (last span {span:g})",
-        iterations=config.max_iters,
-        residual=span,
+    gain, vf = _iterate(
+        space, config, "average", v0, "relative value iteration",
+        lambda table, theta: bellman_backup(space, table, costs, arrivals, theta),
     )
+    policy = extract_policy(space, vf.data, arrivals) if extract else None
+    return gain, vf, policy
 
 
 # ---- fixed-policy evaluation ----
@@ -495,16 +515,12 @@ def _sector_successors(space: TruncatedStateSpace, policy: Policy) -> np.ndarray
     successor clipped at the cap leaves the balanced sector, because such a
     policy does not act on this state space.
     """
-    graph, n_d = space.graph, space.graph.n_d
+    n_d = space.graph.n_d
     ext, _, _, _, post = space.backup_index
     rows = np.unique(post)
     xs = ext[rows]
-    u = np.array([policy.decide(x) for x in xs], dtype=np.int64)
-    y = xs.copy()
-    for e, (i, j) in enumerate(graph.edge_index):
-        y[:, i] -= u[:, e]
-        y[:, n_d + j] -= u[:, e]
-    bad = np.flatnonzero(np.any(u < 0, axis=1) | np.any(y < 0, axis=1))
+    u, y, inadmissible = read_decisions(policy, xs)
+    bad = np.flatnonzero(inadmissible)
     if len(bad):
         raise Inadmissible(
             f"policy {policy.label} returned u={u[bad[0]].tolist()} "
@@ -534,36 +550,14 @@ def evaluate_policy(
     ``mode="average"``.
 
     Iterates on the packed balanced-state rows with the policy's successor
-    map precomputed once; stopping mirrors the optimality iterations.
+    map precomputed once; stopping is that of the optimality iterations.
     """
     if mode not in ("discounted", "average"):
         raise ValueError(f"mode must be 'discounted' or 'average', got {mode!r}")
-    config = config or DPConfig()
-    theta = 1.0 if mode == "average" else config.theta
-    if mode == "discounted" and not 0.0 <= theta < 1.0:
-        raise ValueError(f"discounted mode needs 0 <= theta < 1, got {theta}")
-    tol = config.resolved_tol(mode)
     succ = _sector_successors(space, policy)
     base = _post_arrival_costs(space, costs)
-    table = _initial_table(space, None)
-    resid = np.inf
-    for sweep in range(1, config.max_iters + 1):
-        new = base + theta * _expected(table, arrivals)[succ]
-        if mode == "average":
-            gain = float(new[0, 0])
-            diff = new - table
-            resid = float(diff.max() - diff.min())
-            table = new - gain
-            if resid < tol:
-                return gain, ValueFunction(space, table, None, sweep, resid)
-        else:
-            resid = float(np.abs(new - table).max())
-            table = new
-            if resid < tol:
-                return ValueFunction(space, table, theta, sweep, resid)
-    raise NoConvergence(
-        f"policy evaluation did not converge within {config.max_iters} sweeps "
-        f"(last residual {resid:g})",
-        iterations=config.max_iters,
-        residual=resid,
+    gain, vf = _iterate(
+        space, config, mode, None, "policy evaluation",
+        lambda table, theta: base + theta * _expected(table, arrivals)[succ],
     )
+    return vf if gain is None else (gain, vf)

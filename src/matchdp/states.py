@@ -64,17 +64,18 @@ def post_arrival(graph: MatchingGraph, q: Sequence[int], i: int, j: int) -> np.n
 
 
 def node_usage(graph: MatchingGraph, u: Sequence[int]) -> np.ndarray:
-    """Total items each node contributes to a per-edge matching vector."""
+    """Total items each node contributes to a per-edge matching vector, or
+    to each row of a block of them with shape (..., edges)."""
     u_vec = np.asarray(u, dtype=np.int64)
-    if u_vec.shape != (len(graph.edges),):
+    if u_vec.ndim == 0 or u_vec.shape[-1] != len(graph.edges):
         raise ValueError(
             f"matching vector must have one entry per edge "
             f"({len(graph.edges)}), got shape {u_vec.shape}"
         )
-    usage = np.zeros(graph.n_nodes, dtype=np.int64)
+    usage = np.zeros(u_vec.shape[:-1] + (graph.n_nodes,), dtype=np.int64)
     for k, (i, j) in enumerate(graph.edge_index):
-        usage[i] += u_vec[k]
-        usage[graph.n_d + j] += u_vec[k]
+        usage[..., i] += u_vec[..., k]
+        usage[..., graph.n_d + j] += u_vec[..., k]
     return usage
 
 

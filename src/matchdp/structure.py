@@ -37,9 +37,9 @@ import numpy as np
 
 from .errors import WrongGraphClass
 from .graphs import COMPLETE, MatchingGraph, N_SHAPED, W_SHAPED, classify
-from .policies import Policy
+from .policies import Policy, read_decisions
 from .solver import TruncatedStateSpace, ValueFunction
-from .states import arrival_vector, n_layout, node_usage, w_layout
+from .states import arrival_vector, n_layout, w_layout
 
 PROPERTY_TOL = 1e-9
 MAX_WITNESSES = 10
@@ -483,18 +483,37 @@ def check_modular(
 
 def _shape_report(
     family: str,
-    inferred: dict,
-    witnesses: list[dict],
-    violations: int,
-    checked: int,
+    xs: np.ndarray,
+    checks: Sequence[tuple[str, np.ndarray, dict[str, np.ndarray]]],
+    inferred: dict | None = None,
+    late: Sequence[dict] = (),
+    late_count: int = 0,
 ) -> ShapeReport:
+    """Fold per-row checks on the post-arrival vectors xs into a report.
+
+    Each check is (reason, mask of failing rows, witness fields): a row
+    failing several counts once, under the first, and its witness holds
+    the reason, x and each field's entry at the row.  Witnesses come in row
+    order, capped at :data:`MAX_WITNESSES`, followed by the family-level
+    ``late`` witnesses, which account for ``late_count`` more violations.
+    """
+    first = np.full(len(xs), len(checks))
+    for c in reversed(range(len(checks))):
+        first[checks[c][1]] = c
+    failed = np.flatnonzero(first < len(checks))
+    witnesses = []
+    for r in failed[:MAX_WITNESSES]:
+        reason, _, fields = checks[first[r]]
+        witness = {"reason": reason, "x": xs[r].tolist()}
+        witnesses.append(witness | {f: a[r].tolist() for f, a in fields.items()})
+    violations = len(failed) + late_count
     return ShapeReport(
         family=family,
         passed=violations == 0,
-        inferred=inferred,
-        witnesses=tuple(witnesses[:MAX_WITNESSES]),
+        inferred=inferred or {},
+        witnesses=tuple((witnesses + list(late))[:MAX_WITNESSES]),
         violation_count=violations,
-        checked=checked,
+        checked=len(xs),
     )
 
 
@@ -505,109 +524,70 @@ def _verify_full_match(space: TruncatedStateSpace, policy: Policy) -> ShapeRepor
             f"the full-match family lives on complete graphs, got "
             f"{classify(graph).tag}"
         )
-    witnesses: list[dict] = []
-    violations = 0
     xs = space.interior_post_arrivals
-    for x, key in zip(xs, xs.tolist()):
-        u = np.asarray(policy.decide(x), dtype=np.int64)
-        residual = x - node_usage(graph, u)
-        if np.any(residual < 0):
-            reason = "inadmissible"
-        elif np.any(residual != 0):
-            reason = "remainder"
-        else:
-            continue
-        violations += 1
-        if len(witnesses) < MAX_WITNESSES:
-            witnesses.append(
-                {
-                    "reason": reason,
-                    "x": list(key),
-                    "decision": [int(c) for c in u],
-                    "residual": [int(r) for r in residual],
-                }
-            )
-    return _shape_report("full_match", {}, witnesses, violations, len(xs))
+    u, residual, inadmissible = read_decisions(policy, xs)
+    fields = {"decision": u, "residual": residual}
+    remainder = np.any(residual != 0, axis=1)
+    checks = [("inadmissible", inadmissible, fields), ("remainder", remainder, fields)]
+    return _shape_report("full_match", xs, checks)
 
 
 def _verify_threshold_n(space: TruncatedStateSpace, policy: Policy) -> ShapeReport:
     graph = space.graph
     lay = n_layout(graph)
     pos = graph.edge_position
-    e11 = pos[(lay.d1, lay.s1_local)]
-    e12 = pos[(lay.d1, lay.s2_local)]
-    e22 = pos[(lay.d2, lay.s2_local)]
-    witnesses: list[dict] = []
-    violations = 0
-    implied: dict[int, list[tuple[int, ...]]] = {}
-    held_back: list[tuple[int, tuple[int, ...]]] = []
     xs = space.interior_post_arrivals
-    for x, key in zip(xs, xs.tolist()):
-        u = np.asarray(policy.decide(x), dtype=np.int64)
-        d1, d2, s1, s2 = lay.pack(x)
-        residual = x - node_usage(graph, u)
-        bad: dict | None = None
-        if np.any(residual < 0) or np.any(u < 0):
-            bad = {"reason": "inadmissible"}
-        elif int(u[e11]) != min(d1, s1) or int(u[e22]) != min(d2, s2):
-            bad = {
-                "reason": "priority_total",
-                "expected": [min(d1, s1), min(d2, s2)],
-                "got": [int(u[e11]), int(u[e22])],
-            }
-        if bad is not None:
-            violations += 1
-            if len(witnesses) < MAX_WITNESSES:
-                bad["x"] = list(key)
-                witnesses.append(bad)
-            continue
-        surplus = max(0, d1 - s1)
-        k = int(u[e12])
-        if k > surplus:
-            violations += 1
-            if len(witnesses) < MAX_WITNESSES:
-                witnesses.append(
-                    {"reason": "flexible_count", "x": list(key), "got": k,
-                     "surplus": surplus}
-                )
-            continue
-        if surplus >= 1:
-            if k > 0:
-                implied.setdefault(surplus - k, []).append(key)
-            else:
-                held_back.append((surplus, key))
-    inferred: dict[str, float | int | None]
+    u, _, inadmissible = read_decisions(policy, xs)
+    d1, d2, s1, s2 = (xs[:, c] for c in (lay.d1, lay.d2, lay.s1, lay.s2))
+    expected = np.stack([np.minimum(d1, s1), np.minimum(d2, s2)], axis=1)
+    got = u[:, [pos[(lay.d1, lay.s1_local)], pos[(lay.d2, lay.s2_local)]]]
+    priority = np.any(got != expected, axis=1)
+    surplus = np.maximum(0, d1 - s1)
+    k = u[:, pos[(lay.d1, lay.s2_local)]]
+    flexible = k > surplus
+    checks = [
+        ("inadmissible", inadmissible, {}),
+        ("priority_total", priority, {"expected": expected, "got": got}),
+        ("flexible_count", flexible, {"got": k, "surplus": surplus}),
+    ]
+    # On the rows passing every check with a surplus, a flexible count
+    # k > 0 implies the threshold surplus - k, and k = 0 holds it back.
+    pinned = ~(inadmissible | priority | flexible) & (surplus >= 1)
+    moved = np.flatnonzero(pinned & (k > 0))
+    held = np.flatnonzero(pinned & (k == 0))
+    implied, first, counts = np.unique(
+        (surplus - k)[moved], return_index=True, return_counts=True
+    )
+    late: list[dict] = []
+    late_count = 0
     if len(implied) > 1:
-        largest = max(len(keys) for keys in implied.values())
-        violations += sum(len(keys) for keys in implied.values()) - largest
-        for t_val in sorted(implied):
-            if len(witnesses) < MAX_WITNESSES:
-                witnesses.append(
-                    {
-                        "reason": "threshold_conflict",
-                        "x": list(implied[t_val][0]),
-                        "implied_t": t_val,
-                    }
-                )
-        inferred = {"t": None}
+        late_count = int(counts.sum() - counts.max())
+        for t, r in zip(implied[:MAX_WITNESSES], moved[first[:MAX_WITNESSES]]):
+            late.append(
+                {
+                    "reason": "threshold_conflict",
+                    "x": xs[r].tolist(),
+                    "implied_t": int(t),
+                }
+            )
+        inferred: dict[str, float | int | None] = {"t": None}
     elif len(implied) == 1:
-        t_hat = next(iter(implied))
-        for surplus, key in held_back:
-            if surplus > t_hat:
-                violations += 1
-                if len(witnesses) < MAX_WITNESSES:
-                    witnesses.append(
-                        {
-                            "reason": "threshold_conflict",
-                            "x": list(key),
-                            "surplus": surplus,
-                            "implied_t": t_hat,
-                        }
-                    )
+        t_hat = int(implied[0])
+        conflict = held[surplus[held] > t_hat]
+        late_count = len(conflict)
+        for r in conflict[:MAX_WITNESSES]:
+            late.append(
+                {
+                    "reason": "threshold_conflict",
+                    "x": xs[r].tolist(),
+                    "surplus": int(surplus[r]),
+                    "implied_t": t_hat,
+                }
+            )
         inferred = {"t": t_hat}
     else:
-        inferred = {"t": math.inf if held_back else None}
-    return _shape_report("threshold_n", inferred, witnesses, violations, len(xs))
+        inferred = {"t": math.inf if len(held) else None}
+    return _shape_report("threshold_n", xs, checks, inferred, late, late_count)
 
 
 def _verify_priority_extreme(
@@ -617,38 +597,23 @@ def _verify_priority_extreme(
     extremes = classify(graph).extreme_edges
     if not extremes:
         raise WrongGraphClass("graph has no extreme edges to verify priority on")
-    positions = [graph.edge_position[e] for e in extremes]
-    witnesses: list[dict] = []
-    violations = 0
     xs = space.interior_post_arrivals
-    for x, key in zip(xs, xs.tolist()):
-        u = np.asarray(policy.decide(x), dtype=np.int64)
-        residual = x - node_usage(graph, u)
-        if np.any(residual < 0) or np.any(u < 0):
-            violations += 1
-            if len(witnesses) < MAX_WITNESSES:
-                witnesses.append({"reason": "inadmissible", "x": list(key)})
-            continue
-        rem = x.copy()
-        best = 0
-        for i, j in extremes:
-            take = int(min(rem[i], rem[graph.n_d + j]))
-            best += take
-            rem[i] -= take
-            rem[graph.n_d + j] -= take
-        got = int(u[positions].sum())
-        if got != best:
-            violations += 1
-            if len(witnesses) < MAX_WITNESSES:
-                witnesses.append(
-                    {
-                        "reason": "extreme_total",
-                        "x": list(key),
-                        "expected": best,
-                        "got": got,
-                    }
-                )
-    return _shape_report("priority_extreme", {}, witnesses, violations, len(xs))
+    u, _, inadmissible = read_decisions(policy, xs)
+    # The largest total any admissible matching puts on the extreme edges:
+    # saturate them greedily, on every row at once.
+    rem = xs.copy()
+    best = np.zeros(len(xs), dtype=np.int64)
+    for i, j in extremes:
+        take = np.minimum(rem[:, i], rem[:, graph.n_d + j])
+        best += take
+        rem[:, i] -= take
+        rem[:, graph.n_d + j] -= take
+    got = u[:, [graph.edge_position[e] for e in extremes]].sum(axis=1)
+    checks = [
+        ("inadmissible", inadmissible, {}),
+        ("extreme_total", got != best, {"expected": best, "got": got}),
+    ]
+    return _shape_report("priority_extreme", xs, checks)
 
 
 def verify_policy_shape(
@@ -661,8 +626,10 @@ def verify_policy_shape(
     matched fully, the flexible pair matched exactly beyond one common
     threshold, which is inferred and returned), and "priority_extreme"
     (the total over extreme edges is the largest any admissible matching
-    could reach).  Decisions are read through ``policy.decide`` on every
-    interior post-arrival state of the space, ``space.interior_post_arrivals``.
+    could reach).  Decisions are read in one block, through
+    :func:`~matchdp.policies.read_decisions`, on every interior
+    post-arrival state of the space, ``space.interior_post_arrivals``, and
+    a row whose decision is inadmissible fails every family.
     """
     if family == "full_match":
         return _verify_full_match(space, policy)

@@ -13,8 +13,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from matchdp.errors import Inadmissible
+from matchdp.errors import Inadmissible, WrongGraphClass
 from matchdp.graphs import (
+    COMPLETE,
     N_SHAPED,
     ArrivalDistribution,
     CostVector,
@@ -25,6 +26,8 @@ from matchdp.nshaped import level_of_state
 from matchdp.policies import Policy, ThresholdN
 from matchdp.simulate import SimConfig, SimResult, _aggregate
 from matchdp.solver import TruncatedStateSpace
+from matchdp.states import n_layout, node_usage
+from matchdp.structure import MAX_WITNESSES, ShapeReport
 
 EXTRACT_GRID_LIMIT = 2_000_000
 
@@ -201,6 +204,193 @@ def _argmin_decision(
     succ = x - used[feasible]
     best = int(np.argmin(w[space.rows(succ)]))
     return grid[best]
+
+
+# ---- policy shape verification, one x at a time ----
+
+
+def _shape_report(
+    family: str,
+    inferred: dict,
+    witnesses: list[dict],
+    violations: int,
+    checked: int,
+) -> ShapeReport:
+    return ShapeReport(
+        family=family,
+        passed=violations == 0,
+        inferred=inferred,
+        witnesses=tuple(witnesses[:MAX_WITNESSES]),
+        violation_count=violations,
+        checked=checked,
+    )
+
+
+def _verify_full_match(space: TruncatedStateSpace, policy: Policy) -> ShapeReport:
+    graph = space.graph
+    if classify(graph).tag != COMPLETE:
+        raise WrongGraphClass(
+            f"the full-match family lives on complete graphs, got "
+            f"{classify(graph).tag}"
+        )
+    witnesses: list[dict] = []
+    violations = 0
+    xs = space.interior_post_arrivals
+    for x, key in zip(xs, xs.tolist()):
+        u = np.asarray(policy.decide(x), dtype=np.int64)
+        residual = x - node_usage(graph, u)
+        if np.any(residual < 0) or np.any(u < 0):
+            reason = "inadmissible"
+        elif np.any(residual != 0):
+            reason = "remainder"
+        else:
+            continue
+        violations += 1
+        if len(witnesses) < MAX_WITNESSES:
+            witnesses.append(
+                {
+                    "reason": reason,
+                    "x": list(key),
+                    "decision": [int(c) for c in u],
+                    "residual": [int(r) for r in residual],
+                }
+            )
+    return _shape_report("full_match", {}, witnesses, violations, len(xs))
+
+
+def _verify_threshold_n(space: TruncatedStateSpace, policy: Policy) -> ShapeReport:
+    graph = space.graph
+    lay = n_layout(graph)
+    pos = graph.edge_position
+    e11 = pos[(lay.d1, lay.s1_local)]
+    e12 = pos[(lay.d1, lay.s2_local)]
+    e22 = pos[(lay.d2, lay.s2_local)]
+    witnesses: list[dict] = []
+    violations = 0
+    implied: dict[int, list[tuple[int, ...]]] = {}
+    held_back: list[tuple[int, tuple[int, ...]]] = []
+    xs = space.interior_post_arrivals
+    for x, key in zip(xs, xs.tolist()):
+        u = np.asarray(policy.decide(x), dtype=np.int64)
+        d1, d2, s1, s2 = lay.pack(x)
+        residual = x - node_usage(graph, u)
+        bad: dict | None = None
+        if np.any(residual < 0) or np.any(u < 0):
+            bad = {"reason": "inadmissible"}
+        elif int(u[e11]) != min(d1, s1) or int(u[e22]) != min(d2, s2):
+            bad = {
+                "reason": "priority_total",
+                "expected": [min(d1, s1), min(d2, s2)],
+                "got": [int(u[e11]), int(u[e22])],
+            }
+        if bad is not None:
+            violations += 1
+            if len(witnesses) < MAX_WITNESSES:
+                bad["x"] = list(key)
+                witnesses.append(bad)
+            continue
+        surplus = max(0, d1 - s1)
+        k = int(u[e12])
+        if k > surplus:
+            violations += 1
+            if len(witnesses) < MAX_WITNESSES:
+                witnesses.append(
+                    {"reason": "flexible_count", "x": list(key), "got": k,
+                     "surplus": surplus}
+                )
+            continue
+        if surplus >= 1:
+            if k > 0:
+                implied.setdefault(surplus - k, []).append(key)
+            else:
+                held_back.append((surplus, key))
+    inferred: dict[str, float | int | None]
+    if len(implied) > 1:
+        largest = max(len(keys) for keys in implied.values())
+        violations += sum(len(keys) for keys in implied.values()) - largest
+        for t_val in sorted(implied):
+            if len(witnesses) < MAX_WITNESSES:
+                witnesses.append(
+                    {
+                        "reason": "threshold_conflict",
+                        "x": list(implied[t_val][0]),
+                        "implied_t": t_val,
+                    }
+                )
+        inferred = {"t": None}
+    elif len(implied) == 1:
+        t_hat = next(iter(implied))
+        for surplus, key in held_back:
+            if surplus > t_hat:
+                violations += 1
+                if len(witnesses) < MAX_WITNESSES:
+                    witnesses.append(
+                        {
+                            "reason": "threshold_conflict",
+                            "x": list(key),
+                            "surplus": surplus,
+                            "implied_t": t_hat,
+                        }
+                    )
+        inferred = {"t": t_hat}
+    else:
+        inferred = {"t": math.inf if held_back else None}
+    return _shape_report("threshold_n", inferred, witnesses, violations, len(xs))
+
+
+def _verify_priority_extreme(
+    space: TruncatedStateSpace, policy: Policy
+) -> ShapeReport:
+    graph = space.graph
+    extremes = classify(graph).extreme_edges
+    if not extremes:
+        raise WrongGraphClass("graph has no extreme edges to verify priority on")
+    positions = [graph.edge_position[e] for e in extremes]
+    witnesses: list[dict] = []
+    violations = 0
+    xs = space.interior_post_arrivals
+    for x, key in zip(xs, xs.tolist()):
+        u = np.asarray(policy.decide(x), dtype=np.int64)
+        residual = x - node_usage(graph, u)
+        if np.any(residual < 0) or np.any(u < 0):
+            violations += 1
+            if len(witnesses) < MAX_WITNESSES:
+                witnesses.append({"reason": "inadmissible", "x": list(key)})
+            continue
+        rem = x.copy()
+        best = 0
+        for i, j in extremes:
+            take = int(min(rem[i], rem[graph.n_d + j]))
+            best += take
+            rem[i] -= take
+            rem[graph.n_d + j] -= take
+        got = int(u[positions].sum())
+        if got != best:
+            violations += 1
+            if len(witnesses) < MAX_WITNESSES:
+                witnesses.append(
+                    {
+                        "reason": "extreme_total",
+                        "x": list(key),
+                        "expected": best,
+                        "got": got,
+                    }
+                )
+    return _shape_report("priority_extreme", {}, witnesses, violations, len(xs))
+
+
+def reference_verify_policy_shape(
+    space: TruncatedStateSpace, policy: Policy, family: str
+) -> ShapeReport:
+    """``verify_policy_shape`` as a loop over the interior post-arrival
+    vectors: one ``decide`` call, usage sum, admissibility test and witness
+    per x."""
+    verify = {
+        "full_match": _verify_full_match,
+        "threshold_n": _verify_threshold_n,
+        "priority_extreme": _verify_priority_extreme,
+    }
+    return verify[family](space, policy)
 
 
 def reference_streams(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -142,6 +143,35 @@ def test_average_cost_matches_series():
             assert average_cost(params, t) == pytest.approx(
                 series_average_cost(params, t), abs=1e-11
             )
+
+
+def exact_average_cost(params: NModelParams, t: int) -> Fraction:
+    """f(t) in exact rational arithmetic on the float inputs.
+
+    The level L is geometric on {0, 1, ...} with ratio rho, so
+    E[(L - t)^+] = rho^(t+1) / (1 - rho) and E[(t - L)^+] = t - E[L] +
+    E[(L - t)^+]; levels below t hold the antidiagonal pair (d1, s2), levels
+    above it the diagonal pair (d2, s1).
+    """
+    alpha, beta = Fraction(params.alpha), Fraction(params.beta)
+    c_d1, c_d2, c_s1, c_s2 = (Fraction(c) for c in params.costs)
+    rho = beta * (1 - alpha) / (alpha * (1 - beta))
+    above = rho ** (t + 1) / (1 - rho)
+    below = t - rho / (1 - rho) + above
+    arrival = alpha * c_d1 + (1 - alpha) * c_d2 + beta * c_s1 + (1 - beta) * c_s2
+    return (c_d1 + c_s2) * below + (c_d2 + c_s1) * above + arrival
+
+
+def test_average_cost_matches_exact_arithmetic_in_heavy_traffic():
+    for eps in (1e-1, 1e-2, 1e-3, 1e-4):
+        for costs in ((1, 1, 1, 1), (1, 2, 2, 1), (1, 6, 5, 2), (3, 1, 1, 3)):
+            params = NModelParams(alpha=0.5 + eps, beta=0.5, costs=costs)
+            t_star = optimal_threshold(params)
+            near = (t_star - 1, t_star, t_star + 1, 2 * t_star + 5)
+            for t in sorted({0, *(t for t in near if t >= 0)}):
+                exact = exact_average_cost(params, t)
+                error = abs(Fraction(average_cost(params, t)) - exact) / exact
+                assert error <= Fraction(1, 10**12), (eps, costs, t, float(error))
 
 
 def test_average_cost_frozen_values():

@@ -23,6 +23,7 @@ from matchdp.policies import (
     ThresholdW,
     ThresholdWWorkload,
     policy_from_spec,
+    read_decisions,
 )
 from matchdp.states import is_admissible, node_usage
 
@@ -424,3 +425,19 @@ def test_tabular_not_loadable(n_graph):
     pol = Tabular(n_graph, {})
     with pytest.raises(ParseError, match="unknown policy type"):
         policy_from_spec(n_graph, pol.spec_dict())
+
+
+def test_read_decisions_flags_negative_counts_and_overdraws(n_graph):
+    # Edges in file order: (d1,s1), (d1,s2), (d2,s2).
+    xs = np.array([[1, 0, 0, 1], [2, 1, 1, 2], [0, 1, 1, 0]])
+    decisions = {
+        (1, 0, 0, 1): [0, 1, 0],
+        (2, 1, 1, 2): [1, -1, 1],
+        (0, 1, 1, 0): [0, 0, 2],
+    }
+    u, residual, inadmissible = read_decisions(Tabular(n_graph, decisions), xs)
+    assert u.tolist() == [[0, 1, 0], [1, -1, 1], [0, 0, 2]]
+    assert residual.tolist() == [[0, 0, 0, 0], [2, 0, 0, 2], [0, -1, 1, -2]]
+    assert inadmissible.tolist() == [False, True, True]
+    with pytest.raises(ValueError, match="per edge"):
+        read_decisions(Tabular(n_graph, {(1, 0, 0, 1): [0, 1]}), xs[:1])

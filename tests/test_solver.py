@@ -546,6 +546,35 @@ class TestPolicyEvaluation:
             )
 
 
+@pytest.mark.parametrize(
+    "solver, solve",
+    [
+        ("value iteration", lambda s, c, a, cfg: value_iteration(s, c, a, cfg)),
+        (
+            "relative value iteration",
+            lambda s, c, a, cfg: relative_value_iteration(s, c, a, cfg),
+        ),
+        (
+            "policy evaluation",
+            lambda s, c, a, cfg: evaluate_policy(s, ThresholdN(s.graph, 1), c, a, cfg),
+        ),
+        (
+            "policy evaluation",
+            lambda s, c, a, cfg: evaluate_policy(
+                s, ThresholdN(s.graph, 1), c, a, cfg, mode="average"
+            ),
+        ),
+    ],
+    ids=["vi", "rvi", "eval-discounted", "eval-average"],
+)
+def test_sweep_limit_raises_one_no_convergence(solver, solve, n_graph, n_arrivals):
+    space = TruncatedStateSpace(n_graph, cap=3)
+    with pytest.raises(NoConvergence, match=f"^{solver} did not reach") as err:
+        solve(space, unit_costs(n_graph), n_arrivals, DPConfig(max_iters=2))
+    assert err.value.iterations == 2
+    assert err.value.residual > 0
+
+
 class TestExtraction:
     def test_argmin_prefers_lexicographically_smallest_on_ties(self):
         space = TruncatedStateSpace(make_complete22(), cap=3)

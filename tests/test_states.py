@@ -66,6 +66,14 @@ def test_node_usage(n_graph):
         node_usage(n_graph, [1, 2])
 
 
+def test_node_usage_reads_a_block_row_by_row(n_graph):
+    block = np.array([[[1, 2, 1], [0, 0, 0]], [[0, 1, 3], [2, 0, 0]]])
+    want = [[node_usage(n_graph, u).tolist() for u in rows] for rows in block]
+    assert node_usage(n_graph, block).tolist() == want
+    with pytest.raises(ValueError, match="per edge"):
+        node_usage(n_graph, np.zeros((3, 2), dtype=int))
+
+
 def test_admissible_small_example(n_graph):
     got = [tuple(u) for u in admissible_matchings(n_graph, [1, 0, 1, 0])]
     assert got == [(0, 0, 0), (1, 0, 0)]

@@ -5,20 +5,29 @@ from __future__ import annotations
 import io
 import json
 import math
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchdp.errors import WrongGraphClass
+from matchdp.errors import Inadmissible, WrongGraphClass
 from matchdp.graphs import ArrivalDistribution, CostVector
 from matchdp.nshaped import NModelParams, optimal_threshold
-from matchdp.policies import FullMatch, Policy, PriorityExtreme, Tabular, ThresholdN
+from matchdp.policies import (
+    AcyclicHeuristic,
+    FullMatch,
+    Policy,
+    PriorityExtreme,
+    Tabular,
+    ThresholdN,
+)
 from matchdp.solver import (
     DPConfig,
     TruncatedStateSpace,
     bellman_backup,
+    evaluate_policy,
     relative_value_iteration,
 )
 from matchdp.states import n_layout, w_layout
@@ -42,6 +51,7 @@ from conftest import (
     make_w_graph,
     unit_costs,
 )
+from oracles import reference_verify_policy_shape
 
 EPS = 1e-3
 
@@ -104,6 +114,30 @@ class Meddle(Policy):
         u = self.base.decide(x)
         if u[self.pos] >= self.floor:
             u[self.pos] += self.bump
+        return u
+
+
+class Jitter(Policy):
+    """Wrap a policy and move one edge count by one at a hashed share of x.
+
+    The share is in percent; the edge and, unless ``up_only``, the sign
+    come from the same hash, so decisions stay a function of x alone.
+    """
+
+    def __init__(self, base: Policy, salt: int, share: int, up_only: bool = False):
+        super().__init__(base.graph)
+        self.base = base
+        self.salt = salt
+        self.share = share
+        self.up_only = up_only
+        self.label = f"Jitter[{base.label}]"
+
+    def decide(self, x):
+        u = np.array(self.base.decide(x), dtype=np.int64)
+        key = np.asarray(x, dtype=np.int64).tobytes() + bytes([self.salt])
+        h = zlib.crc32(key)
+        if h % 100 < self.share:
+            u[(h >> 8) % len(u)] += 1 if self.up_only or (h >> 16) & 1 else -1
         return u
 
 
@@ -545,6 +579,34 @@ class TestVerifyPolicyShape:
         assert not report.passed
         assert any(w["reason"] == "extreme_total" for w in report.witnesses)
 
+    def test_full_match_flags_negative_counts(self):
+        # u = (2, -1, -1, 2) uses exactly x = (1, 1, 1, 1): the residual is
+        # zero, but a negative count is inadmissible in every solver.
+        graph = make_complete22()
+        space = TruncatedStateSpace(graph, cap=4, margin=1)
+
+        class Borrowing(FullMatch):
+            def decide(self, x):
+                if tuple(int(v) for v in x) == (1, 1, 1, 1):
+                    return np.array([2, -1, -1, 2])
+                return super().decide(x)
+
+        policy = Borrowing(graph)
+        report = verify_policy_shape(space, policy, "full_match")
+        assert not report.passed
+        assert report.violation_count == 1
+        assert report.witnesses == (
+            {
+                "reason": "inadmissible",
+                "x": [1, 1, 1, 1],
+                "decision": [2, -1, -1, 2],
+                "residual": [0, 0, 0, 0],
+            },
+        )
+        uniform = ArrivalDistribution(alpha=[0.5, 0.5], beta=[0.5, 0.5])
+        with pytest.raises(Inadmissible):
+            evaluate_policy(space, policy, unit_costs(graph), uniform)
+
     def test_average_cost_extraction_matches_closed_form_threshold(self):
         graph = make_n_graph()
         params = NModelParams(alpha=0.65, beta=0.35, costs=(1.0, 6.0, 5.0, 2.0))
@@ -558,6 +620,55 @@ class TestVerifyPolicyShape:
         assert report.passed
         assert report.inferred == {"t": optimal_threshold(params)}
         assert report.inferred["t"] == 1
+
+
+def _oracle_cases():
+    """(space, policy, families, up_only): every family the graph supports."""
+    n, k22 = make_n_graph(), make_complete22()
+    n_space = TruncatedStateSpace(n, cap=8, margin=2)
+    cases = [
+        pytest.param(
+            n_space, ThresholdN(n, t), ("threshold_n", "priority_extreme"), False,
+            id=f"N-t{t}",
+        )
+        for t in (0, 1, 3, math.inf)
+    ]
+    k22_space = TruncatedStateSpace(k22, cap=6, margin=2)
+    cases.append(
+        pytest.param(k22_space, FullMatch(k22), ("full_match",), True, id="K22-full")
+    )
+    for name, graph, cap, thresholds in (
+        ("NN", make_nn_graph(), 3, {"d2": 1, "s3": 2}),
+        ("W", make_w_graph(), 5, {"d2": 2}),
+    ):
+        space = TruncatedStateSpace(graph, cap=cap, margin=1)
+        for kind, policy in (
+            ("priority", PriorityExtreme(graph, costs=unit_costs(graph))),
+            ("heuristic", AcyclicHeuristic(graph, thresholds)),
+        ):
+            cases.append(
+                pytest.param(space, policy, ("priority_extreme",), False,
+                             id=f"{name}-{kind}")
+            )
+    return cases
+
+
+class TestVerifyAgainstOracle:
+    """The block verifiers report what the per-x loops of the oracle report,
+    on structured policies with one count moved at a hashed share of x."""
+
+    @pytest.mark.parametrize("space, base, families, up_only", _oracle_cases())
+    def test_records_match_oracle(self, space, base, families, up_only):
+        reasons = set()
+        for share in (1, 4, 25):
+            for salt in (1, 2):
+                policy = Jitter(base, salt, share, up_only)
+                for family in families:
+                    want = reference_verify_policy_shape(space, policy, family)
+                    got = verify_policy_shape(space, policy, family)
+                    assert got.to_record() == want.to_record()
+                    reasons |= {w["reason"] for w in want.witnesses}
+        assert reasons
 
 
 # ---- report serialization ----
