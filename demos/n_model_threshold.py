@@ -57,7 +57,7 @@ def main() -> None:
     print("\nsolving the truncated average-cost MDP at cap 20 ...")
     space = TruncatedStateSpace(graph, cap=20, margin=9)
     gain, vf, policy = relative_value_iteration(space, cost_vec, arrivals)
-    print(f"converged in {vf.iterations} sweeps, gain {gain:.6f}")
+    print(f"converged in {vf.iterations} backups, gain {gain:.6f}")
 
     shape = verify_policy_shape(space, policy, "threshold_n")
     print(f"policy shape: passed={shape.passed}, inferred threshold "

@@ -23,9 +23,13 @@ matched pair at a time, and each removal lowers the level by one, so the
 matching minimum obeys m(x) = min(w(clip(x)), min over edges e of m(x - e))
 and one gather-min per level computes it for the whole extended sector.
 
-Policy extraction reads its decisions on the same rows, and fixed-policy
-evaluation iterates with the policy's successor map precomputed once, from
-one ``decide`` call per distinct post-arrival row.
+Policy extraction reads its decisions on the same rows, by a walk over the
+same levels that also gives the greedy successors from which value
+iteration and relative value iteration run modified policy iteration:
+each backup that fails the stopping rule is followed by sweeps of its
+greedy policy.  Fixed-policy evaluation iterates with the policy's
+successor map precomputed once, from one ``decide`` call per distinct
+post-arrival row.
 """
 
 from __future__ import annotations
@@ -44,6 +48,9 @@ from .states import arrival_vector
 VI_TOL = 1e-9
 RVI_SPAN_TOL = 1e-8
 MAX_ITERS = 100_000
+# Fixed-policy sweeps after each optimality backup that fails the stopping
+# rule (modified policy iteration).
+MPI_SWEEPS = 100
 
 
 def _sector(graph: MatchingGraph, side: int, one_at_side: bool = False) -> np.ndarray:
@@ -233,7 +240,7 @@ class TruncatedStateSpace:
 class DPConfig:
     """Iteration controls: the discount ``theta`` (value iteration and
     discounted evaluation only), the stopping tolerance ``tol`` (defaults
-    per mode when left unset) and the sweep limit ``max_iters``.  The
+    per mode when left unset) and the backup limit ``max_iters``.  The
     state-space geometry comes from the space passed to each solver."""
 
     theta: float = 0.95
@@ -255,6 +262,10 @@ class ValueFunction:
     ``data`` has shape ``(len(space.balanced_states), space.n_atoms)``:
     one row per balanced state in the order of ``space.balanced_states``,
     one column per arrival atom in ``graph.arrival_atoms`` order.
+    ``iterations`` counts the backups run, the last of which produced
+    ``data`` and moved it by ``residual`` (a sup norm, or a span in average
+    mode); the fixed-policy sweeps between optimality backups are not
+    counted.
     """
 
     space: TruncatedStateSpace
@@ -327,12 +338,9 @@ def _sector_min(space: TruncatedStateSpace, w: np.ndarray) -> np.ndarray:
     """min over admissible matchings u of w(clip(x - usage(u))), per extended
     row x, with +inf where the clip leaves the sector (sentinel row last)."""
     _, read, pred, levels, _ = space.backup_index
-    return _relax(np.append(w, np.inf)[read], pred, levels)
-
-
-def _relax(m: np.ndarray, pred: np.ndarray, levels) -> np.ndarray:
-    """Lower each extended row of m, in place and level by level, to the
-    least of itself and its (already lowered) rows in ``pred``."""
+    m = np.append(w, np.inf)[read]
+    # Level by level, each row falls to the least of itself and its
+    # (already lowered) rows one matched pair down.
     for start, stop in levels:
         np.minimum(m[start:stop], m[pred[start:stop]].min(axis=1), out=m[start:stop])
     return m
@@ -348,7 +356,45 @@ def _require_finite(space: TruncatedStateSpace, table: np.ndarray) -> None:
         )
 
 
-# ---- policy extraction ----
+# ---- greedy decisions ----
+
+
+def _greedy(
+    space: TruncatedStateSpace, w: np.ndarray, ext_rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy decisions of the expected-value vector w at extended rows.
+
+    Returns, per row x of ``ext_rows``, the lexicographically smallest
+    minimizer u of w(clip(x - usage(u))) and the extended row x - usage(u)
+    it ends on.  The suffix minima tail[k](x), over the counts on edges
+    k, k + 1, ..., are relaxed one edge at a time, level by level, on the
+    backup's extended rows, and with them jump[k](x) = x - c e_k for the
+    smallest count c with tail[k + 1](x - c e_k) == tail[k](x): x itself
+    unless x - e_k is strictly lower, else jump[k](x - e_k).  Walking the
+    edges in file order, x moves to jump[k](x), whose tail[k + 1] equals
+    tail[0](x), and edge k takes the number of levels the jump descends.
+    The test is exact because a minimum returns one of its inputs.
+    """
+    ext, read, pred, levels, _ = space.backup_index
+    n_edges = pred.shape[1]
+    tail = np.append(w, np.inf)[read]
+    jump = np.tile(np.arange(len(read)), (n_edges, 1))
+    for k in range(n_edges - 1, -1, -1):
+        tail = tail.copy()
+        for start, stop in levels:
+            below = pred[start:stop, k]
+            lower = tail[below]
+            step = lower < tail[start:stop]
+            np.copyto(tail[start:stop], lower, where=step)
+            np.copyto(jump[k, start:stop], jump[k, below], where=step)
+    level = ext[:, : space.graph.n_d].sum(axis=1)
+    rows = np.asarray(ext_rows, dtype=np.int64)
+    u = np.empty((len(rows), n_edges), dtype=np.int64)
+    for k in range(n_edges):
+        end = jump[k, rows]
+        u[:, k] = level[rows] - level[end]
+        rows = end
+    return u, rows
 
 
 def extract_policy(
@@ -361,41 +407,38 @@ def extract_policy(
     Decisions depend on the state only through x = q + a, so the table is
     keyed by ``space.interior_post_arrivals``.  Interior x and all its
     successors stay inside [0, cap], and matching preserves balance, so
-    every candidate read is a real state's value.
-
-    Each decision is the lexicographically smallest minimizer of
-    w(x - usage(u)).  The suffix minima tail[k](x), over the counts on
-    edges k, k + 1, ..., are relaxed one edge at a time on the backup's
-    extended rows; walking the edges in file order, edge k then takes the
-    smallest count c with tail[k + 1](x - c e_k) == tail[0](x).  The test
-    is exact because a minimum returns one of its inputs.
+    every candidate read is a real state's value.  Each decision is the
+    lexicographically smallest minimizer of w(x - usage(u)).
     """
-    ext, read, pred, levels, _ = space.backup_index
-    n_edges = pred.shape[1]
-    tail = np.empty((n_edges + 1, len(read)))
-    tail[n_edges] = np.append(_expected(table, arrivals), np.inf)[read]
-    for k in range(n_edges - 1, -1, -1):
-        tail[k] = _relax(tail[k + 1].copy(), pred[:, k : k + 1], levels)
+    ext, read, _, _, _ = space.backup_index
     xs = space.interior_post_arrivals
     # Interior x lies inside the cap, where an extended row reads itself.
     inside = np.flatnonzero(np.all(ext <= space.cap, axis=1))
     ext_row = np.empty(len(space.balanced_states), dtype=np.int64)
     ext_row[read[inside]] = inside
-    rows = ext_row[space.rows(xs)]
-    best = tail[0, rows]
-    u = np.zeros((len(xs), n_edges), dtype=np.int64)
-    for k in range(n_edges):
-        pending = np.arange(len(xs))
-        while True:
-            pending = pending[tail[k + 1, rows[pending]] != best[pending]]
-            if not len(pending):
-                break
-            u[pending, k] += 1
-            rows[pending] = pred[rows[pending], k]
+    u, _ = _greedy(space, _expected(table, arrivals), ext_row[space.rows(xs)])
     return Tabular(space.graph, dict(zip(map(tuple, xs.tolist()), u)))
 
 
 # ---- optimality iterations ----
+
+
+def _policy_sweep(
+    base: np.ndarray, arrivals: ArrivalDistribution, succ: np.ndarray
+) -> Callable[..., np.ndarray]:
+    """``sweep(table, theta, out=None)``: one sweep base + theta * w[succ]
+    of a fixed policy's operator, where w is the expected value of
+    ``table`` over the arrival atoms, ``base`` the post-arrival costs and
+    ``succ`` the successor row per (state row, atom).  The result is
+    written into ``out`` when given, which may be ``table`` itself."""
+
+    def sweep(table: np.ndarray, theta: float, out: np.ndarray | None = None):
+        # Every successor row is valid: "clip" only spares take a buffer.
+        out = np.take(theta * _expected(table, arrivals), succ, out=out, mode="clip")
+        out += base
+        return out
+
+    return sweep
 
 
 def _iterate(
@@ -405,6 +448,7 @@ def _iterate(
     v0: np.ndarray | None,
     solver: str,
     sweep: Callable[[np.ndarray, float], np.ndarray],
+    improve: Callable[[np.ndarray], Callable[..., np.ndarray]] | None = None,
 ) -> tuple[float | None, ValueFunction]:
     """Run ``table = sweep(table, theta)`` from v0 (zeros by default) until
     the stopping rule of the mode holds; returns (gain, value function).
@@ -415,7 +459,15 @@ def _iterate(
     iterate at row 0 (the zero queue), atom 0, and stops when the span of
     the change drops below tolerance; the gain is the pre-normalization
     value there.  Raises :class:`NoConvergence`, naming ``solver`` and
-    carrying the last residual, when the sweep limit is hit.
+    carrying the last residual, when ``max_iters`` sweeps fail the rule.
+
+    With ``improve`` (the optimality iterations), each sweep that fails the
+    rule is followed by :data:`MPI_SWEEPS` sweeps of the fixed policy that
+    ``improve`` returns for the table before it, renormalized like the
+    iterates: modified policy iteration (Puterman 1994, Markov Decision
+    Processes, sections 6.5 and 8.7).  Only the sweeps passed as ``sweep``
+    count toward ``max_iters`` and ``ValueFunction.iterations``, so the
+    stopping rule and its certificate are those of plain iteration.
     """
     config = config or DPConfig()
     discounted = mode == "discounted"
@@ -433,20 +485,56 @@ def _iterate(
         if discounted:
             gain = None
             residual = float(np.abs(diff).max())
-            table = new
         else:
             gain = float(new[0, 0])  # row 0 is the zero queue
             residual = float(diff.max() - diff.min())
-            table = new - gain
+            new = new - gain
         if residual < tol:
-            vf = ValueFunction(space, table, theta if discounted else None, n, residual)
+            vf = ValueFunction(space, new, theta if discounted else None, n, residual)
             return gain, vf
+        if improve is not None:
+            policy_sweep = improve(table)
+            for _ in range(MPI_SWEEPS):
+                policy_sweep(new, theta, out=new)
+                if not discounted:
+                    new -= new[0, 0]
+        table = new
     rule, last = ("tol", "residual") if discounted else ("span tol", "span")
     raise NoConvergence(
         f"{solver} did not reach {rule}={tol:g} within {config.max_iters} "
-        f"sweeps (last {last} {residual:g})",
+        f"backups (last {last} {residual:g})",
         iterations=config.max_iters,
         residual=residual,
+    )
+
+
+def _optimal(
+    space: TruncatedStateSpace,
+    costs: CostVector,
+    arrivals: ArrivalDistribution,
+    config: DPConfig | None,
+    mode: str,
+    v0: np.ndarray | None,
+    solver: str,
+) -> tuple[float | None, ValueFunction]:
+    """Modified policy iteration on the optimality operator: backups by
+    :func:`bellman_backup`; the improvement step takes the greedy decision
+    of the table at every distinct post-arrival row, by the walk of
+    :func:`extract_policy`, and returns the sweep of that policy."""
+    base = _post_arrival_costs(space, costs)
+    _, read, _, _, post = space.backup_index
+    rows = np.unique(post)
+    row_succ = np.empty(len(read), dtype=np.int64)
+
+    def improve(table: np.ndarray) -> Callable[..., np.ndarray]:
+        _, end = _greedy(space, _expected(table, arrivals), rows)
+        row_succ[rows] = read[end]
+        return _policy_sweep(base, arrivals, row_succ[post])
+
+    return _iterate(
+        space, config, mode, v0, solver,
+        lambda table, theta: bellman_backup(space, table, costs, arrivals, theta),
+        improve,
     )
 
 
@@ -459,16 +547,16 @@ def value_iteration(
     v0: np.ndarray | None = None,
     extract: bool = True,
 ) -> tuple[ValueFunction, Tabular | None]:
-    """Discounted value iteration from v = 0 (or a packed ``v0``) to
-    sup-norm tolerance.
+    """Discounted optimal values from v = 0 (or a packed ``v0``) to
+    sup-norm tolerance, by modified policy iteration.
 
-    Synchronous sweeps with double buffering; the residual is the largest
-    absolute change over all states.  Raises :class:`NoConvergence` with
-    the last residual when the sweep limit is hit.
+    Stops at the first backup whose largest absolute change over all states
+    drops below tolerance, and returns that backup.  ``iterations`` counts
+    backups.  Raises :class:`NoConvergence` with the last residual when the
+    backup limit is hit.
     """
-    _, vf = _iterate(
-        space, config, "discounted", v0, "value iteration",
-        lambda table, theta: bellman_backup(space, table, costs, arrivals, theta),
+    _, vf = _optimal(
+        space, costs, arrivals, config, "discounted", v0, "value iteration"
     )
     policy = extract_policy(space, vf.data, arrivals) if extract else None
     return vf, policy
@@ -483,11 +571,13 @@ def relative_value_iteration(
     v0: np.ndarray | None = None,
     extract: bool = True,
 ) -> tuple[float, ValueFunction, Tabular | None]:
-    """Average-cost iteration, normalized at the zero queue and first atom.
+    """Average-cost gain and bias by modified policy iteration, normalized
+    at the zero queue and first atom.
 
-    Requires stable arrival rates.  Stops when the span of the change over
-    all states drops below tolerance; the gain estimate is the
-    pre-normalization value at the reference state.
+    Requires stable arrival rates.  Stops at the first backup whose change
+    over all states has a span below tolerance; the gain estimate is that
+    backup's pre-normalization value at the reference state.  ``iterations``
+    counts backups.
     """
     report = check_stability(space.graph, arrivals)
     if not report.stable:
@@ -496,9 +586,8 @@ def relative_value_iteration(
             f"({report.violation_count} subset violations)",
             violations=report.violations,
         )
-    gain, vf = _iterate(
-        space, config, "average", v0, "relative value iteration",
-        lambda table, theta: bellman_backup(space, table, costs, arrivals, theta),
+    gain, vf = _optimal(
+        space, costs, arrivals, config, "average", v0, "relative value iteration"
     )
     policy = extract_policy(space, vf.data, arrivals) if extract else None
     return gain, vf, policy
@@ -554,10 +643,8 @@ def evaluate_policy(
     """
     if mode not in ("discounted", "average"):
         raise ValueError(f"mode must be 'discounted' or 'average', got {mode!r}")
-    succ = _sector_successors(space, policy)
-    base = _post_arrival_costs(space, costs)
-    gain, vf = _iterate(
-        space, config, mode, None, "policy evaluation",
-        lambda table, theta: base + theta * _expected(table, arrivals)[succ],
+    sweep = _policy_sweep(
+        _post_arrival_costs(space, costs), arrivals, _sector_successors(space, policy)
     )
+    gain, vf = _iterate(space, config, mode, None, "policy evaluation", sweep)
     return vf if gain is None else (gain, vf)

@@ -131,13 +131,6 @@ def admissible_matchings(
     return rec(0)
 
 
-def count_admissible(graph: MatchingGraph, x: Sequence[int], budget: int = ACTION_BUDGET) -> int:
-    n = 0
-    for _ in admissible_matchings(graph, x, budget=budget):
-        n += 1
-    return n
-
-
 def transition(
     graph: MatchingGraph,
     q: Sequence[int],
@@ -257,28 +250,3 @@ def w_layout(graph: MatchingGraph) -> WLayout:
         s1_local=s1_local,
         s2_local=s2_local,
     )
-
-
-def residual_sets(graph: MatchingGraph, x: Sequence[int]) -> tuple[range, range | None]:
-    """Feasible threshold-edge match counts after priority matching.
-
-    On the N graph the only threshold edge is the flexible pair (d1, s2):
-    returns (K, None) with K the range of counts compatible with both
-    surpluses.  On the W graph the threshold edges are (d2, s1) and
-    (d2, s2): returns (K, J), each capped by the middle demand class on top
-    of the matching surplus.
-    """
-    x_vec = as_state(graph, x)
-    tag = classify(graph).tag
-    if tag == N_SHAPED:
-        lay = n_layout(graph)
-        d1, d2, s1, s2 = lay.pack(x_vec)
-        top = max(0, min(d1 - s1, s2 - d2))
-        return range(top + 1), None
-    if tag == W_SHAPED:
-        lay = w_layout(graph)
-        d1, d2, d3, s1, s2 = lay.pack(x_vec)
-        k_top = min(max(0, s1 - d1), d2)
-        j_top = min(max(0, s2 - d3), d2)
-        return range(k_top + 1), range(j_top + 1)
-    raise WrongGraphClass(f"residual sets are defined for N and W graphs, got {tag}")

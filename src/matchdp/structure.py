@@ -544,15 +544,14 @@ def _verify_threshold_n(space: TruncatedStateSpace, policy: Policy) -> ShapeRepo
     priority = np.any(got != expected, axis=1)
     surplus = np.maximum(0, d1 - s1)
     k = u[:, pos[(lay.d1, lay.s2_local)]]
-    flexible = k > surplus
     checks = [
         ("inadmissible", inadmissible, {}),
         ("priority_total", priority, {"expected": expected, "got": got}),
-        ("flexible_count", flexible, {"got": k, "surplus": surplus}),
     ]
-    # On the rows passing every check with a surplus, a flexible count
-    # k > 0 implies the threshold surplus - k, and k = 0 holds it back.
-    pinned = ~(inadmissible | priority | flexible) & (surplus >= 1)
+    # A row passing both checks has k <= surplus: its d1 residual
+    # d1 - min(d1, s1) - k is nonnegative.  There, a flexible count k > 0
+    # implies the threshold surplus - k, and k = 0 holds it back.
+    pinned = ~(inadmissible | priority) & (surplus >= 1)
     moved = np.flatnonzero(pinned & (k > 0))
     held = np.flatnonzero(pinned & (k == 0))
     implied, first, counts = np.unique(

@@ -43,6 +43,15 @@ def make_nn_graph() -> MatchingGraph:
     )
 
 
+def make_path23() -> MatchingGraph:
+    """Two-by-three acyclic path s1-d1-s2-d2-s3 (criterion 9's graph)."""
+    return MatchingGraph(
+        demand_nodes=("d1", "d2"),
+        supply_nodes=("s1", "s2", "s3"),
+        edges=(("d1", "s1"), ("d1", "s2"), ("d2", "s2"), ("d2", "s3")),
+    )
+
+
 def make_cmo33() -> MatchingGraph:
     """Three-by-three complete graph with the single edge (d3, s1) removed."""
     edges = [

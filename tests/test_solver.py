@@ -7,7 +7,8 @@ import itertools
 import numpy as np
 import pytest
 
-from matchdp.errors import Inadmissible, NoConvergence, Unstable
+from matchdp import solver as solver_module
+from matchdp.errors import Inadmissible, MatchDPError, NoConvergence, Unstable
 from matchdp.graphs import ArrivalDistribution, CostVector
 from matchdp.nshaped import NModelParams, average_cost, optimal_threshold
 from matchdp.policies import FullMatch, Policy, ThresholdN, ThresholdW
@@ -29,6 +30,7 @@ from conftest import (
     make_complete22,
     make_n_graph,
     make_nn_graph,
+    make_path23,
     make_w_graph,
     unit_costs,
 )
@@ -39,6 +41,8 @@ from oracles import (
     dense_backup,
     dense_policy_backup,
     dense_zero,
+    reference_relative_value_iteration,
+    reference_value_iteration,
 )
 
 
@@ -573,6 +577,106 @@ def test_sweep_limit_raises_one_no_convergence(solver, solve, n_graph, n_arrival
         solve(space, unit_costs(n_graph), n_arrivals, DPConfig(max_iters=2))
     assert err.value.iterations == 2
     assert err.value.residual > 0
+
+
+def stable_arrivals(graph) -> ArrivalDistribution:
+    if (graph.n_d, graph.n_s) == (2, 3):
+        return ArrivalDistribution(
+            alpha=np.array([0.55, 0.45]), beta=np.array([0.3, 0.4, 0.3])
+        )
+    if (graph.n_d, graph.n_s) == (2, 2):
+        return ArrivalDistribution(alpha=np.array([0.6, 0.4]), beta=np.array([0.4, 0.6]))
+    return uniform_arrivals(graph)
+
+
+def graded_costs(graph) -> CostVector:
+    return CostVector(
+        demand=np.arange(1.0, graph.n_d + 1.0),
+        supply=np.arange(graph.n_s + 1.0, 1.0, -1.0),
+    )
+
+
+def solve_both(graph, cap, theta):
+    """The public solver and its plain-iteration oracle on one problem:
+    (gain, value function, policy) each, the gain None when discounted."""
+    space = TruncatedStateSpace(graph, cap=cap)
+    costs, arrivals = graded_costs(graph), stable_arrivals(graph)
+    if theta is None:
+        return (
+            relative_value_iteration(space, costs, arrivals),
+            reference_relative_value_iteration(space, costs, arrivals),
+        )
+    config = DPConfig(theta=theta)
+    return (
+        (None, *value_iteration(space, costs, arrivals, config)),
+        (None, *reference_value_iteration(space, costs, arrivals, config)),
+    )
+
+
+ORACLE_GRAPHS = [
+    pytest.param(make_n_graph, 8, id="n-cap8"),
+    pytest.param(make_w_graph, 5, id="w-cap5"),
+    pytest.param(make_complete22, 6, id="complete22-cap6"),
+    pytest.param(make_cmo33, 3, id="cmo33-cap3"),
+    pytest.param(make_path23, 6, id="path23-cap6"),
+]
+
+
+class TestAgainstPlainIteration:
+    """Modified policy iteration against plain value iteration."""
+
+    @pytest.mark.parametrize("theta", [None, 0.9, 0.99], ids=["average", "0.9", "0.99"])
+    @pytest.mark.parametrize("maker, cap", ORACLE_GRAPHS)
+    def test_matches_plain_iteration(self, maker, cap, theta):
+        (gain, vf, policy), (ref_gain, ref_vf, ref_policy) = solve_both(
+            maker(), cap, theta
+        )
+        tol = DPConfig().resolved_tol("discounted" if theta else "average")
+        assert vf.residual < tol and ref_vf.residual < tol
+        if theta is None:
+            # Both gains lie within their span bounds min(Tv - v) <= g <=
+            # max(Tv - v); the span rule bounds the bias less tightly.
+            assert abs(gain - ref_gain) <= tol
+            value_bound = 100 * tol
+        else:
+            # A table whose backup moved less than tol lies within
+            # tol * theta / (1 - theta) of the fixed point.
+            value_bound = 2 * tol * theta / (1 - theta)
+        assert np.abs(vf.data - ref_vf.data).max() <= value_bound
+        assert policy.table.keys() == ref_policy.table.keys()
+        for x, u in policy.table.items():
+            assert np.array_equal(u, ref_policy.table[x]), x
+
+    @pytest.mark.parametrize(
+        "maker, cap, theta",
+        [(make_n_graph, 8, None), (make_w_graph, 5, 0.9), (make_path23, 6, None)],
+        ids=["n-average", "w-0.9", "path23-average"],
+    )
+    def test_no_policy_sweeps_is_plain_iteration(self, monkeypatch, maker, cap, theta):
+        monkeypatch.setattr(solver_module, "MPI_SWEEPS", 0)
+        (gain, vf, policy), (ref_gain, ref_vf, ref_policy) = solve_both(
+            maker(), cap, theta
+        )
+        assert gain == ref_gain
+        assert vf.iterations == ref_vf.iterations
+        assert vf.residual == ref_vf.residual
+        assert np.array_equal(vf.data, ref_vf.data)
+        assert policy.table.keys() == ref_policy.table.keys()
+        for x, u in policy.table.items():
+            assert np.array_equal(u, ref_policy.table[x]), x
+
+    @pytest.mark.parametrize("solve", ["vi", "rvi"])
+    def test_unsolvable_truncation_still_raises(self, nn_graph, solve):
+        space = TruncatedStateSpace(nn_graph, cap=4)
+        arrivals = ArrivalDistribution(
+            alpha=np.array([3.0, 2.0, 1.0]) / 6,
+            beta=np.array([0.91, 1.41, 0.68]) / 3,
+        )
+        run = value_iteration if solve == "vi" else relative_value_iteration
+        with pytest.raises(
+            MatchDPError, match="has no transition that stays balanced inside the cap"
+        ):
+            run(space, unit_costs(nn_graph), arrivals)
 
 
 class TestExtraction:

@@ -1,4 +1,4 @@
-"""State dynamics: matching enumeration, transitions, residual sets."""
+"""State dynamics: matching enumeration, transitions, role layouts."""
 
 from __future__ import annotations
 
@@ -12,13 +12,11 @@ from matchdp.states import (
     admissible_matchings,
     arrival_vector,
     check_queue_state,
-    count_admissible,
     is_admissible,
     is_balanced,
     n_layout,
     node_usage,
     post_arrival,
-    residual_sets,
     transition,
     w_layout,
 )
@@ -121,11 +119,6 @@ def test_action_budget_raises_mid_iteration():
     assert seen == 10
 
 
-def test_count_admissible(n_graph):
-    assert count_admissible(n_graph, [0, 0, 0, 0]) == 1
-    assert count_admissible(n_graph, [2, 0, 1, 1]) == 4
-
-
 def test_transition_balance_and_errors(n_graph):
     q_next = transition(n_graph, [1, 0, 0, 1], (0, 0), [1, 1, 0])
     assert q_next.tolist() == [0, 0, 0, 0]
@@ -209,24 +202,3 @@ def test_layout_rejects_wrong_class(complete22, w_graph, n_graph):
         n_layout(w_graph)
     with pytest.raises(WrongGraphClass):
         w_layout(n_graph)
-
-
-def test_residual_sets_n(n_graph):
-    k, j = residual_sets(n_graph, [4, 1, 1, 4])
-    assert list(k) == [0, 1, 2, 3]
-    assert j is None
-    k, _ = residual_sets(n_graph, [1, 0, 1, 0])
-    assert list(k) == [0]
-    k, _ = residual_sets(n_graph, [0, 3, 3, 0])
-    assert list(k) == [0]
-
-
-def test_residual_sets_w(w_graph):
-    k, j = residual_sets(w_graph, [1, 2, 0, 3, 0])
-    assert list(k) == [0, 1, 2]
-    assert list(j) == [0]
-
-
-def test_residual_sets_rejects_other_graphs(complete22):
-    with pytest.raises(WrongGraphClass):
-        residual_sets(complete22, [0, 0, 0, 0])

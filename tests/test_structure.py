@@ -30,7 +30,7 @@ from matchdp.solver import (
     evaluate_policy,
     relative_value_iteration,
 )
-from matchdp.states import n_layout, w_layout
+from matchdp.states import is_admissible, n_layout, w_layout
 from matchdp.structure import (
     PropertyReport,
     ShapeReport,
@@ -732,3 +732,23 @@ def test_linear_tables_are_exchangeable_regardless_of_sign(coeffs):
         report = check_exchangeable(space, v, pair)
         assert report.passed
         assert report.checked > 0
+
+
+@given(
+    x=st.lists(st.integers(0, 8), min_size=4, max_size=4),
+    k=st.integers(0, 10),
+)
+@settings(max_examples=200, deadline=None)
+def test_priority_totals_bound_the_flexible_count(x, k):
+    # The threshold_n verifier has no flexible-count check because an
+    # admissible decision with both priority totals has k <= surplus.
+    graph = make_n_graph()
+    lay = n_layout(graph)
+    pos = graph.edge_position
+    d1, d2, s1, s2 = lay.pack(x)
+    u = np.zeros(len(graph.edges), dtype=np.int64)
+    u[pos[(lay.d1, lay.s1_local)]] = min(d1, s1)
+    u[pos[(lay.d2, lay.s2_local)]] = min(d2, s2)
+    u[pos[(lay.d1, lay.s2_local)]] = k
+    if is_admissible(graph, x, u):
+        assert k <= max(0, d1 - s1)
