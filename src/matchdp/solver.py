@@ -19,17 +19,20 @@ on the graph families treated here) land on states and stay available.
 
 The minimization over admissible matchings is not enumerated.  The
 successors of x are exactly the vectors reachable from it by removing one
-matched pair at a time, and each removal lowers the level by one, so the
-matching minimum obeys m(x) = min(w(clip(x)), min over edges e of m(x - e))
-and one gather-min per level computes it for the whole extended sector.
+matched pair at a time, and each removal lowers the level by one, so one
+walk over the levels (``_greedy``) finds the lexicographically smallest
+minimizing matching of every extended row at once.  Policy extraction
+reads its decisions from that walk.
 
-Policy extraction reads its decisions on the same rows, by a walk over the
-same levels that also gives the greedy successors from which value
-iteration and relative value iteration run modified policy iteration:
-each backup that fails the stopping rule is followed by sweeps of its
-greedy policy.  Fixed-policy evaluation iterates with the policy's
-successor map precomputed once, from one ``decide`` call per distinct
-post-arrival row.
+Every DP sweep has one form, base + theta * w[succ] (``_policy_sweep``):
+the post-arrival cost plus the discounted expected value of the successor
+row per (state, atom).  Solving and evaluating differ only in where succ
+comes from.  An optimality backup is the first sweep of the table's greedy
+policy, whose successors the walk gives, and value iteration and relative
+value iteration run modified policy iteration: each backup that fails the
+stopping rule is followed by more sweeps of the same greedy policy.
+Fixed-policy evaluation takes its successors once, from one ``decide``
+call per distinct post-arrival row.
 """
 
 from __future__ import annotations
@@ -275,7 +278,10 @@ class ValueFunction:
     residual: float
 
     def value(self, q, atom: tuple[int, int]) -> float:
-        a_idx = atom[0] * self.space.graph.n_s + atom[1]
+        graph = self.space.graph
+        if not (0 <= atom[0] < graph.n_d and 0 <= atom[1] < graph.n_s):
+            raise ValueError(f"{tuple(atom)} is not an arrival atom of this graph")
+        a_idx = atom[0] * graph.n_s + atom[1]
         return float(self.data[self.space.state_index(q), a_idx])
 
 
@@ -310,50 +316,9 @@ def _initial_table(space: TruncatedStateSpace, v0: np.ndarray | None) -> np.ndar
     table = np.array(v0, dtype=float)
     if table.shape != want:
         raise ValueError(f"v0 must have shape {want}, got {table.shape}")
+    if not np.isfinite(table).all():
+        raise ValueError(f"v0 must be finite, got {table[~np.isfinite(table)][0]}")
     return table
-
-
-def bellman_backup(
-    space: TruncatedStateSpace,
-    table: np.ndarray,
-    costs: CostVector,
-    arrivals: ArrivalDistribution,
-    theta: float,
-) -> np.ndarray:
-    """One synchronous sweep of the optimality operator (theta=1: average).
-
-    Input and output are packed tables.  A state whose every matching
-    leaves the sector gets +inf.  Argmin ties are irrelevant here because
-    only the minimum value is produced (extraction breaks ties
-    lexicographically).
-    """
-    base = _post_arrival_costs(space, costs)
-    if theta == 0.0:
-        return base
-    m = _sector_min(space, _expected(table, arrivals))
-    return base + theta * m[space.backup_index.post]
-
-
-def _sector_min(space: TruncatedStateSpace, w: np.ndarray) -> np.ndarray:
-    """min over admissible matchings u of w(clip(x - usage(u))), per extended
-    row x, with +inf where the clip leaves the sector (sentinel row last)."""
-    _, read, pred, levels, _ = space.backup_index
-    m = np.append(w, np.inf)[read]
-    # Level by level, each row falls to the least of itself and its
-    # (already lowered) rows one matched pair down.
-    for start, stop in levels:
-        np.minimum(m[start:stop], m[pred[start:stop]].min(axis=1), out=m[start:stop])
-    return m
-
-
-def _require_finite(space: TruncatedStateSpace, table: np.ndarray) -> None:
-    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
-    if len(bad):
-        q = tuple(int(v) for v in space.balanced_states[bad[0]])
-        raise MatchDPError(
-            f"state {q} has no transition that stays balanced inside the cap; "
-            "raise the cap or reconsider the graph"
-        )
 
 
 # ---- greedy decisions ----
@@ -395,6 +360,29 @@ def _greedy(
         u[:, k] = level[rows] - level[end]
         rows = end
     return u, rows
+
+
+def _greedy_successors(
+    space: TruncatedStateSpace, table: np.ndarray, arrivals: ArrivalDistribution
+) -> np.ndarray:
+    """Successor row per (state row, atom) under the greedy policy of a
+    packed table: the clip of where the walk of :func:`_greedy` ends from
+    each post-arrival row.
+
+    Raises :class:`MatchDPError` naming the first state that, at some atom,
+    has no matching whose clipped successor stays in the sector.
+    """
+    ext, read, _, _, post = space.backup_index
+    _, end = _greedy(space, _expected(table, arrivals), np.arange(len(ext)))
+    succ = read[end][post]
+    if succ.max() == len(space.balanced_states):
+        # The +inf sentinel is the largest row, so argmax finds its first state.
+        q = tuple(int(v) for v in space.balanced_states[succ.max(axis=1).argmax()])
+        raise MatchDPError(
+            f"state {q} has no transition that stays balanced inside the cap; "
+            "raise the cap or reconsider the graph"
+        )
+    return succ
 
 
 def extract_policy(
@@ -441,17 +429,36 @@ def _policy_sweep(
     return sweep
 
 
+def bellman_backup(
+    space: TruncatedStateSpace,
+    table: np.ndarray,
+    costs: CostVector,
+    arrivals: ArrivalDistribution,
+    theta: float,
+) -> np.ndarray:
+    """One synchronous sweep of the optimality operator (theta=1: average),
+    which is the first sweep of the table's greedy policy.
+
+    Input and output are packed tables.  Raises :class:`MatchDPError` when
+    a state has an atom from which every matching leaves the sector.
+    """
+    base = _post_arrival_costs(space, costs)
+    succ = _greedy_successors(space, table, arrivals)
+    return _policy_sweep(base, arrivals, succ)(table, theta)
+
+
 def _iterate(
     space: TruncatedStateSpace,
     config: DPConfig | None,
     mode: str,
     v0: np.ndarray | None,
     solver: str,
-    sweep: Callable[[np.ndarray, float], np.ndarray],
-    improve: Callable[[np.ndarray], Callable[..., np.ndarray]] | None = None,
+    sweep_of: Callable[[np.ndarray], Callable[..., np.ndarray]],
+    policy_sweeps: int = 0,
 ) -> tuple[float | None, ValueFunction]:
-    """Run ``table = sweep(table, theta)`` from v0 (zeros by default) until
-    the stopping rule of the mode holds; returns (gain, value function).
+    """Run ``table = sweep_of(table)(table, theta)`` from v0 (zeros by
+    default) until the stopping rule of the mode holds; returns (gain,
+    value function).  ``sweep_of`` returns a :func:`_policy_sweep`.
 
     ``mode="discounted"`` sweeps with ``config.theta`` (0 <= theta < 1) and
     stops when the sup norm of the change drops below tolerance; the gain
@@ -461,13 +468,13 @@ def _iterate(
     value there.  Raises :class:`NoConvergence`, naming ``solver`` and
     carrying the last residual, when ``max_iters`` sweeps fail the rule.
 
-    With ``improve`` (the optimality iterations), each sweep that fails the
-    rule is followed by :data:`MPI_SWEEPS` sweeps of the fixed policy that
-    ``improve`` returns for the table before it, renormalized like the
-    iterates: modified policy iteration (Puterman 1994, Markov Decision
-    Processes, sections 6.5 and 8.7).  Only the sweeps passed as ``sweep``
-    count toward ``max_iters`` and ``ValueFunction.iterations``, so the
-    stopping rule and its certificate are those of plain iteration.
+    Each sweep that fails the rule is followed by ``policy_sweeps`` more
+    sweeps of the same policy, renormalized like the iterates; with the
+    greedy sweep of the table this is modified policy iteration (Puterman
+    1994, Markov Decision Processes, sections 6.5 and 8.7).  Only the first
+    sweep of each policy counts toward ``max_iters`` and
+    ``ValueFunction.iterations``, so the stopping rule and its certificate
+    are those of plain iteration.
     """
     config = config or DPConfig()
     discounted = mode == "discounted"
@@ -478,9 +485,8 @@ def _iterate(
     table = _initial_table(space, v0)
     residual = np.inf
     for n in range(1, config.max_iters + 1):
+        sweep = sweep_of(table)
         new = sweep(table, theta)
-        if n == 1:
-            _require_finite(space, new)
         diff = new - table
         if discounted:
             gain = None
@@ -492,12 +498,10 @@ def _iterate(
         if residual < tol:
             vf = ValueFunction(space, new, theta if discounted else None, n, residual)
             return gain, vf
-        if improve is not None:
-            policy_sweep = improve(table)
-            for _ in range(MPI_SWEEPS):
-                policy_sweep(new, theta, out=new)
-                if not discounted:
-                    new -= new[0, 0]
+        for _ in range(policy_sweeps):
+            sweep(new, theta, out=new)
+            if not discounted:
+                new -= new[0, 0]
         table = new
     rule, last = ("tol", "residual") if discounted else ("span tol", "span")
     raise NoConvergence(
@@ -517,25 +521,15 @@ def _optimal(
     v0: np.ndarray | None,
     solver: str,
 ) -> tuple[float | None, ValueFunction]:
-    """Modified policy iteration on the optimality operator: backups by
-    :func:`bellman_backup`; the improvement step takes the greedy decision
-    of the table at every distinct post-arrival row, by the walk of
-    :func:`extract_policy`, and returns the sweep of that policy."""
+    """Modified policy iteration: each backup is the first sweep of the
+    table's greedy policy, and :data:`MPI_SWEEPS` more follow a backup that
+    fails the stopping rule."""
     base = _post_arrival_costs(space, costs)
-    _, read, _, _, post = space.backup_index
-    rows = np.unique(post)
-    row_succ = np.empty(len(read), dtype=np.int64)
 
-    def improve(table: np.ndarray) -> Callable[..., np.ndarray]:
-        _, end = _greedy(space, _expected(table, arrivals), rows)
-        row_succ[rows] = read[end]
-        return _policy_sweep(base, arrivals, row_succ[post])
+    def greedy_sweep(table: np.ndarray) -> Callable[..., np.ndarray]:
+        return _policy_sweep(base, arrivals, _greedy_successors(space, table, arrivals))
 
-    return _iterate(
-        space, config, mode, v0, solver,
-        lambda table, theta: bellman_backup(space, table, costs, arrivals, theta),
-        improve,
-    )
+    return _iterate(space, config, mode, v0, solver, greedy_sweep, MPI_SWEEPS)
 
 
 def value_iteration(
@@ -646,5 +640,5 @@ def evaluate_policy(
     sweep = _policy_sweep(
         _post_arrival_costs(space, costs), arrivals, _sector_successors(space, policy)
     )
-    gain, vf = _iterate(space, config, mode, None, "policy evaluation", sweep)
+    gain, vf = _iterate(space, config, mode, None, "policy evaluation", lambda _: sweep)
     return vf if gain is None else (gain, vf)

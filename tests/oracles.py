@@ -7,6 +7,7 @@ floats) so that agreement between the two is meaningful evidence.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Callable, Sequence
@@ -29,7 +30,8 @@ from matchdp.solver import (
     DPConfig,
     TruncatedStateSpace,
     ValueFunction,
-    bellman_backup,
+    _expected,
+    _post_arrival_costs,
     extract_policy,
 )
 from matchdp.states import n_layout, node_usage
@@ -128,6 +130,16 @@ def _next_value(
     return sum(p * v[key, k] for k, p in enumerate(probs))
 
 
+@functools.lru_cache(maxsize=None)
+def _clipped_candidates(
+    graph: MatchingGraph, cap: int, x: tuple[int, ...]
+) -> tuple[tuple[int, ...], ...]:
+    """Clipped successors of x that are states, one per admissible matching
+    in the lexicographic order of ``brute_admissible``."""
+    keys = (_clipped_successor(graph, cap, x, u) for u in brute_admissible(graph, x))
+    return tuple(key for key in keys if key is not None)
+
+
 def dense_backup(
     graph: MatchingGraph,
     arrivals: ArrivalDistribution,
@@ -139,16 +151,14 @@ def dense_backup(
     """One optimality sweep by brute enumeration of every matching.
 
     Matchings whose clipped successor would leave the balanced set are not
-    transitions of the model and are skipped.
+    transitions of the model and are skipped.  The candidates of each x are
+    enumerated once per (graph, cap, x) and reused by later sweeps.
     """
     probs = [float(p) for p in arrivals.atom_probs()]
 
     def choose(x: list[int], table: DenseTable) -> float:
         best = math.inf
-        for u in brute_admissible(graph, x):
-            key = _clipped_successor(graph, cap, x, u)
-            if key is None:
-                continue
+        for key in _clipped_candidates(graph, cap, tuple(x)):
             val = _next_value(graph, probs, key, table)
             if val < best:
                 best = val
@@ -215,6 +225,34 @@ def _argmin_decision(
 # ---- plain value iteration ----
 
 
+def reference_sector_min(space: TruncatedStateSpace, w: np.ndarray) -> np.ndarray:
+    """min over admissible matchings u of w(clip(x - usage(u))) per extended
+    row x, with +inf where every clip leaves the sector (sentinel row last).
+
+    One pass over the levels: the successors of x are x itself and those of
+    each x - e one matched pair lower, so m(x) = min(w(clip(x)), min over
+    edges e of m(x - e)), one gather-min per level.
+    """
+    _, read, pred, levels, _ = space.backup_index
+    m = np.append(w, np.inf)[read]
+    for start, stop in levels:
+        np.minimum(m[start:stop], m[pred[start:stop]].min(axis=1), out=m[start:stop])
+    return m
+
+
+def reference_backup(
+    space: TruncatedStateSpace,
+    table: np.ndarray,
+    costs: CostVector,
+    arrivals: ArrivalDistribution,
+    theta: float,
+) -> np.ndarray:
+    """One optimality sweep from the one-pass matching minimum: +inf where a
+    (state, atom) pair has no transition that stays in the sector."""
+    m = reference_sector_min(space, _expected(table, arrivals))
+    return _post_arrival_costs(space, costs) + theta * m[space.backup_index.post]
+
+
 def _reference_iterate(
     space: TruncatedStateSpace,
     costs: CostVector,
@@ -231,7 +269,7 @@ def _reference_iterate(
     table = np.zeros((len(space.balanced_states), space.n_atoms))
     residual = math.inf
     for n in range(1, config.max_iters + 1):
-        new = bellman_backup(space, table, costs, arrivals, theta)
+        new = reference_backup(space, table, costs, arrivals, theta)
         diff = new - table
         if discounted:
             gain = None

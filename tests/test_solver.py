@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -16,8 +17,9 @@ from matchdp.solver import (
     DPConfig,
     TruncatedStateSpace,
     _expected,
+    _greedy,
+    _greedy_successors,
     _initial_table,
-    _sector_min,
     bellman_backup,
     evaluate_policy,
     extract_policy,
@@ -42,6 +44,7 @@ from oracles import (
     dense_policy_backup,
     dense_zero,
     reference_relative_value_iteration,
+    reference_sector_min,
     reference_value_iteration,
 )
 
@@ -86,6 +89,15 @@ def brute_matching_min(space, w, x):
             continue
         best = min(best, w[space.state_index(y)])
     return best
+
+
+ORACLE_GRAPHS = [
+    pytest.param(make_n_graph, 8, id="n-cap8"),
+    pytest.param(make_w_graph, 5, id="w-cap5"),
+    pytest.param(make_complete22, 6, id="complete22-cap6"),
+    pytest.param(make_cmo33, 3, id="cmo33-cap3"),
+    pytest.param(make_path23, 6, id="path23-cap6"),
+]
 
 
 class TestTruncatedStateSpace:
@@ -173,7 +185,7 @@ class TestBackupKernel:
                 )
 
     @pytest.mark.parametrize(
-        "maker", [make_n_graph, make_complete22, make_w_graph]
+        "maker", [make_n_graph, make_complete22, make_w_graph, make_nn_graph]
     )
     def test_matching_min_matches_brute_enumeration(self, maker):
         graph = maker()
@@ -181,8 +193,10 @@ class TestBackupKernel:
         space = TruncatedStateSpace(graph, cap=cap)
         rng = np.random.default_rng(7)
         w = rng.standard_normal(len(space.balanced_states))
-        m = _sector_min(space, w)
-        extended = space.backup_index.extended
+        extended, read, _, _, _ = space.backup_index
+        # The walk's minimum: w read where the greedy matching ends.
+        _, end = _greedy(space, w, np.arange(len(extended)))
+        m = np.append(w, np.inf)[read[end]]
         n_d = graph.n_d
         expected = [
             x
@@ -192,7 +206,6 @@ class TestBackupKernel:
             and x[n_d:].count(cap + 1) <= 1
         ]
         assert sorted(map(tuple, extended.tolist())) == expected
-        assert m[-1] == np.inf
         for row, x in enumerate(extended):
             best = brute_matching_min(space, w, x)
             assert m[row] == pytest.approx(best, abs=1e-12)
@@ -246,6 +259,18 @@ class TestBackupKernel:
             dense = dense_backup(graph, arrivals, costs, cap, dense, theta)
             assert_table_agrees(space, table, dense)
 
+    @pytest.mark.parametrize("maker, cap", ORACLE_GRAPHS)
+    def test_greedy_successors_read_the_one_pass_minimum(self, maker, cap):
+        graph = maker()
+        space = TruncatedStateSpace(graph, cap=cap)
+        arrivals = stable_arrivals(graph)
+        rng = np.random.default_rng(cap)
+        table = rng.standard_normal((len(space.balanced_states), space.n_atoms))
+        succ = _greedy_successors(space, table, arrivals)
+        w = _expected(table, arrivals)
+        m = reference_sector_min(space, w)
+        assert np.array_equal(w[succ], m[space.backup_index.post])
+
 
 class TestValueIteration:
     def test_monotone_from_zero(self, n_graph, n_arrivals):
@@ -290,6 +315,25 @@ class TestValueIteration:
         )
         # every step pays at least the arriving pair's holding cost
         assert vf.value([0, 0, 0, 0], (0, 0)) >= 2.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_start_table_is_rejected(self, n_graph, n_arrivals, bad):
+        space = TruncatedStateSpace(n_graph, cap=3)
+        v0 = np.zeros((len(space.balanced_states), space.n_atoms))
+        v0[5, 2] = bad
+        with pytest.raises(ValueError, match="v0 must be finite"):
+            value_iteration(space, unit_costs(n_graph), n_arrivals, v0=v0)
+
+    def test_value_rejects_atoms_outside_the_graph(self, n_graph, n_arrivals):
+        space = TruncatedStateSpace(n_graph, cap=3)
+        vf, _ = value_iteration(
+            space, unit_costs(n_graph), n_arrivals, DPConfig(theta=0.5), extract=False
+        )
+        q = [1, 0, 0, 1]
+        assert vf.value(q, (1, 0)) == vf.data[space.state_index(q), 2]
+        for atom in [(0, 2), (-1, 0), (2, 0)]:
+            with pytest.raises(ValueError, match=re.escape(f"{atom} is not an")):
+                vf.value(q, atom)
 
     def test_rejects_bad_theta(self, n_graph, n_arrivals):
         space = TruncatedStateSpace(n_graph, cap=3)
@@ -613,15 +657,6 @@ def solve_both(graph, cap, theta):
     )
 
 
-ORACLE_GRAPHS = [
-    pytest.param(make_n_graph, 8, id="n-cap8"),
-    pytest.param(make_w_graph, 5, id="w-cap5"),
-    pytest.param(make_complete22, 6, id="complete22-cap6"),
-    pytest.param(make_cmo33, 3, id="cmo33-cap3"),
-    pytest.param(make_path23, 6, id="path23-cap6"),
-]
-
-
 class TestAgainstPlainIteration:
     """Modified policy iteration against plain value iteration."""
 
@@ -665,18 +700,20 @@ class TestAgainstPlainIteration:
         for x, u in policy.table.items():
             assert np.array_equal(u, ref_policy.table[x]), x
 
-    @pytest.mark.parametrize("solve", ["vi", "rvi"])
+    @pytest.mark.parametrize("solve", ["vi", "rvi", "vi-theta0"])
     def test_unsolvable_truncation_still_raises(self, nn_graph, solve):
         space = TruncatedStateSpace(nn_graph, cap=4)
         arrivals = ArrivalDistribution(
             alpha=np.array([3.0, 2.0, 1.0]) / 6,
             beta=np.array([0.91, 1.41, 0.68]) / 3,
         )
-        run = value_iteration if solve == "vi" else relative_value_iteration
+        run = relative_value_iteration if solve == "rvi" else value_iteration
+        # One rule for every theta: a myopic solve still needs a transition.
+        config = DPConfig(theta=0.0) if solve == "vi-theta0" else None
         with pytest.raises(
             MatchDPError, match="has no transition that stays balanced inside the cap"
         ):
-            run(space, unit_costs(nn_graph), arrivals)
+            run(space, unit_costs(nn_graph), arrivals, config)
 
 
 class TestExtraction:
