@@ -2,7 +2,12 @@
 
 Every run first prints a ``manifest:`` line holding the resolved
 configuration as JSON: the full graph document, the policy specs, and
-every numeric setting including seeds.  Feeding that manifest back through
+every numeric setting including seeds.  That ``config`` is the
+subcommand's parsed flags, with the solver tolerance and the default
+shape family resolved; the flag defaults are the library's own
+(:class:`~matchdp.solver.DPConfig`,
+:class:`~matchdp.solver.TruncatedStateSpace`,
+:class:`~matchdp.simulate.SimConfig`).  Feeding that manifest back through
 :func:`run` repeats the run byte for byte.  With ``--out DIR`` the manifest,
 the printed summary, and machine-readable artifacts (JSON report, CSV
 tables) are also written to disk.
@@ -31,6 +36,7 @@ from .graphs import (
     check_stability,
     classify,
     load_graph,
+    read_graph_document,
 )
 from .nshaped import (
     NModelParams,
@@ -38,7 +44,7 @@ from .nshaped import (
     optimal_threshold,
     threshold_location,
 )
-from .policies import Policy, policy_from_spec
+from .policies import Policy, policy_from_spec, threshold_json
 from .simulate import (
     SimConfig,
     compare,
@@ -52,25 +58,9 @@ from .solver import (
     relative_value_iteration,
     value_iteration,
 )
-from .structure import verify_policy_shape
+from .structure import SHAPE_FAMILIES, verify_policy_shape
 
-MODES = (
-    "stability",
-    "classify",
-    "solve-discounted",
-    "solve-average",
-    "threshold",
-    "simulate",
-    "compare",
-    "verify-structure",
-)
-
-DEFAULT_THETA = 0.95
-DEFAULT_MARGIN = 2
 DEFAULT_STEPS = 10_000
-DEFAULT_BURN_IN = 0
-DEFAULT_REPS = 1
-DEFAULT_SEED = 0
 
 
 def _fmt(value: float) -> str:
@@ -92,8 +82,10 @@ class RunManifest:
     out: str | None = None
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ParseError(f"unknown mode {self.mode!r}; expected one of {MODES}")
+        if self.mode not in _HANDLERS:
+            raise ParseError(
+                f"unknown mode {self.mode!r}; expected one of {tuple(_HANDLERS)}"
+            )
         object.__setattr__(self, "policies", tuple(self.policies))
 
     def to_dict(self) -> dict:
@@ -133,18 +125,6 @@ def _read_policy_arg(value: str) -> list[dict]:
     )
 
 
-def _load_graph_file(path: str) -> dict:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ParseError(f"cannot read graph file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"graph file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ParseError(f"graph file {path} must hold a JSON object")
-    return raw
-
-
 def _policy_family_line(
     space: TruncatedStateSpace, policy: Policy
 ) -> tuple[str, dict | None]:
@@ -159,7 +139,7 @@ def _policy_family_line(
         return "unstructured", None
     names = {
         "full_match": "FullMatch",
-        "threshold_n": f"ThresholdN(t={'inf' if t == math.inf else t})",
+        "threshold_n": f"ThresholdN(t={threshold_json(t)})",
         "priority_extreme": "PriorityExtreme",
     }
     return names[family], report.to_record()
@@ -371,8 +351,7 @@ def _mode_verify_structure(graph, arrivals, costs, manifest, say, out):
     say(f"violations: {report.violation_count}")
     if report.inferred:
         for key, value in report.inferred.items():
-            shown = "inf" if value == math.inf else value
-            say(f"inferred {key}: {shown}")
+            say(f"inferred {key}: {threshold_json(value)}")
     for witness in report.witnesses[:5]:
         say(f"  witness: {json.dumps(witness, sort_keys=True)}")
     say("PASS" if report.passed else "FAIL")
@@ -524,8 +503,8 @@ def _paired_ordering(result, first_label: str, second_label: str) -> tuple[float
     raise KeyError(f"no pair for {first_label!r} vs {second_label!r}")
 
 
-def _recipe_n_threshold() -> RecipeResult:
-    pins = RECIPES["n-threshold"]
+def _recipe_n_threshold(name: str) -> RecipeResult:
+    pins = RECIPES[name]
     graph, arrivals, costs = load_graph(pins["graph"])
     cfg = pins["config"]
     space = TruncatedStateSpace(graph, cap=cfg["cap"], margin=cfg["margin"])
@@ -536,7 +515,7 @@ def _recipe_n_threshold() -> RecipeResult:
     inferred = report.inferred.get("t")
     passed = report.passed and inferred == t_star
     return RecipeResult(
-        "n-threshold",
+        name,
         passed,
         {
             "gain": gain,
@@ -548,8 +527,8 @@ def _recipe_n_threshold() -> RecipeResult:
     )
 
 
-def _recipe_complete_full() -> RecipeResult:
-    pins = RECIPES["complete-full"]
+def _recipe_complete_full(name: str) -> RecipeResult:
+    pins = RECIPES[name]
     graph, arrivals, costs = load_graph(pins["graph"])
     cfg = pins["config"]
     space = TruncatedStateSpace(graph, cap=cfg["cap"], margin=cfg["margin"])
@@ -557,7 +536,7 @@ def _recipe_complete_full() -> RecipeResult:
     report = verify_policy_shape(space, policy, "full_match")
     passed = report.passed and report.checked > 0
     return RecipeResult(
-        "complete-full",
+        name,
         passed,
         {
             "gain": gain,
@@ -598,29 +577,19 @@ def _ordering_recipe(name: str) -> RecipeResult:
     )
 
 
-def _recipe_w_counterexample() -> RecipeResult:
-    return _ordering_recipe("w-counterexample")
-
-
-def _recipe_nn_heuristic() -> RecipeResult:
-    return _ordering_recipe("nn-heuristic")
-
-
-_RECIPE_FUNCS: dict[str, Callable[[], RecipeResult]] = {
+_RECIPE_FUNCS: dict[str, Callable[[str], RecipeResult]] = {
     "n-threshold": _recipe_n_threshold,
     "complete-full": _recipe_complete_full,
-    "w-counterexample": _recipe_w_counterexample,
-    "nn-heuristic": _recipe_nn_heuristic,
+    "w-counterexample": _ordering_recipe,
+    "nn-heuristic": _ordering_recipe,
 }
 
 
 def reproduce(name: str) -> RecipeResult:
     """Run a bundled recipe and report whether its pinned assertion holds."""
-    if name not in _RECIPE_FUNCS:
-        raise ParseError(
-            f"unknown recipe {name!r}; available: {sorted(_RECIPE_FUNCS)}"
-        )
-    return _RECIPE_FUNCS[name]()
+    if name not in RECIPES:
+        raise ParseError(f"unknown recipe {name!r}; available: {sorted(RECIPES)}")
+    return _RECIPE_FUNCS[name](name)
 
 
 def _cmd_reproduce(name: str) -> int:
@@ -657,7 +626,8 @@ def build_parser() -> argparse.ArgumentParser:
     space_flags = argparse.ArgumentParser(add_help=False)
     space_flags.add_argument("--cap", type=int, required=True,
                              help="per-queue truncation bound")
-    space_flags.add_argument("--margin", type=int, default=DEFAULT_MARGIN,
+    space_flags.add_argument("--margin", type=int,
+                             default=TruncatedStateSpace.margin,
                              help="rim width excluded from structural verdicts")
 
     tol_flags = argparse.ArgumentParser(add_help=False)
@@ -674,11 +644,11 @@ def build_parser() -> argparse.ArgumentParser:
     sim_flags = argparse.ArgumentParser(add_help=False)
     sim_flags.add_argument("--steps", type=int, default=DEFAULT_STEPS,
                            help="simulation horizon in arrivals")
-    sim_flags.add_argument("--burn-in", type=int, default=DEFAULT_BURN_IN,
+    sim_flags.add_argument("--burn-in", type=int, default=SimConfig.burn_in,
                            help="steps discarded before averaging")
-    sim_flags.add_argument("--reps", type=int, default=DEFAULT_REPS,
+    sim_flags.add_argument("--reps", type=int, default=SimConfig.replications,
                            help="independent replications")
-    sim_flags.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    sim_flags.add_argument("--seed", type=int, default=SimConfig.seed,
                            help="base seed; replication r uses key (seed, r)")
 
     sub.add_parser("stability", parents=[graph_flags],
@@ -689,7 +659,7 @@ def build_parser() -> argparse.ArgumentParser:
     disc = sub.add_parser("solve-discounted",
                           parents=[graph_flags, space_flags, tol_flags],
                           help="discounted value iteration and policy extraction")
-    disc.add_argument("--theta", type=float, default=DEFAULT_THETA,
+    disc.add_argument("--theta", type=float, default=DPConfig.theta,
                       help="discount factor in [0, 1)")
 
     sub.add_parser("solve-average",
@@ -706,7 +676,7 @@ def build_parser() -> argparse.ArgumentParser:
                             parents=[graph_flags, space_flags, policy_flags],
                             help="check a policy against a structured family")
     verify.add_argument("--family", default=None,
-                        choices=["full_match", "threshold_n", "priority_extreme"],
+                        choices=list(SHAPE_FAMILIES),
                         help="family to verify (default: inferred from the graph)")
 
     rep = sub.add_parser("reproduce",
@@ -717,32 +687,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _manifest_from_args(args: argparse.Namespace) -> RunManifest:
-    graph_doc = _load_graph_file(args.graph)
+    """The run the parsed flags describe: the subcommand's own flags are its
+    config, with the tolerance and the default family resolved."""
+    graph_doc = read_graph_document(args.graph)
     policies: list[dict] = []
     for value in getattr(args, "policy", []):
         policies.extend(_read_policy_arg(value))
-    config: dict = {}
-    if args.mode == "solve-discounted":
-        config["theta"] = args.theta
-    if args.mode in ("solve-discounted", "solve-average"):
-        config["cap"] = args.cap
-        config["margin"] = args.margin
-        dp = DPConfig(tol=args.tol)
+    config = {
+        key: value
+        for key, value in vars(args).items()
+        if key not in ("mode", "graph", "out", "policy")
+    }
+    if "tol" in config:
         mode_name = "discounted" if args.mode == "solve-discounted" else "average"
-        config["tol"] = dp.resolved_tol(mode_name)
-    if args.mode in ("simulate", "compare"):
-        config["steps"] = args.steps
-        config["burn_in"] = args.burn_in
-        config["reps"] = args.reps
-        config["seed"] = args.seed
-    if args.mode == "verify-structure":
-        config["cap"] = args.cap
-        config["margin"] = args.margin
-        family = args.family
-        if family is None:
-            graph, _, _ = load_graph(graph_doc)
-            family = _default_family(graph)
-        config["family"] = family
+        config["tol"] = DPConfig(tol=args.tol).resolved_tol(mode_name)
+    if "family" in config and config["family"] is None:
+        graph, _, _ = load_graph(graph_doc)
+        config["family"] = _default_family(graph)
     return RunManifest(
         mode=args.mode,
         graph=graph_doc,

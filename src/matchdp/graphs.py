@@ -174,6 +174,8 @@ class ArrivalDistribution:
         for name, vec in (("alpha", alpha), ("beta", beta)):
             if vec.ndim != 1 or vec.size == 0:
                 raise ValueError(f"{name} must be a nonempty vector")
+            if not np.all(np.isfinite(vec)):
+                raise ValueError(f"{name} entries must be finite")
             if np.any(vec <= 0.0):
                 raise ValueError(f"{name} entries must be strictly positive")
             if abs(float(vec.sum()) - 1.0) > PROB_TOL:
@@ -201,6 +203,8 @@ class CostVector:
         for name, vec in (("demand", demand), ("supply", supply)):
             if vec.ndim != 1 or vec.size == 0:
                 raise ValueError(f"{name} costs must be a nonempty vector")
+            if not np.all(np.isfinite(vec)):
+                raise ValueError(f"{name} costs must be finite")
             if np.any(vec < 0.0):
                 raise ValueError(f"{name} costs must be nonnegative")
         object.__setattr__(self, "demand", demand)
@@ -562,6 +566,23 @@ def check_projected_cost(
 # ---- file format ----
 
 
+def read_graph_document(path: str | Path) -> dict:
+    """Read a graph file into its JSON object, unvalidated.
+
+    Raises :class:`ParseError` when the file cannot be read, is not JSON,
+    or holds something other than an object.
+    """
+    try:
+        raw = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ParseError(f"cannot read graph file {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"graph file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ParseError(f"graph file {path} must hold a JSON object")
+    return raw
+
+
 def load_graph(source) -> tuple[MatchingGraph, ArrivalDistribution, CostVector]:
     """Load a graph description from a JSON file path or an already parsed dict.
 
@@ -574,18 +595,11 @@ def load_graph(source) -> tuple[MatchingGraph, ArrivalDistribution, CostVector]:
     offending field on any structural problem.
     """
     if isinstance(source, (str, Path)):
-        try:
-            raw = json.loads(Path(source).read_text())
-        except OSError as exc:
-            raise ParseError(f"cannot read graph file {source}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"graph file {source} is not valid JSON: {exc}") from exc
+        raw = read_graph_document(source)
     elif isinstance(source, dict):
         raw = source
     else:
         raise ParseError(f"unsupported graph source type {type(source).__name__}")
-    if not isinstance(raw, dict):
-        raise ParseError("graph document must be a JSON object")
     for field_name in ("demand", "supply", "edges", "alpha", "beta", "costs"):
         if field_name not in raw:
             raise ParseError(f"graph document missing field {field_name!r}")

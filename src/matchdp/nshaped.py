@@ -47,6 +47,8 @@ class NModelParams:
         costs = tuple(float(c) for c in self.costs)
         if len(costs) != 4:
             raise ValueError("costs must be the four rates (d1, d2, s1, s2)")
+        if not all(math.isfinite(c) for c in costs):
+            raise ValueError("costs must be finite")
         if any(c < 0 for c in costs):
             raise ValueError("costs must be nonnegative")
         if costs[0] + costs[3] <= 0:

@@ -46,8 +46,9 @@ def _check_threshold(name: str, value) -> float:
     return int(value)
 
 
-def _fmt_threshold(value: float) -> str:
-    return "inf" if value == math.inf else str(int(value))
+def threshold_json(value):
+    """A threshold as written in specs and reports: itself, or "inf"."""
+    return "inf" if value == math.inf else value
 
 
 def _surplus_after(value: int, threshold: float) -> int:
@@ -149,7 +150,7 @@ class ThresholdN(Policy):
         super().__init__(graph)
         self.layout = n_layout(graph)
         self.t = _check_threshold("t", t)
-        self.label = f"ThresholdN(t={_fmt_threshold(self.t)})"
+        self.label = f"ThresholdN(t={threshold_json(self.t)})"
         pos = graph.edge_position
         lay = self.layout
         self._e11 = pos[(lay.d1, lay.s1_local)]
@@ -167,7 +168,7 @@ class ThresholdN(Policy):
         return u
 
     def spec_dict(self) -> dict:
-        return {"type": "threshold_n", "t": "inf" if self.t == math.inf else self.t}
+        return {"type": "threshold_n", "t": threshold_json(self.t)}
 
 
 class ThresholdCMO(Policy):
@@ -181,7 +182,7 @@ class ThresholdCMO(Policy):
         super().__init__(graph)
         self.projection = NProjection.from_graph(graph)
         self.t = _check_threshold("t", t)
-        self.label = f"ThresholdCMO(t={_fmt_threshold(self.t)})"
+        self.label = f"ThresholdCMO(t={threshold_json(self.t)})"
         i_star, j_star = self.projection.missing
         pos = graph.edge_position
         self._grp_priority_d = [
@@ -225,7 +226,7 @@ class ThresholdCMO(Policy):
         return u
 
     def spec_dict(self) -> dict:
-        return {"type": "threshold_cmo", "t": "inf" if self.t == math.inf else self.t}
+        return {"type": "threshold_cmo", "t": threshold_json(self.t)}
 
 
 class ThresholdW(Policy):
@@ -243,8 +244,8 @@ class ThresholdW(Policy):
         self.t21 = _check_threshold("t21", t21)
         self.t22 = _check_threshold("t22", t22)
         self.label = (
-            f"ThresholdW(t21={_fmt_threshold(self.t21)}, "
-            f"t22={_fmt_threshold(self.t22)})"
+            f"ThresholdW(t21={threshold_json(self.t21)}, "
+            f"t22={threshold_json(self.t22)})"
         )
         lay = self.layout
         pos = graph.edge_position
@@ -273,8 +274,8 @@ class ThresholdW(Policy):
     def spec_dict(self) -> dict:
         return {
             "type": "threshold_w",
-            "t21": "inf" if self.t21 == math.inf else self.t21,
-            "t22": "inf" if self.t22 == math.inf else self.t22,
+            "t21": threshold_json(self.t21),
+            "t22": threshold_json(self.t22),
         }
 
 
@@ -294,8 +295,8 @@ class ThresholdWWorkload(Policy):
         self.t21 = _check_threshold("t21", t21)
         self.t32 = _check_threshold("t32", t32)
         self.label = (
-            f"ThresholdWWorkload(t21={_fmt_threshold(self.t21)}, "
-            f"t32={_fmt_threshold(self.t32)})"
+            f"ThresholdWWorkload(t21={threshold_json(self.t21)}, "
+            f"t32={threshold_json(self.t32)})"
         )
         lay = self.layout
         pos = graph.edge_position
@@ -325,8 +326,8 @@ class ThresholdWWorkload(Policy):
     def spec_dict(self) -> dict:
         return {
             "type": "threshold_w_workload",
-            "t21": "inf" if self.t21 == math.inf else self.t21,
-            "t32": "inf" if self.t32 == math.inf else self.t32,
+            "t21": threshold_json(self.t21),
+            "t32": threshold_json(self.t32),
         }
 
 
@@ -507,7 +508,7 @@ class AcyclicHeuristic(Policy):
         }
         self.layers = self._layer_edges(graph, info.extreme_edges)
         shown = ", ".join(
-            f"{n}:{_fmt_threshold(v)}" for n, v in sorted(self.thresholds.items())
+            f"{n}:{threshold_json(v)}" for n, v in sorted(self.thresholds.items())
         )
         self.label = f"AcyclicHeuristic({shown})"
 
@@ -564,8 +565,7 @@ class AcyclicHeuristic(Policy):
         return {
             "type": "acyclic_heuristic",
             "thresholds": {
-                n: ("inf" if v == math.inf else v)
-                for n, v in sorted(self.thresholds.items())
+                n: threshold_json(v) for n, v in sorted(self.thresholds.items())
             },
         }
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import WrongGraphClass
 from .graphs import COMPLETE, MatchingGraph, N_SHAPED, W_SHAPED, classify
-from .policies import Policy, read_decisions
+from .policies import Policy, read_decisions, threshold_json
 from .solver import TruncatedStateSpace, ValueFunction
 from .states import arrival_vector, n_layout, w_layout
 
@@ -94,10 +94,7 @@ class ShapeReport:
     checked: int
 
     def to_record(self) -> dict:
-        inferred = {
-            key: ("inf" if val == math.inf else val)
-            for key, val in self.inferred.items()
-        }
+        inferred = {key: threshold_json(val) for key, val in self.inferred.items()}
         return {
             "kind": "policy_shape",
             "family": self.family,
@@ -615,6 +612,13 @@ def _verify_priority_extreme(
     return _shape_report("priority_extreme", xs, checks)
 
 
+SHAPE_FAMILIES = {
+    "full_match": _verify_full_match,
+    "threshold_n": _verify_threshold_n,
+    "priority_extreme": _verify_priority_extreme,
+}
+
+
 def verify_policy_shape(
     space: TruncatedStateSpace, policy: Policy, family: str
 ) -> ShapeReport:
@@ -630,13 +634,9 @@ def verify_policy_shape(
     post-arrival state of the space, ``space.interior_post_arrivals``, and
     a row whose decision is inadmissible fails every family.
     """
-    if family == "full_match":
-        return _verify_full_match(space, policy)
-    if family == "threshold_n":
-        return _verify_threshold_n(space, policy)
-    if family == "priority_extreme":
-        return _verify_priority_extreme(space, policy)
-    raise ValueError(
-        f"unknown policy family {family!r}; expected one of 'full_match', "
-        f"'threshold_n', 'priority_extreme'"
-    )
+    if family not in SHAPE_FAMILIES:
+        raise ValueError(
+            f"unknown policy family {family!r}; expected one of "
+            + ", ".join(repr(name) for name in SHAPE_FAMILIES)
+        )
+    return SHAPE_FAMILIES[family](space, policy)

@@ -168,6 +168,17 @@ def dense_backup(
     return _dense_sweep(graph, arrivals, costs, cap, v, theta, choose)
 
 
+@functools.lru_cache(maxsize=None)
+def _policy_successor(
+    graph: MatchingGraph,
+    cap: int,
+    decide: Callable[[Sequence[int]], Sequence[int]],
+    x: tuple[int, ...],
+) -> tuple[int, ...] | None:
+    """Clipped successor of x under ``decide``, None when it is no state."""
+    return _clipped_successor(graph, cap, x, decide(list(x)))
+
+
 def dense_policy_backup(
     graph: MatchingGraph,
     arrivals: ArrivalDistribution,
@@ -178,11 +189,13 @@ def dense_policy_backup(
     decide: Callable[[Sequence[int]], Sequence[int]],
 ) -> DenseTable:
     """One fixed-policy sweep; ``decide`` maps a post-arrival vector to
-    per-edge counts and must keep the clipped successor balanced."""
+    per-edge counts and must keep the clipped successor balanced.  The
+    successor of each x is resolved once per (graph, cap, decide, x) and
+    reused by later sweeps, so ``decide`` must be deterministic."""
     probs = [float(p) for p in arrivals.atom_probs()]
 
     def choose(x: list[int], table: DenseTable) -> float:
-        key = _clipped_successor(graph, cap, x, decide(x))
+        key = _policy_successor(graph, cap, decide, tuple(x))
         assert key is not None, f"policy leaves the balanced set from {x}"
         return _next_value(graph, probs, key, table)
 

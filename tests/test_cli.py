@@ -80,6 +80,36 @@ class TestManifestEcho:
         doc = manifest_of(capsys)
         assert doc["config"] == {"cap": 6, "margin": 2, "tol": 1e-8}
 
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["stability"], {}),
+            (["classify"], {}),
+            (["threshold"], {}),
+            (["solve-discounted", "--cap", "5"],
+             {"cap": 5, "margin": 2, "theta": 0.95, "tol": 1e-9}),
+            (["solve-average", "--cap", "5", "--margin", "3", "--tol", "1e-6"],
+             {"cap": 5, "margin": 3, "tol": 1e-6}),
+            (["simulate", "--policy", '{"type": "threshold_n", "t": 1}',
+              "--steps", "50"],
+             {"steps": 50, "burn_in": 0, "reps": 1, "seed": 0}),
+            (["compare", "--policy", '{"type": "threshold_n", "t": 0}',
+              "--policy", '{"type": "threshold_n", "t": "inf"}',
+              "--steps", "60", "--burn-in", "5", "--reps", "2", "--seed", "3"],
+             {"steps": 60, "burn_in": 5, "reps": 2, "seed": 3}),
+            (["verify-structure", "--policy", '{"type": "threshold_n", "t": 1}',
+              "--cap", "5"],
+             {"cap": 5, "margin": 2, "family": "threshold_n"}),
+        ],
+        ids=lambda value: value[0] if isinstance(value, list) else "",
+    )
+    def test_echoed_config_is_the_parsed_flags(self, graph_file, capsys, argv,
+                                               config):
+        assert main([argv[0], "--graph", graph_file(N_DOC), *argv[1:]]) == 0
+        doc = manifest_of(capsys)
+        assert doc["mode"] == argv[0]
+        assert doc["config"] == config
+
     def test_rerun_from_echoed_manifest_is_identical(self, graph_file, capsys):
         path = graph_file(N_DOC)
         argv = ["simulate", "--graph", path, "--policy",
@@ -246,6 +276,19 @@ class TestInputErrors:
         with pytest.raises(ParseError, match="unknown mode"):
             RunManifest(mode="warp", graph=N_DOC)
 
+    def test_non_finite_rates_exit_2(self, graph_file, capsys):
+        path = graph_file(dict(N_DOC, alpha=[math.nan, math.nan]))
+        assert main(["stability", "--graph", path]) == 2
+        captured = capsys.readouterr()
+        assert "stable" not in captured.out
+        assert "alpha entries must be finite" in captured.err
+
+    def test_non_finite_cost_exits_2(self, graph_file, capsys):
+        costs = dict(N_DOC["costs"], s1=math.nan)
+        path = graph_file(dict(N_DOC, costs=costs))
+        assert main(["solve-average", "--graph", path, "--cap", "4"]) == 2
+        assert "costs must be finite" in capsys.readouterr().err
+
 
 class TestReproduce:
     # Every line after the manifest is pinned, so a solver change that moves
@@ -275,11 +318,20 @@ class TestReproduce:
             "PASS",
         ]
 
-    def test_nn_heuristic_recipe_passes(self):
-        result = reproduce("nn-heuristic")
-        assert result.passed
-        assert result.details["difference in SE units"] >= 3.0
-        assert result.details["paired difference"] < 0
+    def test_nn_heuristic_recipe_passes(self, capsys):
+        assert main(["reproduce", "nn-heuristic"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[1:] == [
+            "assertion: layered extreme-edge heuristic beats max-weight at >= 3 SE",
+            "mean cost AcyclicHeuristic(s3:1): 13.00753333",
+            "mean cost MaxWeight: 14.34675333",
+            "paired difference: -1.33922",
+            "paired difference se: 0.08357472329",
+            "difference in SE units: 16.02422296",
+            "steps: 30000",
+            "replications: 6",
+            "PASS",
+        ]
 
     def test_unknown_recipe_name(self):
         with pytest.raises(ParseError, match="unknown recipe"):

@@ -26,6 +26,7 @@ from matchdp.graphs import (
     project_arrival,
     project_state,
     projected_arrival_law,
+    read_graph_document,
 )
 
 from conftest import (
@@ -80,6 +81,22 @@ def test_arrival_distribution_tolerance():
         ArrivalDistribution(alpha=[0.6, 0.4 + 5e-12], beta=[0.5, 0.5])
     with pytest.raises(ValueError, match="strictly positive"):
         ArrivalDistribution(alpha=[1.0, 0.0], beta=[0.5, 0.5])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_arrival_distribution_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="alpha entries must be finite"):
+        ArrivalDistribution(alpha=[bad, bad], beta=[0.5, 0.5])
+    with pytest.raises(ValueError, match="beta entries must be finite"):
+        ArrivalDistribution(alpha=[0.5, 0.5], beta=[0.5, bad])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_cost_vector_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="demand costs must be finite"):
+        CostVector(demand=[1.0, bad], supply=[1.0, 1.0])
+    with pytest.raises(ValueError, match="supply costs must be finite"):
+        CostVector(demand=[1.0, 1.0], supply=[bad, 1.0])
 
 
 def test_cost_vector_validation(n_graph):
@@ -380,6 +397,39 @@ def test_load_graph_rejects_malformed(mutation, needle):
     mutation(doc)
     with pytest.raises(ParseError, match=needle):
         load_graph(doc)
+
+
+@pytest.mark.parametrize(
+    "mutation, needle",
+    [
+        (lambda d: d.update(alpha=[float("nan"), float("nan")]), "alpha"),
+        (lambda d: d.update(beta=[0.5, float("nan")]), "beta"),
+        (lambda d: d.update(costs={**d["costs"], "s2": float("nan")}), "costs"),
+        (lambda d: d.update(costs={**d["costs"], "d1": float("inf")}), "costs"),
+    ],
+)
+def test_load_graph_rejects_non_finite_numbers(tmp_path, mutation, needle):
+    import json
+
+    doc = _valid_doc()
+    mutation(doc)
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))  # Python's json writes and reads NaN
+    with pytest.raises(ParseError, match=f"{needle}.*finite"):
+        load_graph(str(path))
+
+
+def test_read_graph_document_returns_the_object_unvalidated(tmp_path):
+    import json
+
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps({"demand": ["d1"]}))
+    assert read_graph_document(path) == {"demand": ["d1"]}
+    path.write_text("[1, 2]")
+    with pytest.raises(ParseError, match="must hold a JSON object"):
+        read_graph_document(path)
+    with pytest.raises(ParseError, match="must hold a JSON object"):
+        load_graph(str(path))
 
 
 def test_load_graph_rejects_bad_json(tmp_path):

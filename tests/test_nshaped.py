@@ -51,6 +51,14 @@ def series_average_cost(params: NModelParams, t: int) -> float:
     return total
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_params_reject_non_finite_costs(bad):
+    with pytest.raises(ValueError, match="finite"):
+        NModelParams(alpha=0.6, beta=0.4, costs=(bad, 1.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match="finite"):
+        NModelParams(alpha=0.6, beta=0.4, costs=(1.0, 1.0, 1.0, bad))
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         NModelParams(alpha=0.0, beta=0.4, costs=(1, 1, 1, 1))
