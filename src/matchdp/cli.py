@@ -343,9 +343,11 @@ def _mode_verify_structure(graph, arrivals, costs, manifest, say, out):
             f" got {len(manifest.policies)}"
         )
     cfg = manifest.config
+    # Null when the graph has no default family; this raises it after the echo.
+    family = cfg["family"] or _default_family(graph)
     policy = policy_from_spec(graph, manifest.policies[0], costs)
     space = TruncatedStateSpace(graph, cap=cfg["cap"], margin=cfg["margin"])
-    report = verify_policy_shape(space, policy, cfg["family"])
+    report = verify_policy_shape(space, policy, family)
     say(f"family: {report.family}")
     say(f"states checked: {report.checked}")
     say(f"violations: {report.violation_count}")
@@ -688,7 +690,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _manifest_from_args(args: argparse.Namespace) -> RunManifest:
     """The run the parsed flags describe: the subcommand's own flags are its
-    config, with the tolerance and the default family resolved."""
+    config, with the tolerance and the default family resolved.  A graph
+    with no default family leaves it null, and the run raises after it has
+    echoed its manifest, as every other domain error does."""
     graph_doc = read_graph_document(args.graph)
     policies: list[dict] = []
     for value in getattr(args, "policy", []):
@@ -703,7 +707,10 @@ def _manifest_from_args(args: argparse.Namespace) -> RunManifest:
         config["tol"] = DPConfig(tol=args.tol).resolved_tol(mode_name)
     if "family" in config and config["family"] is None:
         graph, _, _ = load_graph(graph_doc)
-        config["family"] = _default_family(graph)
+        try:
+            config["family"] = _default_family(graph)
+        except WrongGraphClass:
+            pass
     return RunManifest(
         mode=args.mode,
         graph=graph_doc,

@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import Inadmissible, MissingDecision, ParseError, WrongGraphClass
 from .graphs import (
-    ACYCLIC,
     COMPLETE,
     CostVector,
     MatchingGraph,
@@ -26,7 +25,7 @@ from .graphs import (
     classify,
 )
 from .states import (
-    ACTION_BUDGET,
+    WLayout,
     admissible_matchings,
     as_state,
     is_admissible,
@@ -72,12 +71,29 @@ def _take(
 
 
 class Policy:
-    """Base class; subclasses set ``label`` and implement :meth:`decide`."""
+    """Base class; subclasses implement :meth:`decide` and declare three
+    class attributes once: ``kind``, the ``type`` of their JSON spec;
+    ``label``, their display name; and ``thresholds``, the names of their
+    threshold parameters in constructor order.
 
+    The constructor validates each threshold value, stores it under its
+    name and appends ``(name=value, ...)`` to the label; the default
+    :meth:`spec_dict` writes the kind and the thresholds.
+    """
+
+    kind: str = ""
     label: str = "Policy"
+    thresholds: tuple[str, ...] = ()
 
-    def __init__(self, graph: MatchingGraph):
+    def __init__(self, graph: MatchingGraph, *values):
         self.graph = graph
+        for name, value in zip(self.thresholds, values, strict=True):
+            setattr(self, name, _check_threshold(name, value))
+        if self.thresholds:
+            shown = ", ".join(
+                f"{name}={threshold_json(getattr(self, name))}" for name in self.thresholds
+            )
+            self.label = f"{self.label}({shown})"
 
     def decide(self, x: Sequence[int]) -> np.ndarray:
         """Per-edge match counts for the post-arrival vector x.
@@ -92,7 +108,10 @@ class Policy:
         raise NotImplementedError
 
     def spec_dict(self) -> dict:
-        raise NotImplementedError
+        return {
+            "type": self.kind,
+            **{name: threshold_json(getattr(self, name)) for name in self.thresholds},
+        }
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.label}>"
@@ -120,13 +139,15 @@ class FullMatch(Policy):
     on a complete graph this always empties the shorter side.
     """
 
+    kind = "full_match"
+    label = "FullMatch"
+
     def __init__(self, graph: MatchingGraph):
         if classify(graph).tag != COMPLETE:
             raise WrongGraphClass(
                 f"FullMatch needs a complete graph, got {classify(graph).tag}"
             )
         super().__init__(graph)
-        self.label = "FullMatch"
 
     def decide(self, x: Sequence[int]) -> np.ndarray:
         rem = as_state(self.graph, x).copy()
@@ -135,98 +156,88 @@ class FullMatch(Policy):
             _take(self.graph, u, rem, e)
         return u
 
-    def spec_dict(self) -> dict:
-        return {"type": "full_match"}
-
-
-class ThresholdN(Policy):
-    """Priority-plus-threshold rule on the N-shaped graph.
-
-    Matches both priority edges fully, then matches the flexible pair
-    (d1, s2) only with the d1 surplus exceeding the threshold t.
-    """
-
-    def __init__(self, graph: MatchingGraph, t):
-        super().__init__(graph)
-        self.layout = n_layout(graph)
-        self.t = _check_threshold("t", t)
-        self.label = f"ThresholdN(t={threshold_json(self.t)})"
-        pos = graph.edge_position
-        lay = self.layout
-        self._e11 = pos[(lay.d1, lay.s1_local)]
-        self._e12 = pos[(lay.d1, lay.s2_local)]
-        self._e22 = pos[(lay.d2, lay.s2_local)]
-
-    def decide(self, x: Sequence[int]) -> np.ndarray:
-        vec = as_state(self.graph, x)
-        d1, d2, s1, s2 = self.layout.pack(vec)
-        u = np.zeros(len(self.graph.edges), dtype=np.int64)
-        u[self._e11] = min(d1, s1)
-        u[self._e22] = min(d2, s2)
-        k = _surplus_after(d1 - s1, self.t)
-        u[self._e12] = min(k, d1 - u[self._e11], s2 - u[self._e22])
-        return u
-
-    def spec_dict(self) -> dict:
-        return {"type": "threshold_n", "t": threshold_json(self.t)}
-
 
 class ThresholdCMO(Policy):
     """Threshold rule on a complete-minus-one graph via its N projection.
 
-    Group totals mirror the N rule applied to the projected state; within a
-    group, totals are allocated greedily over edges in file order.
+    With (i*, j*) the missing edge, the demand classes other than i* form
+    the flexible group and the supply classes other than j* the other.
+    Group totals are the N rule on the projected state: both priority
+    totals saturate, and the cross total matches only the demand-group
+    surplus over x_{j*} beyond the threshold t.  Within a group, totals
+    are allocated greedily over edges in file order.
     """
 
+    kind = "threshold_cmo"
+    label = "ThresholdCMO"
+    thresholds = ("t",)
+
     def __init__(self, graph: MatchingGraph, t):
-        super().__init__(graph)
-        self.projection = NProjection.from_graph(graph)
-        self.t = _check_threshold("t", t)
-        self.label = f"ThresholdCMO(t={threshold_json(self.t)})"
-        i_star, j_star = self.projection.missing
-        pos = graph.edge_position
-        self._grp_priority_d = [
-            pos[(i, j_star)] for i in self.projection.demand_group
-        ]
-        self._grp_priority_s = [
-            pos[(i_star, j)] for j in self.projection.supply_group
-        ]
-        self._grp_cross = [
-            pos[(i, j)]
-            for i in self.projection.demand_group
-            for j in self.projection.supply_group
-        ]
-        # Within-group allocation follows file order, not projection order.
-        for group in (self._grp_priority_d, self._grp_priority_s, self._grp_cross):
-            group.sort()
+        proj = NProjection.from_graph(graph)
+        super().__init__(graph, t)
+        i_star, j_star = proj.missing
+        nd = graph.n_d
+        self._d_star, self._s_star = i_star, nd + j_star
+        self._demand = proj.demand_group
+        self._supply = tuple(nd + j for j in proj.supply_group)
+
+        def group(pairs) -> tuple[tuple[int, int, int], ...]:
+            """(edge, demand position, supply position), in file order."""
+            return tuple(sorted((graph.edge_position[(i, j)], i, nd + j) for i, j in pairs))
+
+        self._groups = (
+            group((i, j_star) for i in proj.demand_group),
+            group((i_star, j) for j in proj.supply_group),
+            group((i, j) for i in proj.demand_group for j in proj.supply_group),
+        )
 
     def decide(self, x: Sequence[int]) -> np.ndarray:
-        graph = self.graph
-        vec = as_state(graph, x)
-        i_star, j_star = self.projection.missing
-        sum_d = int(vec[list(self.projection.demand_group)].sum())
-        sum_s = int(
-            vec[[graph.n_d + j for j in self.projection.supply_group]].sum()
+        rem = as_state(self.graph, x).tolist()
+        sum_d = sum(rem[i] for i in self._demand)
+        sum_s = sum(rem[s] for s in self._supply)
+        total_11 = min(sum_d, rem[self._s_star])
+        total_22 = min(rem[self._d_star], sum_s)
+        k = min(
+            _surplus_after(sum_d - rem[self._s_star], self.t),
+            sum_d - total_11,
+            sum_s - total_22,
         )
-        x_dstar = int(vec[i_star])
-        x_sstar = int(vec[graph.n_d + j_star])
+        u = [0] * len(self.graph.edges)
+        for left, group in zip((total_11, total_22, k), self._groups):
+            for e, i, s in group:
+                take = min(left, rem[i], rem[s])
+                u[e] = take
+                rem[i] -= take
+                rem[s] -= take
+                left -= take
+        return np.array(u, dtype=np.int64)
 
-        total_11 = min(sum_d, x_sstar)
-        total_22 = min(x_dstar, sum_s)
-        k = _surplus_after(sum_d - x_sstar, self.t)
-        k = min(k, sum_d - total_11, sum_s - total_22)
 
-        rem = vec.copy()
-        u = np.zeros(len(graph.edges), dtype=np.int64)
-        for left, group in ((total_11, self._grp_priority_d),
-                            (total_22, self._grp_priority_s),
-                            (k, self._grp_cross)):
-            for e in group:
-                left -= _take(graph, u, rem, e, left)
-        return u
+class ThresholdN(ThresholdCMO):
+    """Priority-plus-threshold rule on the N-shaped graph.
 
-    def spec_dict(self) -> dict:
-        return {"type": "threshold_cmo", "t": threshold_json(self.t)}
+    Matches both priority edges fully, then matches the flexible pair
+    (d1, s2) only with the d1 surplus exceeding the threshold t.  This is
+    the complete-minus-one rule on its smallest graph, where every group
+    holds one edge.
+    """
+
+    kind = "threshold_n"
+    label = "ThresholdN"
+
+    def __init__(self, graph: MatchingGraph, t):
+        n_layout(graph)  # raises WrongGraphClass unless the graph is N-shaped
+        super().__init__(graph, t)
+
+
+def _w_edges(graph: MatchingGraph) -> tuple[WLayout, tuple[int, int, int, int]]:
+    """The W layout and the positions of edges (1,1), (2,1), (2,2), (3,2)."""
+    lay = w_layout(graph)
+    pos = graph.edge_position
+    return lay, (
+        pos[(lay.d1, lay.s1_local)], pos[(lay.d2, lay.s1_local)],
+        pos[(lay.d2, lay.s2_local)], pos[(lay.d3, lay.s2_local)],
+    )
 
 
 class ThresholdW(Policy):
@@ -238,21 +249,13 @@ class ThresholdW(Policy):
     holds on balanced vectors.
     """
 
+    kind = "threshold_w"
+    label = "ThresholdW"
+    thresholds = ("t21", "t22")
+
     def __init__(self, graph: MatchingGraph, t21, t22):
-        super().__init__(graph)
-        self.layout = w_layout(graph)
-        self.t21 = _check_threshold("t21", t21)
-        self.t22 = _check_threshold("t22", t22)
-        self.label = (
-            f"ThresholdW(t21={threshold_json(self.t21)}, "
-            f"t22={threshold_json(self.t22)})"
-        )
-        lay = self.layout
-        pos = graph.edge_position
-        self._e11 = pos[(lay.d1, lay.s1_local)]
-        self._e21 = pos[(lay.d2, lay.s1_local)]
-        self._e22 = pos[(lay.d2, lay.s2_local)]
-        self._e32 = pos[(lay.d3, lay.s2_local)]
+        self.layout, (self._e11, self._e21, self._e22, self._e32) = _w_edges(graph)
+        super().__init__(graph, t21, t22)
 
     def decide(self, x: Sequence[int]) -> np.ndarray:
         vec = as_state(self.graph, x)
@@ -271,13 +274,6 @@ class ThresholdW(Policy):
         u[self._e22] = j
         return u
 
-    def spec_dict(self) -> dict:
-        return {
-            "type": "threshold_w",
-            "t21": threshold_json(self.t21),
-            "t22": threshold_json(self.t22),
-        }
-
 
 class ThresholdWWorkload(Policy):
     """W-graph rule thresholding the middle workload instead of each surplus.
@@ -289,21 +285,13 @@ class ThresholdWWorkload(Policy):
     bursts at a low holding cost.
     """
 
+    kind = "threshold_w_workload"
+    label = "ThresholdWWorkload"
+    thresholds = ("t21", "t32")
+
     def __init__(self, graph: MatchingGraph, t21, t32):
-        super().__init__(graph)
-        self.layout = w_layout(graph)
-        self.t21 = _check_threshold("t21", t21)
-        self.t32 = _check_threshold("t32", t32)
-        self.label = (
-            f"ThresholdWWorkload(t21={threshold_json(self.t21)}, "
-            f"t32={threshold_json(self.t32)})"
-        )
-        lay = self.layout
-        pos = graph.edge_position
-        self._e11 = pos[(lay.d1, lay.s1_local)]
-        self._e21 = pos[(lay.d2, lay.s1_local)]
-        self._e22 = pos[(lay.d2, lay.s2_local)]
-        self._e32 = pos[(lay.d3, lay.s2_local)]
+        self.layout, (self._e11, self._e21, self._e22, self._e32) = _w_edges(graph)
+        super().__init__(graph, t21, t32)
 
     def decide(self, x: Sequence[int]) -> np.ndarray:
         vec = as_state(self.graph, x)
@@ -323,13 +311,6 @@ class ThresholdWWorkload(Policy):
         u[self._e32] = u32
         return u
 
-    def spec_dict(self) -> dict:
-        return {
-            "type": "threshold_w_workload",
-            "t21": threshold_json(self.t21),
-            "t32": threshold_json(self.t32),
-        }
-
 
 class PriorityExtreme(Policy):
     """Saturate extreme edges first, then optionally apply an inner rule.
@@ -340,6 +321,9 @@ class PriorityExtreme(Policy):
     which makes the shared totals independent of the order.  The optional
     inner policy sees the residual vector; its decision is validated.
     """
+
+    kind = "priority_extreme"
+    label = "PriorityExtreme"
 
     def __init__(
         self,
@@ -383,7 +367,8 @@ class PriorityExtreme(Policy):
             key=lambda e: (-extreme_cost(e), graph.edge_position[e]),
         )
         self._extreme_positions = [graph.edge_position[e] for e in order]
-        self.label = "PriorityExtreme" + (f"[{inner.label}]" if inner else "")
+        if inner is not None:
+            self.label = f"{self.label}[{inner.label}]"
 
     def decide(self, x: Sequence[int]) -> np.ndarray:
         graph = self.graph
@@ -403,7 +388,7 @@ class PriorityExtreme(Policy):
 
     def spec_dict(self) -> dict:
         return {
-            "type": "priority_extreme",
+            "type": self.kind,
             "inner": self.inner.spec_dict() if self.inner else None,
         }
 
@@ -417,11 +402,12 @@ class MaxWeight(Policy):
     smallest one.
     """
 
-    def __init__(self, graph: MatchingGraph, costs: CostVector, budget: int = ACTION_BUDGET):
+    kind = "max_weight"
+    label = "MaxWeight"
+
+    def __init__(self, graph: MatchingGraph, costs: CostVector):
         super().__init__(graph)
         self.costs = costs
-        self.budget = budget
-        self.label = "MaxWeight"
 
     def decide(self, x: Sequence[int]) -> np.ndarray:
         vec = as_state(self.graph, x)
@@ -432,18 +418,8 @@ class MaxWeight(Policy):
                 for i, j in self.graph.edge_index
             ]
         )
-        best_u: np.ndarray | None = None
-        best_score = -math.inf
-        for u in admissible_matchings(self.graph, vec, budget=self.budget):
-            score = float(weights @ u)
-            if score > best_score:
-                best_score = score
-                best_u = u
-        assert best_u is not None
-        return best_u
-
-    def spec_dict(self) -> dict:
-        return {"type": "max_weight"}
+        # max keeps the first of equal scores.
+        return max(admissible_matchings(self.graph, vec), key=lambda u: float(weights @ u))
 
 
 class MatchLongest(Policy):
@@ -455,9 +431,8 @@ class MatchLongest(Policy):
     queue ideal; outputs label it accordingly.
     """
 
-    def __init__(self, graph: MatchingGraph):
-        super().__init__(graph)
-        self.label = "ML (approximation)"
+    kind = "match_longest"
+    label = "ML (approximation)"
 
     def decide(self, x: Sequence[int]) -> np.ndarray:
         graph = self.graph
@@ -476,9 +451,6 @@ class MatchLongest(Policy):
                 return u
             _take(graph, u, rem, best_e, 1)
 
-    def spec_dict(self) -> dict:
-        return {"type": "match_longest"}
-
 
 class AcyclicHeuristic(Policy):
     """Layered threshold rule for tree-structured graphs.
@@ -489,12 +461,13 @@ class AcyclicHeuristic(Policy):
     processed in increasing order, file order within a layer.
     """
 
+    kind = "acyclic_heuristic"
+    label = "AcyclicHeuristic"
+
     def __init__(self, graph: MatchingGraph, thresholds: Mapping[str, float] | None = None):
         super().__init__(graph)
         if len(graph.edges) != graph.n_nodes - 1:
-            raise WrongGraphClass(
-                "the layered heuristic needs a tree-structured graph"
-            )
+            raise WrongGraphClass("the layered heuristic needs a tree-structured graph")
         info = classify(graph)
         if not info.extreme_edges:
             raise WrongGraphClass("graph has no extreme edges to seed layers")
@@ -502,15 +475,15 @@ class AcyclicHeuristic(Policy):
         unknown = [n for n in thresholds if n not in graph.node_labels]
         if unknown:
             raise ValueError(f"thresholds for unknown nodes: {unknown}")
-        self.thresholds = {
+        self.node_thresholds = {
             name: _check_threshold(f"threshold[{name}]", val)
             for name, val in thresholds.items()
         }
         self.layers = self._layer_edges(graph, info.extreme_edges)
         shown = ", ".join(
-            f"{n}:{threshold_json(v)}" for n, v in sorted(self.thresholds.items())
+            f"{n}:{threshold_json(v)}" for n, v in sorted(self.node_thresholds.items())
         )
-        self.label = f"AcyclicHeuristic({shown})"
+        self.label = f"{self.label}({shown})"
 
     @staticmethod
     def _layer_edges(
@@ -543,7 +516,7 @@ class AcyclicHeuristic(Policy):
             name = self.graph.demand_nodes[idx]
         else:
             name = self.graph.supply_nodes[idx]
-        return self.thresholds.get(name, 0)
+        return self.node_thresholds.get(name, 0)
 
     def decide(self, x: Sequence[int]) -> np.ndarray:
         graph = self.graph
@@ -563,9 +536,9 @@ class AcyclicHeuristic(Policy):
 
     def spec_dict(self) -> dict:
         return {
-            "type": "acyclic_heuristic",
+            "type": self.kind,
             "thresholds": {
-                n: threshold_json(v) for n, v in sorted(self.thresholds.items())
+                n: threshold_json(v) for n, v in sorted(self.node_thresholds.items())
             },
         }
 
@@ -579,6 +552,9 @@ class Tabular(Policy):
     without one they raise :class:`MissingDecision`, which names x.
     """
 
+    kind = "tabular"
+    label = "Tabular"
+
     def __init__(
         self,
         graph: MatchingGraph,
@@ -591,7 +567,7 @@ class Tabular(Policy):
             for key, u in table.items()
         }
         self.fallback = fallback
-        self.label = f"Tabular[{len(self.table)} states]"
+        self.label = f"{self.label}[{len(self.table)} states]"
 
     def decide(self, x: Sequence[int]) -> np.ndarray:
         key = tuple(int(v) for v in as_state(self.graph, x))
@@ -606,13 +582,18 @@ class Tabular(Policy):
 
     def spec_dict(self) -> dict:
         return {
-            "type": "tabular",
+            "type": self.kind,
             "states": len(self.table),
             "fallback": self.fallback.spec_dict() if self.fallback else None,
         }
 
 
 # ---- JSON policy specs ----
+
+
+def threshold_from_json(value):
+    """The inverse of :func:`threshold_json`: "inf" reads as inf."""
+    return math.inf if value == "inf" else value
 
 
 def policy_from_spec(
@@ -627,52 +608,38 @@ def policy_from_spec(
     """
     if not isinstance(spec, Mapping) or "type" not in spec:
         raise ParseError("policy spec must be an object with a 'type' field")
-
-    def threshold(field: str):
-        if field not in spec:
-            raise ParseError(f"policy spec missing field {field!r}")
-        val = spec[field]
-        if val == "inf":
-            return math.inf
-        if isinstance(val, bool) or not isinstance(val, int):
-            raise ParseError(f"policy field {field!r} must be an integer or \"inf\"")
-        return val
-
     kind = spec["type"]
+    cls = _LOADABLE.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ParseError(f"unknown policy type {kind!r}")
     try:
-        if kind == "full_match":
-            return FullMatch(graph)
-        if kind == "threshold_n":
-            return ThresholdN(graph, threshold("t"))
-        if kind == "threshold_cmo":
-            return ThresholdCMO(graph, threshold("t"))
-        if kind == "threshold_w":
-            return ThresholdW(graph, threshold("t21"), threshold("t22"))
-        if kind == "threshold_w_workload":
-            return ThresholdWWorkload(graph, threshold("t21"), threshold("t32"))
-        if kind == "priority_extreme":
+        if cls is PriorityExtreme:
             inner_spec = spec.get("inner")
-            inner = (
-                policy_from_spec(graph, inner_spec, costs)
-                if inner_spec is not None
-                else None
-            )
+            inner = None if inner_spec is None else policy_from_spec(graph, inner_spec, costs)
             return PriorityExtreme(graph, inner=inner, costs=costs)
-        if kind == "max_weight":
+        if cls is MaxWeight:
             if costs is None:
-                raise ParseError("max_weight policy needs the graph cost vector")
+                raise ParseError(f"{kind} policy needs the graph cost vector")
             return MaxWeight(graph, costs)
-        if kind == "match_longest":
-            return MatchLongest(graph)
-        if kind == "acyclic_heuristic":
+        if cls is AcyclicHeuristic:
             thresholds = spec.get("thresholds", {})
             if not isinstance(thresholds, Mapping):
                 raise ParseError("field 'thresholds' must map node labels to values")
-            parsed = {
-                name: (math.inf if val == "inf" else val)
-                for name, val in thresholds.items()
-            }
-            return AcyclicHeuristic(graph, parsed)
+            return AcyclicHeuristic(
+                graph, {name: threshold_from_json(v) for name, v in thresholds.items()}
+            )
+        for name in cls.thresholds:
+            if name not in spec:
+                raise ParseError(f"policy spec missing field {name!r}")
+        return cls(graph, *(threshold_from_json(spec[name]) for name in cls.thresholds))
     except (ValueError, WrongGraphClass) as exc:
         raise ParseError(f"invalid {kind} policy: {exc}") from exc
-    raise ParseError(f"unknown policy type {kind!r}")
+
+
+_LOADABLE: dict[str, type[Policy]] = {
+    cls.kind: cls
+    for cls in (
+        FullMatch, ThresholdN, ThresholdCMO, ThresholdW, ThresholdWWorkload,
+        PriorityExtreme, MaxWeight, MatchLongest, AcyclicHeuristic,
+    )
+}

@@ -360,8 +360,12 @@ def _run(graph, arrivals, costs, policies, cfg, threads) -> list[tuple]:
     """Per replication, one (cost, node sums, level counts) per policy.
 
     Serially each policy keeps one memo across its replications; in a
-    pool every job builds its own.
+    pool every job builds its own.  A policy bound to another graph (one
+    that differs in its nodes or in its edge order) raises ValueError.
     """
+    for policy in policies:
+        if policy.graph != graph:
+            raise ValueError(f"policy {policy.label} is bound to another graph")
     cfg.initial_queue(graph)
     width = _thread_width(threads, cfg.replications)
     reps = range(cfg.replications)

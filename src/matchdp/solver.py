@@ -252,7 +252,7 @@ class DPConfig:
 
     def resolved_tol(self, mode: str) -> float:
         if self.tol is not None:
-            if self.tol <= 0:
+            if not self.tol > 0:  # also rejects NaN
                 raise ValueError(f"tol must be positive, got {self.tol}")
             return self.tol
         return VI_TOL if mode == "discounted" else RVI_SPAN_TOL

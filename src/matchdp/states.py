@@ -28,7 +28,7 @@ def as_state(graph: MatchingGraph, state: Sequence[int]) -> np.ndarray:
         raise ValueError(
             f"state must have length {graph.n_nodes}, got shape {vec.shape}"
         )
-    if np.any(vec < 0):
+    if min(vec.tolist()) < 0:  # on a short vector, Python's min beats np.any
         raise ValueError(f"state entries must be nonnegative, got {vec.tolist()}")
     return vec
 

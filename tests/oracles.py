@@ -21,6 +21,7 @@ from matchdp.graphs import (
     ArrivalDistribution,
     CostVector,
     MatchingGraph,
+    NProjection,
     classify,
 )
 from matchdp.nshaped import level_of_state
@@ -323,6 +324,62 @@ def reference_relative_value_iteration(
     policy)."""
     gain, vf = _reference_iterate(space, costs, arrivals, config, False)
     return gain, vf, extract_policy(space, vf.data, arrivals)
+
+
+# ---- threshold rules as first written, one formula per graph family ----
+
+
+def _surplus(value: int, t: float) -> int:
+    return 0 if t == math.inf else max(0, value - int(t))
+
+
+def reference_threshold_n(graph: MatchingGraph, t: float, x: Sequence[int]) -> np.ndarray:
+    """The N rule on the N layout: both priority edges saturate, and the
+    flexible edge (d1, s2) takes the d1 surplus over s1 beyond t."""
+    lay = n_layout(graph)
+    pos = graph.edge_position
+    e11 = pos[(lay.d1, lay.s1_local)]
+    e12 = pos[(lay.d1, lay.s2_local)]
+    e22 = pos[(lay.d2, lay.s2_local)]
+    d1, d2, s1, s2 = lay.pack(x)
+    u = np.zeros(len(graph.edges), dtype=np.int64)
+    u[e11] = min(d1, s1)
+    u[e22] = min(d2, s2)
+    u[e12] = min(_surplus(d1 - s1, t), d1 - u[e11], s2 - u[e22])
+    return u
+
+
+def reference_threshold_cmo(graph: MatchingGraph, t: float, x: Sequence[int]) -> np.ndarray:
+    """The complete-minus-one rule: group totals from the N rule on the
+    projected state, allocated greedily over each group's edges in file
+    order, one numpy residual update per edge."""
+    proj = NProjection.from_graph(graph)
+    i_star, j_star = proj.missing
+    pos = graph.edge_position
+    groups = (
+        sorted(pos[(i, j_star)] for i in proj.demand_group),
+        sorted(pos[(i_star, j)] for j in proj.supply_group),
+        sorted(pos[(i, j)] for i in proj.demand_group for j in proj.supply_group),
+    )
+    vec = np.asarray(x, dtype=np.int64)
+    sum_d = int(vec[list(proj.demand_group)].sum())
+    sum_s = int(vec[[graph.n_d + j for j in proj.supply_group]].sum())
+    x_dstar = int(vec[i_star])
+    x_sstar = int(vec[graph.n_d + j_star])
+    total_11 = min(sum_d, x_sstar)
+    total_22 = min(x_dstar, sum_s)
+    k = min(_surplus(sum_d - x_sstar, t), sum_d - total_11, sum_s - total_22)
+    rem = vec.copy()
+    u = np.zeros(len(graph.edges), dtype=np.int64)
+    for left, group in ((total_11, groups[0]), (total_22, groups[1]), (k, groups[2])):
+        for e in group:
+            i, j = graph.edge_index[e]
+            take = min(left, rem[i], rem[graph.n_d + j])
+            u[e] += take
+            rem[i] -= take
+            rem[graph.n_d + j] -= take
+            left -= take
+    return u
 
 
 # ---- policy shape verification, one x at a time ----

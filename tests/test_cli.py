@@ -42,6 +42,17 @@ W_DOC = {
 
 UNSTABLE_N_DOC = dict(N_DOC, alpha=[0.4, 0.6], beta=[0.6, 0.4])
 
+# A six-cycle: no extreme edge, so no default policy family.
+CYCLE_DOC = {
+    "demand": ["d1", "d2", "d3"],
+    "supply": ["s1", "s2", "s3"],
+    "edges": [["d1", "s1"], ["d1", "s2"], ["d2", "s2"], ["d2", "s3"],
+              ["d3", "s3"], ["d3", "s1"]],
+    "alpha": [1 / 3, 1 / 3, 1 / 3],
+    "beta": [1 / 3, 1 / 3, 1 / 3],
+    "costs": {"d1": 1.0, "d2": 1.0, "d3": 1.0, "s1": 1.0, "s2": 1.0, "s3": 1.0},
+}
+
 
 @pytest.fixture
 def graph_file(tmp_path):
@@ -243,6 +254,16 @@ class TestVerifyStructureMode:
         assert "inferred t: 2" in out
         assert "PASS" in out
 
+    def test_graph_without_default_family_echoes_the_manifest_first(
+        self, graph_file, capsys
+    ):
+        assert main(["verify-structure", "--graph", graph_file(CYCLE_DOC),
+                     "--policy", '{"type": "max_weight"}', "--cap", "3"]) == 1
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out.splitlines()[0][len("manifest: "):])
+        assert doc["config"] == {"cap": 3, "margin": 2, "family": None}
+        assert "no default policy family" in captured.err
+
     def test_violating_policy_fails_with_exit_1(self, graph_file, capsys):
         assert main(["verify-structure", "--graph", graph_file(W_DOC),
                      "--policy", '{"type": "threshold_w_workload", "t21": 0, "t32": 5}',
@@ -282,6 +303,11 @@ class TestInputErrors:
         captured = capsys.readouterr()
         assert "stable" not in captured.out
         assert "alpha entries must be finite" in captured.err
+
+    def test_nan_tolerance_exits_1(self, graph_file, capsys):
+        path = graph_file(N_DOC)
+        assert main(["solve-average", "--graph", path, "--cap", "4", "--tol", "nan"]) == 1
+        assert "tol must be positive, got nan" in capsys.readouterr().err
 
     def test_non_finite_cost_exits_2(self, graph_file, capsys):
         costs = dict(N_DOC["costs"], s1=math.nan)

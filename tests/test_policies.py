@@ -35,6 +35,9 @@ from conftest import (
     make_w_graph,
     unit_costs,
 )
+from oracles import reference_threshold_cmo, reference_threshold_n
+
+THRESHOLDS = st.sampled_from([0, 1, 2, 3, 4, 5, math.inf])
 
 
 def balanced_vector(data, graph, cap: int = 5) -> list[int]:
@@ -114,7 +117,40 @@ def test_threshold_n_rejects_bad_t(n_graph):
         ThresholdN(n_graph, 1.5)
 
 
+def test_threshold_n_needs_the_n_graph(cmo33):
+    with pytest.raises(WrongGraphClass, match="N-shaped"):
+        ThresholdN(cmo33, 0)
+
+
+def test_subclass_keeps_the_declared_label(n_graph):
+    class Renamed(ThresholdN):
+        pass
+
+    pol = Renamed(n_graph, 0)
+    assert pol.label == "ThresholdN(t=0)"
+    assert pol.spec_dict() == {"type": "threshold_n", "t": 0}
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_threshold_n_matches_reference_rule(data):
+    graph = make_n_graph()
+    t = data.draw(THRESHOLDS)
+    x = balanced_vector(data, graph)
+    assert ThresholdN(graph, t).decide(x).tolist() == reference_threshold_n(graph, t, x).tolist()
+
+
 # ---- ThresholdCMO ----
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_threshold_cmo_matches_reference_rule(data):
+    graph = make_cmo33()
+    t = data.draw(THRESHOLDS)
+    x = balanced_vector(data, graph)
+    expected = reference_threshold_cmo(graph, t, x)
+    assert ThresholdCMO(graph, t).decide(x).tolist() == expected.tolist()
 
 
 def test_threshold_cmo_idle_on_missing_pair_arrival(cmo33):
@@ -419,6 +455,14 @@ def test_policy_spec_inner_round_trip(n_graph):
 def test_policy_spec_errors(n_graph, spec, needle):
     with pytest.raises(ParseError, match=needle):
         policy_from_spec(n_graph, spec)
+
+
+def test_wrong_typed_threshold_names_the_policy_and_the_value(n_graph):
+    with pytest.raises(ParseError) as info:
+        policy_from_spec(n_graph, {"type": "threshold_n", "t": "three"})
+    assert str(info.value) == (
+        "invalid threshold_n policy: t must be a nonnegative integer or inf, got 'three'"
+    )
 
 
 def test_tabular_not_loadable(n_graph):

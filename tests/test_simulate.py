@@ -12,15 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchdp.errors import Inadmissible
-from matchdp.graphs import ArrivalDistribution, CostVector
+from matchdp.graphs import ArrivalDistribution, CostVector, MatchingGraph
 from matchdp.nshaped import NModelParams, average_cost, level_probability
-from matchdp.policies import (
-    FullMatch,
-    Policy,
-    ThresholdN,
-    ThresholdW,
-    ThresholdWWorkload,
-)
+from matchdp.policies import FullMatch, Policy, ThresholdN
 from matchdp.simulate import (
     SimConfig,
     SimResult,
@@ -32,22 +26,6 @@ from matchdp.simulate import (
 )
 
 from conftest import make_complete22, make_n_graph, make_w_graph
-
-
-class PlainN(ThresholdN):
-    """Same rule, different type: forces the step-by-step simulation path."""
-
-
-class PlainW(ThresholdW):
-    pass
-
-
-class PlainWW(ThresholdWWorkload):
-    pass
-
-
-class PlainFM(FullMatch):
-    pass
 
 
 def n_setup():
@@ -94,6 +72,20 @@ class TestConfigValidation:
         cfg = SimConfig(horizon=10, a0=(5, 0))
         with pytest.raises(ValueError, match="a0"):
             simulate(graph, arrivals, costs, ThresholdN(graph, 0), cfg)
+
+    def test_policy_of_another_graph_is_rejected(self):
+        graph, arrivals, costs = n_setup()
+        with pytest.raises(ValueError, match="FullMatch is bound to another graph"):
+            simulate(
+                graph, arrivals, costs, FullMatch(make_complete22()), SimConfig(horizon=10)
+            )
+
+    def test_policy_of_reordered_edges_is_rejected(self):
+        graph, arrivals, costs = n_setup()
+        reordered = MatchingGraph(graph.demand_nodes, graph.supply_nodes, graph.edges[::-1])
+        policies = [ThresholdN(graph, 0), ThresholdN(reordered, 1)]
+        with pytest.raises(ValueError, match=r"ThresholdN\(t=1\) is bound to another graph"):
+            compare(graph, arrivals, costs, policies, SimConfig(horizon=2000, seed=3))
 
     def test_compare_needs_two_policies(self):
         graph, arrivals, costs = n_setup()
@@ -148,65 +140,6 @@ class TestDeterminism:
         )
         assert math.isnan(result.se)
         assert len(result.rep_means) == 1
-
-
-class TestFastPathsMatchGeneric:
-    """Integer costs keep every partial sum exact, so results must be equal."""
-
-    CFG = SimConfig(horizon=2500, burn_in=100, replications=2, seed=7)
-
-    def assert_same(self, graph, arrivals, costs, fast, plain, cfg=CFG):
-        a = simulate(graph, arrivals, costs, fast, cfg)
-        b = simulate(graph, arrivals, costs, plain, cfg)
-        assert a == b
-
-    @pytest.mark.parametrize("t", [0, 2, math.inf])
-    def test_threshold_n(self, t):
-        graph, arrivals, costs = n_setup()
-        self.assert_same(graph, arrivals, costs, ThresholdN(graph, t), PlainN(graph, t))
-
-    def test_threshold_n_from_flex_track_state(self):
-        graph, arrivals, costs = n_setup()
-        cfg = SimConfig(horizon=2500, replications=2, seed=1, q0=(2, 0, 0, 2), a0=(1, 0))
-        self.assert_same(
-            graph, arrivals, costs, ThresholdN(graph, 3), PlainN(graph, 3), cfg
-        )
-
-    def test_threshold_n_from_unmatchable_pairs(self):
-        graph, arrivals, costs = n_setup()
-        cfg = SimConfig(horizon=2500, replications=2, seed=2, q0=(0, 3, 3, 0))
-        self.assert_same(
-            graph, arrivals, costs, ThresholdN(graph, 1), PlainN(graph, 1), cfg
-        )
-
-    def test_threshold_n_off_track_start_falls_back(self):
-        graph, arrivals, costs = n_setup()
-        # Holding both pair kinds at once is off the level track.
-        cfg = SimConfig(horizon=1500, replications=2, seed=4, q0=(1, 1, 1, 1))
-        self.assert_same(
-            graph, arrivals, costs, ThresholdN(graph, 2), PlainN(graph, 2), cfg
-        )
-
-    @pytest.mark.parametrize("t21,t22", [(11, 0), (0, 0), (math.inf, 1)])
-    def test_threshold_w(self, t21, t22):
-        graph, arrivals, costs = w_setup()
-        self.assert_same(
-            graph, arrivals, costs,
-            ThresholdW(graph, t21, t22), PlainW(graph, t21, t22),
-        )
-
-    @pytest.mark.parametrize("t21,t32", [(14, 0), (3, 1)])
-    def test_threshold_w_workload(self, t21, t32):
-        graph, arrivals, costs = w_setup()
-        self.assert_same(
-            graph, arrivals, costs,
-            ThresholdWWorkload(graph, t21, t32), PlainWW(graph, t21, t32),
-        )
-
-    def test_full_match(self):
-        graph = make_complete22()
-        _, arrivals, costs = n_setup()
-        self.assert_same(graph, arrivals, costs, FullMatch(graph), PlainFM(graph))
 
 
 class TestAgainstReferences:

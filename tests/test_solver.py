@@ -623,6 +623,12 @@ def test_sweep_limit_raises_one_no_convergence(solver, solve, n_graph, n_arrival
     assert err.value.residual > 0
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+def test_nonpositive_or_nan_tolerance_is_rejected(tol):
+    with pytest.raises(ValueError, match="tol must be positive"):
+        DPConfig(tol=tol).resolved_tol("average")
+
+
 def stable_arrivals(graph) -> ArrivalDistribution:
     if (graph.n_d, graph.n_s) == (2, 3):
         return ArrivalDistribution(
