@@ -87,21 +87,6 @@ class TestAgainstStepByStepReference:
         )
         assert_matches_reference(setup, [ThresholdN(graph, 3), ThresholdN(graph, 0)], cfg)
 
-    def test_threshold_n_from_unmatchable_pairs(self):
-        graph, _, _ = setup = n_setup()
-        cfg = SimConfig(horizon=2500, replications=2, seed=2, q0=(0, 3, 3, 0))
-        assert_matches_reference(setup, [ThresholdN(graph, 1)], cfg)
-
-    @pytest.mark.parametrize("t21,t22", [(0, 0), (math.inf, 1)])
-    def test_threshold_w(self, t21, t22):
-        graph, _, _ = setup = w_setup()
-        assert_matches_reference(setup, [ThresholdW(graph, t21, t22)])
-
-    @pytest.mark.parametrize("t21,t32", [(3, 1)])
-    def test_threshold_w_workload(self, t21, t32):
-        graph, _, _ = setup = w_setup()
-        assert_matches_reference(setup, [ThresholdWWorkload(graph, t21, t32)])
-
     def test_both_w_rules(self):
         graph, _, _ = setup = w_setup()
         assert_matches_reference(

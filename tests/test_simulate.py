@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 from matchdp.errors import Inadmissible
 from matchdp.graphs import ArrivalDistribution, CostVector, MatchingGraph
 from matchdp.nshaped import NModelParams, average_cost, level_probability
-from matchdp.policies import FullMatch, Policy, ThresholdN
+from matchdp.policies import (
+    FullMatch,
+    Policy,
+    ThresholdN,
+    ThresholdW,
+    ThresholdWWorkload,
+)
 from matchdp.simulate import (
     SimConfig,
     SimResult,
@@ -26,6 +32,14 @@ from matchdp.simulate import (
 )
 
 from conftest import make_complete22, make_n_graph, make_w_graph
+from oracles import reference_simulate, reference_threshold_n
+
+
+class PlainN(ThresholdN):
+    """The N rule as first written, one numpy formula per step."""
+
+    def decide(self, x):
+        return reference_threshold_n(self.graph, self.t, x)
 
 
 def n_setup():
@@ -140,6 +154,65 @@ class TestDeterminism:
         )
         assert math.isnan(result.se)
         assert len(result.rep_means) == 1
+
+
+class TestFastPathsMatchGeneric:
+    """The memoized kernel on the package's rules against the step-by-step
+    reference calling ``decide`` every step (for ThresholdN, the rule as first
+    written). Integer costs keep every partial sum exact, so results must be
+    equal."""
+
+    CFG = SimConfig(horizon=2500, burn_in=100, replications=2, seed=7)
+
+    def assert_same(self, graph, arrivals, costs, fast, plain, cfg=CFG):
+        a = simulate(graph, arrivals, costs, fast, cfg)
+        b = reference_simulate(graph, arrivals, costs, plain, cfg)
+        assert a == b
+
+    @pytest.mark.parametrize("t", [0, 2, math.inf])
+    def test_threshold_n(self, t):
+        graph, arrivals, costs = n_setup()
+        self.assert_same(graph, arrivals, costs, ThresholdN(graph, t), PlainN(graph, t))
+
+    def test_threshold_n_from_flex_track_state(self):
+        graph, arrivals, costs = n_setup()
+        cfg = SimConfig(horizon=2500, replications=2, seed=1, q0=(2, 0, 0, 2), a0=(1, 0))
+        self.assert_same(
+            graph, arrivals, costs, ThresholdN(graph, 3), PlainN(graph, 3), cfg
+        )
+
+    def test_threshold_n_from_unmatchable_pairs(self):
+        graph, arrivals, costs = n_setup()
+        cfg = SimConfig(horizon=2500, replications=2, seed=2, q0=(0, 3, 3, 0))
+        self.assert_same(
+            graph, arrivals, costs, ThresholdN(graph, 1), PlainN(graph, 1), cfg
+        )
+
+    def test_threshold_n_off_track_start_falls_back(self):
+        graph, arrivals, costs = n_setup()
+        # Holding both pair kinds at once is off the level track.
+        cfg = SimConfig(horizon=1500, replications=2, seed=4, q0=(1, 1, 1, 1))
+        self.assert_same(
+            graph, arrivals, costs, ThresholdN(graph, 2), PlainN(graph, 2), cfg
+        )
+
+    @pytest.mark.parametrize("t21,t22", [(11, 0), (0, 0), (math.inf, 1)])
+    def test_threshold_w(self, t21, t22):
+        graph, arrivals, costs = w_setup()
+        policy = ThresholdW(graph, t21, t22)
+        self.assert_same(graph, arrivals, costs, policy, policy)
+
+    @pytest.mark.parametrize("t21,t32", [(14, 0), (3, 1)])
+    def test_threshold_w_workload(self, t21, t32):
+        graph, arrivals, costs = w_setup()
+        policy = ThresholdWWorkload(graph, t21, t32)
+        self.assert_same(graph, arrivals, costs, policy, policy)
+
+    def test_full_match(self):
+        graph = make_complete22()
+        _, arrivals, costs = n_setup()
+        policy = FullMatch(graph)
+        self.assert_same(graph, arrivals, costs, policy, policy)
 
 
 class TestAgainstReferences:
