@@ -19,8 +19,13 @@ grow with the horizon.
 Every policy runs through one kernel.  A step depends only on the queue
 vector and the arrival atom, so the kernel memoizes the successor of each
 (state, atom) pair it meets and calls ``decide`` (and checks admissibility)
-only for a pair it has not seen.  The hot loop is one table read and one
-visit count per step; costs, queue means and level frequencies are
+only for a pair it has not seen.  A second memo, derived from the first,
+maps a state and m consecutive atoms to the state they lead to, with m the
+largest stride whose A**m codes fit STRIDE_WIDTH (3 on the N graph, 2 on
+the W graph, 1 on graphs with more than 8 atoms).  Each piece of the stream
+is encoded once into codes of m atoms, shared by every policy, and the hot
+loop is one table read and one visit count per m steps; the last steps of
+a piece go one at a time.  Costs, queue means and level frequencies are
 computed afterwards from the visit counts.  With integer costs every
 partial sum is exact, so the result equals a step-by-step run bit for bit.
 """
@@ -28,6 +33,7 @@ partial sum is exact, so the result equals a step-by-step run bit for bit.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import operator
 import os
@@ -54,6 +60,14 @@ from .states import n_layout
 MAX_SEED = 2**64
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a float or other non-integer raises ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Run geometry: horizon, burn-in, replications, seed, initial state.
@@ -71,6 +85,14 @@ class SimConfig:
     a0: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
+        for name in ("horizon", "burn_in", "replications", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        for name in ("q0", "a0"):
+            values = getattr(self, name)
+            if values is not None:
+                object.__setattr__(
+                    self, name, tuple(_integer(name, v) for v in values)
+                )
         if not 0 <= self.burn_in < self.horizon:
             raise ValueError(
                 f"need horizon > burn_in >= 0, got horizon={self.horizon}, "
@@ -79,7 +101,7 @@ class SimConfig:
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
         if not 0 <= self.seed < MAX_SEED:
-            raise ValueError(f"seed must be an unsigned 64-bit integer")
+            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
     @property
     def counted(self) -> int:
@@ -88,7 +110,7 @@ class SimConfig:
     def initial_queue(self, graph: MatchingGraph) -> list[int]:
         if self.q0 is None:
             return [0] * graph.n_nodes
-        q = [int(v) for v in self.q0]
+        q = list(self.q0)
         if len(q) != graph.n_nodes:
             raise ValueError(
                 f"q0 must have {graph.n_nodes} coordinates, got {len(q)}"
@@ -102,7 +124,7 @@ class SimConfig:
     def initial_atom(self, graph: MatchingGraph) -> tuple[int, int] | None:
         if self.a0 is None:
             return None
-        i, j = (int(v) for v in self.a0)
+        i, j = self.a0
         if not (0 <= i < graph.n_d and 0 <= j < graph.n_s):
             raise ValueError(f"a0 out of range: {self.a0}")
         return i, j
@@ -178,17 +200,38 @@ class CompareResult:
 CHUNK_STEPS = 1 << 16
 """Arrival steps drawn, and walked by every policy, per piece of a stream."""
 
+STRIDE_WIDTH = 64
+"""Entries per row of the multi-step table: with A arrival atoms a chain
+walks m arrivals per lookup, m the largest stride with A**m <= STRIDE_WIDTH."""
+
 MEMO_LIMIT = 1 << 18
-"""Entries a policy's transition table may hold (a full one takes ~25 MB)."""
+"""Entries a policy's one-step transition table may hold.  A full one takes
+~25 MB, ~30 MB with a full multi-step table beside it."""
+
+STRIDE_LIMIT = 1 << 18
+"""Entries a policy's multi-step table may hold (a full one takes ~5 MB)."""
+
+
+def _stride(n_atoms: int) -> int:
+    """Arrivals walked per multi-step lookup; 1 means no multi-step table."""
+    m = 1
+    while n_atoms > 1 and n_atoms ** (m + 1) <= STRIDE_WIDTH:
+        m += 1
+    return m
 
 
 def _arrival_chunks(graph: MatchingGraph, arrivals: ArrivalDistribution,
-                    cfg: SimConfig, rep: int) -> Iterator[tuple[bool, list[int]]]:
-    """Yield (counted, atoms) pieces of one replication's arrival stream.
+                    cfg: SimConfig, rep: int) -> Iterator[tuple[bool, list[int], list[int]]]:
+    """Yield (counted, codes, tail) pieces of one replication's arrival stream.
 
-    ``atoms`` lists atom indices i * n_s + j of at most CHUNK_STEPS
-    consecutive steps; a piece never straddles the end of the burn-in.
+    A piece covers at most CHUNK_STEPS consecutive steps and never
+    straddles the end of the burn-in; ``codes`` and ``tail`` are its atom
+    indices i * n_s + j as encoded by :func:`_encode`.  No array of a piece
+    is kept once it is encoded, so while the chains walk a piece only its
+    two lists are alive.
     """
+    n_atoms = graph.n_d * graph.n_s
+    stride = _stride(n_atoms)
     rng = np.random.Generator(np.random.Philox(key=[cfg.seed, rep]))
     # The class is the count of CDF knots at or below the uniform, the
     # inverse-CDF index; the last knot is left out so a CDF that rounds
@@ -204,15 +247,46 @@ def _arrival_chunks(graph: MatchingGraph, arrivals: ArrivalDistribution,
         atom *= graph.n_s
         for knot in s_knots:
             atom += u[:, 1] >= knot
-        atoms = atom.tolist()
         if start == 0 and first is not None:
-            atoms[0] = first[0] * graph.n_s + first[1]
-        cut = cfg.burn_in - start
-        if 0 < cut < len(atoms):
-            yield False, atoms[:cut]
-            yield True, atoms[cut:]
+            atom[0] = first[0] * graph.n_s + first[1]
+        cut = min(max(cfg.burn_in - start, 0), len(atom))
+        pieces = [
+            (counted, *_encode(part, n_atoms, stride))
+            for counted, part in ((False, atom[:cut]), (True, atom[cut:]))
+            if len(part)
+        ]
+        del u, atom
+        yield from pieces
+
+
+def _encode(atoms: np.ndarray, n_atoms: int, stride: int) -> tuple[list[int], list[int]]:
+    """Split a piece into the codes of its whole strides and the atoms left.
+
+    The code of atoms a_1 .. a_m is their Horner sum with base n_atoms,
+    a_1 the most significant; with stride 1 the codes are the atoms.
+    """
+    body = len(atoms) - len(atoms) % stride
+    codes = atoms[0:body:stride]
+    for r in range(1, stride):
+        codes = codes * n_atoms + atoms[r:body:stride]
+    return codes.tolist(), atoms[body:].tolist()
+
+
+def _walk(keys: list[int], s: int, nxt: list[int], hits: list[int], miss) -> int:
+    """The hot loop: follow ``keys`` through one table from row offset s.
+
+    A hit counts its entry; a miss leaves the count to ``miss(k)``, which
+    resolves entry k and returns the successor with the (possibly new)
+    table and counts to go on with.
+    """
+    for c in keys:
+        k = s + c
+        s = nxt[k]
+        if s < 0:
+            s, nxt, hits = miss(k)
         else:
-            yield cut <= 0, atoms
+            hits[k] += 1
+    return s
 
 
 class _Chain:
@@ -221,15 +295,32 @@ class _Chain:
     Visited queue vectors get small integer ids; with A arrival atoms,
     ``next[id * A + a]`` holds the row offset (id * A) of the successor
     after atom a, or -1 until ``decide`` has been asked.  ``hits`` counts
-    the counted steps per entry; costs, queue sums and level counts follow
-    from them state by state.  A table that would pass MEMO_LIMIT entries
-    is folded into the running sums and restarted from the current state.
+    the visits per entry; costs, queue sums and level counts follow from
+    the counted ones state by state.  A table that would pass MEMO_LIMIT
+    entries is folded into the running sums and restarted from the current
+    state.
+
+    With stride m > 1 (see STRIDE_WIDTH) a second table, derived from the
+    first, takes m arrivals per lookup: ``mnext[row + code]`` is the row of
+    the state that the m atoms of ``code`` lead to, and ``mhits`` counts
+    its visits.  Rows are made for the states a multi-step walk starts
+    from.  A miss walks its m steps through the one-step table, which
+    counts them and asks ``decide`` only where that table misses, so the
+    one-step table and the ``decide`` calls are those of a walk one
+    arrival at a time.  Before the one-step visits are folded, the hits
+    of each entry in ``filled`` (the multi-step entries stored so far) are
+    replayed onto the one-step entries that entry stands for.
+    A multi-step table that would pass STRIDE_LIMIT entries is replayed
+    and dropped; a one-step restart drops it too.
     """
 
     def __init__(self, graph: MatchingGraph, costs: CostVector, policy: Policy):
         self.graph = graph
         self.policy = policy
         self.n_atoms = graph.n_d * graph.n_s
+        self.stride = _stride(self.n_atoms)
+        self.width = self.n_atoms ** self.stride
+        self.paths = list(itertools.product(range(self.n_atoms), repeat=self.stride))
         self.cvec = [float(c) for c in costs.vector]
         self.layout = None
         if (isinstance(policy, ThresholdN) and classify(graph).tag == N_SHAPED
@@ -243,6 +334,14 @@ class _Chain:
         self.levels: list[int | None] = []
         self.next: list[int] = []
         self.hits: list[int] = []
+        self._drop()
+
+    def _drop(self) -> None:
+        self.rows: dict[int, int] = {}
+        self.starts: list[int] = []
+        self.mnext: list[int] = []
+        self.mhits: list[int] = []
+        self.filled: list[int] = []
 
     def _locate(self, key: tuple[int, ...]) -> int:
         """Row offset of a queue vector, registering it when new."""
@@ -262,10 +361,37 @@ class _Chain:
             self.hits += [0] * self.n_atoms
         return sid * self.n_atoms
 
+    def _row(self, s: int) -> int:
+        """Multi-step row offset of the state at one-step offset s, made when new."""
+        row = self.rows.get(s)
+        if row is None:
+            if len(self.mnext) + self.width > STRIDE_LIMIT:
+                self._replay()
+                self._drop()
+            row = self.rows[s] = len(self.mnext)
+            self.starts.append(s)
+            self.mnext += [-1] * self.width
+            self.mhits += [0] * self.width
+        return row
+
+    def _replay(self) -> None:
+        """Move the multi-step hits onto the one-step entries they stand for."""
+        nxt, hits, mhits = self.next, self.hits, self.mhits
+        for k in self.filled:
+            seen = mhits[k]
+            if seen:
+                row, code = divmod(k, self.width)
+                s = self.starts[row]
+                for a in self.paths[code]:
+                    hits[s + a] += seen
+                    s = nxt[s + a]
+                mhits[k] = 0
+
     def _fold(self) -> None:
         """Add the counted visits gathered so far to the running sums."""
         if not self.counting:
             return
+        self._replay()
         hits, width = self.hits, self.n_atoms
         visits = [sum(hits[b:b + width]) for b in range(0, len(hits), width)]
         for a in range(width):
@@ -287,27 +413,40 @@ class _Chain:
         self.level_counts = None if self.layout is None else [0] * (self.policy.t + 1)
         self.s = self._locate(q0)
 
-    def walk(self, atoms: list[int], counted: bool) -> None:
-        """Advance the chain over a piece of the arrival stream.
+    def walk(self, codes: list[int], tail: list[int], counted: bool) -> None:
+        """Advance the chain over a piece of the arrival stream, given as
+        the codes of its whole strides and the atoms left over.
 
         Steps are counted in every piece; the first counted piece of a
         replication drops what the burn-in (or the last replication) left.
         """
         if counted and not self.counting:
             self.hits = [0] * len(self.next)
+            self.mhits = [0] * len(self.mnext)
             self.counting = True
-        nxt, hits, s = self.next, self.hits, self.s
-        for a in atoms:
-            k = s + a
-            hits[k] += 1
-            s = nxt[k]
-            if s < 0:
-                s = self._miss(k)
-                nxt, hits = self.next, self.hits
-        self.s = s
+        s = self.s
+        if self.stride == 1:
+            tail = codes
+        elif codes:
+            row = _walk(codes, self._row(s), self.mnext, self.mhits, self._multi_miss)
+            s = self.starts[row // self.width]
+        self.s = _walk(tail, s, self.next, self.hits, self._miss)
 
-    def _miss(self, k: int) -> int:
-        """Ask ``decide`` for the entry k = row offset + atom and store it."""
+    def _multi_miss(self, k: int) -> tuple[int, list[int], list[int]]:
+        """Walk the steps of entry k = multi-step row + code one at a time
+        and store the row they end on."""
+        row, code = divmod(k, self.width)
+        mnext, filled = self.mnext, self.filled
+        s = _walk(self.paths[code], self.starts[row], self.next, self.hits, self._miss)
+        # After a restart or a drop ``mnext`` is the discarded table, so
+        # the store is moot.
+        mnext[k] = end = self._row(s)
+        filled.append(k)
+        return end, self.mnext, self.mhits
+
+    def _miss(self, k: int) -> tuple[int, list[int], list[int]]:
+        """Count entry k = row offset + atom, ask ``decide`` and store it."""
+        self.hits[k] += 1
         graph, nd = self.graph, self.graph.n_d
         sid, a = divmod(k, self.n_atoms)
         x = list(self.states[sid])
@@ -324,7 +463,7 @@ class _Chain:
         nxt = self.next
         # After a restart ``nxt`` is the discarded table, so the store is moot.
         nxt[k] = off = self._locate(tuple(y))
-        return off
+        return off, self.next, self.hits
 
     def finish(self) -> tuple[float, list[int], list[int] | None]:
         """(total counted cost, node occupancy sums, level counts)."""
@@ -340,13 +479,16 @@ class _Chain:
 
 def _replicate(chains: Sequence[_Chain], graph: MatchingGraph,
                arrivals: ArrivalDistribution, cfg: SimConfig, rep: int) -> tuple:
-    """Walk every chain over one replication's stream, piece by piece."""
+    """Walk every chain over one replication's stream, piece by piece.
+
+    Each piece is encoded once and the codes are shared by every chain.
+    """
     q0 = tuple(cfg.initial_queue(graph))
     for chain in chains:
         chain.start(q0)
-    for counted, atoms in _arrival_chunks(graph, arrivals, cfg, rep):
+    for counted, codes, tail in _arrival_chunks(graph, arrivals, cfg, rep):
         for chain in chains:
-            chain.walk(atoms, counted)
+            chain.walk(codes, tail, counted)
     return tuple(chain.finish() for chain in chains)
 
 
@@ -413,7 +555,12 @@ def _thread_width(threads: int | None, replications: int) -> int:
     replications and the CPU count so no worker starts without work."""
     if threads is None:
         raw = os.environ.get("MATCHDP_THREADS", "").strip()
-        threads = int(raw) if raw else 1
+        try:
+            threads = int(raw) if raw else 1
+        except ValueError:
+            raise ValueError(
+                f"MATCHDP_THREADS must be an integer, got {raw!r}"
+            ) from None
     if threads < 0:
         raise ValueError(f"thread width must be nonnegative, got {threads}")
     cpus = os.cpu_count() or 1

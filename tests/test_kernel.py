@@ -2,7 +2,8 @@
 
 Integer costs keep every partial sum exact, so the kernel must equal
 ``oracles.reference_simulate`` bit for bit, whatever the piece size of the
-arrival stream and however often the transition memo restarts.
+arrival stream, the number of arrivals walked per multi-step lookup, and
+however often either transition table restarts.
 """
 
 from __future__ import annotations
@@ -140,16 +141,181 @@ class TestMemoBound:
         monkeypatch.setattr(simmod._Chain, "_locate", spy)
         return sizes
 
-    def test_every_state_new_matches_reference(self, table_sizes):
+    @pytest.fixture
+    def stride_sizes(self, monkeypatch):
+        """Sizes of the multi-step table (rows of 64 on N) under a two-row budget."""
+        monkeypatch.setattr(simmod, "STRIDE_LIMIT", 128)
+        sizes: list[int] = []
+        row = simmod._Chain._row
+
+        def spy(chain, s):
+            offset = row(chain, s)
+            sizes.append(len(chain.mnext))
+            return offset
+
+        monkeypatch.setattr(simmod._Chain, "_row", spy)
+        return sizes
+
+    def test_every_state_new_matches_reference(self, table_sizes, stride_sizes):
         graph, _, _ = setup = n_setup()
         cfg = SimConfig(horizon=600, burn_in=50, replications=2, seed=3)
         assert_matches_reference(setup, [Idle(graph)], cfg)
         assert max(table_sizes) <= 8
+        assert 0 < max(stride_sizes) <= 128
 
-    def test_recurrent_chains_match_reference(self, table_sizes):
+    def test_recurrent_chains_match_reference(self, table_sizes, stride_sizes):
         graph, _, _ = setup = n_setup()
         assert_matches_reference(setup, [ThresholdN(graph, 2), ThresholdN(graph, math.inf)])
         assert max(table_sizes) <= 8
+        assert 0 < max(stride_sizes) <= 128
+
+
+# ---- walking m arrivals per lookup ----
+
+STRIDE_CFG = SimConfig(horizon=1003, burn_in=101, replications=2, seed=13)
+"""1003 and 101 are multiples of none of the strides 2, 3 and 4."""
+
+
+def stride_case(name):
+    """Fresh (setup, policies) on graphs with 4, 6, 4 and 9 arrival atoms."""
+    if name == "n":
+        graph, _, _ = setup = n_setup()
+        return setup, [ThresholdN(graph, 2), ThresholdN(graph, math.inf), Idle(graph)]
+    if name == "w":
+        graph, _, _ = setup = w_setup()
+        return setup, [ThresholdWWorkload(graph, 14, 0), ThresholdW(graph, 11, 0)]
+    if name == "complete":
+        graph = make_complete22()
+        _, arrivals, costs = n_setup()
+        return (graph, arrivals, costs), [FullMatch(graph), Idle(graph)]
+    graph, _, costs = setup = nn_setup()
+    return setup, [AcyclicHeuristic(graph, {"s3": 1}), MaxWeight(graph, costs)]
+
+
+CASES = ("n", "w", "complete", "nn")
+REFERENCES: dict[tuple[str, str], object] = {}
+
+
+def reference(name, setup, policy):
+    """The step-by-step result, computed once per (case, policy)."""
+    key = (name, policy.label)
+    if key not in REFERENCES:
+        REFERENCES[key] = reference_simulate(*setup, policy, STRIDE_CFG)
+    return REFERENCES[key]
+
+
+LIMITS = {
+    "defaults": lambda n_atoms, width: {},
+    "pieces of 7": lambda n_atoms, width: {"CHUNK_STEPS": 7},
+    # Two states per one-step table: it restarts inside multi-step walks.
+    "one-step restarts": lambda n_atoms, width: {"MEMO_LIMIT": 2 * n_atoms},
+    # Two rows per multi-step table: its budget runs out.
+    "multi-step drops": lambda n_atoms, width: {"STRIDE_LIMIT": 2 * width},
+}
+"""Module constants to patch, as a function of the atom count and the row width."""
+
+
+@pytest.fixture
+def events(monkeypatch):
+    """Counts of restarts inside a multi-step miss and of multi-step drops."""
+    seen = {"restarts inside": 0, "restarts": 0, "drops": 0}
+    depth = [0]
+    multi_miss, forget, drop = (
+        simmod._Chain._multi_miss, simmod._Chain._forget, simmod._Chain._drop
+    )
+
+    def multi_miss_spy(chain, k):
+        depth[0] += 1
+        try:
+            return multi_miss(chain, k)
+        finally:
+            depth[0] -= 1
+
+    def forget_spy(chain):
+        seen["restarts"] += 1
+        seen["restarts inside"] += depth[0] > 0
+        forget(chain)
+
+    def drop_spy(chain):
+        seen["drops"] += 1
+        drop(chain)
+
+    monkeypatch.setattr(simmod._Chain, "_multi_miss", multi_miss_spy)
+    monkeypatch.setattr(simmod._Chain, "_forget", forget_spy)
+    monkeypatch.setattr(simmod._Chain, "_drop", drop_spy)
+    return seen
+
+
+def set_limits(monkeypatch, limits, graph, m):
+    """Patch the row width to give stride m, and the named limits."""
+    n_atoms = graph.n_d * graph.n_s
+    monkeypatch.setattr(simmod, "STRIDE_WIDTH", n_atoms**m)
+    assert simmod._stride(n_atoms) == m
+    for name, value in LIMITS[limits](n_atoms, n_atoms**m).items():
+        monkeypatch.setattr(simmod, name, value)
+
+
+def decide_log(policy) -> list[tuple[int, ...]]:
+    """Record every vector handed to this policy instance's ``decide``."""
+    log: list[tuple[int, ...]] = []
+    inner = policy.decide
+
+    def decide(x):
+        log.append(tuple(int(v) for v in x))
+        return inner(x)
+
+    policy.decide = decide
+    return log
+
+
+class TestStrides:
+    @pytest.mark.parametrize("limits", LIMITS, ids=str)
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("name", CASES, ids=str)
+    def test_matches_reference(self, name, m, limits, monkeypatch, events):
+        setup, policies = stride_case(name)
+        graph, arrivals, costs = setup
+        refs = {p.label: reference(name, setup, p) for p in policies}
+        set_limits(monkeypatch, limits, graph, m)
+        for p in policies:
+            assert simulate(graph, arrivals, costs, p, STRIDE_CFG, threads=1) == refs[p.label]
+        if len(policies) > 1:
+            result = compare(graph, arrivals, costs, policies, STRIDE_CFG, threads=1)
+            for entry in result.results:
+                assert entry == refs[entry.label]
+        if m > 1 and limits == "one-step restarts":
+            assert events["restarts inside"] > 0
+        if m > 1 and limits == "multi-step drops":
+            assert events["drops"] > events["restarts"]
+
+    @pytest.mark.parametrize("limits", LIMITS, ids=str)
+    @pytest.mark.parametrize("name", CASES, ids=str)
+    def test_decide_calls_equal_the_stride_one_calls(self, name, limits, monkeypatch):
+        logs = {}
+        for m in (1, 2, 3, 4):
+            (graph, arrivals, costs), policies = stride_case(name)
+            set_limits(monkeypatch, limits, graph, m)
+            logs[m] = [decide_log(p) for p in policies]
+            for p in policies:
+                simulate(graph, arrivals, costs, p, STRIDE_CFG, threads=1)
+            if len(policies) > 1:
+                compare(graph, arrivals, costs, policies, STRIDE_CFG, threads=1)
+        assert logs[1] and all(logs[1])
+        for m in (2, 3, 4):
+            assert [len(log) for log in logs[m]] == [len(log) for log in logs[1]]
+            assert logs[m] == logs[1]
+
+    def test_stride_is_the_largest_within_the_width(self):
+        assert simmod.STRIDE_WIDTH == 64
+        assert [simmod._stride(a) for a in (1, 2, 4, 6, 8, 9)] == [1, 6, 3, 2, 2, 1]
+
+    def test_stride_one_builds_no_multi_step_table(self):
+        graph, arrivals, costs = nn_setup()
+        chain = simmod._Chain(graph, costs, AcyclicHeuristic(graph, {"s3": 1}))
+        simmod._replicate([chain], graph, arrivals, STRIDE_CFG, 0)
+        assert chain.stride == 1
+        assert chain.mnext == [] and chain.rows == {}
+        assert len(chain.next) > 0
 
 
 class TestDPPolicies:

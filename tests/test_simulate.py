@@ -75,6 +75,41 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="seed"):
             SimConfig(horizon=10, seed=-1)
 
+    @pytest.mark.parametrize(
+        "field, kwargs",
+        [
+            ("horizon", {"horizon": 100.0}),
+            ("burn_in", {"horizon": 100, "burn_in": 2.5}),
+            ("replications", {"horizon": 100, "replications": 2.0}),
+            ("seed", {"horizon": 100, "seed": 2.5}),
+            ("q0", {"horizon": 100, "q0": (1.5, 0.5, 0.5, 1.5)}),
+            ("a0", {"horizon": 100, "a0": (1.7, 0.2)}),
+        ],
+    )
+    def test_non_integer_fields_are_rejected(self, field, kwargs):
+        with pytest.raises(ValueError, match=rf"{field} must be an integer, got .*\d\.\d"):
+            SimConfig(**kwargs)
+
+    def test_numpy_integers_are_accepted(self):
+        graph, arrivals, costs = n_setup()
+        plain = SimConfig(horizon=300, burn_in=10, replications=2, seed=3,
+                          q0=(1, 0, 0, 1), a0=(1, 0))
+        numpy = SimConfig(
+            horizon=np.int64(300), burn_in=np.int32(10), replications=np.int64(2),
+            seed=np.uint64(3), q0=np.array([1, 0, 0, 1]), a0=(np.int64(1), np.int8(0)),
+        )
+        assert numpy == plain
+        policy = ThresholdN(graph, 1)
+        assert simulate(graph, arrivals, costs, policy, numpy) == simulate(
+            graph, arrivals, costs, policy, plain
+        )
+
+    def test_seed_message_names_the_value(self):
+        with pytest.raises(ValueError, match=r"seed must be an unsigned 64-bit integer, got -1"):
+            SimConfig(horizon=10, seed=-1)
+        with pytest.raises(ValueError, match=r"got 18446744073709551616"):
+            SimConfig(horizon=10, seed=2**64)
+
     def test_q0_must_be_balanced(self):
         graph, arrivals, costs = n_setup()
         cfg = SimConfig(horizon=10, q0=(1, 0, 0, 0))
@@ -146,6 +181,11 @@ class TestDeterminism:
         assert _thread_width(None, 2) == 2
         with pytest.raises(ValueError):
             _thread_width(-1, 2)
+
+    def test_bad_thread_variable_names_itself(self, monkeypatch):
+        monkeypatch.setenv("MATCHDP_THREADS", "two")
+        with pytest.raises(ValueError, match=r"MATCHDP_THREADS must be an integer, got 'two'"):
+            _thread_width(None, 2)
 
     def test_single_replication_has_nan_se(self):
         graph, arrivals, costs = n_setup()
