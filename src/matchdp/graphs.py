@@ -153,13 +153,6 @@ class MatchingGraph:
         """All (i, j) demand/supply pairs, lexicographic; arrivals ignore edges."""
         return tuple((i, j) for i in range(self.n_d) for j in range(self.n_s))
 
-    def to_dict(self) -> dict:
-        return {
-            "demand": list(self.demand_nodes),
-            "supply": list(self.supply_nodes),
-            "edges": [list(e) for e in self.edges],
-        }
-
 
 @dataclass(frozen=True)
 class ArrivalDistribution:
@@ -216,9 +209,6 @@ class CostVector:
         vec.setflags(write=False)
         return vec
 
-    def of_state(self, state: Sequence[float]) -> float:
-        return float(np.dot(self.vector, np.asarray(state, dtype=float)))
-
     @classmethod
     def from_mapping(cls, graph: MatchingGraph, mapping: Mapping[str, float]) -> "CostVector":
         missing = [n for n in graph.node_labels if n not in mapping]
@@ -231,9 +221,6 @@ class CostVector:
             demand=np.array([mapping[n] for n in graph.demand_nodes], dtype=float),
             supply=np.array([mapping[n] for n in graph.supply_nodes], dtype=float),
         )
-
-    def to_mapping(self, graph: MatchingGraph) -> dict[str, float]:
-        return {n: float(c) for n, c in zip(graph.node_labels, self.vector)}
 
 
 # ---- classification ----
@@ -651,14 +638,3 @@ def load_graph(source) -> tuple[MatchingGraph, ArrivalDistribution, CostVector]:
     except ValueError as exc:
         raise ParseError(f"invalid costs: {exc}") from exc
     return graph, arrivals, costs
-
-
-def graph_to_dict(
-    graph: MatchingGraph, arrivals: ArrivalDistribution, costs: CostVector
-) -> dict:
-    """Inverse of :func:`load_graph` for writing graph files."""
-    doc = graph.to_dict()
-    doc["alpha"] = [float(a) for a in arrivals.alpha]
-    doc["beta"] = [float(b) for b in arrivals.beta]
-    doc["costs"] = costs.to_mapping(graph)
-    return doc

@@ -26,9 +26,8 @@ from .graphs import (
 )
 from .states import (
     WLayout,
+    _int_list,
     admissible_matchings,
-    as_state,
-    is_admissible,
     n_layout,
     node_usage,
     w_layout,
@@ -57,19 +56,6 @@ def _surplus_after(value: int, threshold: float) -> int:
     return max(0, value - int(threshold))
 
 
-def _take(
-    graph: MatchingGraph, u: np.ndarray, rem: np.ndarray, e: int, limit=math.inf
-) -> int:
-    """Match as many pairs on edge e as both endpoints still hold in rem, at
-    most ``limit``; updates u and rem in place and returns the count."""
-    i, j = graph.edge_index[e]
-    take = min(limit, rem[i], rem[graph.n_d + j])
-    u[e] += take
-    rem[i] -= take
-    rem[graph.n_d + j] -= take
-    return take
-
-
 class Policy:
     """Base class; subclasses implement :meth:`decide` and declare three
     class attributes once: ``kind``, the ``type`` of their JSON spec;
@@ -78,7 +64,9 @@ class Policy:
 
     The constructor validates each threshold value, stores it under its
     name and appends ``(name=value, ...)`` to the label; the default
-    :meth:`spec_dict` writes the kind and the thresholds.
+    :meth:`spec_dict` writes the kind and the thresholds.  It also fixes
+    ``_ends``, the state positions (demand, supply) of each edge in file
+    order, so that rules index plain lists.
     """
 
     kind: str = ""
@@ -87,6 +75,8 @@ class Policy:
 
     def __init__(self, graph: MatchingGraph, *values):
         self.graph = graph
+        self._n = graph.n_nodes
+        self._ends = tuple((i, graph.n_d + j) for i, j in graph.edge_index)
         for name, value in zip(self.thresholds, values, strict=True):
             setattr(self, name, _check_threshold(name, value))
         if self.thresholds:
@@ -97,6 +87,13 @@ class Policy:
 
     def decide(self, x: Sequence[int]) -> np.ndarray:
         """Per-edge match counts for the post-arrival vector x.
+
+        x is a sequence of nonnegative integers, one per node: a list of
+        ints or an integer numpy vector.  Floats (integral or not),
+        strings and entries of a float array raise ValueError.  The result
+        is an int64 array with one count per edge.  The rules in this
+        module work on x as a list of Python ints; numpy builds only the
+        returned array.
 
         The result must be a deterministic function of x alone: the
         simulator memoizes it per (state, arrival) pair for the length of
@@ -150,11 +147,14 @@ class FullMatch(Policy):
         super().__init__(graph)
 
     def decide(self, x: Sequence[int]) -> np.ndarray:
-        rem = as_state(self.graph, x).copy()
-        u = np.zeros(len(self.graph.edges), dtype=np.int64)
-        for e in range(len(u)):
-            _take(self.graph, u, rem, e)
-        return u
+        rem = _int_list(x, self._n)
+        u = []
+        for i, s in self._ends:
+            take = min(rem[i], rem[s])
+            u.append(take)
+            rem[i] -= take
+            rem[s] -= take
+        return np.array(u, dtype=np.int64)
 
 
 class ThresholdCMO(Policy):
@@ -192,7 +192,7 @@ class ThresholdCMO(Policy):
         )
 
     def decide(self, x: Sequence[int]) -> np.ndarray:
-        rem = as_state(self.graph, x).tolist()
+        rem = _int_list(x, self._n)
         sum_d = sum(rem[i] for i in self._demand)
         sum_s = sum(rem[s] for s in self._supply)
         total_11 = min(sum_d, rem[self._s_star])
@@ -202,7 +202,7 @@ class ThresholdCMO(Policy):
             sum_d - total_11,
             sum_s - total_22,
         )
-        u = [0] * len(self.graph.edges)
+        u = [0] * len(self._ends)
         for left, group in zip((total_11, total_22, k), self._groups):
             for e, i, s in group:
                 take = min(left, rem[i], rem[s])
@@ -258,21 +258,21 @@ class ThresholdW(Policy):
         super().__init__(graph, t21, t22)
 
     def decide(self, x: Sequence[int]) -> np.ndarray:
-        vec = as_state(self.graph, x)
+        vec = _int_list(x, self._n)
         d1, d2, d3, s1, s2 = self.layout.pack(vec)
         k = min(_surplus_after(s1 - d1, self.t21), d2)
         j = min(_surplus_after(s2 - d3, self.t22), d2)
         if k + j > d2:
             raise Inadmissible(
                 f"threshold counts k={k}, j={j} exceed the middle class "
-                f"availability {d2} at x={vec.tolist()} (unbalanced input)"
+                f"availability {d2} at x={vec} (unbalanced input)"
             )
-        u = np.zeros(len(self.graph.edges), dtype=np.int64)
+        u = [0] * len(self._ends)
         u[self._e11] = min(d1, s1)
         u[self._e32] = min(d3, s2)
         u[self._e21] = k
         u[self._e22] = j
-        return u
+        return np.array(u, dtype=np.int64)
 
 
 class ThresholdWWorkload(Policy):
@@ -294,8 +294,7 @@ class ThresholdWWorkload(Policy):
         super().__init__(graph, t21, t32)
 
     def decide(self, x: Sequence[int]) -> np.ndarray:
-        vec = as_state(self.graph, x)
-        d1, d2, d3, s1, s2 = self.layout.pack(vec)
+        d1, d2, d3, s1, s2 = self.layout.pack(_int_list(x, self._n))
         u11 = min(d1, s1)
         u22 = min(d2, s2)
         rem_s1 = s1 - u11
@@ -304,12 +303,12 @@ class ThresholdWWorkload(Policy):
         u32 = min(_surplus_after(d3, self.t32), rem_s2)
         workload = rem_d2 + (d3 - u32)
         u21 = min(_surplus_after(workload, self.t21), rem_s1, rem_d2)
-        u = np.zeros(len(self.graph.edges), dtype=np.int64)
+        u = [0] * len(self._ends)
         u[self._e11] = u11
         u[self._e21] = u21
         u[self._e22] = u22
         u[self._e32] = u32
-        return u
+        return np.array(u, dtype=np.int64)
 
 
 class PriorityExtreme(Policy):
@@ -371,20 +370,32 @@ class PriorityExtreme(Policy):
             self.label = f"{self.label}[{inner.label}]"
 
     def decide(self, x: Sequence[int]) -> np.ndarray:
-        graph = self.graph
-        rem = as_state(graph, x).copy()
-        u = np.zeros(len(graph.edges), dtype=np.int64)
+        rem = _int_list(x, self._n)
+        u = [0] * len(self._ends)
         for e in self._extreme_positions:
-            _take(graph, u, rem, e)
+            i, s = self._ends[e]
+            take = min(rem[i], rem[s])
+            u[e] = take
+            rem[i] -= take
+            rem[s] -= take
         if self.inner is not None:
-            extra = self.inner.decide(rem)
-            if not is_admissible(graph, rem, extra):
+            extra = np.asarray(self.inner.decide(rem), dtype=np.int64).tolist()
+            if len(extra) != len(u):
+                raise ValueError(
+                    f"matching vector must have one entry per edge "
+                    f"({len(u)}), got {len(extra)} entries"
+                )
+            left = list(rem)
+            for (i, s), c in zip(self._ends, extra):
+                left[i] -= c
+                left[s] -= c
+            if min(extra) < 0 or min(left) < 0:
                 raise Inadmissible(
                     f"inner policy {self.inner.label} returned "
-                    f"{np.asarray(extra).tolist()} at residual {rem.tolist()}"
+                    f"{extra} at residual {rem}"
                 )
-            u += np.asarray(extra, dtype=np.int64)
-        return u
+            u = [a + b for a, b in zip(u, extra)]
+        return np.array(u, dtype=np.int64)
 
     def spec_dict(self) -> dict:
         return {
@@ -408,15 +419,15 @@ class MaxWeight(Policy):
     def __init__(self, graph: MatchingGraph, costs: CostVector):
         super().__init__(graph)
         self.costs = costs
+        self._edge_costs = tuple(
+            (float(costs.demand[i]), i, float(costs.supply[j]), graph.n_d + j)
+            for i, j in graph.edge_index
+        )
 
     def decide(self, x: Sequence[int]) -> np.ndarray:
-        vec = as_state(self.graph, x)
+        vec = _int_list(x, self._n)
         weights = np.array(
-            [
-                2.0 * self.costs.demand[i] * vec[i]
-                + 2.0 * self.costs.supply[j] * vec[self.graph.n_d + j]
-                for i, j in self.graph.edge_index
-            ]
+            [2.0 * cd * vec[i] + 2.0 * cs * vec[s] for cd, i, cs, s in self._edge_costs]
         )
         # max keeps the first of equal scores.
         return max(admissible_matchings(self.graph, vec), key=lambda u: float(weights @ u))
@@ -435,21 +446,23 @@ class MatchLongest(Policy):
     label = "ML (approximation)"
 
     def decide(self, x: Sequence[int]) -> np.ndarray:
-        graph = self.graph
-        rem = as_state(graph, x).copy()
-        u = np.zeros(len(graph.edges), dtype=np.int64)
+        rem = _int_list(x, self._n)
+        u = [0] * len(self._ends)
         while True:
             best_e = -1
             best_sum = -1
-            for e, (i, j) in enumerate(graph.edge_index):
-                if rem[i] > 0 and rem[graph.n_d + j] > 0:
-                    total = int(rem[i] + rem[graph.n_d + j])
+            for e, (i, s) in enumerate(self._ends):
+                if rem[i] > 0 and rem[s] > 0:
+                    total = rem[i] + rem[s]
                     if total > best_sum:
                         best_sum = total
                         best_e = e
             if best_e < 0:
-                return u
-            _take(graph, u, rem, best_e, 1)
+                return np.array(u, dtype=np.int64)
+            i, s = self._ends[best_e]
+            u[best_e] += 1
+            rem[i] -= 1
+            rem[s] -= 1
 
 
 class AcyclicHeuristic(Policy):
@@ -480,6 +493,17 @@ class AcyclicHeuristic(Policy):
             for name, val in thresholds.items()
         }
         self.layers = self._layer_edges(graph, info.extreme_edges)
+        # (edge, demand position, supply position, node thresholds or None
+        # on layer 0), in the order decide visits the edges.
+        plan = []
+        for level, layer in enumerate(self.layers):
+            for e in layer:
+                i, j = graph.edge_index[e]
+                limits = None if level == 0 else (
+                    self._node_threshold("d", i), self._node_threshold("s", j)
+                )
+                plan.append((e, i, graph.n_d + j, limits))
+        self._plan = tuple(plan)
         shown = ", ".join(
             f"{n}:{threshold_json(v)}" for n, v in sorted(self.node_thresholds.items())
         )
@@ -519,20 +543,18 @@ class AcyclicHeuristic(Policy):
         return self.node_thresholds.get(name, 0)
 
     def decide(self, x: Sequence[int]) -> np.ndarray:
-        graph = self.graph
-        rem = as_state(graph, x).copy()
-        u = np.zeros(len(graph.edges), dtype=np.int64)
-        for level, layer in enumerate(self.layers):
-            for e in layer:
-                i, j = graph.edge_index[e]
-                avail_d = int(rem[i])
-                avail_s = int(rem[graph.n_d + j])
-                limit = math.inf if level == 0 else min(
-                    _surplus_after(avail_d, self._node_threshold("d", i)),
-                    _surplus_after(avail_s, self._node_threshold("s", j)),
+        rem = _int_list(x, self._n)
+        u = [0] * len(self._ends)
+        for e, i, s, limits in self._plan:
+            take = min(rem[i], rem[s])
+            if limits is not None:
+                take = min(
+                    take, _surplus_after(rem[i], limits[0]), _surplus_after(rem[s], limits[1])
                 )
-                _take(graph, u, rem, e, limit)
-        return u
+            u[e] = take
+            rem[i] -= take
+            rem[s] -= take
+        return np.array(u, dtype=np.int64)
 
     def spec_dict(self) -> dict:
         return {
@@ -570,7 +592,7 @@ class Tabular(Policy):
         self.label = f"{self.label}[{len(self.table)} states]"
 
     def decide(self, x: Sequence[int]) -> np.ndarray:
-        key = tuple(int(v) for v in as_state(self.graph, x))
+        key = tuple(_int_list(x, self._n))
         hit = self.table.get(key)
         if hit is not None:
             return hit.copy()

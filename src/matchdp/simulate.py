@@ -453,7 +453,7 @@ class _Chain:
         i, j = divmod(a, graph.n_s)
         x[i] += 1
         x[nd + j] += 1
-        u = [int(v) for v in self.policy.decide(np.asarray(x, dtype=np.int64))]
+        u = np.asarray(self.policy.decide(x), dtype=np.int64).tolist()
         y = list(x)
         for e, (ei, ej) in enumerate(graph.edge_index):
             y[ei] -= u[e]

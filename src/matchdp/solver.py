@@ -156,11 +156,6 @@ class TruncatedStateSpace:
         codes.setflags(write=False)
         return codes
 
-    @property
-    def n_states(self) -> int:
-        """Number of (queue, arrival) model states."""
-        return len(self.balanced_states) * self.n_atoms
-
     def rows(self, vectors) -> np.ndarray:
         """Row of each balanced vector (one per row of ``vectors``) in
         ``balanced_states`` and in every value table on this space."""
@@ -172,9 +167,6 @@ class TruncatedStateSpace:
 
     def is_interior(self, q) -> bool:
         return bool(np.all(np.asarray(q) <= self.cap - self.margin))
-
-    def is_tainted(self, q) -> bool:
-        return not self.is_interior(q)
 
     @cached_property
     def interior_balanced_states(self) -> np.ndarray:
@@ -464,8 +456,8 @@ def _iterate(
     stops when the sup norm of the change drops below tolerance; the gain
     is None.  ``mode="average"`` sweeps with theta = 1, renormalizes each
     iterate at row 0 (the zero queue), atom 0, and stops when the span of
-    the change drops below tolerance; the gain is the pre-normalization
-    value there.  Raises :class:`NoConvergence`, naming ``solver`` and
+    the change drops below tolerance; the gain is the change there,
+    (Tv - v)(0, 0), so a start table with any value at row 0 reports it.  Raises :class:`NoConvergence`, naming ``solver`` and
     carrying the last residual, when ``max_iters`` sweeps fail the rule.
 
     Each sweep that fails the rule is followed by ``policy_sweeps`` more
@@ -492,9 +484,9 @@ def _iterate(
             gain = None
             residual = float(np.abs(diff).max())
         else:
-            gain = float(new[0, 0])  # row 0 is the zero queue
+            gain = float(diff[0, 0])  # row 0 is the zero queue
             residual = float(diff.max() - diff.min())
-            new = new - gain
+            new = new - new[0, 0]
         if residual < tol:
             vf = ValueFunction(space, new, theta if discounted else None, n, residual)
             return gain, vf

@@ -11,6 +11,7 @@ matching always comes first.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -22,15 +23,32 @@ from .graphs import MatchingGraph, N_SHAPED, W_SHAPED, classify
 ACTION_BUDGET = 10**6
 
 
-def as_state(graph: MatchingGraph, state: Sequence[int]) -> np.ndarray:
-    vec = np.asarray(state, dtype=np.int64)
-    if vec.shape != (graph.n_nodes,):
-        raise ValueError(
-            f"state must have length {graph.n_nodes}, got shape {vec.shape}"
-        )
-    if min(vec.tolist()) < 0:  # on a short vector, Python's min beats np.any
-        raise ValueError(f"state entries must be nonnegative, got {vec.tolist()}")
+def _int_list(state: Sequence[int], length: int) -> list[int]:
+    """``state`` as a list of ``length`` nonnegative Python ints.
+
+    An integer numpy vector passes through ``.tolist()``; any other entry
+    must pass ``operator.index``, so floats (integral or not), strings and
+    float arrays raise ValueError naming the vector instead of being
+    truncated or parsed.
+    """
+    if isinstance(state, np.ndarray) and state.ndim == 1 and state.dtype.kind in "iu":
+        vec = state.tolist()
+    else:
+        try:
+            vec = list(map(operator.index, state))
+        except TypeError:
+            shown = state.tolist() if isinstance(state, np.ndarray) else state
+            raise ValueError(f"state entries must be integers, got {shown!r}") from None
+    if len(vec) != length:
+        raise ValueError(f"state must have length {length}, got {len(vec)} entries")
+    if min(vec) < 0:
+        raise ValueError(f"state entries must be nonnegative, got {vec}")
     return vec
+
+
+def as_state(graph: MatchingGraph, state: Sequence[int]) -> np.ndarray:
+    """``state`` as an int64 vector, validated by the rule of :func:`_int_list`."""
+    return np.array(_int_list(state, graph.n_nodes), dtype=np.int64)
 
 
 def is_balanced(graph: MatchingGraph, state: Sequence[int]) -> bool:
@@ -94,41 +112,55 @@ def admissible_matchings(
 ) -> Iterator[np.ndarray]:
     """Yield every admissible matching vector for x, zero vector first.
 
-    The iteration order is lexicographic over per-edge counts in file edge
-    order, ascending, which downstream tie-breaking relies on.  Raises
+    x must hold one nonnegative integer per node; anything else raises
+    ValueError at the call, before iteration.  Each matching comes as a new
+    int64 vector, one count per edge.  The iteration order is
+    lexicographic over per-edge counts in file edge order, ascending,
+    which downstream tie-breaking relies on.  Raises
     :class:`ActionSpaceBudget` once more than ``budget`` vectors would be
     produced; the raise happens mid-iteration because enumeration is lazy.
     """
-    x_vec = as_state(graph, x)
-    edges = graph.edge_index
-    m = len(edges)
-    remaining = x_vec.copy()
-    counts = np.zeros(m, dtype=np.int64)
+    rem = _int_list(x, graph.n_nodes)
+    n_d = graph.n_d
+    ends = [(i, n_d + j) for i, j in graph.edge_index]
+    return _matchings(ends, rem, budget)
+
+
+def _matchings(
+    ends: list[tuple[int, int]], rem: list[int], budget: int
+) -> Iterator[np.ndarray]:
+    """The odometer behind :func:`admissible_matchings`.
+
+    ``counts`` is the current matching and ``rem`` what x leaves after it.
+    The successor raises the last edge that both its endpoints can still
+    serve, after returning the counts of every later edge to ``rem``.
+    """
+    shown = list(rem)
+    counts = [0] * len(ends)
     yielded = 0
-
-    def rec(k: int) -> Iterator[np.ndarray]:
-        nonlocal yielded
-        if k == m:
-            yielded += 1
-            if yielded > budget:
-                raise ActionSpaceBudget(
-                    f"more than {budget} admissible matchings at x={x_vec.tolist()}"
-                )
-            yield counts.copy()
+    while True:
+        yielded += 1
+        if yielded > budget:
+            raise ActionSpaceBudget(
+                f"more than {budget} admissible matchings at x={shown}"
+            )
+        yield np.array(counts, dtype=np.int64)
+        k = len(ends) - 1
+        while k >= 0:
+            d, s = ends[k]
+            if rem[d] and rem[s]:
+                counts[k] += 1
+                rem[d] -= 1
+                rem[s] -= 1
+                break
+            c = counts[k]
+            if c:
+                counts[k] = 0
+                rem[d] += c
+                rem[s] += c
+            k -= 1
+        else:
             return
-        i, j = edges[k]
-        d_pos, s_pos = i, graph.n_d + j
-        cap = int(min(remaining[d_pos], remaining[s_pos]))
-        for c in range(cap + 1):
-            counts[k] = c
-            remaining[d_pos] -= c
-            remaining[s_pos] -= c
-            yield from rec(k + 1)
-            remaining[d_pos] += c
-            remaining[s_pos] += c
-        counts[k] = 0
-
-    return rec(0)
 
 
 def transition(
@@ -171,11 +203,7 @@ class NLayout:
     s2_local: int
 
     def pack(self, x: Sequence[int]) -> tuple[int, int, int, int]:
-        vec = np.asarray(x)
-        return (
-            int(vec[self.d1]), int(vec[self.d2]),
-            int(vec[self.s1]), int(vec[self.s2]),
-        )
+        return int(x[self.d1]), int(x[self.d2]), int(x[self.s1]), int(x[self.s2])
 
 
 @dataclass(frozen=True)
@@ -197,10 +225,9 @@ class WLayout:
     s2_local: int
 
     def pack(self, x: Sequence[int]) -> tuple[int, int, int, int, int]:
-        vec = np.asarray(x)
         return (
-            int(vec[self.d1]), int(vec[self.d2]), int(vec[self.d3]),
-            int(vec[self.s1]), int(vec[self.s2]),
+            int(x[self.d1]), int(x[self.d2]), int(x[self.d3]),
+            int(x[self.s1]), int(x[self.s2]),
         )
 
 

@@ -27,11 +27,9 @@ either way.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -104,19 +102,6 @@ class ShapeReport:
             "violation_count": self.violation_count,
             "checked": self.checked,
         }
-
-
-def write_reports(
-    reports: Iterable[PropertyReport | ShapeReport], file: IO[str] | str | Path
-) -> None:
-    """Write reports as JSON lines, one record per report."""
-    if isinstance(file, (str, Path)):
-        with open(file, "w", encoding="utf-8") as handle:
-            write_reports(reports, handle)
-        return
-    for report in reports:
-        file.write(json.dumps(report.to_record(), sort_keys=True))
-        file.write("\n")
 
 
 # ---- table access ----

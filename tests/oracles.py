@@ -10,11 +10,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from matchdp.errors import Inadmissible, NoConvergence, WrongGraphClass
+from matchdp.errors import ActionSpaceBudget, Inadmissible, NoConvergence, WrongGraphClass
 from matchdp.graphs import (
     COMPLETE,
     N_SHAPED,
@@ -25,7 +25,18 @@ from matchdp.graphs import (
     classify,
 )
 from matchdp.nshaped import level_of_state
-from matchdp.policies import Policy, ThresholdN
+from matchdp.policies import (
+    AcyclicHeuristic,
+    FullMatch,
+    MatchLongest,
+    MaxWeight,
+    Policy,
+    PriorityExtreme,
+    ThresholdCMO,
+    ThresholdN,
+    ThresholdW,
+    ThresholdWWorkload,
+)
 from matchdp.simulate import SimConfig, SimResult, _aggregate
 from matchdp.solver import (
     DPConfig,
@@ -35,7 +46,7 @@ from matchdp.solver import (
     _post_arrival_costs,
     extract_policy,
 )
-from matchdp.states import n_layout, node_usage
+from matchdp.states import ACTION_BUDGET, is_admissible, n_layout, node_usage, w_layout
 from matchdp.structure import MAX_WITNESSES, ShapeReport
 
 EXTRACT_GRID_LIMIT = 2_000_000
@@ -380,6 +391,197 @@ def reference_threshold_cmo(graph: MatchingGraph, t: float, x: Sequence[int]) ->
             rem[graph.n_d + j] -= take
             left -= take
     return u
+
+
+# ---- every decision rule on numpy vectors, one residual update per edge ----
+
+
+def _take(
+    graph: MatchingGraph, u: np.ndarray, rem: np.ndarray, e: int, limit=math.inf
+) -> int:
+    """Match as many pairs on edge e as both endpoints still hold in rem, at
+    most ``limit``; updates u and rem in place and returns the count."""
+    i, j = graph.edge_index[e]
+    take = min(limit, rem[i], rem[graph.n_d + j])
+    u[e] += take
+    rem[i] -= take
+    rem[graph.n_d + j] -= take
+    return take
+
+
+def reference_admissible_matchings(
+    graph: MatchingGraph, x: Sequence[int], budget: int = ACTION_BUDGET
+) -> Iterator[np.ndarray]:
+    """The admissible matchings of x by recursion over the edges, one
+    generator frame per edge, on numpy counters; lexicographic order, and
+    ActionSpaceBudget once more than ``budget`` would be yielded."""
+    x_vec = np.asarray(x, dtype=np.int64)
+    edges = graph.edge_index
+    m = len(edges)
+    remaining = x_vec.copy()
+    counts = np.zeros(m, dtype=np.int64)
+    yielded = 0
+
+    def rec(k: int) -> Iterator[np.ndarray]:
+        nonlocal yielded
+        if k == m:
+            yielded += 1
+            if yielded > budget:
+                raise ActionSpaceBudget(
+                    f"more than {budget} admissible matchings at x={x_vec.tolist()}"
+                )
+            yield counts.copy()
+            return
+        i, j = edges[k]
+        d_pos, s_pos = i, graph.n_d + j
+        cap = int(min(remaining[d_pos], remaining[s_pos]))
+        for c in range(cap + 1):
+            counts[k] = c
+            remaining[d_pos] -= c
+            remaining[s_pos] -= c
+            yield from rec(k + 1)
+            remaining[d_pos] += c
+            remaining[s_pos] += c
+        counts[k] = 0
+
+    return rec(0)
+
+
+def _full_match(policy: FullMatch, x: np.ndarray) -> np.ndarray:
+    graph = policy.graph
+    rem = x.copy()
+    u = np.zeros(len(graph.edges), dtype=np.int64)
+    for e in range(len(u)):
+        _take(graph, u, rem, e)
+    return u
+
+
+def _w_edge_positions(graph: MatchingGraph):
+    lay = w_layout(graph)
+    pos = graph.edge_position
+    return lay, (
+        pos[(lay.d1, lay.s1_local)], pos[(lay.d2, lay.s1_local)],
+        pos[(lay.d2, lay.s2_local)], pos[(lay.d3, lay.s2_local)],
+    )
+
+
+def _threshold_w(policy: ThresholdW, x: np.ndarray) -> np.ndarray:
+    lay, (e11, e21, e22, e32) = _w_edge_positions(policy.graph)
+    d1, d2, d3, s1, s2 = lay.pack(x)
+    k = min(_surplus(s1 - d1, policy.t21), d2)
+    j = min(_surplus(s2 - d3, policy.t22), d2)
+    if k + j > d2:
+        raise Inadmissible(
+            f"threshold counts k={k}, j={j} exceed the middle class "
+            f"availability {d2} at x={x.tolist()} (unbalanced input)"
+        )
+    u = np.zeros(len(policy.graph.edges), dtype=np.int64)
+    u[e11] = min(d1, s1)
+    u[e32] = min(d3, s2)
+    u[e21] = k
+    u[e22] = j
+    return u
+
+
+def _threshold_w_workload(policy: ThresholdWWorkload, x: np.ndarray) -> np.ndarray:
+    lay, (e11, e21, e22, e32) = _w_edge_positions(policy.graph)
+    d1, d2, d3, s1, s2 = lay.pack(x)
+    u11 = min(d1, s1)
+    u22 = min(d2, s2)
+    rem_s1 = s1 - u11
+    rem_d2 = d2 - u22
+    rem_s2 = s2 - u22
+    u32 = min(_surplus(d3, policy.t32), rem_s2)
+    workload = rem_d2 + (d3 - u32)
+    u21 = min(_surplus(workload, policy.t21), rem_s1, rem_d2)
+    u = np.zeros(len(policy.graph.edges), dtype=np.int64)
+    u[e11] = u11
+    u[e21] = u21
+    u[e22] = u22
+    u[e32] = u32
+    return u
+
+
+def _priority_extreme(policy: PriorityExtreme, x: np.ndarray) -> np.ndarray:
+    graph = policy.graph
+    rem = x.copy()
+    u = np.zeros(len(graph.edges), dtype=np.int64)
+    for e in policy._extreme_positions:
+        _take(graph, u, rem, e)
+    if policy.inner is not None:
+        extra = reference_decide(policy.inner, rem)
+        if not is_admissible(graph, rem, extra):
+            raise Inadmissible(
+                f"inner policy {policy.inner.label} returned "
+                f"{np.asarray(extra).tolist()} at residual {rem.tolist()}"
+            )
+        u += np.asarray(extra, dtype=np.int64)
+    return u
+
+
+def _max_weight(policy: MaxWeight, x: np.ndarray) -> np.ndarray:
+    graph, costs = policy.graph, policy.costs
+    weights = np.array(
+        [
+            2.0 * costs.demand[i] * x[i] + 2.0 * costs.supply[j] * x[graph.n_d + j]
+            for i, j in graph.edge_index
+        ]
+    )
+    return max(reference_admissible_matchings(graph, x), key=lambda u: float(weights @ u))
+
+
+def _match_longest(policy: MatchLongest, x: np.ndarray) -> np.ndarray:
+    graph = policy.graph
+    rem = x.copy()
+    u = np.zeros(len(graph.edges), dtype=np.int64)
+    while True:
+        best_e = -1
+        best_sum = -1
+        for e, (i, j) in enumerate(graph.edge_index):
+            if rem[i] > 0 and rem[graph.n_d + j] > 0:
+                total = int(rem[i] + rem[graph.n_d + j])
+                if total > best_sum:
+                    best_sum = total
+                    best_e = e
+        if best_e < 0:
+            return u
+        _take(graph, u, rem, best_e, 1)
+
+
+def _acyclic_heuristic(policy: AcyclicHeuristic, x: np.ndarray) -> np.ndarray:
+    graph = policy.graph
+    thresholds = policy.node_thresholds
+    rem = x.copy()
+    u = np.zeros(len(graph.edges), dtype=np.int64)
+    for level, layer in enumerate(policy.layers):
+        for e in layer:
+            i, j = graph.edge_index[e]
+            limit = math.inf if level == 0 else min(
+                _surplus(int(rem[i]), thresholds.get(graph.demand_nodes[i], 0)),
+                _surplus(int(rem[graph.n_d + j]), thresholds.get(graph.supply_nodes[j], 0)),
+            )
+            _take(graph, u, rem, e, limit)
+    return u
+
+
+def reference_decide(policy: Policy, x: Sequence[int]) -> np.ndarray:
+    """The decision of a library rule at x, computed on an int64 vector by
+    that rule's formula with numpy scalars and in-place updates."""
+    vec = np.asarray(x, dtype=np.int64)
+    if isinstance(policy, ThresholdN):
+        return reference_threshold_n(policy.graph, policy.t, vec)
+    if isinstance(policy, ThresholdCMO):
+        return reference_threshold_cmo(policy.graph, policy.t, vec)
+    rules = {
+        FullMatch: _full_match,
+        ThresholdW: _threshold_w,
+        ThresholdWWorkload: _threshold_w_workload,
+        PriorityExtreme: _priority_extreme,
+        MaxWeight: _max_weight,
+        MatchLongest: _match_longest,
+        AcyclicHeuristic: _acyclic_heuristic,
+    }
+    return rules[type(policy)](policy, vec)
 
 
 # ---- policy shape verification, one x at a time ----

@@ -21,7 +21,6 @@ from matchdp.graphs import (
     check_projected_cost,
     check_stability,
     classify,
-    graph_to_dict,
     load_graph,
     project_arrival,
     project_state,
@@ -109,8 +108,7 @@ def test_cost_vector_validation(n_graph):
             n_graph, {"d1": 1, "d2": 1, "s1": 1, "s2": 1, "zz": 9}
         )
     cv = CostVector.from_mapping(n_graph, {"d1": 1, "d2": 2, "s1": 3, "s2": 4})
-    assert cv.of_state([1, 1, 1, 1]) == 10.0
-    assert cv.of_state([2, 0, 1, 1]) == 9.0
+    assert cv.vector.tolist() == [1.0, 2.0, 3.0, 4.0]
 
 
 def test_edge_index_follows_file_order(n_graph):
@@ -371,9 +369,8 @@ def test_load_graph_roundtrip(tmp_path):
     graph, arr, costs = load_graph(str(path))
     assert classify(graph).tag == N_SHAPED
     assert arr.alpha.tolist() == [0.6, 0.4]
-    assert costs.of_state([1, 0, 0, 1]) == 5.0
-    doc = graph_to_dict(graph, arr, costs)
-    graph2, arr2, costs2 = load_graph(doc)
+    assert costs.vector.tolist() == [1.0, 2.0, 3.0, 4.0]
+    graph2, arr2, costs2 = load_graph(_valid_doc())
     assert graph2 == graph
     assert np.array_equal(arr2.beta, arr.beta)
     assert np.array_equal(costs2.vector, costs.vector)

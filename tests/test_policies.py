@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchdp.errors import ParseError, WrongGraphClass
+from matchdp.errors import Inadmissible, ParseError, WrongGraphClass
 from matchdp.graphs import CostVector, NProjection, project_state
 from matchdp.policies import (
     AcyclicHeuristic,
@@ -35,7 +36,7 @@ from conftest import (
     make_w_graph,
     unit_costs,
 )
-from oracles import reference_threshold_cmo, reference_threshold_n
+from oracles import reference_decide, reference_threshold_cmo, reference_threshold_n
 
 THRESHOLDS = st.sampled_from([0, 1, 2, 3, 4, 5, math.inf])
 
@@ -485,3 +486,77 @@ def test_read_decisions_flags_negative_counts_and_overdraws(n_graph):
     assert inadmissible.tolist() == [False, True, True]
     with pytest.raises(ValueError, match="per edge"):
         read_decisions(Tabular(n_graph, {(1, 0, 0, 1): [0, 1]}), xs[:1])
+
+
+# ---- the decide contract ----
+
+
+@pytest.mark.parametrize(
+    "x",
+    [[1.5, 0.5, 0.5, 1.5], [1.0, 0, 0, 1], ["1", "0", "0", "1"],
+     np.array([1.0, 0.0, 0.0, 1.0])],
+    ids=["float", "integral-float", "string", "float-array"],
+)
+def test_decide_rejects_non_integer_entries(n_graph, x):
+    for policy in (ThresholdN(n_graph, 0), MaxWeight(n_graph, unit_costs(n_graph))):
+        with pytest.raises(ValueError, match="integers"):
+            policy.decide(x)
+
+
+def test_decide_takes_ints_and_integer_rows_alike(n_graph):
+    policy = ThresholdN(n_graph, 0)
+    row = np.array([[1, 0, 0, 1]], dtype=np.int64)[0]
+    for x in ([1, 0, 0, 1], row, (np.int64(1), 0, 0, np.int32(1))):
+        u = policy.decide(x)
+        assert u.dtype == np.int64
+        assert u.tolist() == [0, 1, 0]
+
+
+# ---- every rule against its numpy formula, on boxes of vectors ----
+
+
+def _decision_or_raise(decide, x):
+    try:
+        return decide(x).tolist()
+    except (Inadmissible, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+NON_INTEGER_COSTS = CostVector(demand=[0.3, 1.7, 2.9], supply=[2.9, 0.3, 1.7])
+INTEGER_COSTS = CostVector(demand=[1.0, 3.0, 2.0], supply=[2.0, 1.0, 3.0])
+
+
+def _oracle_grids():
+    """(graph, policies, box side): every vector of [0, side)^nodes is checked."""
+    n, w, c22, cmo, nn = (
+        make_n_graph(), make_w_graph(), make_complete22(), make_cmo33(), make_nn_graph()
+    )
+    return {
+        "n": (n, [ThresholdN(n, t) for t in (0, 2, math.inf)], 6),
+        "w": (w, [ThresholdW(w, 0, 0), ThresholdW(w, 1, 2),
+                  ThresholdWWorkload(w, 0, 0), ThresholdWWorkload(w, 2, 1)], 4),
+        "complete22": (c22, [FullMatch(c22), MatchLongest(c22)], 5),
+        "cmo33": (cmo, [ThresholdCMO(cmo, t) for t in (0, 1, math.inf)], 3),
+        "nn": (nn, [
+            AcyclicHeuristic(nn, {"s3": 1}),
+            AcyclicHeuristic(nn, {"d2": 2, "s2": math.inf}),
+            MaxWeight(nn, INTEGER_COSTS),
+            MaxWeight(nn, NON_INTEGER_COSTS),
+            PriorityExtreme(nn),
+            PriorityExtreme(nn, inner=MaxWeight(nn, NON_INTEGER_COSTS)),
+            PriorityExtreme(nn, inner=AcyclicHeuristic(nn, {"s3": 1})),
+        ], 3),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_oracle_grids()))
+def test_decisions_equal_the_numpy_oracle_on_a_box(name):
+    graph, policies, side = _oracle_grids()[name]
+    raised = 0
+    for x in itertools.product(range(side), repeat=graph.n_nodes):
+        for policy in policies:
+            want = _decision_or_raise(lambda v: reference_decide(policy, v), x)
+            assert _decision_or_raise(policy.decide, list(x)) == want, (policy.label, x)
+            raised += isinstance(want, tuple)
+    # ThresholdW(0, 0) overdraws the middle class on unbalanced vectors.
+    assert (raised > 0) == (name == "w")

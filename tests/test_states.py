@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from matchdp.errors import ActionSpaceBudget, Inadmissible, WrongGraphClass
 from matchdp.states import (
     admissible_matchings,
     arrival_vector,
+    as_state,
     check_queue_state,
     is_admissible,
     is_balanced,
@@ -28,7 +31,7 @@ from conftest import (
     make_nn_graph,
     make_w_graph,
 )
-from oracles import brute_admissible
+from oracles import brute_admissible, reference_admissible_matchings
 
 GRAPH_MAKERS = {
     "n": make_n_graph,
@@ -117,6 +120,45 @@ def test_action_budget_raises_mid_iteration():
         for _ in admissible_matchings(g, [40, 40, 40, 40], budget=10):
             seen += 1
     assert seen == 10
+
+
+def _yields_until_raise(matchings, x, budget):
+    """The matchings yielded before the enumeration ends or raises, and the raise."""
+    seen = []
+    try:
+        for u in matchings(make_nn_graph(), x, budget):
+            assert u.dtype == np.int64
+            seen.append(u.tolist())
+    except ActionSpaceBudget as exc:
+        return seen, str(exc)
+    return seen, None
+
+
+@pytest.mark.parametrize("budget", [0, 1, 2, 7, 10**6])
+def test_enumerator_equals_the_recursive_oracle(budget):
+    for x in itertools.product(range(3), repeat=6):
+        want = _yields_until_raise(reference_admissible_matchings, x, budget)
+        assert _yields_until_raise(admissible_matchings, list(x), budget) == want, x
+
+
+@pytest.mark.parametrize(
+    "x",
+    [[1.9, 0, 0, 1.9], [1.0, 0, 0, 1.0], ["1", "0", "0", "1"], np.array([1.0, 0, 0, 1])],
+    ids=["float", "integral-float", "string", "float-array"],
+)
+def test_non_integer_states_are_rejected(n_graph, x):
+    with pytest.raises(ValueError, match="integers"):
+        as_state(n_graph, x)
+    with pytest.raises(ValueError, match="integers"):
+        admissible_matchings(n_graph, x)
+
+
+def test_integer_rows_and_numpy_ints_pass(n_graph):
+    row = np.array([[2, 0, 1, 1]], dtype=np.int64)[0]
+    for x in (row, [np.int64(2), 0, 1, np.int32(1)], row.astype(np.uint8)):
+        assert as_state(n_graph, x).tolist() == [2, 0, 1, 1]
+        assert as_state(n_graph, x).dtype == np.int64
+        assert len(list(admissible_matchings(n_graph, x))) == 4
 
 
 def test_transition_balance_and_errors(n_graph):

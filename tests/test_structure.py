@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import io
-import json
 import math
 import zlib
 
@@ -41,7 +39,6 @@ from matchdp.structure import (
     check_modular,
     check_undesirable,
     verify_policy_shape,
-    write_reports,
 )
 
 from conftest import (
@@ -441,7 +438,7 @@ class TestInteriorDiscipline:
         base = linear_table(space, (1.0, 2.0, 3.0, 4.0))
         corrupt = base.copy()
         for row, q in enumerate(space.balanced_states):
-            if space.is_tainted(q):
+            if not space.is_interior(q):
                 corrupt[row] = -1e6
 
         def all_six(table):
@@ -669,41 +666,6 @@ class TestVerifyAgainstOracle:
                     assert got.to_record() == want.to_record()
                     reasons |= {w["reason"] for w in want.witnesses}
         assert reasons
-
-
-# ---- report serialization ----
-
-
-class TestWriteReports:
-    def make_reports(self):
-        space = n_space()
-        prop = check_increasing(space, linear_table(space, (1, 2, 3, 4)), (0, 0))
-        shape = verify_policy_shape(
-            space, ThresholdN(space.graph, math.inf), "threshold_n"
-        )
-        return [prop, shape]
-
-    def test_stream_round_trip(self):
-        reports = self.make_reports()
-        buffer = io.StringIO()
-        write_reports(reports, buffer)
-        lines = buffer.getvalue().splitlines()
-        assert len(lines) == 2
-        prop, shape = (json.loads(line) for line in lines)
-        assert prop["kind"] == "property"
-        assert prop["name"] == "increasing[d1,s1]"
-        assert prop["passed"] is True
-        assert shape["kind"] == "policy_shape"
-        assert shape["inferred"] == {"t": "inf"}
-        assert buffer.getvalue().endswith("\n")
-
-    def test_path_target(self, tmp_path):
-        reports = self.make_reports()
-        out = tmp_path / "reports.jsonl"
-        write_reports(reports, out)
-        buffer = io.StringIO()
-        write_reports(reports, buffer)
-        assert out.read_text(encoding="utf-8") == buffer.getvalue()
 
 
 # ---- randomized coverage ----
