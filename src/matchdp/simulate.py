@@ -12,9 +12,13 @@ row n of a (horizon, 2) uniform block; the demand class is the inverse-CDF
 index of column 0 under alpha, the supply class of column 1 under beta.
 The same (seed, replication) therefore yields the same arrival sequence
 for every policy, which is what makes comparisons paired.  The block is
-drawn in pieces of CHUNK_STEPS rows, which yields the same doubles, and
-every policy walks each piece before the next is drawn, so memory does not
-grow with the horizon.
+drawn in pieces of CHUNK_STEPS rows, which yields the same doubles.  One
+helper thread per replication makes every draw, in order, one piece ahead:
+the next piece's uniforms are drawn while the chains walk the current one
+(a stream of one piece is drawn on the calling thread and starts no
+thread).  At most two pieces of uniforms are alive, so memory does not
+grow with the horizon, and as no two draws overlap the results are
+bit-identical to drawing every piece on the calling thread.
 
 Every policy runs through one kernel.  A step depends only on the queue
 vector and the arrival atom, so the kernel memoizes the successor of each
@@ -32,13 +36,14 @@ partial sum is exact, so the result equals a step-by-step run bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import math
 import operator
 import os
 import statistics
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterator, Sequence
@@ -93,6 +98,10 @@ class SimConfig:
                 object.__setattr__(
                     self, name, tuple(_integer(name, v) for v in values)
                 )
+        if self.a0 is not None and len(self.a0) != 2:
+            raise ValueError(
+                f"a0 must have 2 entries (demand, supply class), got {self.a0}"
+            )
         if not 0 <= self.burn_in < self.horizon:
             raise ValueError(
                 f"need horizon > burn_in >= 0, got horizon={self.horizon}, "
@@ -226,9 +235,13 @@ def _arrival_chunks(graph: MatchingGraph, arrivals: ArrivalDistribution,
 
     A piece covers at most CHUNK_STEPS consecutive steps and never
     straddles the end of the burn-in; ``codes`` and ``tail`` are its atom
-    indices i * n_s + j as encoded by :func:`_encode`.  No array of a piece
-    is kept once it is encoded, so while the chains walk a piece only its
-    two lists are alive.
+    indices i * n_s + j as encoded by :func:`_encode`.  When the stream has
+    more than one piece, one helper thread makes every draw, in order: the
+    next piece's uniforms are requested before this piece is mapped, so
+    numpy fills them (without the GIL) while this thread maps, encodes and
+    walks.  No array of a piece is kept once it is encoded, so while the
+    chains walk a piece only its two lists and the next piece's uniforms
+    are alive.
     """
     n_atoms = graph.n_d * graph.n_s
     stride = _stride(n_atoms)
@@ -239,24 +252,36 @@ def _arrival_chunks(graph: MatchingGraph, arrivals: ArrivalDistribution,
     d_knots = np.cumsum(arrivals.alpha)[:-1]
     s_knots = np.cumsum(arrivals.beta)[:-1]
     first = cfg.initial_atom(graph)
-    for start in range(0, cfg.horizon, CHUNK_STEPS):
-        u = rng.random((min(CHUNK_STEPS, cfg.horizon - start), 2))
-        atom = np.zeros(len(u), dtype=np.intp)
-        for knot in d_knots:
-            atom += u[:, 0] >= knot
-        atom *= graph.n_s
-        for knot in s_knots:
-            atom += u[:, 1] >= knot
-        if start == 0 and first is not None:
-            atom[0] = first[0] * graph.n_s + first[1]
-        cut = min(max(cfg.burn_in - start, 0), len(atom))
-        pieces = [
-            (counted, *_encode(part, n_atoms, stride))
-            for counted, part in ((False, atom[:cut]), (True, atom[cut:]))
-            if len(part)
-        ]
-        del u, atom
-        yield from pieces
+    starts = range(0, cfg.horizon, CHUNK_STEPS)
+
+    def shape(start: int) -> tuple[int, int]:
+        return min(CHUNK_STEPS, cfg.horizon - start), 2
+
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        # The executor starts its thread at the first submit, so a stream
+        # of one piece, which has no walk to overlap its draw with, starts
+        # none and is drawn here.
+        ahead = helper.submit(rng.random, shape(0)) if len(starts) > 1 else None
+        for start in starts:
+            u = rng.random(shape(0)) if ahead is None else ahead.result()
+            if start + CHUNK_STEPS < cfg.horizon:
+                ahead = helper.submit(rng.random, shape(start + CHUNK_STEPS))
+            atom = np.zeros(len(u), dtype=np.intp)
+            for knot in d_knots:
+                atom += u[:, 0] >= knot
+            atom *= graph.n_s
+            for knot in s_knots:
+                atom += u[:, 1] >= knot
+            if start == 0 and first is not None:
+                atom[0] = first[0] * graph.n_s + first[1]
+            cut = min(max(cfg.burn_in - start, 0), len(atom))
+            pieces = [
+                (counted, *_encode(part, n_atoms, stride))
+                for counted, part in ((False, atom[:cut]), (True, atom[cut:]))
+                if len(part)
+            ]
+            del u, atom
+            yield from pieces
 
 
 def _encode(atoms: np.ndarray, n_atoms: int, stride: int) -> tuple[list[int], list[int]]:
@@ -482,13 +507,16 @@ def _replicate(chains: Sequence[_Chain], graph: MatchingGraph,
     """Walk every chain over one replication's stream, piece by piece.
 
     Each piece is encoded once and the codes are shared by every chain.
+    The stream is closed on the way out, so its helper thread ends with
+    the replication even when a chain raises.
     """
     q0 = tuple(cfg.initial_queue(graph))
     for chain in chains:
         chain.start(q0)
-    for counted, codes, tail in _arrival_chunks(graph, arrivals, cfg, rep):
-        for chain in chains:
-            chain.walk(codes, tail, counted)
+    with contextlib.closing(_arrival_chunks(graph, arrivals, cfg, rep)) as stream:
+        for counted, codes, tail in stream:
+            for chain in chains:
+                chain.walk(codes, tail, counted)
     return tuple(chain.finish() for chain in chains)
 
 
@@ -503,12 +531,15 @@ def _run(graph, arrivals, costs, policies, cfg, threads) -> list[tuple]:
 
     Serially each policy keeps one memo across its replications; in a
     pool every job builds its own.  A policy bound to another graph (one
-    that differs in its nodes or in its edge order) raises ValueError.
+    that differs in its nodes or in its edge order) raises ValueError, and
+    so does a ``q0`` or ``a0`` that does not fit the graph, before any
+    worker process or helper thread starts.
     """
     for policy in policies:
         if policy.graph != graph:
             raise ValueError(f"policy {policy.label} is bound to another graph")
     cfg.initial_queue(graph)
+    cfg.initial_atom(graph)
     width = _thread_width(threads, cfg.replications)
     reps = range(cfg.replications)
     if width > 1:

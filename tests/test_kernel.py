@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import importlib
 import math
+import threading
 
 import numpy as np
 import pytest
 
-from matchdp.errors import MatchDPError, MissingDecision
+from matchdp.errors import Inadmissible, MatchDPError, MissingDecision
 from matchdp.graphs import ArrivalDistribution, CostVector
 from matchdp.policies import (
     AcyclicHeuristic,
@@ -111,19 +112,104 @@ class TestChunkInvariance:
     # 5003 and 333 are multiples of none of the piece sizes.
     CFG = SimConfig(horizon=5003, burn_in=333, replications=2, seed=5)
 
-    def run_both(self):
+    def run_both(self, threads=1):
         graph, arrivals, costs = n_setup()
-        single = simulate(graph, arrivals, costs, ThresholdN(graph, 1), self.CFG)
+        single = simulate(
+            graph, arrivals, costs, ThresholdN(graph, 1), self.CFG, threads=threads
+        )
         paired = compare(
-            graph, arrivals, costs, [ThresholdN(graph, 0), ThresholdN(graph, 3)], self.CFG
+            graph, arrivals, costs, [ThresholdN(graph, 0), ThresholdN(graph, 3)],
+            self.CFG, threads=threads,
         )
         return single, paired
 
+    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("chunk", [1, 7, 4096])
-    def test_results_do_not_depend_on_the_piece_size(self, chunk, monkeypatch):
+    def test_results_do_not_depend_on_the_piece_size(self, chunk, threads, monkeypatch):
         expected = self.run_both()
         monkeypatch.setattr(simmod, "CHUNK_STEPS", chunk)
-        assert self.run_both() == expected
+        assert self.run_both(threads) == expected
+
+
+class TestHelperThread:
+    """Each replication draws its stream on one helper thread that ends with it."""
+
+    def test_no_helper_outlives_a_multi_piece_run(self, monkeypatch):
+        graph, arrivals, costs = n_setup()
+        monkeypatch.setattr(simmod, "CHUNK_STEPS", 7)
+        before = threading.active_count()
+        simulate(graph, arrivals, costs, ThresholdN(graph, 2), CFG, threads=1)
+        assert threading.active_count() == before
+        compare(
+            graph, arrivals, costs, [ThresholdN(graph, 0), ThresholdN(graph, 3)], CFG,
+            threads=1,
+        )
+        assert threading.active_count() == before
+
+    def test_no_helper_outlives_a_policy_that_raises(self, monkeypatch):
+        class IdleThenNegative(Policy):
+            """Never matches until 40 items wait, then returns negative counts."""
+
+            label = "IdleThenNegative"
+
+            def decide(self, x):
+                fill = -1 if sum(x) > 40 else 0
+                return np.full(len(self.graph.edges), fill, dtype=np.int64)
+
+        graph, arrivals, costs = n_setup()
+        monkeypatch.setattr(simmod, "CHUNK_STEPS", 7)
+        before = threading.active_count()
+        with pytest.raises(Inadmissible, match="IdleThenNegative"):
+            simulate(graph, arrivals, costs, IdleThenNegative(graph), CFG, threads=1)
+        assert threading.active_count() == before
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """Patch the generator to log (thread id, size) per draw; draw number
+        ``fail_at`` (counted from 1) raises the exception stored under ``error``."""
+        log = {"calls": [], "fail_at": None, "error": RuntimeError("draw failed")}
+        real = np.random.Generator
+
+        class Logged:
+            def __init__(self, bit_generator):
+                self.inner = real(bit_generator)
+
+            def random(self, size):
+                log["calls"].append((threading.get_ident(), size))
+                if len(log["calls"]) == log["fail_at"]:
+                    raise log["error"]
+                return self.inner.random(size)
+
+        monkeypatch.setattr(np.random, "Generator", Logged)
+        monkeypatch.setattr(simmod, "CHUNK_STEPS", 7)
+        return log
+
+    def test_one_helper_thread_draws_every_piece_in_order(self, draws):
+        graph, arrivals, costs = n_setup()
+        cfg = SimConfig(horizon=30, seed=2)
+        simulate(graph, arrivals, costs, ThresholdN(graph, 2), cfg, threads=1)
+        helpers = {ident for ident, _ in draws["calls"]}
+        assert len(helpers) == 1 and threading.get_ident() not in helpers
+        assert [size for _, size in draws["calls"]] == [(7, 2)] * 4 + [(2, 2)]
+
+    def test_a_stream_of_one_piece_starts_no_thread(self, draws, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a helper thread started for one piece")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        graph, arrivals, costs = n_setup()
+        cfg = SimConfig(horizon=7, replications=2, seed=2)
+        simulate(graph, arrivals, costs, ThresholdN(graph, 2), cfg, threads=1)
+        assert draws["calls"] == [(threading.get_ident(), (7, 2))] * 2
+
+    def test_an_error_in_a_draw_reaches_the_caller_unchanged(self, draws):
+        graph, arrivals, costs = n_setup()
+        draws["fail_at"] = 3
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            simulate(graph, arrivals, costs, ThresholdN(graph, 2), CFG, threads=1)
+        assert info.value is draws["error"]
+        assert threading.active_count() == before
 
 
 class TestMemoBound:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import importlib
 import io
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -33,6 +35,9 @@ from matchdp.simulate import (
 
 from conftest import make_complete22, make_n_graph, make_w_graph
 from oracles import reference_simulate, reference_threshold_n
+
+# The package re-exports the function ``simulate`` over the module's name.
+simmod = importlib.import_module("matchdp.simulate")
 
 
 class PlainN(ThresholdN):
@@ -116,11 +121,25 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="balanced"):
             simulate(graph, arrivals, costs, ThresholdN(graph, 0), cfg)
 
-    def test_a0_range(self):
+    def test_a0_range(self, monkeypatch):
+        def no_workers(*args, **kwargs):
+            raise AssertionError("a worker started before a0 was checked")
+
+        monkeypatch.setattr(simmod, "ProcessPoolExecutor", no_workers)
+        monkeypatch.setattr(simmod, "ThreadPoolExecutor", no_workers)
         graph, arrivals, costs = n_setup()
-        cfg = SimConfig(horizon=10, a0=(5, 0))
-        with pytest.raises(ValueError, match="a0"):
-            simulate(graph, arrivals, costs, ThresholdN(graph, 0), cfg)
+        cfg = SimConfig(horizon=10, replications=2, a0=(5, 0))
+        for threads in (1, 2):
+            with pytest.raises(ValueError, match=r"a0 out of range: \(5, 0\)"):
+                simulate(graph, arrivals, costs, ThresholdN(graph, 0), cfg, threads=threads)
+
+    @pytest.mark.parametrize("a0", [(1, 0, 0), (1,)])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a0_needs_two_entries(self, a0, threads):
+        graph, arrivals, costs = n_setup()
+        with pytest.raises(ValueError, match=rf"a0 must have 2 entries .*got {re.escape(str(a0))}"):
+            cfg = SimConfig(horizon=10, replications=2, a0=a0)
+            simulate(graph, arrivals, costs, ThresholdN(graph, 0), cfg, threads=threads)
 
     def test_policy_of_another_graph_is_rejected(self):
         graph, arrivals, costs = n_setup()
