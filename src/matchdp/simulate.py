@@ -12,13 +12,15 @@ row n of a (horizon, 2) uniform block; the demand class is the inverse-CDF
 index of column 0 under alpha, the supply class of column 1 under beta.
 The same (seed, replication) therefore yields the same arrival sequence
 for every policy, which is what makes comparisons paired.  The block is
-drawn in pieces of CHUNK_STEPS rows, which yields the same doubles.  One
-helper thread per replication makes every draw, in order, one piece ahead:
-the next piece's uniforms are drawn while the chains walk the current one
-(a stream of one piece is drawn on the calling thread and starts no
-thread).  At most two pieces of uniforms are alive, so memory does not
-grow with the horizon, and as no two draws overlap the results are
-bit-identical to drawing every piece on the calling thread.
+drawn in pieces of CHUNK_STEPS rows, which yields the same doubles.  In a
+serial run one helper thread per replication makes every draw, in order,
+one piece ahead: the next piece's uniforms are drawn while the chains walk
+the current one (a stream of one piece is drawn on the calling thread and
+starts no thread).  A pool worker draws every piece on its own thread: a
+pool as wide as the CPUs leaves no core free for a helper.  At most two
+pieces of uniforms are alive, so memory does not grow with the horizon,
+and as no two draws overlap the results are bit-identical to drawing
+every piece on the calling thread.
 
 Every policy runs through one kernel.  A step depends only on the queue
 vector and the arrival atom, so the kernel memoizes the successor of each
@@ -230,14 +232,15 @@ def _stride(n_atoms: int) -> int:
 
 
 def _arrival_chunks(graph: MatchingGraph, arrivals: ArrivalDistribution,
-                    cfg: SimConfig, rep: int) -> Iterator[tuple[bool, list[int], list[int]]]:
+                    cfg: SimConfig, rep: int,
+                    overlap: bool) -> Iterator[tuple[bool, list[int], list[int]]]:
     """Yield (counted, codes, tail) pieces of one replication's arrival stream.
 
     A piece covers at most CHUNK_STEPS consecutive steps and never
     straddles the end of the burn-in; ``codes`` and ``tail`` are its atom
-    indices i * n_s + j as encoded by :func:`_encode`.  When the stream has
-    more than one piece, one helper thread makes every draw, in order: the
-    next piece's uniforms are requested before this piece is mapped, so
+    indices i * n_s + j as encoded by :func:`_encode`.  With ``overlap``
+    and more than one piece, one helper thread makes every draw, in order:
+    the next piece's uniforms are requested before this piece is mapped, so
     numpy fills them (without the GIL) while this thread maps, encodes and
     walks.  No array of a piece is kept once it is encoded, so while the
     chains walk a piece only its two lists and the next piece's uniforms
@@ -257,14 +260,15 @@ def _arrival_chunks(graph: MatchingGraph, arrivals: ArrivalDistribution,
     def shape(start: int) -> tuple[int, int]:
         return min(CHUNK_STEPS, cfg.horizon - start), 2
 
+    # The executor starts its thread at the first submit, so a stream drawn
+    # without overlap, or of one piece (no walk to overlap its draw with),
+    # starts none and is drawn here.
+    overlap = overlap and len(starts) > 1
     with ThreadPoolExecutor(max_workers=1) as helper:
-        # The executor starts its thread at the first submit, so a stream
-        # of one piece, which has no walk to overlap its draw with, starts
-        # none and is drawn here.
-        ahead = helper.submit(rng.random, shape(0)) if len(starts) > 1 else None
+        ahead = helper.submit(rng.random, shape(0)) if overlap else None
         for start in starts:
-            u = rng.random(shape(0)) if ahead is None else ahead.result()
-            if start + CHUNK_STEPS < cfg.horizon:
+            u = ahead.result() if overlap else rng.random(shape(start))
+            if overlap and start + CHUNK_STEPS < cfg.horizon:
                 ahead = helper.submit(rng.random, shape(start + CHUNK_STEPS))
             atom = np.zeros(len(u), dtype=np.intp)
             for knot in d_knots:
@@ -503,17 +507,20 @@ class _Chain:
 
 
 def _replicate(chains: Sequence[_Chain], graph: MatchingGraph,
-               arrivals: ArrivalDistribution, cfg: SimConfig, rep: int) -> tuple:
+               arrivals: ArrivalDistribution, cfg: SimConfig, rep: int,
+               overlap: bool = True) -> tuple:
     """Walk every chain over one replication's stream, piece by piece.
 
     Each piece is encoded once and the codes are shared by every chain.
-    The stream is closed on the way out, so its helper thread ends with
-    the replication even when a chain raises.
+    ``overlap`` draws the stream on a helper thread (see
+    :func:`_arrival_chunks`).  The stream is closed on the way out, so its
+    helper thread ends with the replication even when a chain raises.
     """
     q0 = tuple(cfg.initial_queue(graph))
     for chain in chains:
         chain.start(q0)
-    with contextlib.closing(_arrival_chunks(graph, arrivals, cfg, rep)) as stream:
+    stream = _arrival_chunks(graph, arrivals, cfg, rep, overlap)
+    with contextlib.closing(stream):
         for counted, codes, tail in stream:
             for chain in chains:
                 chain.walk(codes, tail, counted)
@@ -521,9 +528,11 @@ def _replicate(chains: Sequence[_Chain], graph: MatchingGraph,
 
 
 def _replication_job(args) -> tuple:
+    """One replication in a pool worker, drawn on the worker's own thread:
+    a pool as wide as the CPUs leaves no core free for a helper's fill."""
     graph, arrivals, costs, policies, cfg, rep = args
     chains = [_Chain(graph, costs, p) for p in policies]
-    return _replicate(chains, graph, arrivals, cfg, rep)
+    return _replicate(chains, graph, arrivals, cfg, rep, overlap=False)
 
 
 def _run(graph, arrivals, costs, policies, cfg, threads) -> list[tuple]:

@@ -192,15 +192,25 @@ class TestHelperThread:
         assert len(helpers) == 1 and threading.get_ident() not in helpers
         assert [size for _, size in draws["calls"]] == [(7, 2)] * 4 + [(2, 2)]
 
-    def test_a_stream_of_one_piece_starts_no_thread(self, draws, monkeypatch):
-        def no_thread(*args, **kwargs):
-            raise AssertionError("a helper thread started for one piece")
+    @pytest.fixture
+    def no_thread(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a helper thread started")
 
-        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+
+    def test_a_stream_of_one_piece_starts_no_thread(self, draws, no_thread):
         graph, arrivals, costs = n_setup()
         cfg = SimConfig(horizon=7, replications=2, seed=2)
         simulate(graph, arrivals, costs, ThresholdN(graph, 2), cfg, threads=1)
         assert draws["calls"] == [(threading.get_ident(), (7, 2))] * 2
+
+    def test_a_pool_job_draws_on_its_own_thread(self, draws, no_thread):
+        graph, arrivals, costs = n_setup()
+        cfg = SimConfig(horizon=30, seed=2)
+        simmod._replication_job((graph, arrivals, costs, [ThresholdN(graph, 2)], cfg, 0))
+        here = threading.get_ident()
+        assert draws["calls"] == [(here, (7, 2))] * 4 + [(here, (2, 2))]
 
     def test_an_error_in_a_draw_reaches_the_caller_unchanged(self, draws):
         graph, arrivals, costs = n_setup()

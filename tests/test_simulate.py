@@ -134,12 +134,9 @@ class TestConfigValidation:
                 simulate(graph, arrivals, costs, ThresholdN(graph, 0), cfg, threads=threads)
 
     @pytest.mark.parametrize("a0", [(1, 0, 0), (1,)])
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_a0_needs_two_entries(self, a0, threads):
-        graph, arrivals, costs = n_setup()
+    def test_a0_needs_two_entries(self, a0):
         with pytest.raises(ValueError, match=rf"a0 must have 2 entries .*got {re.escape(str(a0))}"):
-            cfg = SimConfig(horizon=10, replications=2, a0=a0)
-            simulate(graph, arrivals, costs, ThresholdN(graph, 0), cfg, threads=threads)
+            SimConfig(horizon=10, a0=a0)
 
     def test_policy_of_another_graph_is_rejected(self):
         graph, arrivals, costs = n_setup()
