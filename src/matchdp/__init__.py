@@ -10,10 +10,15 @@ seeded Monte Carlo simulator with common random numbers.
 
 Submodules hold the full API; the names below cover the common workflow
 of building a model, solving it, checking the solution's shape, and
-simulating policies.
+simulating policies.  ``import matchdp`` loads the modules a simulation
+needs; the solver, the shape checks and the N closed form load on first
+use of one of their names (PEP 562), so a simulation-only run never pays
+for them.
 """
 
 from __future__ import annotations
+
+import importlib
 
 from matchdp.errors import (
     Inadmissible,
@@ -32,13 +37,6 @@ from matchdp.graphs import (
     classify,
     load_graph,
 )
-from matchdp.nshaped import (
-    NModelParams,
-    average_cost,
-    level_probability,
-    optimal_threshold,
-    threshold_location,
-)
 from matchdp.policies import (
     AcyclicHeuristic,
     FullMatch,
@@ -54,27 +52,56 @@ from matchdp.policies import (
     policy_from_spec,
 )
 from matchdp.simulate import CompareResult, SimConfig, SimResult, compare, simulate
-from matchdp.solver import (
-    DPConfig,
-    TruncatedStateSpace,
-    ValueFunction,
-    evaluate_policy,
-    extract_policy,
-    relative_value_iteration,
-    value_iteration,
-)
 from matchdp.states import admissible_matchings, transition
-from matchdp.structure import (
-    PropertyReport,
-    ShapeReport,
-    check_boundary,
-    check_convex,
-    check_exchangeable,
-    check_increasing,
-    check_modular,
-    check_undesirable,
-    verify_policy_shape,
-)
+
+_LAZY = {
+    name: module
+    for module, names in {
+        "nshaped": (
+            "NModelParams",
+            "average_cost",
+            "level_probability",
+            "optimal_threshold",
+            "threshold_location",
+        ),
+        "solver": (
+            "DPConfig",
+            "TruncatedStateSpace",
+            "ValueFunction",
+            "evaluate_policy",
+            "extract_policy",
+            "relative_value_iteration",
+            "value_iteration",
+        ),
+        "structure": (
+            "PropertyReport",
+            "ShapeReport",
+            "check_boundary",
+            "check_convex",
+            "check_exchangeable",
+            "check_increasing",
+            "check_modular",
+            "check_undesirable",
+            "verify_policy_shape",
+        ),
+    }.items()
+    for name in names
+}
+"""Public name -> the submodule that defines it, imported on first access."""
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __version__ = "0.1.0"
 

@@ -114,15 +114,6 @@ class NModelParams:
             )
 
 
-def level_state(t: int, i: int) -> np.ndarray:
-    """Queue vector of level i under threshold t, N coordinates (d1, d2, s1, s2)."""
-    if t < 0 or i < 0:
-        raise ValueError("threshold and level must be nonnegative")
-    if i <= t:
-        return np.array([t - i, 0, 0, t - i], dtype=np.int64)
-    return np.array([0, i - t, i - t, 0], dtype=np.int64)
-
-
 def level_of_state(t: int, q: Sequence[int]) -> int | None:
     """Level of a queue vector, or None when it is off the threshold track."""
     d1, d2, s1, s2 = (int(v) for v in q)
@@ -140,20 +131,6 @@ def level_probability(params: NModelParams, i: int) -> float:
         raise ValueError("level must be nonnegative")
     rho = params.rho
     return (1.0 - rho) * rho**i
-
-
-def stationary_probability(
-    params: NModelParams, t: int, i: int, atom: tuple[int, int]
-) -> float:
-    """Stationary probability of observing level i jointly with arrival atom.
-
-    The level and the next arrival are independent, so this factorizes as
-    the geometric level law times the atom probability.  The threshold t
-    fixes which queue vector level i denotes; it must be finite.
-    """
-    if not isinstance(t, (int, np.integer)) or t < 0:
-        raise ValueError(f"threshold must be a finite nonnegative integer, got {t!r}")
-    return level_probability(params, i) * params.atom_probability(atom)
 
 
 def average_cost(params: NModelParams, t: int) -> float:

@@ -12,6 +12,7 @@ as solver grid points.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -96,11 +97,11 @@ class Policy:
         returned array.
 
         The result must be a deterministic function of x alone: the
-        simulator memoizes it per (state, arrival) pair for the length of
-        a :func:`~matchdp.simulate.simulate` or ``compare`` call, and the
-        solvers call it once per distinct x (``evaluate_policy`` on every
-        post-arrival vector of the space, ``verify_policy_shape`` on the
-        interior ones).
+        simulator and the solvers call it once per distinct x, the
+        simulator for the length of a :func:`~matchdp.simulate.simulate`
+        or ``compare`` call (until a full transition table restarts),
+        ``evaluate_policy`` on every post-arrival vector of the space and
+        ``verify_policy_shape`` on the interior ones.
         """
         raise NotImplementedError
 
@@ -426,11 +427,14 @@ class MaxWeight(Policy):
 
     def decide(self, x: Sequence[int]) -> np.ndarray:
         vec = _int_list(x, self._n)
-        weights = np.array(
-            [2.0 * cd * vec[i] + 2.0 * cs * vec[s] for cd, i, cs, s in self._edge_costs]
+        weights = [
+            2.0 * cd * vec[i] + 2.0 * cs * vec[s] for cd, i, cs, s in self._edge_costs
+        ]
+        # Scores are Python float sums; max keeps the first of equal scores.
+        return max(
+            admissible_matchings(self.graph, vec),
+            key=lambda u: sum(map(operator.mul, weights, u.tolist())),
         )
-        # max keeps the first of equal scores.
-        return max(admissible_matchings(self.graph, vec), key=lambda u: float(weights @ u))
 
 
 class MatchLongest(Policy):

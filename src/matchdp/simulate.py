@@ -24,9 +24,11 @@ every piece on the calling thread.
 
 Every policy runs through one kernel.  A step depends only on the queue
 vector and the arrival atom, so the kernel memoizes the successor of each
-(state, atom) pair it meets and calls ``decide`` (and checks admissibility)
-only for a pair it has not seen.  A second memo, derived from the first,
-maps a state and m consecutive atoms to the state they lead to, with m the
+(state, atom) pair it meets.  A decision depends only on the post-arrival
+vector x = q + a, so a pair it has not seen looks x up in a map from x to
+its successor, and ``decide`` is called (and admissibility checked) once
+per distinct x.  A multi-step memo, derived from the one-step one, maps a
+state and m consecutive atoms to the state they lead to, with m the
 largest stride whose A**m codes fit STRIDE_WIDTH (3 on the N graph, 2 on
 the W graph, 1 on graphs with more than 8 atoms).  Each piece of the stream
 is encoded once into codes of m atoms, shared by every policy, and the hot
@@ -39,13 +41,11 @@ partial sum is exact, so the result equals a step-by-step run bit for bit.
 from __future__ import annotations
 
 import contextlib
-import csv
 import itertools
 import math
 import operator
 import os
 import statistics
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterator, Sequence
@@ -60,7 +60,6 @@ from .graphs import (
     N_SHAPED,
     classify,
 )
-from .nshaped import level_of_state
 from .policies import Policy, ThresholdN
 from .states import n_layout
 
@@ -217,7 +216,9 @@ walks m arrivals per lookup, m the largest stride with A**m <= STRIDE_WIDTH."""
 
 MEMO_LIMIT = 1 << 18
 """Entries a policy's one-step transition table may hold.  A full one takes
-~25 MB, ~30 MB with a full multi-step table beside it."""
+~25 MB, and ~36 MB with the post-arrival vectors it maps when every state
+is new (tracemalloc, the ``Idle`` chain of the kernel tests on the N graph
+at stride 1); ~41 MB with a full multi-step table beside it."""
 
 STRIDE_LIMIT = 1 << 18
 """Entries a policy's multi-step table may hold (a full one takes ~5 MB)."""
@@ -260,12 +261,15 @@ def _arrival_chunks(graph: MatchingGraph, arrivals: ArrivalDistribution,
     def shape(start: int) -> tuple[int, int]:
         return min(CHUNK_STEPS, cfg.horizon - start), 2
 
-    # The executor starts its thread at the first submit, so a stream drawn
-    # without overlap, or of one piece (no walk to overlap its draw with),
-    # starts none and is drawn here.
+    # A stream drawn without overlap, or of one piece (no walk to overlap
+    # its draw with), imports no executor, starts no thread and is drawn here.
     overlap = overlap and len(starts) > 1
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        ahead = helper.submit(rng.random, shape(0)) if overlap else None
+    with contextlib.ExitStack() as stack:
+        if overlap:
+            from concurrent.futures import ThreadPoolExecutor
+
+            helper = stack.enter_context(ThreadPoolExecutor(max_workers=1))
+            ahead = helper.submit(rng.random, shape(0))
         for start in starts:
             u = ahead.result() if overlap else rng.random(shape(start))
             if overlap and start + CHUNK_STEPS < cfg.horizon:
@@ -323,10 +327,13 @@ class _Chain:
 
     Visited queue vectors get small integer ids; with A arrival atoms,
     ``next[id * A + a]`` holds the row offset (id * A) of the successor
-    after atom a, or -1 until ``decide`` has been asked.  ``hits`` counts
-    the visits per entry; costs, queue sums and level counts follow from
-    the counted ones state by state.  A table that would pass MEMO_LIMIT
-    entries is folded into the running sums and restarted from the current
+    after atom a, or -1 until the pair is first met.  ``after`` maps each
+    post-arrival vector x met so far to its checked successor's row
+    offset, so two pairs (q, a) and (q', a') with q + a = q' + a' ask
+    ``decide`` once between them.  ``hits`` counts the visits per entry;
+    costs, queue sums and level counts follow from the counted ones state
+    by state.  A table that would pass MEMO_LIMIT entries is folded into
+    the running sums and restarted, with ``after``, from the current
     state.
 
     With stride m > 1 (see STRIDE_WIDTH) a second table, derived from the
@@ -354,7 +361,10 @@ class _Chain:
         self.layout = None
         if (isinstance(policy, ThresholdN) and classify(graph).tag == N_SHAPED
                 and policy.t != math.inf):
+            from .nshaped import level_of_state
+
             self.layout = n_layout(graph)
+            self.level_of = level_of_state
         self._forget()
 
     def _forget(self) -> None:
@@ -363,6 +373,7 @@ class _Chain:
         self.levels: list[int | None] = []
         self.next: list[int] = []
         self.hits: list[int] = []
+        self.after: dict[tuple[int, ...], int] = {}
         self._drop()
 
     def _drop(self) -> None:
@@ -383,7 +394,7 @@ class _Chain:
             self.states.append(key)
             if self.layout is not None:
                 lay = self.layout
-                self.levels.append(level_of_state(
+                self.levels.append(self.level_of(
                     self.policy.t, (key[lay.d1], key[lay.d2], key[lay.s1], key[lay.s2])
                 ))
             self.next += [-1] * self.n_atoms
@@ -474,7 +485,8 @@ class _Chain:
         return end, self.mnext, self.mhits
 
     def _miss(self, k: int) -> tuple[int, list[int], list[int]]:
-        """Count entry k = row offset + atom, ask ``decide`` and store it."""
+        """Count entry k = row offset + atom and store its successor, asking
+        ``decide`` only for a post-arrival vector x not met before."""
         self.hits[k] += 1
         graph, nd = self.graph, self.graph.n_d
         sid, a = divmod(k, self.n_atoms)
@@ -482,16 +494,24 @@ class _Chain:
         i, j = divmod(a, graph.n_s)
         x[i] += 1
         x[nd + j] += 1
-        u = np.asarray(self.policy.decide(x), dtype=np.int64).tolist()
-        y = list(x)
-        for e, (ei, ej) in enumerate(graph.edge_index):
-            y[ei] -= u[e]
-            y[nd + ej] -= u[e]
-        if min(u) < 0 or min(y) < 0:
-            raise Inadmissible(f"policy {self.policy.label} returned u={u} at x={x}")
+        key = tuple(x)
         nxt = self.next
+        off = self.after.get(key)
+        if off is None:
+            u = np.asarray(self.policy.decide(x), dtype=np.int64).tolist()
+            y = list(x)
+            for e, (ei, ej) in enumerate(graph.edge_index):
+                y[ei] -= u[e]
+                y[nd + ej] -= u[e]
+            if min(u) < 0 or min(y) < 0:
+                raise Inadmissible(
+                    f"policy {self.policy.label} returned u={u} at x={x}"
+                )
+            off = self._locate(tuple(y))
+            # After a restart ``after`` is the new table's, and so is ``off``.
+            self.after[key] = off
         # After a restart ``nxt`` is the discarded table, so the store is moot.
-        nxt[k] = off = self._locate(tuple(y))
+        nxt[k] = off
         return off, self.next, self.hits
 
     def finish(self) -> tuple[float, list[int], list[int] | None]:
@@ -552,6 +572,8 @@ def _run(graph, arrivals, costs, policies, cfg, threads) -> list[tuple]:
     width = _thread_width(threads, cfg.replications)
     reps = range(cfg.replications)
     if width > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=width) as pool:
             return list(pool.map(
                 _replication_job,
@@ -688,6 +710,8 @@ def write_replication_csv(
         with open(file, "w", encoding="utf-8", newline="") as handle:
             write_replication_csv(handle, results)
         return
+    import csv
+
     writer = csv.writer(file)
     writer.writerow(["policy", "replication", "mean_cost"])
     for result in results:
@@ -702,6 +726,8 @@ def write_comparison_csv(file: IO[str] | str | Path, result: CompareResult) -> N
             write_comparison_csv(handle, result)
         return
     means = {r.label: r.mean for r in result.results}
+    import csv
+
     writer = csv.writer(file)
     writer.writerow(
         ["first", "second", "first_mean", "second_mean", "diff_mean", "diff_se"]

@@ -297,10 +297,6 @@ def _post_arrival_costs(space: TruncatedStateSpace, costs: CostVector) -> np.nda
     return state_cost[:, None] + _atom_cost(space.graph, costs)
 
 
-def _expected(table: np.ndarray, arrivals: ArrivalDistribution) -> np.ndarray:
-    return table @ arrivals.atom_probs()
-
-
 def _initial_table(space: TruncatedStateSpace, v0: np.ndarray | None) -> np.ndarray:
     want = (len(space.balanced_states), space.n_atoms)
     if v0 is None:
@@ -355,17 +351,18 @@ def _greedy(
 
 
 def _greedy_successors(
-    space: TruncatedStateSpace, table: np.ndarray, arrivals: ArrivalDistribution
+    space: TruncatedStateSpace, table: np.ndarray, probs: np.ndarray
 ) -> np.ndarray:
     """Successor row per (state row, atom) under the greedy policy of a
     packed table: the clip of where the walk of :func:`_greedy` ends from
-    each post-arrival row.
+    each post-arrival row.  ``probs`` is the arrival law per atom
+    (``ArrivalDistribution.atom_probs``).
 
     Raises :class:`MatchDPError` naming the first state that, at some atom,
     has no matching whose clipped successor stays in the sector.
     """
     ext, read, _, _, post = space.backup_index
-    _, end = _greedy(space, _expected(table, arrivals), np.arange(len(ext)))
+    _, end = _greedy(space, table @ probs, np.arange(len(ext)))
     succ = read[end][post]
     if succ.max() == len(space.balanced_states):
         # The +inf sentinel is the largest row, so argmax finds its first state.
@@ -396,7 +393,7 @@ def extract_policy(
     inside = np.flatnonzero(np.all(ext <= space.cap, axis=1))
     ext_row = np.empty(len(space.balanced_states), dtype=np.int64)
     ext_row[read[inside]] = inside
-    u, _ = _greedy(space, _expected(table, arrivals), ext_row[space.rows(xs)])
+    u, _ = _greedy(space, table @ arrivals.atom_probs(), ext_row[space.rows(xs)])
     return Tabular(space.graph, dict(zip(map(tuple, xs.tolist()), u)))
 
 
@@ -404,17 +401,18 @@ def extract_policy(
 
 
 def _policy_sweep(
-    base: np.ndarray, arrivals: ArrivalDistribution, succ: np.ndarray
+    base: np.ndarray, probs: np.ndarray, succ: np.ndarray
 ) -> Callable[..., np.ndarray]:
     """``sweep(table, theta, out=None)``: one sweep base + theta * w[succ]
-    of a fixed policy's operator, where w is the expected value of
-    ``table`` over the arrival atoms, ``base`` the post-arrival costs and
-    ``succ`` the successor row per (state row, atom).  The result is
-    written into ``out`` when given, which may be ``table`` itself."""
+    of a fixed policy's operator, where w = table @ probs is the expected
+    value of ``table`` over the arrival atoms, ``base`` the post-arrival
+    costs and ``succ`` the successor row per (state row, atom).  The
+    result is written into ``out`` when given, which may be ``table``
+    itself."""
 
     def sweep(table: np.ndarray, theta: float, out: np.ndarray | None = None):
         # Every successor row is valid: "clip" only spares take a buffer.
-        out = np.take(theta * _expected(table, arrivals), succ, out=out, mode="clip")
+        out = np.take(theta * (table @ probs), succ, out=out, mode="clip")
         out += base
         return out
 
@@ -435,8 +433,9 @@ def bellman_backup(
     a state has an atom from which every matching leaves the sector.
     """
     base = _post_arrival_costs(space, costs)
-    succ = _greedy_successors(space, table, arrivals)
-    return _policy_sweep(base, arrivals, succ)(table, theta)
+    probs = arrivals.atom_probs()
+    succ = _greedy_successors(space, table, probs)
+    return _policy_sweep(base, probs, succ)(table, theta)
 
 
 def _iterate(
@@ -517,9 +516,10 @@ def _optimal(
     table's greedy policy, and :data:`MPI_SWEEPS` more follow a backup that
     fails the stopping rule."""
     base = _post_arrival_costs(space, costs)
+    probs = arrivals.atom_probs()
 
     def greedy_sweep(table: np.ndarray) -> Callable[..., np.ndarray]:
-        return _policy_sweep(base, arrivals, _greedy_successors(space, table, arrivals))
+        return _policy_sweep(base, probs, _greedy_successors(space, table, probs))
 
     return _iterate(space, config, mode, v0, solver, greedy_sweep, MPI_SWEEPS)
 
@@ -630,7 +630,9 @@ def evaluate_policy(
     if mode not in ("discounted", "average"):
         raise ValueError(f"mode must be 'discounted' or 'average', got {mode!r}")
     sweep = _policy_sweep(
-        _post_arrival_costs(space, costs), arrivals, _sector_successors(space, policy)
+        _post_arrival_costs(space, costs),
+        arrivals.atom_probs(),
+        _sector_successors(space, policy),
     )
     gain, vf = _iterate(space, config, mode, None, "policy evaluation", lambda _: sweep)
     return vf if gain is None else (gain, vf)

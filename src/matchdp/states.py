@@ -202,9 +202,6 @@ class NLayout:
     s1_local: int
     s2_local: int
 
-    def pack(self, x: Sequence[int]) -> tuple[int, int, int, int]:
-        return int(x[self.d1]), int(x[self.d2]), int(x[self.s1]), int(x[self.s2])
-
 
 @dataclass(frozen=True)
 class WLayout:

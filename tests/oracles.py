@@ -42,7 +42,6 @@ from matchdp.solver import (
     DPConfig,
     TruncatedStateSpace,
     ValueFunction,
-    _expected,
     _post_arrival_costs,
     extract_policy,
 )
@@ -274,7 +273,7 @@ def reference_backup(
 ) -> np.ndarray:
     """One optimality sweep from the one-pass matching minimum: +inf where a
     (state, atom) pair has no transition that stays in the sector."""
-    m = reference_sector_min(space, _expected(table, arrivals))
+    m = reference_sector_min(space, table @ arrivals.atom_probs())
     return _post_arrival_costs(space, costs) + theta * m[space.backup_index.post]
 
 
@@ -352,7 +351,7 @@ def reference_threshold_n(graph: MatchingGraph, t: float, x: Sequence[int]) -> n
     e11 = pos[(lay.d1, lay.s1_local)]
     e12 = pos[(lay.d1, lay.s2_local)]
     e22 = pos[(lay.d2, lay.s2_local)]
-    d1, d2, s1, s2 = lay.pack(x)
+    d1, d2, s1, s2 = int(x[lay.d1]), int(x[lay.d2]), int(x[lay.s1]), int(x[lay.s2])
     u = np.zeros(len(graph.edges), dtype=np.int64)
     u[e11] = min(d1, s1)
     u[e22] = min(d2, s2)
@@ -650,7 +649,7 @@ def _verify_threshold_n(space: TruncatedStateSpace, policy: Policy) -> ShapeRepo
     xs = space.interior_post_arrivals
     for x, key in zip(xs, xs.tolist()):
         u = np.asarray(policy.decide(x), dtype=np.int64)
-        d1, d2, s1, s2 = lay.pack(x)
+        d1, d2, s1, s2 = int(x[lay.d1]), int(x[lay.d2]), int(x[lay.s1]), int(x[lay.s2])
         residual = x - node_usage(graph, u)
         bad: dict | None = None
         if np.any(residual < 0) or np.any(u < 0):

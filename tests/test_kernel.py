@@ -401,6 +401,23 @@ class TestStrides:
             assert [len(log) for log in logs[m]] == [len(log) for log in logs[1]]
             assert logs[m] == logs[1]
 
+    @pytest.mark.parametrize("name", ["w", "nn"], ids=str)
+    def test_decide_sees_each_post_arrival_vector_once(self, name):
+        (graph, arrivals, costs), policies = stride_case(name)
+        logs = [decide_log(p) for p in policies]
+        runs = [
+            lambda p=p: simulate(graph, arrivals, costs, p, STRIDE_CFG, threads=1)
+            for p in policies
+        ]
+        runs.append(lambda: compare(graph, arrivals, costs, policies, STRIDE_CFG, threads=1))
+        for run in runs:
+            for log in logs:
+                log.clear()
+            run()
+            assert any(logs)
+            for log in logs:
+                assert len(set(log)) == len(log)
+
     def test_stride_is_the_largest_within_the_width(self):
         assert simmod.STRIDE_WIDTH == 64
         assert [simmod._stride(a) for a in (1, 2, 4, 6, 8, 9)] == [1, 6, 3, 2, 2, 1]

@@ -16,9 +16,7 @@ from matchdp.nshaped import (
     average_cost,
     level_of_state,
     level_probability,
-    level_state,
     optimal_threshold,
-    stationary_probability,
     threshold_location,
 )
 from matchdp.policies import ThresholdN
@@ -28,6 +26,13 @@ from conftest import make_n_graph
 
 BASE = NModelParams(alpha=0.6, beta=0.4, costs=(1.0, 1.0, 1.0, 1.0))
 SKEWED = NModelParams(alpha=0.55, beta=0.45, costs=(1.0, 10.0, 8.0, 2.0))
+
+
+def level_state(t: int, i: int) -> np.ndarray:
+    """Queue vector of level i under threshold t, N coordinates (d1, d2, s1, s2)."""
+    if i <= t:
+        return np.array([t - i, 0, 0, t - i], dtype=np.int64)
+    return np.array([0, i - t, i - t, 0], dtype=np.int64)
 
 
 def series_average_cost(params: NModelParams, t: int) -> float:
@@ -113,15 +118,6 @@ def test_level_of_state_off_track():
 def test_level_law_normalizes():
     total = sum(level_probability(BASE, i) for i in range(400))
     assert total == pytest.approx(1.0, abs=1e-12)
-
-
-def test_stationary_probability_factorizes():
-    p = stationary_probability(BASE, 2, 3, (1, 0))
-    assert p == pytest.approx(level_probability(BASE, 3) * 0.16, abs=1e-15)
-    with pytest.raises(ValueError):
-        stationary_probability(BASE, -1, 0, (0, 0))
-    with pytest.raises(ValueError):
-        stationary_probability(BASE, 1.5, 0, (0, 0))
 
 
 def test_level_moves_match_threshold_policy():
@@ -248,7 +244,6 @@ def test_unstable_params_raise():
         lambda: average_cost(bad, 1),
         lambda: optimal_threshold(bad),
         lambda: level_probability(bad, 0),
-        lambda: stationary_probability(bad, 1, 0, (0, 0)),
     ):
         with pytest.raises(Unstable):
             call()

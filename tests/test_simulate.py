@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import importlib
 import io
 import math
@@ -125,8 +126,10 @@ class TestConfigValidation:
         def no_workers(*args, **kwargs):
             raise AssertionError("a worker started before a0 was checked")
 
-        monkeypatch.setattr(simmod, "ProcessPoolExecutor", no_workers)
-        monkeypatch.setattr(simmod, "ThreadPoolExecutor", no_workers)
+        # The kernel imports its executors from concurrent.futures when it
+        # starts one, so that is where they are replaced.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_workers)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_workers)
         graph, arrivals, costs = n_setup()
         cfg = SimConfig(horizon=10, replications=2, a0=(5, 0))
         for threads in (1, 2):

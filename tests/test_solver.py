@@ -16,7 +16,6 @@ from matchdp.policies import FullMatch, Policy, ThresholdN, ThresholdW
 from matchdp.solver import (
     DPConfig,
     TruncatedStateSpace,
-    _expected,
     _greedy,
     _greedy_successors,
     _initial_table,
@@ -264,8 +263,8 @@ class TestBackupKernel:
         arrivals = stable_arrivals(graph)
         rng = np.random.default_rng(cap)
         table = rng.standard_normal((len(space.balanced_states), space.n_atoms))
-        succ = _greedy_successors(space, table, arrivals)
-        w = _expected(table, arrivals)
+        succ = _greedy_successors(space, table, arrivals.atom_probs())
+        w = table @ arrivals.atom_probs()
         m = reference_sector_min(space, w)
         assert np.array_equal(w[succ], m[space.backup_index.post])
 
@@ -778,7 +777,7 @@ class TestExtraction:
         vf, policy = value_iteration(
             space, costs, n_arrivals, DPConfig(theta=0.9)
         )
-        w = _expected(vf.data, n_arrivals)
+        w = vf.data @ n_arrivals.atom_probs()
         n_d = n_graph.n_d
         for x, u in policy.table.items():
             best_u, best_val = None, np.inf
@@ -816,6 +815,6 @@ class TestExtraction:
                 keys.add(tuple(x))
         assert set(policy.table) == keys
         assert list(map(tuple, space.interior_post_arrivals.tolist())) == sorted(keys)
-        w = _expected(table, arrivals)
+        w = table @ arrivals.atom_probs()
         for x, u in policy.table.items():
             assert tuple(u) == tuple(_argmin_decision(space, w, np.asarray(x)))

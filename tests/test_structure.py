@@ -707,7 +707,7 @@ def test_priority_totals_bound_the_flexible_count(x, k):
     graph = make_n_graph()
     lay = n_layout(graph)
     pos = graph.edge_position
-    d1, d2, s1, s2 = lay.pack(x)
+    d1, d2, s1, s2 = x[lay.d1], x[lay.d2], x[lay.s1], x[lay.s2]
     u = np.zeros(len(graph.edges), dtype=np.int64)
     u[pos[(lay.d1, lay.s1_local)]] = min(d1, s1)
     u[pos[(lay.d2, lay.s2_local)]] = min(d2, s2)
