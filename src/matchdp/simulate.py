@@ -12,15 +12,17 @@ row n of a (horizon, 2) uniform block; the demand class is the inverse-CDF
 index of column 0 under alpha, the supply class of column 1 under beta.
 The same (seed, replication) therefore yields the same arrival sequence
 for every policy, which is what makes comparisons paired.  The block is
-drawn in pieces of CHUNK_STEPS rows, which yields the same doubles.  In a
-serial run one helper thread per replication makes every draw, in order,
-one piece ahead: the next piece's uniforms are drawn while the chains walk
-the current one (a stream of one piece is drawn on the calling thread and
-starts no thread).  A pool worker draws every piece on its own thread: a
-pool as wide as the CPUs leaves no core free for a helper.  At most two
-pieces of uniforms are alive, so memory does not grow with the horizon,
-and as no two draws overlap the results are bit-identical to drawing
-every piece on the calling thread.
+drawn in pieces of CHUNK_STEPS rows, which yields the same doubles, into
+one buffer that every piece reuses: a piece is mapped out of it into a
+reused buffer of atoms before the next is drawn into it.  In a serial run
+one helper thread per replication (a plain thread fed by a queue, no
+executor) makes every draw, in order: the next piece's uniforms are drawn
+while the chains walk the current one (a stream of one piece is drawn on
+the calling thread and starts no thread).  A pool worker draws every
+piece on its own thread: a pool as wide as the CPUs leaves no core free
+for a helper.  The buffers are one piece long, so memory does not grow
+with the horizon, and as no two draws overlap the results are
+bit-identical to drawing every piece on the calling thread.
 
 Every policy runs through one kernel.  A step depends only on the queue
 vector and the arrival atom, so the kernel memoizes the successor of each
@@ -232,6 +234,48 @@ def _stride(n_atoms: int) -> int:
     return m
 
 
+class _Filler:
+    """One helper thread that fills a buffer with uniforms, on request.
+
+    ``fill(n)`` asks for ``buf[:n]`` to be drawn and ``wait()`` returns
+    once it is, raising the draw's exception if it failed.  Requests are
+    served in order on the one thread, so the doubles are those of drawing
+    on the calling thread.  ``close()`` ends and joins the thread.
+    """
+
+    def __init__(self, draw, buf: np.ndarray):
+        import queue
+        import threading
+
+        self.requests = queue.SimpleQueue()
+        self.done = queue.SimpleQueue()
+        self.thread = threading.Thread(target=self._serve, args=(draw, buf))
+        self.thread.start()
+
+    def _serve(self, draw, buf: np.ndarray) -> None:
+        for n in iter(self.requests.get, None):
+            try:
+                draw(out=buf[:n])
+            # Whatever the draw raises is raised again by ``wait`` on the
+            # calling thread, which would otherwise wait forever.
+            except BaseException as error:
+                self.done.put(error)
+            else:
+                self.done.put(None)
+
+    def fill(self, n: int) -> None:
+        self.requests.put(n)
+
+    def wait(self) -> None:
+        error = self.done.get()
+        if error is not None:
+            raise error
+
+    def close(self) -> None:
+        self.requests.put(None)
+        self.thread.join()
+
+
 def _arrival_chunks(graph: MatchingGraph, arrivals: ArrivalDistribution,
                     cfg: SimConfig, rep: int,
                     overlap: bool) -> Iterator[tuple[bool, list[int], list[int]]]:
@@ -239,13 +283,15 @@ def _arrival_chunks(graph: MatchingGraph, arrivals: ArrivalDistribution,
 
     A piece covers at most CHUNK_STEPS consecutive steps and never
     straddles the end of the burn-in; ``codes`` and ``tail`` are its atom
-    indices i * n_s + j as encoded by :func:`_encode`.  With ``overlap``
-    and more than one piece, one helper thread makes every draw, in order:
-    the next piece's uniforms are requested before this piece is mapped, so
-    numpy fills them (without the GIL) while this thread maps, encodes and
-    walks.  No array of a piece is kept once it is encoded, so while the
-    chains walk a piece only its two lists and the next piece's uniforms
-    are alive.
+    indices i * n_s + j as encoded by :func:`_encode`.  Every piece is
+    drawn into one buffer of uniforms and mapped out of it, on this
+    thread, into one buffer of atoms of the narrowest unsigned type that
+    holds a code.  With ``overlap`` and more than one piece, a helper
+    thread (:class:`_Filler`) makes every draw, in order: once a piece is
+    mapped, the helper fills the next one into the buffer (numpy draws
+    without the GIL) while this thread encodes and the chains walk.  So
+    while the chains walk a piece only its two lists, the buffers and the
+    helper are alive, whatever the horizon.
     """
     n_atoms = graph.n_d * graph.n_s
     stride = _stride(n_atoms)
@@ -258,37 +304,48 @@ def _arrival_chunks(graph: MatchingGraph, arrivals: ArrivalDistribution,
     first = cfg.initial_atom(graph)
     starts = range(0, cfg.horizon, CHUNK_STEPS)
 
-    def shape(start: int) -> tuple[int, int]:
-        return min(CHUNK_STEPS, cfg.horizon - start), 2
+    def size(start: int) -> int:
+        return min(CHUNK_STEPS, cfg.horizon - start)
 
-    # A stream drawn without overlap, or of one piece (no walk to overlap
-    # its draw with), imports no executor, starts no thread and is drawn here.
-    overlap = overlap and len(starts) > 1
+    buf = np.empty((size(0), 2))
+    flag = np.empty(size(0), dtype=bool)
+    atom = np.empty(size(0), dtype=np.min_scalar_type(n_atoms ** stride - 1))
     with contextlib.ExitStack() as stack:
-        if overlap:
-            from concurrent.futures import ThreadPoolExecutor
-
-            helper = stack.enter_context(ThreadPoolExecutor(max_workers=1))
-            ahead = helper.submit(rng.random, shape(0))
+        # A stream drawn without overlap, or of one piece (no walk to
+        # overlap its draw with), starts no thread and is drawn here.
+        filler = None
+        if overlap and len(starts) > 1:
+            filler = _Filler(rng.random, buf)
+            stack.callback(filler.close)
+            filler.fill(size(0))
         for start in starts:
-            u = ahead.result() if overlap else rng.random(shape(start))
-            if overlap and start + CHUNK_STEPS < cfg.horizon:
-                ahead = helper.submit(rng.random, shape(start + CHUNK_STEPS))
-            atom = np.zeros(len(u), dtype=np.intp)
+            n = size(start)
+            if filler is None:
+                rng.random(out=buf[:n])
+            else:
+                filler.wait()
+            u, a, f = buf[:n], atom[:n], flag[:n]
+            a.fill(0)
             for knot in d_knots:
-                atom += u[:, 0] >= knot
-            atom *= graph.n_s
+                np.greater_equal(u[:, 0], knot, out=f)
+                a += f
+            # With one demand class every atom is a supply class, and n_s
+            # itself may not fit the atom type.
+            if len(d_knots):
+                a *= graph.n_s
             for knot in s_knots:
-                atom += u[:, 1] >= knot
+                np.greater_equal(u[:, 1], knot, out=f)
+                a += f
+            if filler is not None and start + n < cfg.horizon:
+                filler.fill(size(start + n))
             if start == 0 and first is not None:
-                atom[0] = first[0] * graph.n_s + first[1]
-            cut = min(max(cfg.burn_in - start, 0), len(atom))
+                a[0] = first[0] * graph.n_s + first[1]
+            cut = min(max(cfg.burn_in - start, 0), n)
             pieces = [
                 (counted, *_encode(part, n_atoms, stride))
-                for counted, part in ((False, atom[:cut]), (True, atom[cut:]))
+                for counted, part in ((False, a[:cut]), (True, a[cut:]))
                 if len(part)
             ]
-            del u, atom
             yield from pieces
 
 
@@ -677,25 +734,16 @@ def compare(
     order = sorted(range(len(results)), key=lambda k: (results[k].mean, k))
     ordered = tuple(results[k] for k in order)
     pairs = []
-    for a in range(len(ordered)):
-        for b in range(a + 1, len(ordered)):
-            diffs = [
-                ma - mb
-                for ma, mb in zip(ordered[a].rep_means, ordered[b].rep_means)
-            ]
-            se = (
-                statistics.stdev(diffs) / math.sqrt(len(diffs))
-                if len(diffs) > 1
-                else math.nan
-            )
-            pairs.append(
-                PairedDiff(
-                    ordered[a].label,
-                    ordered[b].label,
-                    statistics.fmean(diffs),
-                    se,
-                )
-            )
+    for first, second in itertools.combinations(ordered, 2):
+        diffs = [ma - mb for ma, mb in zip(first.rep_means, second.rep_means)]
+        se = (
+            statistics.stdev(diffs) / math.sqrt(len(diffs))
+            if len(diffs) > 1
+            else math.nan
+        )
+        pairs.append(
+            PairedDiff(first.label, second.label, statistics.fmean(diffs), se)
+        )
     return CompareResult(ordered, tuple(pairs))
 
 
@@ -720,25 +768,30 @@ def write_replication_csv(
 
 
 def write_comparison_csv(file: IO[str] | str | Path, result: CompareResult) -> None:
-    """One row per ordered pair with means and the paired difference."""
+    """One row per ordered pair with means and the paired difference.
+
+    The pairs are matched to their results by position, in the order
+    :func:`compare` builds them, so two policies that share a label keep
+    their own means.
+    """
     if isinstance(file, (str, Path)):
         with open(file, "w", encoding="utf-8", newline="") as handle:
             write_comparison_csv(handle, result)
         return
-    means = {r.label: r.mean for r in result.results}
     import csv
 
     writer = csv.writer(file)
     writer.writerow(
         ["first", "second", "first_mean", "second_mean", "diff_mean", "diff_se"]
     )
-    for pair in result.pairs:
+    ordered = itertools.combinations(result.results, 2)
+    for pair, (first, second) in zip(result.pairs, ordered):
         writer.writerow(
             [
                 pair.first,
                 pair.second,
-                repr(means[pair.first]),
-                repr(means[pair.second]),
+                repr(first.mean),
+                repr(second.mean),
                 repr(pair.mean),
                 repr(pair.se),
             ]

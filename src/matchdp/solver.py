@@ -87,6 +87,14 @@ def _rows(codes: np.ndarray, shape: tuple[int, ...], vectors) -> np.ndarray:
     return pos
 
 
+def _distinct(rows: np.ndarray, n: int) -> np.ndarray:
+    """The distinct entries of an array of rows in [0, n), ascending.
+
+    Unlike ``np.unique`` this does not import ``numpy.ma``.
+    """
+    return np.flatnonzero(np.bincount(rows.ravel(), minlength=n))
+
+
 class BackupIndex(NamedTuple):
     """Index arrays of the optimality operator on the extended sector.
 
@@ -187,7 +195,8 @@ class TruncatedStateSpace:
         graph = self.graph
         atoms = np.array([arrival_vector(graph, i, j) for i, j in graph.arrival_atoms])
         xs = self.interior_balanced_states[:, None, :] + atoms
-        out = self.balanced_states[np.unique(self.rows(xs))]
+        states = self.balanced_states
+        out = states[_distinct(self.rows(xs), len(states))]
         out.setflags(write=False)
         return out
 
@@ -548,6 +557,18 @@ def value_iteration(
     return vf, policy
 
 
+def _require_stable(graph: MatchingGraph, arrivals: ArrivalDistribution) -> None:
+    """Raise :class:`Unstable` unless the rates are stable: an average-cost
+    answer on unstable rates would only reflect the cap."""
+    report = check_stability(graph, arrivals)
+    if not report.stable:
+        raise Unstable(
+            f"average-cost iteration needs stable rates "
+            f"({report.violation_count} subset violations)",
+            violations=report.violations,
+        )
+
+
 def relative_value_iteration(
     space: TruncatedStateSpace,
     costs: CostVector,
@@ -565,13 +586,7 @@ def relative_value_iteration(
     backup's pre-normalization value at the reference state.  ``iterations``
     counts backups.
     """
-    report = check_stability(space.graph, arrivals)
-    if not report.stable:
-        raise Unstable(
-            f"average-cost iteration needs stable rates "
-            f"({report.violation_count} subset violations)",
-            violations=report.violations,
-        )
+    _require_stable(space.graph, arrivals)
     gain, vf = _optimal(
         space, costs, arrivals, config, "average", v0, "relative value iteration"
     )
@@ -592,7 +607,7 @@ def _sector_successors(space: TruncatedStateSpace, policy: Policy) -> np.ndarray
     """
     n_d = space.graph.n_d
     ext, _, _, _, post = space.backup_index
-    rows = np.unique(post)
+    rows = _distinct(post, len(ext))
     xs = ext[rows]
     u, y, inadmissible = read_decisions(policy, xs)
     bad = np.flatnonzero(inadmissible)
@@ -626,9 +641,13 @@ def evaluate_policy(
 
     Iterates on the packed balanced-state rows with the policy's successor
     map precomputed once; stopping is that of the optimality iterations.
+    Average mode, like :func:`relative_value_iteration`, requires stable
+    arrival rates.
     """
     if mode not in ("discounted", "average"):
         raise ValueError(f"mode must be 'discounted' or 'average', got {mode!r}")
+    if mode == "average":
+        _require_stable(space.graph, arrivals)
     sweep = _policy_sweep(
         _post_arrival_costs(space, costs),
         arrivals.atom_probs(),

@@ -11,6 +11,7 @@ from __future__ import annotations
 import importlib
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,7 +166,7 @@ class TestHelperThread:
 
     @pytest.fixture
     def draws(self, monkeypatch):
-        """Patch the generator to log (thread id, size) per draw; draw number
+        """Patch the generator to log (thread id, shape) per draw; draw number
         ``fail_at`` (counted from 1) raises the exception stored under ``error``."""
         log = {"calls": [], "fail_at": None, "error": RuntimeError("draw failed")}
         real = np.random.Generator
@@ -174,11 +175,12 @@ class TestHelperThread:
             def __init__(self, bit_generator):
                 self.inner = real(bit_generator)
 
-            def random(self, size):
-                log["calls"].append((threading.get_ident(), size))
+            def random(self, size=None, out=None):
+                shape = size if out is None else out.shape
+                log["calls"].append((threading.get_ident(), shape))
                 if len(log["calls"]) == log["fail_at"]:
                     raise log["error"]
-                return self.inner.random(size)
+                return self.inner.random(size, out=out)
 
         monkeypatch.setattr(np.random, "Generator", Logged)
         monkeypatch.setattr(simmod, "CHUNK_STEPS", 7)
@@ -220,6 +222,28 @@ class TestHelperThread:
             simulate(graph, arrivals, costs, ThresholdN(graph, 2), CFG, threads=1)
         assert info.value is draws["error"]
         assert threading.active_count() == before
+
+
+def stream_peak(pieces: int) -> int:
+    """tracemalloc peak of a FullMatch run on the complete 2x2 graph whose
+    stream is ``pieces`` pieces long (the chain never leaves the zero queue)."""
+    graph = make_complete22()
+    arrivals = ArrivalDistribution(alpha=np.array([0.3, 0.7]), beta=np.array([0.6, 0.4]))
+    costs = CostVector(demand=np.array([1.0, 4.0]), supply=np.array([2.0, 8.0]))
+    cfg = SimConfig(horizon=pieces * simmod.CHUNK_STEPS, seed=4)
+    tracemalloc.start()
+    try:
+        simulate(graph, arrivals, costs, FullMatch(graph), cfg, threads=1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stream_memory_does_not_grow_with_the_horizon(monkeypatch):
+    monkeypatch.setattr(simmod, "CHUNK_STEPS", 1024)
+    stream_peak(2)  # the first helper imports its modules
+    piece = simmod.CHUNK_STEPS * 2 * 8  # one piece of float64 uniforms
+    assert abs(stream_peak(64) - stream_peak(4)) <= piece
 
 
 class TestMemoBound:

@@ -5,9 +5,11 @@ from __future__ import annotations
 import concurrent.futures
 import importlib
 import io
+import itertools
 import math
 import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from matchdp.nshaped import NModelParams, average_cost, level_probability
 from matchdp.policies import (
     FullMatch,
     Policy,
+    Tabular,
     ThresholdN,
     ThresholdW,
     ThresholdWWorkload,
@@ -126,10 +129,12 @@ class TestConfigValidation:
         def no_workers(*args, **kwargs):
             raise AssertionError("a worker started before a0 was checked")
 
-        # The kernel imports its executors from concurrent.futures when it
-        # starts one, so that is where they are replaced.
+        # The kernel imports its pool from concurrent.futures when it starts
+        # one, so that is where it is replaced; a stream of several pieces
+        # would start a helper thread.
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_workers)
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_workers)
+        monkeypatch.setattr(threading.Thread, "start", no_workers)
+        monkeypatch.setattr(simmod, "CHUNK_STEPS", 4)
         graph, arrivals, costs = n_setup()
         cfg = SimConfig(horizon=10, replications=2, a0=(5, 0))
         for threads in (1, 2):
@@ -440,6 +445,26 @@ class TestCsvOutput:
         row = lines[1].split(",")
         assert row[0] == result.pairs[0].first
         assert float(row[4]) == result.pairs[0].mean
+
+    def test_policies_that_share_a_label_keep_their_own_means(self):
+        graph, arrivals, costs = n_setup()
+        cfg = SimConfig(horizon=800, replications=2, seed=1)
+        policies = [
+            Tabular(graph, {}, fallback=ThresholdN(graph, 0)),
+            Tabular(graph, {}, fallback=ThresholdN(graph, 3)),
+            ThresholdN(graph, 1),
+        ]
+        assert policies[0].label == policies[1].label
+        result = compare(graph, arrivals, costs, policies, cfg)
+        buffer = io.StringIO()
+        write_comparison_csv(buffer, result)
+        rows = [line.split(",") for line in buffer.getvalue().splitlines()[1:]]
+        pairs = list(itertools.combinations(result.results, 2))
+        assert len(rows) == len(pairs) == 3
+        assert len({r.mean for r in result.results}) == 3
+        for row, (first, second) in zip(rows, pairs):
+            assert row[:2] == [first.label, second.label]
+            assert [float(row[2]), float(row[3])] == [first.mean, second.mean]
 
 
 @given(seed=st.integers(0, 2**32), reps=st.integers(1, 3))

@@ -563,6 +563,21 @@ class TestPolicyEvaluation:
             )
             assert gain == pytest.approx(average_cost(params, t), abs=1e-5)
 
+    def test_average_mode_rejects_unstable_rates_like_rvi(self, n_graph):
+        arrivals = ArrivalDistribution(
+            alpha=np.array([0.3, 0.7]), beta=np.array([0.6, 0.4])
+        )
+        space = TruncatedStateSpace(n_graph, cap=8)
+        costs = unit_costs(n_graph)
+        with pytest.raises(Unstable) as rvi:
+            relative_value_iteration(space, costs, arrivals)
+        with pytest.raises(Unstable) as evaluated:
+            evaluate_policy(space, ThresholdN(n_graph, 1), costs, arrivals, mode="average")
+        assert str(evaluated.value) == str(rvi.value)
+        assert evaluated.value.violations == rvi.value.violations
+        vf = evaluate_policy(space, ThresholdN(n_graph, 1), costs, arrivals)
+        assert np.all(np.isfinite(vf.data))
+
     def test_rejects_unknown_mode(self, n_graph, n_arrivals):
         space = TruncatedStateSpace(n_graph, cap=3)
         with pytest.raises(ValueError):
