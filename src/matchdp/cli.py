@@ -12,6 +12,12 @@ shape family resolved; the flag defaults are the library's own
 the printed summary, and machine-readable artifacts (JSON report, CSV
 tables) are also written to disk.
 
+The solver, the shape checks and the N closed form are imported by the
+modes that use them, and a mode's flags (whose defaults and choices are
+read from them) are built only for the mode being parsed, so the command
+line loads none of the three for ``simulate``, ``compare`` or a
+simulation recipe.
+
 Exit codes: 0 on success, 1 on domain errors (unstable arrival rates, an
 unsupported graph class, a failed check or recipe assertion), 2 on
 unreadable or invalid input.  Argument usage errors exit 2 through
@@ -26,7 +32,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import MatchDPError, ParseError, WrongGraphClass
 from .graphs import (
@@ -38,12 +44,6 @@ from .graphs import (
     load_graph,
     read_graph_document,
 )
-from .nshaped import (
-    NModelParams,
-    average_cost,
-    optimal_threshold,
-    threshold_location,
-)
 from .policies import Policy, policy_from_spec, threshold_json
 from .simulate import (
     SimConfig,
@@ -52,13 +52,9 @@ from .simulate import (
     write_comparison_csv,
     write_replication_csv,
 )
-from .solver import (
-    DPConfig,
-    TruncatedStateSpace,
-    relative_value_iteration,
-    value_iteration,
-)
-from .structure import SHAPE_FAMILIES, verify_policy_shape
+
+if TYPE_CHECKING:
+    from .solver import TruncatedStateSpace
 
 DEFAULT_STEPS = 10_000
 
@@ -129,6 +125,8 @@ def _policy_family_line(
     space: TruncatedStateSpace, policy: Policy
 ) -> tuple[str, dict | None]:
     """Name the structured family the extracted policy falls into, if any."""
+    from .structure import verify_policy_shape
+
     try:
         family = _default_family(space.graph)
     except WrongGraphClass:
@@ -224,6 +222,8 @@ def _solve_report(say, space, vf, policy, gain=None):
 
 
 def _mode_solve_discounted(graph, arrivals, costs, manifest, say, out):
+    from .solver import DPConfig, TruncatedStateSpace, value_iteration
+
     cfg = manifest.config
     space = TruncatedStateSpace(graph, cap=cfg["cap"], margin=cfg["margin"])
     dp = DPConfig(theta=cfg["theta"], tol=cfg["tol"])
@@ -239,6 +239,8 @@ def _mode_solve_discounted(graph, arrivals, costs, manifest, say, out):
 
 
 def _mode_solve_average(graph, arrivals, costs, manifest, say, out):
+    from .solver import DPConfig, TruncatedStateSpace, relative_value_iteration
+
     cfg = manifest.config
     space = TruncatedStateSpace(graph, cap=cfg["cap"], margin=cfg["margin"])
     dp = DPConfig(tol=cfg["tol"])
@@ -248,6 +250,13 @@ def _mode_solve_average(graph, arrivals, costs, manifest, say, out):
 
 
 def _mode_threshold(graph, arrivals, costs, manifest, say, out):
+    from .nshaped import (
+        NModelParams,
+        average_cost,
+        optimal_threshold,
+        threshold_location,
+    )
+
     params = NModelParams.from_graph(graph, arrivals, costs)
     rho = params.rho
     ratio = params.cost_ratio
@@ -342,6 +351,9 @@ def _mode_verify_structure(graph, arrivals, costs, manifest, say, out):
             f"verify-structure needs exactly one policy spec,"
             f" got {len(manifest.policies)}"
         )
+    from .solver import TruncatedStateSpace
+    from .structure import verify_policy_shape
+
     cfg = manifest.config
     # Null when the graph has no default family; this raises it after the echo.
     family = cfg["family"] or _default_family(graph)
@@ -506,6 +518,10 @@ def _paired_ordering(result, first_label: str, second_label: str) -> tuple[float
 
 
 def _recipe_n_threshold(name: str) -> RecipeResult:
+    from .nshaped import NModelParams, optimal_threshold
+    from .solver import TruncatedStateSpace, relative_value_iteration
+    from .structure import verify_policy_shape
+
     pins = RECIPES[name]
     graph, arrivals, costs = load_graph(pins["graph"])
     cfg = pins["config"]
@@ -530,6 +546,9 @@ def _recipe_n_threshold(name: str) -> RecipeResult:
 
 
 def _recipe_complete_full(name: str) -> RecipeResult:
+    from .solver import TruncatedStateSpace, relative_value_iteration
+    from .structure import verify_policy_shape
+
     pins = RECIPES[name]
     graph, arrivals, costs = load_graph(pins["graph"])
     cfg = pins["config"]
@@ -608,7 +627,108 @@ def _cmd_reproduce(name: str) -> int:
 # ---- argument parsing ----
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each function adds one group of flags to a mode's parser.  Those that
+# read a default or the choices from the solver or the shape checks import
+# them, so only the parsed mode's groups are built (see build_parser).
+
+
+def _graph_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--graph", required=True, metavar="PATH",
+                        help="graph document (JSON)")
+    parser.add_argument("--out", metavar="DIR",
+                        help="directory for manifest, summary, and artifacts")
+
+
+def _space_flags(parser: argparse.ArgumentParser) -> None:
+    from .solver import TruncatedStateSpace
+
+    parser.add_argument("--cap", type=int, required=True,
+                        help="per-queue truncation bound")
+    parser.add_argument("--margin", type=int, default=TruncatedStateSpace.margin,
+                        help="rim width excluded from structural verdicts")
+
+
+def _tol_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--tol", type=float, default=None,
+                        help="convergence tolerance (defaults per mode)")
+
+
+def _theta_flags(parser: argparse.ArgumentParser) -> None:
+    from .solver import DPConfig
+
+    parser.add_argument("--theta", type=float, default=DPConfig.theta,
+                        help="discount factor in [0, 1)")
+
+
+def _policy_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--policy", "--policies", dest="policy", action="append", default=[],
+        metavar="SPEC", help="policy spec: inline JSON or a path to a JSON "
+        "file (a file may hold a list)",
+    )
+
+
+def _sim_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--steps", type=int, default=DEFAULT_STEPS,
+                        help="simulation horizon in arrivals")
+    parser.add_argument("--burn-in", type=int, default=SimConfig.burn_in,
+                        help="steps discarded before averaging")
+    parser.add_argument("--reps", type=int, default=SimConfig.replications,
+                        help="independent replications")
+    parser.add_argument("--seed", type=int, default=SimConfig.seed,
+                        help="base seed; replication r uses key (seed, r)")
+
+
+def _family_flags(parser: argparse.ArgumentParser) -> None:
+    from .structure import SHAPE_FAMILIES
+
+    parser.add_argument("--family", default=None, choices=list(SHAPE_FAMILIES),
+                        help="family to verify (default: inferred from the graph)")
+
+
+def _recipe_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("recipe", choices=sorted(RECIPES), metavar="RECIPE",
+                        help=f"one of {sorted(RECIPES)}")
+
+
+_Flags = Callable[[argparse.ArgumentParser], None]
+
+_SUBCOMMANDS: dict[str, tuple[str, tuple[_Flags, ...]]] = {
+    "stability": ("test the strict subset drift condition", (_graph_flags,)),
+    "classify": ("report the structural graph class", (_graph_flags,)),
+    "solve-discounted": (
+        "discounted value iteration and policy extraction",
+        (_graph_flags, _space_flags, _tol_flags, _theta_flags),
+    ),
+    "solve-average": (
+        "relative value iteration for the average-cost problem",
+        (_graph_flags, _space_flags, _tol_flags),
+    ),
+    "threshold": ("closed-form optimal threshold analysis", (_graph_flags,)),
+    "simulate": (
+        "seeded Monte Carlo run of one policy",
+        (_graph_flags, _policy_flags, _sim_flags),
+    ),
+    "compare": (
+        "paired comparison of several policies on shared streams",
+        (_graph_flags, _policy_flags, _sim_flags),
+    ),
+    "verify-structure": (
+        "check a policy against a structured family",
+        (_graph_flags, _space_flags, _policy_flags, _family_flags),
+    ),
+    "reproduce": (
+        "run a bundled pinned experiment and print PASS/FAIL",
+        (_recipe_flags,),
+    ),
+}
+"""Each subcommand's help line and flag groups, in the order they print."""
+
+
+def build_parser(mode: str | None = None) -> argparse.ArgumentParser:
+    """The command line parser.  Every subcommand is listed, but only
+    ``mode``'s flags are built (every mode's when ``mode`` is None), so a
+    mode loads the modules its own defaults come from and no others."""
     parser = argparse.ArgumentParser(
         prog="matchdp",
         description="Exact solvers, structured policies, and seeded simulation "
@@ -618,73 +738,11 @@ def build_parser() -> argparse.ArgumentParser:
         "(0 = one worker per CPU).",
     )
     sub = parser.add_subparsers(dest="mode", required=True, metavar="MODE")
-
-    graph_flags = argparse.ArgumentParser(add_help=False)
-    graph_flags.add_argument("--graph", required=True, metavar="PATH",
-                             help="graph document (JSON)")
-    graph_flags.add_argument("--out", metavar="DIR",
-                             help="directory for manifest, summary, and artifacts")
-
-    space_flags = argparse.ArgumentParser(add_help=False)
-    space_flags.add_argument("--cap", type=int, required=True,
-                             help="per-queue truncation bound")
-    space_flags.add_argument("--margin", type=int,
-                             default=TruncatedStateSpace.margin,
-                             help="rim width excluded from structural verdicts")
-
-    tol_flags = argparse.ArgumentParser(add_help=False)
-    tol_flags.add_argument("--tol", type=float, default=None,
-                           help="convergence tolerance (defaults per mode)")
-
-    policy_flags = argparse.ArgumentParser(add_help=False)
-    policy_flags.add_argument(
-        "--policy", "--policies", dest="policy", action="append", default=[],
-        metavar="SPEC", help="policy spec: inline JSON or a path to a JSON "
-        "file (a file may hold a list)",
-    )
-
-    sim_flags = argparse.ArgumentParser(add_help=False)
-    sim_flags.add_argument("--steps", type=int, default=DEFAULT_STEPS,
-                           help="simulation horizon in arrivals")
-    sim_flags.add_argument("--burn-in", type=int, default=SimConfig.burn_in,
-                           help="steps discarded before averaging")
-    sim_flags.add_argument("--reps", type=int, default=SimConfig.replications,
-                           help="independent replications")
-    sim_flags.add_argument("--seed", type=int, default=SimConfig.seed,
-                           help="base seed; replication r uses key (seed, r)")
-
-    sub.add_parser("stability", parents=[graph_flags],
-                   help="test the strict subset drift condition")
-    sub.add_parser("classify", parents=[graph_flags],
-                   help="report the structural graph class")
-
-    disc = sub.add_parser("solve-discounted",
-                          parents=[graph_flags, space_flags, tol_flags],
-                          help="discounted value iteration and policy extraction")
-    disc.add_argument("--theta", type=float, default=DPConfig.theta,
-                      help="discount factor in [0, 1)")
-
-    sub.add_parser("solve-average",
-                   parents=[graph_flags, space_flags, tol_flags],
-                   help="relative value iteration for the average-cost problem")
-    sub.add_parser("threshold", parents=[graph_flags],
-                   help="closed-form optimal threshold analysis")
-    sub.add_parser("simulate", parents=[graph_flags, policy_flags, sim_flags],
-                   help="seeded Monte Carlo run of one policy")
-    sub.add_parser("compare", parents=[graph_flags, policy_flags, sim_flags],
-                   help="paired comparison of several policies on shared streams")
-
-    verify = sub.add_parser("verify-structure",
-                            parents=[graph_flags, space_flags, policy_flags],
-                            help="check a policy against a structured family")
-    verify.add_argument("--family", default=None,
-                        choices=list(SHAPE_FAMILIES),
-                        help="family to verify (default: inferred from the graph)")
-
-    rep = sub.add_parser("reproduce",
-                         help="run a bundled pinned experiment and print PASS/FAIL")
-    rep.add_argument("recipe", choices=sorted(RECIPES), metavar="RECIPE",
-                     help=f"one of {sorted(RECIPES)}")
+    for name, (text, groups) in _SUBCOMMANDS.items():
+        subparser = sub.add_parser(name, help=text)
+        if mode in (None, name):
+            for add in groups:
+                add(subparser)
     return parser
 
 
@@ -703,6 +761,8 @@ def _manifest_from_args(args: argparse.Namespace) -> RunManifest:
         if key not in ("mode", "graph", "out", "policy")
     }
     if "tol" in config:
+        from .solver import DPConfig
+
         mode_name = "discounted" if args.mode == "solve-discounted" else "average"
         config["tol"] = DPConfig(tol=args.tol).resolved_tol(mode_name)
     if "family" in config and config["family"] is None:
@@ -721,8 +781,11 @@ def _manifest_from_args(args: argparse.Namespace) -> RunManifest:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The top level takes no option but -h, so its first other word is the
+    # mode (or a word that the parser rejects as one).
+    mode = next((word for word in argv if not word.startswith("-")), None)
+    args = build_parser(mode).parse_args(argv)
     try:
         if args.mode == "reproduce":
             return _cmd_reproduce(args.recipe)

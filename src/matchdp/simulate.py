@@ -13,16 +13,18 @@ index of column 0 under alpha, the supply class of column 1 under beta.
 The same (seed, replication) therefore yields the same arrival sequence
 for every policy, which is what makes comparisons paired.  The block is
 drawn in pieces of CHUNK_STEPS rows, which yields the same doubles, into
-one buffer that every piece reuses: a piece is mapped out of it into a
-reused buffer of atoms before the next is drawn into it.  In a serial run
-one helper thread per replication (a plain thread fed by a queue, no
-executor) makes every draw, in order: the next piece's uniforms are drawn
-while the chains walk the current one (a stream of one piece is drawn on
-the calling thread and starts no thread).  A pool worker draws every
-piece on its own thread: a pool as wide as the CPUs leaves no core free
-for a helper.  The buffers are one piece long, so memory does not grow
-with the horizon, and as no two draws overlap the results are
-bit-identical to drawing every piece on the calling thread.
+one buffer that every piece of the run reuses: a piece is mapped out of it
+into a reused buffer of atoms before the next is drawn into it.  In a
+serial run whose streams have more than one piece, one helper thread (a
+plain thread fed by a queue, no executor) draws, in order, every piece
+after the first while the chains walk the one before, the next
+replication's first piece during a replication's last; it is closed, and
+the rest drawn on the calling thread, once waiting for it has cost more
+than the draws it made (see :func:`_arrival_chunks`).  A pool worker draws
+every piece on its own thread: a pool as wide as the CPUs leaves no core
+free for a helper.  The buffers are one piece long, so memory grows with
+neither the horizon nor the replications, and as no two draws overlap the
+results are bit-identical to drawing every piece on the calling thread.
 
 Every policy runs through one kernel.  A step depends only on the queue
 vector and the arrival atom, so the kernel memoizes the successor of each
@@ -30,14 +32,20 @@ vector and the arrival atom, so the kernel memoizes the successor of each
 vector x = q + a, so a pair it has not seen looks x up in a map from x to
 its successor, and ``decide`` is called (and admissibility checked) once
 per distinct x.  A multi-step memo, derived from the one-step one, maps a
-state and m consecutive atoms to the state they lead to, with m the
-largest stride whose A**m codes fit STRIDE_WIDTH (3 on the N graph, 2 on
-the W graph, 1 on graphs with more than 8 atoms).  Each piece of the stream
-is encoded once into codes of m atoms, shared by every policy, and the hot
-loop is one table read and one visit count per m steps; the last steps of
-a piece go one at a time.  Costs, queue means and level frequencies are
-computed afterwards from the visit counts.  With integer costs every
-partial sum is exact, so the result equals a step-by-step run bit for bit.
+state and m consecutive atoms to the state they lead to.  Each chain picks
+its own stride m from its own counts: its first piece goes one arrival at
+a time, and after each piece m is the largest stride with A**m <=
+STRIDE_WIDTH and at least STEPS_PER_ENTRY steps in the call for each
+entry of a row per state met so far; it never rises again (on the bench
+runs: 4 on the N graph, 2 on the W graph, 1 on the NN graph and on an N
+graph in heavy traffic).  Each piece is encoded once per stride in use
+into codes of m atoms, shared by the chains at that stride, and the hot
+loop is one table read and one visit count per m steps, with no test for
+a miss (an entry not met yet holds None, and the step after it raises);
+the last steps of a piece go one at a time.  Costs, queue means and level
+frequencies are computed afterwards from the visit counts.  With integer
+costs every partial sum is exact, so the result equals a step-by-step run
+bit for bit.
 """
 
 from __future__ import annotations
@@ -48,6 +56,7 @@ import math
 import operator
 import os
 import statistics
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterator, Sequence
@@ -212,24 +221,44 @@ class CompareResult:
 CHUNK_STEPS = 1 << 16
 """Arrival steps drawn, and walked by every policy, per piece of a stream."""
 
-STRIDE_WIDTH = 64
-"""Entries per row of the multi-step table: with A arrival atoms a chain
-walks m arrivals per lookup, m the largest stride with A**m <= STRIDE_WIDTH."""
+STRIDE_WIDTH = 256
+"""Most entries per row of the multi-step table: with A arrival atoms no
+chain walks more than m arrivals per lookup, m the largest stride with
+A**m <= STRIDE_WIDTH (4 on the N graph, 3 on the W graph, 2 on graphs of 9
+to 16 atoms, 1 above).  With 256 every code fits a uint8."""
+
+STEPS_PER_ENTRY = 200
+"""Steps a chain must walk per multi-step entry it may fill.  A row of A**m
+entries is made for every state a multi-step walk starts from, and each
+entry is filled by a miss that walks its m steps one at a time, so a chain
+walks at stride m only while ``len(states) * A**m * STEPS_PER_ENTRY`` is
+within the steps its memo walks in the call."""
 
 MEMO_LIMIT = 1 << 18
-"""Entries a policy's one-step transition table may hold.  A full one takes
-~25 MB, and ~36 MB with the post-arrival vectors it maps when every state
-is new (tracemalloc, the ``Idle`` chain of the kernel tests on the N graph
-at stride 1); ~41 MB with a full multi-step table beside it."""
+"""Entries a policy's one-step transition table may hold.  A run of the
+``Idle`` chain of the kernel tests on the N graph, where every state is
+new, peaks at ~38 MiB (tracemalloc, 60,000 steps, the stream's buffers
+included) at stride 1 and ~40 MiB at the top stride 4, with the
+multi-step table beside it; folding the full table at a restart raises
+the peaks to ~42 and ~45 MiB (70,000 steps)."""
 
 STRIDE_LIMIT = 1 << 18
-"""Entries a policy's multi-step table may hold (a full one takes ~5 MB)."""
+"""Entries a policy's multi-step table may hold.  A full one takes ~4-5 MiB
+at stride 4 on the N graph: 4.2 MiB for ``Idle``, 5.1 MiB for
+ThresholdN(inf) in heavy traffic, which fills 28,326 entries."""
 
 
-def _stride(n_atoms: int) -> int:
-    """Arrivals walked per multi-step lookup; 1 means no multi-step table."""
+def _stride(n_atoms: int, states: int = 0, steps: int = 0) -> int:
+    """Arrivals walked per multi-step lookup by a chain whose memo holds
+    ``states`` queue vectors and walks ``steps`` steps in the call: the
+    largest m with n_atoms**m <= STRIDE_WIDTH and
+    states * n_atoms**m * STEPS_PER_ENTRY <= steps.  1 means no multi-step
+    table; with no states the width alone bounds m."""
     m = 1
-    while n_atoms > 1 and n_atoms ** (m + 1) <= STRIDE_WIDTH:
+    while n_atoms > 1:
+        width = n_atoms ** (m + 1)
+        if width > STRIDE_WIDTH or states * width * STEPS_PER_ENTRY > steps:
+            break
         m += 1
     return m
 
@@ -237,23 +266,33 @@ def _stride(n_atoms: int) -> int:
 class _Filler:
     """One helper thread that fills a buffer with uniforms, on request.
 
-    ``fill(n)`` asks for ``buf[:n]`` to be drawn and ``wait()`` returns
-    once it is, raising the draw's exception if it failed.  Requests are
-    served in order on the one thread, so the doubles are those of drawing
-    on the calling thread.  ``close()`` ends and joins the thread.
+    ``fill(draw, n)`` asks for ``draw(out=buf[:n])`` and ``wait()`` returns
+    once it is done, raising the draw's exception if it failed.  Requests
+    are served in order on the one thread, so the doubles are those of
+    drawing on the calling thread.  ``close()`` ends and joins the thread.
+
+    ``fill`` returns once the helper has taken the request.  Waiting for
+    that hands the GIL to the helper, which keeps it only until the draw
+    releases it, so the draw starts at once, not when the calling thread
+    next blocks or the interpreter's switch interval ends.  ``waited`` sums
+    the seconds the calling thread spends in ``fill`` and ``wait``: what
+    the helper costs it, against the draws it no longer makes.
     """
 
-    def __init__(self, draw, buf: np.ndarray):
+    def __init__(self, buf: np.ndarray):
         import queue
         import threading
 
         self.requests = queue.SimpleQueue()
+        self.taken = queue.SimpleQueue()
         self.done = queue.SimpleQueue()
-        self.thread = threading.Thread(target=self._serve, args=(draw, buf))
+        self.waited = 0.0
+        self.thread = threading.Thread(target=self._serve, args=(buf,))
         self.thread.start()
 
-    def _serve(self, draw, buf: np.ndarray) -> None:
-        for n in iter(self.requests.get, None):
+    def _serve(self, buf: np.ndarray) -> None:
+        for draw, n in iter(self.requests.get, None):
+            self.taken.put(None)
             try:
                 draw(out=buf[:n])
             # Whatever the draw raises is raised again by ``wait`` on the
@@ -263,11 +302,16 @@ class _Filler:
             else:
                 self.done.put(None)
 
-    def fill(self, n: int) -> None:
-        self.requests.put(n)
+    def fill(self, draw, n: int) -> None:
+        began = time.perf_counter()
+        self.requests.put((draw, n))
+        self.taken.get()
+        self.waited += time.perf_counter() - began
 
     def wait(self) -> None:
+        began = time.perf_counter()
         error = self.done.get()
+        self.waited += time.perf_counter() - began
         if error is not None:
             raise error
 
@@ -277,53 +321,72 @@ class _Filler:
 
 
 def _arrival_chunks(graph: MatchingGraph, arrivals: ArrivalDistribution,
-                    cfg: SimConfig, rep: int,
-                    overlap: bool) -> Iterator[tuple[bool, list[int], list[int]]]:
-    """Yield (counted, codes, tail) pieces of one replication's arrival stream.
+                    cfg: SimConfig, reps: Sequence[int],
+                    overlap: bool) -> Iterator[tuple[int, bool, np.ndarray]]:
+    """Yield (rep, counted, atoms) pieces of the streams of ``reps``, in order.
 
-    A piece covers at most CHUNK_STEPS consecutive steps and never
-    straddles the end of the burn-in; ``codes`` and ``tail`` are its atom
-    indices i * n_s + j as encoded by :func:`_encode`.  Every piece is
-    drawn into one buffer of uniforms and mapped out of it, on this
-    thread, into one buffer of atoms of the narrowest unsigned type that
-    holds a code.  With ``overlap`` and more than one piece, a helper
-    thread (:class:`_Filler`) makes every draw, in order: once a piece is
-    mapped, the helper fills the next one into the buffer (numpy draws
-    without the GIL) while this thread encodes and the chains walk.  So
-    while the chains walk a piece only its two lists, the buffers and the
-    helper are alive, whatever the horizon.
+    A piece covers at most CHUNK_STEPS consecutive steps of one replication
+    and never straddles the end of the burn-in; ``atoms`` holds its atom
+    indices i * n_s + j in a buffer that the next piece reuses.  Every
+    piece is drawn into one buffer of uniforms and mapped out of it, on
+    this thread, into one buffer of atoms of the narrowest unsigned type
+    that holds a code of the widest stride.  So while the chains walk a
+    piece only its codes and the buffers are alive, whatever the horizon
+    and the replications.
+
+    The first piece is drawn on this thread.  With ``overlap`` and streams
+    of more than one piece, one helper thread (:class:`_Filler`) then
+    makes the draws of the run, in (replication, piece) order: once a
+    piece is mapped, the helper fills the next one, of this replication or
+    the first of the next, into the buffer (numpy draws without the GIL)
+    while this thread encodes and the chains walk.  The helper is closed,
+    and the rest of the run drawn here, once this thread has spent longer
+    waiting for it than the draws it made would have taken here, timed by
+    the first: every hand-over of the GIL between the threads costs a
+    wake-up, which on a busy machine can outlast a draw.
     """
     n_atoms = graph.n_d * graph.n_s
-    stride = _stride(n_atoms)
-    rng = np.random.Generator(np.random.Philox(key=[cfg.seed, rep]))
     # The class is the count of CDF knots at or below the uniform, the
     # inverse-CDF index; the last knot is left out so a CDF that rounds
     # below 1 cannot yield a class past the last one.
     d_knots = np.cumsum(arrivals.alpha)[:-1]
     s_knots = np.cumsum(arrivals.beta)[:-1]
     first = cfg.initial_atom(graph)
-    starts = range(0, cfg.horizon, CHUNK_STEPS)
 
     def size(start: int) -> int:
         return min(CHUNK_STEPS, cfg.horizon - start)
 
-    buf = np.empty((size(0), 2))
+    def schedule() -> Iterator[tuple[int, int, object]]:
+        for rep in reps:
+            rng = np.random.Generator(np.random.Philox(key=[cfg.seed, rep]))
+            for start in range(0, cfg.horizon, CHUNK_STEPS):
+                yield rep, start, rng.random
+
+    # Touched here, so that the first draw, which times a draw on this
+    # thread, pays no page faults.
+    buf = np.ones((size(0), 2))
     flag = np.empty(size(0), dtype=bool)
-    atom = np.empty(size(0), dtype=np.min_scalar_type(n_atoms ** stride - 1))
+    atom = np.empty(size(0), dtype=np.min_scalar_type(n_atoms ** _stride(n_atoms) - 1))
+    draws = schedule()
+    ahead = next(draws)
+    # Streams of one piece each have no walk to overlap a draw with.
+    helped = overlap and cfg.horizon > CHUNK_STEPS
     with contextlib.ExitStack() as stack:
-        # A stream drawn without overlap, or of one piece (no walk to
-        # overlap its draw with), starts no thread and is drawn here.
         filler = None
-        if overlap and len(starts) > 1:
-            filler = _Filler(rng.random, buf)
-            stack.callback(filler.close)
-            filler.fill(size(0))
-        for start in starts:
+        served = 0
+        while ahead is not None:
+            rep, start, draw = ahead
             n = size(start)
             if filler is None:
-                rng.random(out=buf[:n])
+                began = time.perf_counter()
+                draw(out=buf[:n])
+                cost = time.perf_counter() - began
             else:
                 filler.wait()
+                served += 1
+                if filler.waited > served * cost:
+                    stack.close()
+                    filler, helped = None, False
             u, a, f = buf[:n], atom[:n], flag[:n]
             a.fill(0)
             for knot in d_knots:
@@ -336,25 +399,29 @@ def _arrival_chunks(graph: MatchingGraph, arrivals: ArrivalDistribution,
             for knot in s_knots:
                 np.greater_equal(u[:, 1], knot, out=f)
                 a += f
-            if filler is not None and start + n < cfg.horizon:
-                filler.fill(size(start + n))
+            ahead = next(draws, None)
+            if helped and ahead is not None:
+                if filler is None:
+                    filler = _Filler(buf)
+                    stack.callback(filler.close)
+                filler.fill(ahead[2], size(ahead[1]))
             if start == 0 and first is not None:
                 a[0] = first[0] * graph.n_s + first[1]
             cut = min(max(cfg.burn_in - start, 0), n)
-            pieces = [
-                (counted, *_encode(part, n_atoms, stride))
-                for counted, part in ((False, a[:cut]), (True, a[cut:]))
-                if len(part)
-            ]
-            yield from pieces
+            for counted, part in ((False, a[:cut]), (True, a[cut:])):
+                if len(part):
+                    yield rep, counted, part
 
 
 def _encode(atoms: np.ndarray, n_atoms: int, stride: int) -> tuple[list[int], list[int]]:
     """Split a piece into the codes of its whole strides and the atoms left.
 
     The code of atoms a_1 .. a_m is their Horner sum with base n_atoms,
-    a_1 the most significant; with stride 1 the codes are the atoms.
+    a_1 the most significant; with stride 1 there are no codes and every
+    atom is left.
     """
+    if stride == 1:
+        return [], atoms.tolist()
     body = len(atoms) - len(atoms) % stride
     codes = atoms[0:body:stride]
     for r in range(1, stride):
@@ -362,20 +429,44 @@ def _encode(atoms: np.ndarray, n_atoms: int, stride: int) -> tuple[list[int], li
     return codes.tolist(), atoms[body:].tolist()
 
 
-def _walk(keys: list[int], s: int, nxt: list[int], hits: list[int], miss) -> int:
+class _Piece(dict):
+    """A piece's atoms, encoded once per stride asked for: ``piece[m]`` is
+    :func:`_encode`'s (codes, atoms left) at stride m."""
+
+    def __init__(self, atoms: np.ndarray, n_atoms: int):
+        super().__init__()
+        self.atoms = atoms
+        self.n_atoms = n_atoms
+
+    def __missing__(self, stride: int) -> tuple[list[int], list[int]]:
+        encoded = self[stride] = _encode(self.atoms, self.n_atoms, stride)
+        return encoded
+
+
+def _walk(keys: list[int], s: int, nxt: list, hits: list[int], miss) -> int:
     """The hot loop: follow ``keys`` through one table from row offset s.
 
-    A hit counts its entry; a miss leaves the count to ``miss(k)``, which
-    resolves entry k and returns the successor with the (possibly new)
-    table and counts to go on with.
+    Every step counts its entry.  An entry not met before holds None, so
+    the step after it fails on ``None + key`` (a TypeError, which costs
+    nothing until it is raised, so no step tests for a miss); ``miss(k)``
+    then resolves entry k, returning the successor with the (possibly new)
+    table and counts to go on with, and that step is taken again.
     """
-    for c in keys:
-        k = s + c
-        s = nxt[k]
-        if s < 0:
+    keys = iter(keys)
+    while True:
+        try:
+            for c in keys:
+                k = s + c
+                s = nxt[k]
+                hits[k] += 1
+            break
+        except TypeError:
             s, nxt, hits = miss(k)
-        else:
+            k = s + c
+            s = nxt[k]
             hits[k] += 1
+    if s is None:
+        s, nxt, hits = miss(k)
     return s
 
 
@@ -384,7 +475,7 @@ class _Chain:
 
     Visited queue vectors get small integer ids; with A arrival atoms,
     ``next[id * A + a]`` holds the row offset (id * A) of the successor
-    after atom a, or -1 until the pair is first met.  ``after`` maps each
+    after atom a, or None until the pair is first met.  ``after`` maps each
     post-arrival vector x met so far to its checked successor's row
     offset, so two pairs (q, a) and (q', a') with q + a = q' + a' ask
     ``decide`` once between them.  ``hits`` counts the visits per entry;
@@ -393,27 +484,34 @@ class _Chain:
     the running sums and restarted, with ``after``, from the current
     state.
 
-    With stride m > 1 (see STRIDE_WIDTH) a second table, derived from the
-    first, takes m arrivals per lookup: ``mnext[row + code]`` is the row of
-    the state that the m atoms of ``code`` lead to, and ``mhits`` counts
-    its visits.  Rows are made for the states a multi-step walk starts
-    from.  A miss walks its m steps through the one-step table, which
-    counts them and asks ``decide`` only where that table misses, so the
-    one-step table and the ``decide`` calls are those of a walk one
-    arrival at a time.  Before the one-step visits are folded, the hits
-    of each entry in ``filled`` (the multi-step entries stored so far) are
-    replayed onto the one-step entries that entry stands for.
-    A multi-step table that would pass STRIDE_LIMIT entries is replayed
-    and dropped; a one-step restart drops it too.
+    With stride m > 1 a second table, derived from the first, takes m
+    arrivals per lookup: ``mnext[row + code]`` is the row of the state that
+    the m atoms of ``code`` lead to, and ``mhits`` counts its visits.  Rows
+    are made for the states a multi-step walk starts from.  A miss walks
+    its m steps through the one-step table, which counts them and asks
+    ``decide`` only where that table misses, so the one-step table and the
+    ``decide`` calls are those of a walk one arrival at a time.  Before the
+    one-step visits are folded, the hits of each entry in ``filled`` (the
+    multi-step entries stored so far) are replayed onto the one-step
+    entries that entry stands for.  A multi-step table that would pass
+    STRIDE_LIMIT entries is replayed and dropped; a one-step restart drops
+    it too.
+
+    The stride follows from the chain's own counts (see :func:`_stride`):
+    the first piece a chain walks in a call goes one arrival at a time, and
+    after each piece the stride is the rule's for the states met so far
+    and the ``steps`` its memo walks in the call, never above the last.  A
+    fall replays and drops the multi-step table.
     """
 
-    def __init__(self, graph: MatchingGraph, costs: CostVector, policy: Policy):
+    def __init__(self, graph: MatchingGraph, costs: CostVector, policy: Policy,
+                 steps: int):
         self.graph = graph
         self.policy = policy
+        self.steps = steps
         self.n_atoms = graph.n_d * graph.n_s
-        self.stride = _stride(self.n_atoms)
-        self.width = self.n_atoms ** self.stride
-        self.paths = list(itertools.product(range(self.n_atoms), repeat=self.stride))
+        self.top = _stride(self.n_atoms)
+        self._set_stride(1)
         self.cvec = [float(c) for c in costs.vector]
         self.layout = None
         if (isinstance(policy, ThresholdN) and classify(graph).tag == N_SHAPED
@@ -424,11 +522,25 @@ class _Chain:
             self.level_of = level_of_state
         self._forget()
 
+    def _set_stride(self, m: int) -> None:
+        self.stride = m
+        self.width = self.n_atoms**m
+        self.paths = list(itertools.product(range(self.n_atoms), repeat=m))
+
+    def _restride(self) -> None:
+        """After a piece: the stride of the next, from the states met so far."""
+        self.top = min(self.top, _stride(self.n_atoms, len(self.states), self.steps))
+        if self.top != self.stride:
+            if self.stride > 1:
+                self._replay()
+                self._drop()
+            self._set_stride(self.top)
+
     def _forget(self) -> None:
         self.ids: dict[tuple[int, ...], int] = {}
         self.states: list[tuple[int, ...]] = []
         self.levels: list[int | None] = []
-        self.next: list[int] = []
+        self.next: list[int | None] = []
         self.hits: list[int] = []
         self.after: dict[tuple[int, ...], int] = {}
         self._drop()
@@ -436,7 +548,7 @@ class _Chain:
     def _drop(self) -> None:
         self.rows: dict[int, int] = {}
         self.starts: list[int] = []
-        self.mnext: list[int] = []
+        self.mnext: list[int | None] = []
         self.mhits: list[int] = []
         self.filled: list[int] = []
 
@@ -454,7 +566,7 @@ class _Chain:
                 self.levels.append(self.level_of(
                     self.policy.t, (key[lay.d1], key[lay.d2], key[lay.s1], key[lay.s2])
                 ))
-            self.next += [-1] * self.n_atoms
+            self.next += [None] * self.n_atoms
             self.hits += [0] * self.n_atoms
         return sid * self.n_atoms
 
@@ -467,21 +579,23 @@ class _Chain:
                 self._drop()
             row = self.rows[s] = len(self.mnext)
             self.starts.append(s)
-            self.mnext += [-1] * self.width
+            self.mnext += [None] * self.width
             self.mhits += [0] * self.width
         return row
 
     def _replay(self) -> None:
         """Move the multi-step hits onto the one-step entries they stand for."""
         nxt, hits, mhits = self.next, self.hits, self.mhits
+        width, starts, paths = self.width, self.starts, self.paths
         for k in self.filled:
             seen = mhits[k]
             if seen:
-                row, code = divmod(k, self.width)
-                s = self.starts[row]
-                for a in self.paths[code]:
-                    hits[s + a] += seen
-                    s = nxt[s + a]
+                row, code = divmod(k, width)
+                s = starts[row]
+                for a in paths[code]:
+                    step = s + a
+                    hits[step] += seen
+                    s = nxt[step]
                 mhits[k] = 0
 
     def _fold(self) -> None:
@@ -510,9 +624,9 @@ class _Chain:
         self.level_counts = None if self.layout is None else [0] * (self.policy.t + 1)
         self.s = self._locate(q0)
 
-    def walk(self, codes: list[int], tail: list[int], counted: bool) -> None:
-        """Advance the chain over a piece of the arrival stream, given as
-        the codes of its whole strides and the atoms left over.
+    def walk(self, piece: _Piece, counted: bool) -> None:
+        """Advance the chain over a piece of the arrival stream, at the
+        chain's stride, then pick the stride of the next piece.
 
         Steps are counted in every piece; the first counted piece of a
         replication drops what the burn-in (or the last replication) left.
@@ -521,19 +635,22 @@ class _Chain:
             self.hits = [0] * len(self.next)
             self.mhits = [0] * len(self.mnext)
             self.counting = True
+        codes, tail = piece[self.stride]
         s = self.s
-        if self.stride == 1:
-            tail = codes
-        elif codes:
+        if codes:
             row = _walk(codes, self._row(s), self.mnext, self.mhits, self._multi_miss)
             s = self.starts[row // self.width]
         self.s = _walk(tail, s, self.next, self.hits, self._miss)
+        self._restride()
 
-    def _multi_miss(self, k: int) -> tuple[int, list[int], list[int]]:
+    def _multi_miss(self, k: int) -> tuple[int, list, list[int]]:
         """Walk the steps of entry k = multi-step row + code one at a time
         and store the row they end on."""
         row, code = divmod(k, self.width)
         mnext, filled = self.mnext, self.filled
+        # The walk counted entry k, whose steps are counted one at a time
+        # below; the count it will replay must not hold this visit too.
+        self.mhits[k] -= 1
         s = _walk(self.paths[code], self.starts[row], self.next, self.hits, self._miss)
         # After a restart or a drop ``mnext`` is the discarded table, so
         # the store is moot.
@@ -541,10 +658,10 @@ class _Chain:
         filled.append(k)
         return end, self.mnext, self.mhits
 
-    def _miss(self, k: int) -> tuple[int, list[int], list[int]]:
-        """Count entry k = row offset + atom and store its successor, asking
-        ``decide`` only for a post-arrival vector x not met before."""
-        self.hits[k] += 1
+    def _miss(self, k: int) -> tuple[int, list, list[int]]:
+        """Store the successor of entry k = row offset + atom, which the walk
+        has counted, asking ``decide`` only for a post-arrival vector x not
+        met before."""
         graph, nd = self.graph, self.graph.n_d
         sid, a = divmod(k, self.n_atoms)
         x = list(self.states[sid])
@@ -584,42 +701,50 @@ class _Chain:
 
 
 def _replicate(chains: Sequence[_Chain], graph: MatchingGraph,
-               arrivals: ArrivalDistribution, cfg: SimConfig, rep: int,
-               overlap: bool = True) -> tuple:
-    """Walk every chain over one replication's stream, piece by piece.
+               arrivals: ArrivalDistribution, cfg: SimConfig, reps: Sequence[int],
+               overlap: bool = True) -> list[tuple]:
+    """Walk every chain over the streams of ``reps``, replication by
+    replication and piece by piece; per replication, one (cost, node sums,
+    level counts) per chain.
 
-    Each piece is encoded once and the codes are shared by every chain.
-    ``overlap`` draws the stream on a helper thread (see
-    :func:`_arrival_chunks`).  The stream is closed on the way out, so its
-    helper thread ends with the replication even when a chain raises.
+    Each piece is encoded once per stride in use, and the chains at one
+    stride share its codes.  ``overlap`` lets one helper thread draw the
+    streams (see :func:`_arrival_chunks`).  The stream is closed on the way
+    out, so its helper ends with the run even when a chain raises.
     """
     q0 = tuple(cfg.initial_queue(graph))
-    for chain in chains:
-        chain.start(q0)
-    stream = _arrival_chunks(graph, arrivals, cfg, rep, overlap)
+    n_atoms = graph.n_d * graph.n_s
+    outs = []
+    stream = _arrival_chunks(graph, arrivals, cfg, reps, overlap)
     with contextlib.closing(stream):
-        for counted, codes, tail in stream:
+        for _, pieces in itertools.groupby(stream, operator.itemgetter(0)):
             for chain in chains:
-                chain.walk(codes, tail, counted)
-    return tuple(chain.finish() for chain in chains)
+                chain.start(q0)
+            for _, counted, atoms in pieces:
+                piece = _Piece(atoms, n_atoms)
+                for chain in chains:
+                    chain.walk(piece, counted)
+            outs.append(tuple(chain.finish() for chain in chains))
+    return outs
 
 
 def _replication_job(args) -> tuple:
     """One replication in a pool worker, drawn on the worker's own thread:
     a pool as wide as the CPUs leaves no core free for a helper's fill."""
     graph, arrivals, costs, policies, cfg, rep = args
-    chains = [_Chain(graph, costs, p) for p in policies]
-    return _replicate(chains, graph, arrivals, cfg, rep, overlap=False)
+    chains = [_Chain(graph, costs, p, cfg.horizon) for p in policies]
+    return _replicate(chains, graph, arrivals, cfg, [rep], overlap=False)[0]
 
 
 def _run(graph, arrivals, costs, policies, cfg, threads) -> list[tuple]:
     """Per replication, one (cost, node sums, level counts) per policy.
 
-    Serially each policy keeps one memo across its replications; in a
-    pool every job builds its own.  A policy bound to another graph (one
-    that differs in its nodes or in its edge order) raises ValueError, and
-    so does a ``q0`` or ``a0`` that does not fit the graph, before any
-    worker process or helper thread starts.
+    Serially each policy keeps one memo across its replications, and at
+    most one helper thread draws the streams of the run; in a pool every
+    job builds its own memo.  A policy bound to another graph (one that
+    differs in its nodes or in its edge order) raises ValueError, and so
+    does a ``q0`` or ``a0`` that does not fit the graph, before any worker
+    process or helper thread starts.
     """
     for policy in policies:
         if policy.graph != graph:
@@ -636,8 +761,9 @@ def _run(graph, arrivals, costs, policies, cfg, threads) -> list[tuple]:
                 _replication_job,
                 [(graph, arrivals, costs, policies, cfg, r) for r in reps],
             ))
-    chains = [_Chain(graph, costs, p) for p in policies]
-    return [_replicate(chains, graph, arrivals, cfg, r) for r in reps]
+    steps = cfg.horizon * cfg.replications
+    chains = [_Chain(graph, costs, p, steps) for p in policies]
+    return _replicate(chains, graph, arrivals, cfg, reps)
 
 
 # ---- aggregation ----

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+import matchdp
 
 from matchdp.cli import RECIPES, RunManifest, build_parser, main, reproduce, run
 from matchdp.errors import ParseError
@@ -369,6 +373,54 @@ class TestReproduce:
             if name in ("w-counterexample", "nn-heuristic"):
                 assert pins["config"]["seed"] is not None
                 assert len(pins["policies"]) == 2
+
+
+MODES = ("stability", "classify", "solve-discounted", "solve-average", "threshold",
+         "simulate", "compare", "verify-structure", "reproduce")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_mode_parsed_alone_prints_the_full_parsers_help(mode, capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([mode, "--help"])
+    full = capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        main([mode, "--help"])
+    assert capsys.readouterr().out == full
+    assert "--" in full
+
+
+CLI_IMPORTS = """
+import json, sys
+from matchdp.cli import main
+path, deferred = sys.argv[1], json.loads(sys.argv[2])
+policies = ["--policy", '{"type": "threshold_w_workload", "t21": 14, "t32": 0}',
+            "--policy", '{"type": "threshold_w", "t21": 11, "t22": 0}']
+runs = [
+    ["stability", "--graph", path],
+    ["classify", "--graph", path],
+    ["simulate", "--graph", path, *policies[:2], "--steps", "300"],
+    ["compare", "--graph", path, *policies, "--steps", "300", "--reps", "2"],
+    ["reproduce", "nn-heuristic"],
+]
+status = [main(argv) for argv in runs]
+print(json.dumps({"status": status, "loaded": [m for m in deferred if m in sys.modules]}))
+"""
+
+
+def test_simulation_modes_load_no_solver_checks_or_closed_form(tmp_path):
+    # On the W graph: a finite threshold on N loads the closed form's level
+    # map for the level frequencies.
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(W_DOC))
+    deferred = ["matchdp.solver", "matchdp.structure", "matchdp.nshaped"]
+    env = dict(os.environ, PYTHONPATH=str(Path(matchdp.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", CLI_IMPORTS, str(path), json.dumps(deferred)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out == {"status": [0] * 5, "loaded": []}
 
 
 def test_module_entry_point(tmp_path):

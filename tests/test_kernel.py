@@ -9,15 +9,18 @@ however often either transition table restarts.
 from __future__ import annotations
 
 import importlib
+import itertools
 import math
 import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
+from matchdp.cli import RECIPES
 from matchdp.errors import Inadmissible, MatchDPError, MissingDecision
-from matchdp.graphs import ArrivalDistribution, CostVector
+from matchdp.graphs import ArrivalDistribution, CostVector, load_graph
 from matchdp.policies import (
     AcyclicHeuristic,
     FullMatch,
@@ -26,6 +29,7 @@ from matchdp.policies import (
     ThresholdN,
     ThresholdW,
     ThresholdWWorkload,
+    policy_from_spec,
 )
 from matchdp.simulate import SimConfig, compare, simulate
 from matchdp.solver import TruncatedStateSpace, relative_value_iteration
@@ -133,7 +137,8 @@ class TestChunkInvariance:
 
 
 class TestHelperThread:
-    """Each replication draws its stream on one helper thread that ends with it."""
+    """A serial run draws its first piece on the calling thread and the rest
+    on at most one helper thread, which ends with the run."""
 
     def test_no_helper_outlives_a_multi_piece_run(self, monkeypatch):
         graph, arrivals, costs = n_setup()
@@ -164,20 +169,73 @@ class TestHelperThread:
             simulate(graph, arrivals, costs, IdleThenNegative(graph), CFG, threads=1)
         assert threading.active_count() == before
 
+    def test_no_helper_outlives_a_run_that_raises_between_replications(
+        self, monkeypatch, frozen_clock
+    ):
+        graph, arrivals, costs = n_setup()
+        monkeypatch.setattr(simmod, "CHUNK_STEPS", 7)
+        start = simmod._Chain.start
+        begun = []
+
+        def start_once(chain, q0):
+            begun.append(q0)
+            if len(begun) > 1:
+                raise RuntimeError("second replication")
+            start(chain, q0)
+
+        monkeypatch.setattr(simmod._Chain, "start", start_once)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="second replication"):
+            simulate(graph, arrivals, costs, ThresholdN(graph, 2), CFG, threads=1)
+        assert threading.active_count() == before
+
+    @pytest.fixture
+    def frozen_clock(self, monkeypatch):
+        """A clock that never moves: waiting for the helper costs nothing,
+        so it is never closed early."""
+        monkeypatch.setattr(simmod, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
+
+    @pytest.fixture
+    def starts(self, monkeypatch):
+        """The threads started."""
+        started = []
+        start = threading.Thread.start
+
+        def counted(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        return started
+
+    def test_a_serial_run_starts_one_helper(self, starts, monkeypatch):
+        graph, arrivals, costs = n_setup()
+        monkeypatch.setattr(simmod, "CHUNK_STEPS", 7)
+        simulate(graph, arrivals, costs, ThresholdN(graph, 2), CFG, threads=1)
+        assert len(starts) == 1
+        compare(
+            graph, arrivals, costs, [ThresholdN(graph, 0), ThresholdN(graph, 3)], CFG,
+            threads=1,
+        )
+        assert len(starts) == 2
+
     @pytest.fixture
     def draws(self, monkeypatch):
-        """Patch the generator to log (thread id, shape) per draw; draw number
-        ``fail_at`` (counted from 1) raises the exception stored under ``error``."""
-        log = {"calls": [], "fail_at": None, "error": RuntimeError("draw failed")}
+        """Patch the generator to log (thread id, shape) per draw, and the
+        replication of its key under ``reps``; draw number ``fail_at``
+        (counted from 1) raises the exception stored under ``error``."""
+        log = {"calls": [], "reps": [], "fail_at": None, "error": RuntimeError("draw failed")}
         real = np.random.Generator
 
         class Logged:
             def __init__(self, bit_generator):
                 self.inner = real(bit_generator)
+                self.rep = int(bit_generator.state["state"]["key"][1])
 
             def random(self, size=None, out=None):
                 shape = size if out is None else out.shape
                 log["calls"].append((threading.get_ident(), shape))
+                log["reps"].append(self.rep)
                 if len(log["calls"]) == log["fail_at"]:
                     raise log["error"]
                 return self.inner.random(size, out=out)
@@ -186,13 +244,46 @@ class TestHelperThread:
         monkeypatch.setattr(simmod, "CHUNK_STEPS", 7)
         return log
 
-    def test_one_helper_thread_draws_every_piece_in_order(self, draws):
+    def test_one_helper_draws_every_piece_after_the_first_in_order(
+        self, draws, frozen_clock
+    ):
         graph, arrivals, costs = n_setup()
         cfg = SimConfig(horizon=30, seed=2)
         simulate(graph, arrivals, costs, ThresholdN(graph, 2), cfg, threads=1)
-        helpers = {ident for ident, _ in draws["calls"]}
-        assert len(helpers) == 1 and threading.get_ident() not in helpers
+        here = threading.get_ident()
+        threads = [ident for ident, _ in draws["calls"]]
+        assert threads[0] == here and here not in threads[1:] and len(set(threads[1:])) == 1
         assert [size for _, size in draws["calls"]] == [(7, 2)] * 4 + [(2, 2)]
+
+    def test_one_helper_draws_every_replication_in_order(self, draws, frozen_clock):
+        graph, arrivals, costs = n_setup()
+        cfg = SimConfig(horizon=30, replications=3, seed=2)
+        simulate(graph, arrivals, costs, ThresholdN(graph, 2), cfg, threads=1)
+        here = threading.get_ident()
+        threads = [ident for ident, _ in draws["calls"]]
+        assert threads[0] == here and here not in threads[1:] and len(set(threads[1:])) == 1
+        assert [size for _, size in draws["calls"]] == ([(7, 2)] * 4 + [(2, 2)]) * 3
+        assert draws["reps"] == [0] * 5 + [1] * 5 + [2] * 5
+
+    def test_a_helper_that_costs_more_than_its_draws_is_closed(self, draws, monkeypatch):
+        # Every reading of this clock is one second after the last: the first
+        # draw takes 1 s here, and waiting for the helper's first draw 2 s.
+        ticks = itertools.count()
+        monkeypatch.setattr(
+            simmod, "time", types.SimpleNamespace(perf_counter=lambda: float(next(ticks)))
+        )
+        graph, arrivals, costs = n_setup()
+        cfg = SimConfig(horizon=30, replications=2, seed=2)
+        before = threading.active_count()
+        result = simulate(graph, arrivals, costs, ThresholdN(graph, 2), cfg, threads=1)
+        assert threading.active_count() == before
+        here = threading.get_ident()
+        threads = [ident for ident, _ in draws["calls"]]
+        assert threads[0] == threads[2] == here and threads[1] != here
+        assert set(threads[2:]) == {here}
+        assert draws["reps"] == [0] * 5 + [1] * 5
+        monkeypatch.setattr(simmod, "CHUNK_STEPS", 30)
+        assert simulate(graph, arrivals, costs, ThresholdN(graph, 2), cfg, threads=1) == result
 
     @pytest.fixture
     def no_thread(self, monkeypatch):
@@ -263,7 +354,11 @@ class TestMemoBound:
 
     @pytest.fixture
     def stride_sizes(self, monkeypatch):
-        """Sizes of the multi-step table (rows of 64 on N) under a two-row budget."""
+        """Sizes of the multi-step table under a two-row budget: the width
+        and the steps per entry are patched so N walks at stride 3 after its
+        first piece, in rows of 64."""
+        monkeypatch.setattr(simmod, "STRIDE_WIDTH", 64)
+        monkeypatch.setattr(simmod, "STEPS_PER_ENTRY", 0)
         monkeypatch.setattr(simmod, "STRIDE_LIMIT", 128)
         sizes: list[int] = []
         row = simmod._Chain._row
@@ -367,9 +462,11 @@ def events(monkeypatch):
 
 
 def set_limits(monkeypatch, limits, graph, m):
-    """Patch the row width to give stride m, and the named limits."""
+    """Patch the row width and the steps per entry so that every chain walks
+    at stride m after its first piece, and the named limits."""
     n_atoms = graph.n_d * graph.n_s
     monkeypatch.setattr(simmod, "STRIDE_WIDTH", n_atoms**m)
+    monkeypatch.setattr(simmod, "STEPS_PER_ENTRY", 0)
     assert simmod._stride(n_atoms) == m
     for name, value in LIMITS[limits](n_atoms, n_atoms**m).items():
         monkeypatch.setattr(simmod, name, value)
@@ -443,16 +540,118 @@ class TestStrides:
                 assert len(set(log)) == len(log)
 
     def test_stride_is_the_largest_within_the_width(self):
-        assert simmod.STRIDE_WIDTH == 64
-        assert [simmod._stride(a) for a in (1, 2, 4, 6, 8, 9)] == [1, 6, 3, 2, 2, 1]
+        assert simmod.STRIDE_WIDTH == 256
+        strides = [simmod._stride(a) for a in (1, 2, 4, 6, 8, 9, 16, 17)]
+        assert strides == [1, 8, 4, 3, 2, 2, 2, 1]
+        # With no states met, or steps enough for every entry, the width rules.
+        assert simmod._stride(4, 0, 0) == simmod._stride(4, 10, 10**9) == 4
+
+    @pytest.mark.parametrize(
+        "n_atoms, states, steps, m",
+        [
+            # 9 states after ThresholdN(1)'s first piece on the N recipe
+            # graph, 12 by the end of 16 x 500,000 steps.
+            pytest.param(4, 12, 16 * 500_000, 4, id="n-model"),
+            # ThresholdWWorkload(14, 0) meets 106 states in its first piece
+            # and 132 in 4 x 500,000 steps; ThresholdW(11, 0) 79 and 93.
+            pytest.param(6, 132, 4 * 500_000, 2, id="w-model"),
+            pytest.param(6, 79, 4 * 500_000, 2, id="w-model two thresholds"),
+            # Stride 3 on the W recipe's 20 x 10**6 steps.
+            pytest.param(6, 132, 20 * 10**6, 3, id="w-counterexample"),
+            # AcyclicHeuristic and MaxWeight meet 169 and 184 states in
+            # 6 x 15,000 steps.
+            pytest.param(9, 50, 6 * 15_000, 1, id="nn-compare"),
+            # ThresholdN(inf) at rho = 0.98 meets 574 states in its first
+            # piece of 1e6 steps, 9,284 by the end.
+            pytest.param(4, 574, 10**6, 1, id="heavy traffic"),
+        ],
+    )
+    def test_the_rule_on_the_bench_counts(self, n_atoms, states, steps, m):
+        assert simmod.STEPS_PER_ENTRY == 200
+        assert simmod._stride(n_atoms, states, steps) == m
+
+    def test_the_stride_falls_as_states_grow(self):
+        assert simmod._stride(4, 9, 1_000_000) == 4
+        counts = range(0, 20_000, 7)
+        strides = [simmod._stride(4, n, 1_000_000) for n in counts]
+        assert strides == sorted(strides, reverse=True)
+        assert strides[-1] == 1
+
+    @pytest.mark.parametrize(
+        "recipe, steps, strides",
+        [
+            ("n-threshold", 16 * 500_000, [4]),
+            ("w-counterexample", 4 * 500_000, [2, 2]),
+            ("nn-heuristic", 6 * 15_000, [1, 1]),
+        ],
+    )
+    def test_bench_chains_take_their_stride_after_the_first_piece(
+        self, recipe, steps, strides
+    ):
+        graph, arrivals, costs = load_graph(RECIPES[recipe]["graph"])
+        if recipe == "n-threshold":
+            policies = [ThresholdN(graph, 1)]
+        else:
+            policies = [
+                policy_from_spec(graph, spec, costs) for spec in RECIPES[recipe]["policies"]
+            ]
+        assert first_piece_strides(graph, arrivals, costs, policies, steps) == strides
+
+    def test_the_heavy_traffic_chain_walks_one_arrival_at_a_time(self):
+        doc = dict(RECIPES["n-threshold"]["graph"], alpha=[0.5, 0.5], beta=[0.49, 0.51])
+        graph, arrivals, costs = load_graph(doc)
+        policies = [ThresholdN(graph, math.inf)]
+        assert first_piece_strides(graph, arrivals, costs, policies, 10**6) == [1]
+
+    def test_the_stride_never_rises_after_the_first_piece(self, monkeypatch):
+        # Every step of Idle meets a new state; with one step per entry it
+        # walks at stride 2 after its first piece and at 1 from 126 states,
+        # and stays at 1 after each restart at 150 states empties its memo.
+        monkeypatch.setattr(simmod, "STEPS_PER_ENTRY", 1)
+        monkeypatch.setattr(simmod, "CHUNK_STEPS", 64)
+        monkeypatch.setattr(simmod, "MEMO_LIMIT", 150 * 4)
+        strides = []
+        walk = simmod._Chain.walk
+
+        def spy(chain, piece, counted):
+            strides.append(chain.stride)
+            walk(chain, piece, counted)
+
+        monkeypatch.setattr(simmod._Chain, "walk", spy)
+        setup, policies = stride_case("n")
+        graph, arrivals, costs = setup
+        for p in policies:
+            strides.clear()
+            assert simulate(graph, arrivals, costs, p, STRIDE_CFG, threads=1) == \
+                reference("n", setup, p)
+            assert strides[0] == 1
+            assert strides[1:] == sorted(strides[1:], reverse=True)
+            if isinstance(p, Idle):
+                assert strides[1] == 2 and strides[-1] == 1
 
     def test_stride_one_builds_no_multi_step_table(self):
         graph, arrivals, costs = nn_setup()
-        chain = simmod._Chain(graph, costs, AcyclicHeuristic(graph, {"s3": 1}))
-        simmod._replicate([chain], graph, arrivals, STRIDE_CFG, 0)
+        steps = STRIDE_CFG.horizon * STRIDE_CFG.replications
+        chain = simmod._Chain(graph, costs, AcyclicHeuristic(graph, {"s3": 1}), steps)
+        simmod._replicate([chain], graph, arrivals, STRIDE_CFG, range(2))
         assert chain.stride == 1
         assert chain.mnext == [] and chain.rows == {}
         assert len(chain.next) > 0
+
+
+def first_piece_strides(graph, arrivals, costs, policies, steps) -> list[int]:
+    """Each chain's stride after the first piece (CHUNK_STEPS steps) of
+    replication 0, for memos that walk ``steps`` in the call."""
+    cfg = SimConfig(horizon=2 * simmod.CHUNK_STEPS, burn_in=0, seed=20260825)
+    chains = [simmod._Chain(graph, costs, p, steps) for p in policies]
+    for chain in chains:
+        chain.start(tuple(cfg.initial_queue(graph)))
+    stream = simmod._arrival_chunks(graph, arrivals, cfg, [0], overlap=False)
+    for _, counted, atoms in itertools.islice(stream, 1):
+        piece = simmod._Piece(atoms, graph.n_d * graph.n_s)
+        for chain in chains:
+            chain.walk(piece, counted)
+    return [chain.stride for chain in chains]
 
 
 class TestDPPolicies:
