@@ -16,15 +16,14 @@ drawn in pieces of CHUNK_STEPS rows, which yields the same doubles, into
 one buffer that every piece of the run reuses: a piece is mapped out of it
 into a reused buffer of atoms before the next is drawn into it.  In a
 serial run whose streams have more than one piece, one helper thread (a
-plain thread fed by a queue, no executor) draws, in order, every piece
-after the first while the chains walk the one before, the next
-replication's first piece during a replication's last; it is closed, and
-the rest drawn on the calling thread, once waiting for it has cost more
-than the draws it made (see :func:`_arrival_chunks`).  A pool worker draws
-every piece on its own thread: a pool as wide as the CPUs leaves no core
-free for a helper.  The buffers are one piece long, so memory grows with
-neither the horizon nor the replications, and as no two draws overlap the
-results are bit-identical to drawing every piece on the calling thread.
+plain thread fed by a queue, no executor) makes every draw of the run,
+in order: the next piece's uniforms are drawn while the chains walk the
+current one, the next replication's first piece during a replication's
+last.  A pool worker draws every piece on its own thread: a pool as wide
+as the CPUs leaves no core free for a helper.  The buffers are one piece
+long, so memory grows with neither the horizon nor the replications, and
+as no two draws overlap the results are bit-identical to drawing every
+piece on the calling thread.
 
 Every policy runs through one kernel.  A step depends only on the queue
 vector and the arrival atom, so the kernel memoizes the successor of each
@@ -56,7 +55,6 @@ import math
 import operator
 import os
 import statistics
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterator, Sequence
@@ -232,7 +230,15 @@ STEPS_PER_ENTRY = 200
 entries is made for every state a multi-step walk starts from, and each
 entry is filled by a miss that walks its m steps one at a time, so a chain
 walks at stride m only while ``len(states) * A**m * STEPS_PER_ENTRY`` is
-within the steps its memo walks in the call."""
+within the steps its memo walks in the call.
+
+On two shared CPUs with Python 3.11, a filled entry costs 1.6-3.1 us and
+a step at stride m saves 27-53 ns against stride 1 on the bench chains,
+so a full table repays its fills from 35-115 steps per entry.  Forcing
+each stride in turn, the fastest were 4 on the N bench chain, 2 on the W
+bench chains and 1 on the NN bench chains and on an N chain in heavy
+traffic; the rule picks exactly these for any value from 118 to 420 (the
+W chains bound both ends), and 200 lies inside with room on both sides."""
 
 MEMO_LIMIT = 1 << 18
 """Entries a policy's one-step transition table may hold.  A run of the
@@ -270,13 +276,6 @@ class _Filler:
     once it is done, raising the draw's exception if it failed.  Requests
     are served in order on the one thread, so the doubles are those of
     drawing on the calling thread.  ``close()`` ends and joins the thread.
-
-    ``fill`` returns once the helper has taken the request.  Waiting for
-    that hands the GIL to the helper, which keeps it only until the draw
-    releases it, so the draw starts at once, not when the calling thread
-    next blocks or the interpreter's switch interval ends.  ``waited`` sums
-    the seconds the calling thread spends in ``fill`` and ``wait``: what
-    the helper costs it, against the draws it no longer makes.
     """
 
     def __init__(self, buf: np.ndarray):
@@ -284,15 +283,12 @@ class _Filler:
         import threading
 
         self.requests = queue.SimpleQueue()
-        self.taken = queue.SimpleQueue()
         self.done = queue.SimpleQueue()
-        self.waited = 0.0
         self.thread = threading.Thread(target=self._serve, args=(buf,))
         self.thread.start()
 
     def _serve(self, buf: np.ndarray) -> None:
         for draw, n in iter(self.requests.get, None):
-            self.taken.put(None)
             try:
                 draw(out=buf[:n])
             # Whatever the draw raises is raised again by ``wait`` on the
@@ -303,15 +299,10 @@ class _Filler:
                 self.done.put(None)
 
     def fill(self, draw, n: int) -> None:
-        began = time.perf_counter()
         self.requests.put((draw, n))
-        self.taken.get()
-        self.waited += time.perf_counter() - began
 
     def wait(self) -> None:
-        began = time.perf_counter()
         error = self.done.get()
-        self.waited += time.perf_counter() - began
         if error is not None:
             raise error
 
@@ -334,16 +325,12 @@ def _arrival_chunks(graph: MatchingGraph, arrivals: ArrivalDistribution,
     piece only its codes and the buffers are alive, whatever the horizon
     and the replications.
 
-    The first piece is drawn on this thread.  With ``overlap`` and streams
-    of more than one piece, one helper thread (:class:`_Filler`) then
-    makes the draws of the run, in (replication, piece) order: once a
-    piece is mapped, the helper fills the next one, of this replication or
-    the first of the next, into the buffer (numpy draws without the GIL)
-    while this thread encodes and the chains walk.  The helper is closed,
-    and the rest of the run drawn here, once this thread has spent longer
-    waiting for it than the draws it made would have taken here, timed by
-    the first: every hand-over of the GIL between the threads costs a
-    wake-up, which on a busy machine can outlast a draw.
+    With ``overlap`` and streams of more than one piece, one helper thread
+    (:class:`_Filler`) makes every draw of the run, in (replication, piece)
+    order: once a piece is mapped, the helper fills the next one, of this
+    replication or the first of the next, into the buffer (numpy draws
+    without the GIL) while this thread encodes and the chains walk.
+    Otherwise every piece is drawn here and no thread starts.
     """
     n_atoms = graph.n_d * graph.n_s
     # The class is the count of CDF knots at or below the uniform, the
@@ -362,31 +349,25 @@ def _arrival_chunks(graph: MatchingGraph, arrivals: ArrivalDistribution,
             for start in range(0, cfg.horizon, CHUNK_STEPS):
                 yield rep, start, rng.random
 
-    # Touched here, so that the first draw, which times a draw on this
-    # thread, pays no page faults.
-    buf = np.ones((size(0), 2))
+    buf = np.empty((size(0), 2))
     flag = np.empty(size(0), dtype=bool)
     atom = np.empty(size(0), dtype=np.min_scalar_type(n_atoms ** _stride(n_atoms) - 1))
     draws = schedule()
     ahead = next(draws)
-    # Streams of one piece each have no walk to overlap a draw with.
-    helped = overlap and cfg.horizon > CHUNK_STEPS
     with contextlib.ExitStack() as stack:
+        # Streams of one piece each have no walk to overlap a draw with.
         filler = None
-        served = 0
+        if overlap and cfg.horizon > CHUNK_STEPS:
+            filler = _Filler(buf)
+            stack.callback(filler.close)
+            filler.fill(ahead[2], size(ahead[1]))
         while ahead is not None:
             rep, start, draw = ahead
             n = size(start)
             if filler is None:
-                began = time.perf_counter()
                 draw(out=buf[:n])
-                cost = time.perf_counter() - began
             else:
                 filler.wait()
-                served += 1
-                if filler.waited > served * cost:
-                    stack.close()
-                    filler, helped = None, False
             u, a, f = buf[:n], atom[:n], flag[:n]
             a.fill(0)
             for knot in d_knots:
@@ -400,10 +381,7 @@ def _arrival_chunks(graph: MatchingGraph, arrivals: ArrivalDistribution,
                 np.greater_equal(u[:, 1], knot, out=f)
                 a += f
             ahead = next(draws, None)
-            if helped and ahead is not None:
-                if filler is None:
-                    filler = _Filler(buf)
-                    stack.callback(filler.close)
+            if filler is not None and ahead is not None:
                 filler.fill(ahead[2], size(ahead[1]))
             if start == 0 and first is not None:
                 a[0] = first[0] * graph.n_s + first[1]
