@@ -3,9 +3,9 @@
 Every run first prints a ``manifest:`` line holding the resolved
 configuration as JSON: the full graph document, the policy specs, and
 every numeric setting including seeds.  That ``config`` is the
-subcommand's parsed flags, with the solver tolerance and the default
-shape family resolved; the flag defaults are the library's own
-(:class:`~matchdp.solver.DPConfig`,
+subcommand's parsed flags, with the margin, the discount factor, the solver
+tolerance and the shape family resolved; the defaults are the library's
+own (:class:`~matchdp.solver.DPConfig`,
 :class:`~matchdp.solver.TruncatedStateSpace`,
 :class:`~matchdp.simulate.SimConfig`).  Feeding that manifest back through
 :func:`run` repeats the run byte for byte.  With ``--out DIR`` the manifest,
@@ -13,10 +13,11 @@ the printed summary, and machine-readable artifacts (JSON report, CSV
 tables) are also written to disk.
 
 The solver, the shape checks and the N closed form are imported by the
-modes that use them, and a mode's flags (whose defaults and choices are
-read from them) are built only for the mode being parsed, so the command
-line loads none of the three for ``simulate``, ``compare`` or a
-simulation recipe.
+modes that use them.  The parser reads no default or choice from them:
+the flags that would (``--margin``, ``--theta``, ``--family``) default to
+None and are resolved with the manifest.  So the command line loads none
+of the three for ``simulate``, ``compare``, a simulation recipe or any
+mode's ``--help``.
 
 Exit codes: 0 on success, 1 on domain errors (unstable arrival rates, an
 unsupported graph class, a failed check or recipe assertion), 2 on
@@ -627,108 +628,10 @@ def _cmd_reproduce(name: str) -> int:
 # ---- argument parsing ----
 
 
-# Each function adds one group of flags to a mode's parser.  Those that
-# read a default or the choices from the solver or the shape checks import
-# them, so only the parsed mode's groups are built (see build_parser).
-
-
-def _graph_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--graph", required=True, metavar="PATH",
-                        help="graph document (JSON)")
-    parser.add_argument("--out", metavar="DIR",
-                        help="directory for manifest, summary, and artifacts")
-
-
-def _space_flags(parser: argparse.ArgumentParser) -> None:
-    from .solver import TruncatedStateSpace
-
-    parser.add_argument("--cap", type=int, required=True,
-                        help="per-queue truncation bound")
-    parser.add_argument("--margin", type=int, default=TruncatedStateSpace.margin,
-                        help="rim width excluded from structural verdicts")
-
-
-def _tol_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol", type=float, default=None,
-                        help="convergence tolerance (defaults per mode)")
-
-
-def _theta_flags(parser: argparse.ArgumentParser) -> None:
-    from .solver import DPConfig
-
-    parser.add_argument("--theta", type=float, default=DPConfig.theta,
-                        help="discount factor in [0, 1)")
-
-
-def _policy_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--policy", "--policies", dest="policy", action="append", default=[],
-        metavar="SPEC", help="policy spec: inline JSON or a path to a JSON "
-        "file (a file may hold a list)",
-    )
-
-
-def _sim_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--steps", type=int, default=DEFAULT_STEPS,
-                        help="simulation horizon in arrivals")
-    parser.add_argument("--burn-in", type=int, default=SimConfig.burn_in,
-                        help="steps discarded before averaging")
-    parser.add_argument("--reps", type=int, default=SimConfig.replications,
-                        help="independent replications")
-    parser.add_argument("--seed", type=int, default=SimConfig.seed,
-                        help="base seed; replication r uses key (seed, r)")
-
-
-def _family_flags(parser: argparse.ArgumentParser) -> None:
-    from .structure import SHAPE_FAMILIES
-
-    parser.add_argument("--family", default=None, choices=list(SHAPE_FAMILIES),
-                        help="family to verify (default: inferred from the graph)")
-
-
-def _recipe_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("recipe", choices=sorted(RECIPES), metavar="RECIPE",
-                        help=f"one of {sorted(RECIPES)}")
-
-
-_Flags = Callable[[argparse.ArgumentParser], None]
-
-_SUBCOMMANDS: dict[str, tuple[str, tuple[_Flags, ...]]] = {
-    "stability": ("test the strict subset drift condition", (_graph_flags,)),
-    "classify": ("report the structural graph class", (_graph_flags,)),
-    "solve-discounted": (
-        "discounted value iteration and policy extraction",
-        (_graph_flags, _space_flags, _tol_flags, _theta_flags),
-    ),
-    "solve-average": (
-        "relative value iteration for the average-cost problem",
-        (_graph_flags, _space_flags, _tol_flags),
-    ),
-    "threshold": ("closed-form optimal threshold analysis", (_graph_flags,)),
-    "simulate": (
-        "seeded Monte Carlo run of one policy",
-        (_graph_flags, _policy_flags, _sim_flags),
-    ),
-    "compare": (
-        "paired comparison of several policies on shared streams",
-        (_graph_flags, _policy_flags, _sim_flags),
-    ),
-    "verify-structure": (
-        "check a policy against a structured family",
-        (_graph_flags, _space_flags, _policy_flags, _family_flags),
-    ),
-    "reproduce": (
-        "run a bundled pinned experiment and print PASS/FAIL",
-        (_recipe_flags,),
-    ),
-}
-"""Each subcommand's help line and flag groups, in the order they print."""
-
-
-def build_parser(mode: str | None = None) -> argparse.ArgumentParser:
-    """The command line parser.  Every subcommand is listed, but only
-    ``mode``'s flags are built (every mode's when ``mode`` is None), so a
-    mode loads the modules its own defaults come from and no others."""
+def build_parser() -> argparse.ArgumentParser:
+    """The command line parser.  ``--margin``, ``--theta`` and ``--family``
+    default to None and are resolved with the manifest, so building the
+    parser loads neither the solver nor the shape checks."""
     parser = argparse.ArgumentParser(
         prog="matchdp",
         description="Exact solvers, structured policies, and seeded simulation "
@@ -738,33 +641,107 @@ def build_parser(mode: str | None = None) -> argparse.ArgumentParser:
         "(0 = one worker per CPU).",
     )
     sub = parser.add_subparsers(dest="mode", required=True, metavar="MODE")
-    for name, (text, groups) in _SUBCOMMANDS.items():
-        subparser = sub.add_parser(name, help=text)
-        if mode in (None, name):
-            for add in groups:
-                add(subparser)
+
+    graph_flags = argparse.ArgumentParser(add_help=False)
+    graph_flags.add_argument("--graph", required=True, metavar="PATH",
+                             help="graph document (JSON)")
+    graph_flags.add_argument("--out", metavar="DIR",
+                             help="directory for manifest, summary, and artifacts")
+
+    space_flags = argparse.ArgumentParser(add_help=False)
+    space_flags.add_argument("--cap", type=int, required=True,
+                             help="per-queue truncation bound")
+    space_flags.add_argument("--margin", type=int, default=None,
+                             help="rim width excluded from structural verdicts")
+
+    tol_flags = argparse.ArgumentParser(add_help=False)
+    tol_flags.add_argument("--tol", type=float, default=None,
+                           help="convergence tolerance (defaults per mode)")
+
+    policy_flags = argparse.ArgumentParser(add_help=False)
+    policy_flags.add_argument(
+        "--policy", "--policies", dest="policy", action="append", default=[],
+        metavar="SPEC", help="policy spec: inline JSON or a path to a JSON "
+        "file (a file may hold a list)",
+    )
+
+    sim_flags = argparse.ArgumentParser(add_help=False)
+    sim_flags.add_argument("--steps", type=int, default=DEFAULT_STEPS,
+                           help="simulation horizon in arrivals")
+    sim_flags.add_argument("--burn-in", type=int, default=SimConfig.burn_in,
+                           help="steps discarded before averaging")
+    sim_flags.add_argument("--reps", type=int, default=SimConfig.replications,
+                           help="independent replications")
+    sim_flags.add_argument("--seed", type=int, default=SimConfig.seed,
+                           help="base seed; replication r uses key (seed, r)")
+
+    sub.add_parser("stability", parents=[graph_flags],
+                   help="test the strict subset drift condition")
+    sub.add_parser("classify", parents=[graph_flags],
+                   help="report the structural graph class")
+
+    disc = sub.add_parser("solve-discounted",
+                          parents=[graph_flags, space_flags, tol_flags],
+                          help="discounted value iteration and policy extraction")
+    disc.add_argument("--theta", type=float, default=None,
+                      help="discount factor in [0, 1)")
+
+    sub.add_parser("solve-average",
+                   parents=[graph_flags, space_flags, tol_flags],
+                   help="relative value iteration for the average-cost problem")
+    sub.add_parser("threshold", parents=[graph_flags],
+                   help="closed-form optimal threshold analysis")
+    sub.add_parser("simulate", parents=[graph_flags, policy_flags, sim_flags],
+                   help="seeded Monte Carlo run of one policy")
+    sub.add_parser("compare", parents=[graph_flags, policy_flags, sim_flags],
+                   help="paired comparison of several policies on shared streams")
+
+    verify = sub.add_parser("verify-structure",
+                            parents=[graph_flags, space_flags, policy_flags],
+                            help="check a policy against a structured family")
+    verify.add_argument("--family", default=None,
+                        help="family to verify (default: inferred from the graph)")
+
+    rep = sub.add_parser("reproduce",
+                         help="run a bundled pinned experiment and print PASS/FAIL")
+    rep.add_argument("recipe", choices=sorted(RECIPES), metavar="RECIPE",
+                     help=f"one of {sorted(RECIPES)}")
     return parser
 
 
 def _manifest_from_args(args: argparse.Namespace) -> RunManifest:
     """The run the parsed flags describe: the subcommand's own flags are its
-    config, with the tolerance and the default family resolved.  A graph
-    with no default family leaves it null, and the run raises after it has
-    echoed its manifest, as every other domain error does."""
-    graph_doc = read_graph_document(args.graph)
-    policies: list[dict] = []
-    for value in getattr(args, "policy", []):
-        policies.extend(_read_policy_arg(value))
+    config, with the margin, discount, tolerance and default family resolved
+    from the library's defaults.  An unknown family raises ParseError.  A
+    graph with no default family leaves it null, and the run raises after
+    it has echoed its manifest, as every other domain error does."""
     config = {
         key: value
         for key, value in vars(args).items()
         if key not in ("mode", "graph", "out", "policy")
     }
-    if "tol" in config:
-        from .solver import DPConfig
+    if "family" in config:
+        from .structure import SHAPE_FAMILIES
 
-        mode_name = "discounted" if args.mode == "solve-discounted" else "average"
-        config["tol"] = DPConfig(tol=args.tol).resolved_tol(mode_name)
+        if config["family"] not in (None, *SHAPE_FAMILIES):
+            raise ParseError(
+                f"unknown family {config['family']!r}; expected one of"
+                f" {list(SHAPE_FAMILIES)}"
+            )
+    graph_doc = read_graph_document(args.graph)
+    policies: list[dict] = []
+    for value in getattr(args, "policy", []):
+        policies.extend(_read_policy_arg(value))
+    if "margin" in config:
+        from .solver import DPConfig, TruncatedStateSpace
+
+        if config["margin"] is None:
+            config["margin"] = TruncatedStateSpace.margin
+        if "theta" in config and config["theta"] is None:
+            config["theta"] = DPConfig.theta
+        if "tol" in config:
+            mode_name = "discounted" if args.mode == "solve-discounted" else "average"
+            config["tol"] = DPConfig(tol=args.tol).resolved_tol(mode_name)
     if "family" in config and config["family"] is None:
         graph, _, _ = load_graph(graph_doc)
         try:
@@ -781,11 +758,7 @@ def _manifest_from_args(args: argparse.Namespace) -> RunManifest:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # The top level takes no option but -h, so its first other word is the
-    # mode (or a word that the parser rejects as one).
-    mode = next((word for word in argv if not word.startswith("-")), None)
-    args = build_parser(mode).parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.mode == "reproduce":
             return _cmd_reproduce(args.recipe)

@@ -76,11 +76,12 @@ MAX_SEED = 2**64
 
 
 def _integer(name: str, value) -> int:
-    """``value`` as an int; a float or other non-integer raises ValueError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    """``value`` as an int; a bool, a float or other non-integer raises
+    ValueError."""
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError):
+            return operator.index(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -407,20 +408,6 @@ def _encode(atoms: np.ndarray, n_atoms: int, stride: int) -> tuple[list[int], li
     return codes.tolist(), atoms[body:].tolist()
 
 
-class _Piece(dict):
-    """A piece's atoms, encoded once per stride asked for: ``piece[m]`` is
-    :func:`_encode`'s (codes, atoms left) at stride m."""
-
-    def __init__(self, atoms: np.ndarray, n_atoms: int):
-        super().__init__()
-        self.atoms = atoms
-        self.n_atoms = n_atoms
-
-    def __missing__(self, stride: int) -> tuple[list[int], list[int]]:
-        encoded = self[stride] = _encode(self.atoms, self.n_atoms, stride)
-        return encoded
-
-
 def _walk(keys: list[int], s: int, nxt: list, hits: list[int], miss) -> int:
     """The hot loop: follow ``keys`` through one table from row offset s.
 
@@ -602,9 +589,10 @@ class _Chain:
         self.level_counts = None if self.layout is None else [0] * (self.policy.t + 1)
         self.s = self._locate(q0)
 
-    def walk(self, piece: _Piece, counted: bool) -> None:
-        """Advance the chain over a piece of the arrival stream, at the
-        chain's stride, then pick the stride of the next piece.
+    def walk(self, piece: tuple[list[int], list[int]], counted: bool) -> None:
+        """Advance the chain over a piece of the arrival stream, given as
+        :func:`_encode`'s (codes, atoms left) at the chain's stride, then
+        pick the stride of the next piece.
 
         Steps are counted in every piece; the first counted piece of a
         replication drops what the burn-in (or the last replication) left.
@@ -613,7 +601,7 @@ class _Chain:
             self.hits = [0] * len(self.next)
             self.mhits = [0] * len(self.mnext)
             self.counting = True
-        codes, tail = piece[self.stride]
+        codes, tail = piece
         s = self.s
         if codes:
             row = _walk(codes, self._row(s), self.mnext, self.mhits, self._multi_miss)
@@ -685,10 +673,13 @@ def _replicate(chains: Sequence[_Chain], graph: MatchingGraph,
     replication and piece by piece; per replication, one (cost, node sums,
     level counts) per chain.
 
-    Each piece is encoded once per stride in use, and the chains at one
-    stride share its codes.  ``overlap`` lets one helper thread draw the
-    streams (see :func:`_arrival_chunks`).  The stream is closed on the way
-    out, so its helper ends with the run even when a chain raises.
+    Each piece is encoded once per stride in use, when the first chain at
+    that stride walks it, and the chains at one stride share its codes.
+    The last piece's codes are dropped before this piece's are made, so
+    no two pieces' codes are held at once.  ``overlap`` lets one helper
+    thread draw the streams (see :func:`_arrival_chunks`).  The stream is
+    closed on the way out, so its helper ends with the run even when a
+    chain raises.
     """
     q0 = tuple(cfg.initial_queue(graph))
     n_atoms = graph.n_d * graph.n_s
@@ -699,9 +690,12 @@ def _replicate(chains: Sequence[_Chain], graph: MatchingGraph,
             for chain in chains:
                 chain.start(q0)
             for _, counted, atoms in pieces:
-                piece = _Piece(atoms, n_atoms)
+                piece = {}
                 for chain in chains:
-                    chain.walk(piece, counted)
+                    m = chain.stride
+                    if m not in piece:
+                        piece[m] = _encode(atoms, n_atoms, m)
+                    chain.walk(piece[m], counted)
             outs.append(tuple(chain.finish() for chain in chains))
     return outs
 

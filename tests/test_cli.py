@@ -268,6 +268,16 @@ class TestVerifyStructureMode:
         assert doc["config"] == {"cap": 3, "margin": 2, "family": None}
         assert "no default policy family" in captured.err
 
+    def test_unknown_family_exits_2_naming_the_valid_ones(self, graph_file, capsys):
+        assert main(["verify-structure", "--graph", graph_file(N_DOC),
+                     "--policy", '{"type": "threshold_n", "t": 2}',
+                     "--cap", "5", "--family", "bogus"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'bogus'" in captured.err
+        for family in ("full_match", "threshold_n", "priority_extreme"):
+            assert family in captured.err
+
     def test_violating_policy_fails_with_exit_1(self, graph_file, capsys):
         assert main(["verify-structure", "--graph", graph_file(W_DOC),
                      "--policy", '{"type": "threshold_w_workload", "t21": 0, "t32": 5}',

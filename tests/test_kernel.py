@@ -615,9 +615,8 @@ def first_piece_strides(graph, arrivals, costs, policies, steps) -> list[int]:
         chain.start(tuple(cfg.initial_queue(graph)))
     stream = simmod._arrival_chunks(graph, arrivals, cfg, [0], overlap=False)
     for _, counted, atoms in itertools.islice(stream, 1):
-        piece = simmod._Piece(atoms, graph.n_d * graph.n_s)
         for chain in chains:
-            chain.walk(piece, counted)
+            chain.walk(simmod._encode(atoms, graph.n_d * graph.n_s, chain.stride), counted)
     return [chain.stride for chain in chains]
 
 

@@ -99,6 +99,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=rf"{field} must be an integer, got .*\d\.\d"):
             SimConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field, kwargs",
+        [
+            ("horizon", {"horizon": True}),
+            ("replications", {"horizon": 100, "replications": True}),
+            ("seed", {"horizon": 100, "seed": False}),
+            ("q0", {"horizon": 100, "q0": (True, 0, 0, 1)}),
+        ],
+    )
+    def test_bools_are_rejected(self, field, kwargs):
+        # bool is an int subclass, so True would pass as 1.
+        with pytest.raises(ValueError, match=rf"{field} must be an integer, got (True|False)"):
+            SimConfig(**kwargs)
+
     def test_numpy_integers_are_accepted(self):
         graph, arrivals, costs = n_setup()
         plain = SimConfig(horizon=300, burn_in=10, replications=2, seed=3,
