@@ -59,6 +59,10 @@ if TYPE_CHECKING:
 
 DEFAULT_STEPS = 10_000
 
+# The keys of ``structure.SHAPE_FAMILIES``, spelled out so that the parser
+# and the manifest check need not load the shape checks.
+_FAMILIES = ("full_match", "threshold_n", "priority_extreme")
+
 
 def _fmt(value: float) -> str:
     return f"{value:.10g}"
@@ -700,7 +704,8 @@ def build_parser() -> argparse.ArgumentParser:
                             parents=[graph_flags, space_flags, policy_flags],
                             help="check a policy against a structured family")
     verify.add_argument("--family", default=None,
-                        help="family to verify (default: inferred from the graph)")
+                        help=f"family to verify, one of: {', '.join(_FAMILIES)} "
+                        "(default: inferred from the graph)")
 
     rep = sub.add_parser("reproduce",
                          help="run a bundled pinned experiment and print PASS/FAIL")
@@ -720,14 +725,10 @@ def _manifest_from_args(args: argparse.Namespace) -> RunManifest:
         for key, value in vars(args).items()
         if key not in ("mode", "graph", "out", "policy")
     }
-    if "family" in config:
-        from .structure import SHAPE_FAMILIES
-
-        if config["family"] not in (None, *SHAPE_FAMILIES):
-            raise ParseError(
-                f"unknown family {config['family']!r}; expected one of"
-                f" {list(SHAPE_FAMILIES)}"
-            )
+    if config.get("family") not in (None, *_FAMILIES):
+        raise ParseError(
+            f"unknown family {config['family']!r}; expected one of {list(_FAMILIES)}"
+        )
     graph_doc = read_graph_document(args.graph)
     policies: list[dict] = []
     for value in getattr(args, "policy", []):

@@ -115,6 +115,14 @@ class Policy:
         return f"<{type(self).__name__} {self.label}>"
 
 
+def _check_graph(policy: Policy, graph: MatchingGraph) -> None:
+    """Raise ValueError unless the policy is bound to ``graph``: a graph
+    with other nodes, or the same nodes or edges in another order, would
+    have its vectors read in the wrong coordinates."""
+    if policy.graph != graph:
+        raise ValueError(f"policy {policy.label} is bound to another graph")
+
+
 def read_decisions(
     policy: Policy, xs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -69,19 +69,10 @@ from .graphs import (
     N_SHAPED,
     classify,
 )
-from .policies import Policy, ThresholdN
-from .states import n_layout
+from .policies import Policy, ThresholdN, _check_graph
+from .states import _integer, n_layout
 
 MAX_SEED = 2**64
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an int; a bool, a float or other non-integer raises
-    ValueError."""
-    if not isinstance(value, bool):
-        with contextlib.suppress(TypeError):
-            return operator.index(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -638,7 +629,13 @@ class _Chain:
         nxt = self.next
         off = self.after.get(key)
         if off is None:
-            u = np.asarray(self.policy.decide(x), dtype=np.int64).tolist()
+            decision = np.asarray(self.policy.decide(x), dtype=np.int64)
+            if decision.shape != (len(graph.edges),):
+                raise ValueError(
+                    f"matching vector must have one entry per edge "
+                    f"({len(graph.edges)}), got shape {decision.shape}"
+                )
+            u = decision.tolist()
             y = list(x)
             for e, (ei, ej) in enumerate(graph.edge_index):
                 y[ei] -= u[e]
@@ -719,8 +716,7 @@ def _run(graph, arrivals, costs, policies, cfg, threads) -> list[tuple]:
     process or helper thread starts.
     """
     for policy in policies:
-        if policy.graph != graph:
-            raise ValueError(f"policy {policy.label} is bound to another graph")
+        _check_graph(policy, graph)
     cfg.initial_queue(graph)
     cfg.initial_atom(graph)
     width = _thread_width(threads, cfg.replications)

@@ -45,8 +45,8 @@ import numpy as np
 
 from .errors import Inadmissible, MatchDPError, NoConvergence, Unstable
 from .graphs import ArrivalDistribution, CostVector, MatchingGraph, check_stability
-from .policies import Policy, Tabular, read_decisions
-from .states import arrival_vector
+from .policies import Policy, Tabular, _check_graph, read_decisions
+from .states import _integer, arrival_vector
 
 VI_TOL = 1e-9
 RVI_SPAN_TOL = 1e-8
@@ -134,6 +134,8 @@ class TruncatedStateSpace:
     margin: int = 2
 
     def __post_init__(self) -> None:
+        for name in ("cap", "margin"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.cap < 1:
             raise ValueError(f"cap must be at least 1, got {self.cap}")
         if not 1 <= self.margin <= self.cap:
@@ -642,10 +644,11 @@ def evaluate_policy(
     Iterates on the packed balanced-state rows with the policy's successor
     map precomputed once; stopping is that of the optimality iterations.
     Average mode, like :func:`relative_value_iteration`, requires stable
-    arrival rates.
+    arrival rates.  A policy bound to another graph raises ValueError.
     """
     if mode not in ("discounted", "average"):
         raise ValueError(f"mode must be 'discounted' or 'average', got {mode!r}")
+    _check_graph(policy, space.graph)
     if mode == "average":
         _require_stable(space.graph, arrivals)
     sweep = _policy_sweep(

@@ -11,6 +11,7 @@ matching always comes first.
 
 from __future__ import annotations
 
+import contextlib
 import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -44,6 +45,15 @@ def _int_list(state: Sequence[int], length: int) -> list[int]:
     if min(vec) < 0:
         raise ValueError(f"state entries must be nonnegative, got {vec}")
     return vec
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a bool, a float or other non-integer raises
+    ValueError."""
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError):
+            return operator.index(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def as_state(graph: MatchingGraph, state: Sequence[int]) -> np.ndarray:

@@ -29,13 +29,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import WrongGraphClass
 from .graphs import COMPLETE, MatchingGraph, N_SHAPED, W_SHAPED, classify
-from .policies import Policy, read_decisions, threshold_json
+from .policies import Policy, _check_graph, read_decisions, threshold_json
 from .solver import TruncatedStateSpace, ValueFunction
 from .states import arrival_vector, n_layout, w_layout
 
@@ -104,33 +104,63 @@ class ShapeReport:
         }
 
 
-# ---- table access ----
+# ---- table reads and pair roles ----
 
 
-def _table(space: TruncatedStateSpace, v) -> np.ndarray:
-    """Packed table of a value function or array, one row per balanced state."""
-    data = v.data if isinstance(v, ValueFunction) else np.asarray(v, dtype=float)
+def _reads(
+    space: TruncatedStateSpace, v, shifts: Sequence, keep: Callable | None = None
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Interior states (those ``keep`` passes) whose shift by every vector
+    stays interior, and the table read at each shift of them."""
+    table = v.data if isinstance(v, ValueFunction) else np.asarray(v, dtype=float)
     want = (len(space.balanced_states), space.n_atoms)
-    if data.shape != want:
-        raise ValueError(f"value table must have shape {want}, got {data.shape}")
-    return data
-
-
-def _interior_base(
-    space: TruncatedStateSpace,
-    deltas: Sequence[np.ndarray],
-    keep: np.ndarray | None = None,
-) -> np.ndarray:
-    """Interior states whose shift by every delta stays interior and valid."""
+    if table.shape != want:
+        raise ValueError(f"value table must have shape {want}, got {table.shape}")
     base = space.interior_balanced_states
     if keep is not None:
         base = base[keep(base)]
     hi = space.cap - space.margin
-    mask = np.ones(len(base), dtype=bool)
-    for delta in deltas:
-        shifted = base + delta
-        mask &= np.all((shifted >= 0) & (shifted <= hi), axis=1)
-    return base[mask]
+    for shift in shifts:
+        shifted = base + shift
+        base = base[np.all((shifted >= 0) & (shifted <= hi), axis=1)]
+    return base, [table[space.rows(base + shift)] for shift in shifts]
+
+
+def _roles(graph: MatchingGraph, check: str) -> dict:
+    """The pairs ``check`` takes on an N or W graph, by role.
+
+    A convexity direction maps to its (high, low) guard axes: it is checked
+    only on states with q[high] >= q[low], the half-space on which repeated
+    steps keep comparing the same side of the threshold.  A boundary edge
+    maps to its missing partner, an exchanged middle edge to the missing
+    pair on its supply class, and the first middle edge to the second.
+    """
+    tag = classify(graph).tag
+    roles: dict = {}
+    if tag == N_SHAPED:
+        lay = n_layout(graph)
+        flexible, missing = (lay.d1, lay.s2_local), (lay.d2, lay.s1_local)
+        roles = {
+            "convex": {flexible: (lay.d1, lay.s1), missing: (lay.s1, lay.d1)},
+            "boundary": {flexible: missing},
+        }
+    elif tag == W_SHAPED:
+        lay = w_layout(graph)
+        middle1, middle2 = (lay.d2, lay.s1_local), (lay.d2, lay.s2_local)
+        miss1, miss2 = (lay.d3, lay.s1_local), (lay.d1, lay.s2_local)
+        roles = {
+            "convex": {middle1: (lay.s1, lay.d1), miss2: (lay.d1, lay.s1),
+                       middle2: (lay.s2, lay.d3), miss1: (lay.d3, lay.s2)},
+            "boundary": {middle1: miss2, middle2: miss1},
+            "exchange": {middle1: miss1, middle2: miss2},
+            "modular": {middle1: middle2},
+        }
+    if check not in roles:
+        families = "N and W" if check in ("convex", "boundary") else "W"
+        raise WrongGraphClass(
+            f"the {check} check is defined on {families} shaped graphs, got {tag}"
+        )
+    return roles[check]
 
 
 def _class_pair(graph: MatchingGraph, pair: Sequence[int]) -> tuple[int, int]:
@@ -147,15 +177,22 @@ def _pair_label(graph: MatchingGraph, i: int, j: int) -> str:
     return f"{graph.demand_nodes[i]},{graph.supply_nodes[j]}"
 
 
+def _pair_names(graph: MatchingGraph, pairs) -> str:
+    return ", ".join(f"({_pair_label(graph, *p)})" for p in pairs)
+
+
 def _reduce(
     name: str,
     space: TruncatedStateSpace,
     base: np.ndarray,
     excess: np.ndarray,
     tol: float,
-    extra: dict | None = None,
+    **fields: np.ndarray,
 ) -> PropertyReport:
-    """Fold per-instance excesses into a report; positive excess violates."""
+    """Fold per-instance excesses into a report; positive excess violates.
+
+    Each field holds one witness entry per row of ``base``.
+    """
     checked = int(excess.size)
     if checked == 0:
         return PropertyReport(name, True, 0.0, None, tol, 0)
@@ -164,8 +201,7 @@ def _reduce(
     worst = max(float(excess.ravel()[flat]), 0.0)
     i, j = space.graph.arrival_atoms[a_idx]
     witness = {"q": [int(x) for x in base[row]], "atom": [i, j]}
-    if extra:
-        witness.update(extra)
+    witness |= {key: val[row].tolist() for key, val in fields.items()}
     return PropertyReport(name, worst <= tol, worst, witness, tol, checked)
 
 
@@ -183,40 +219,9 @@ def check_increasing(
     """
     graph = space.graph
     i, j = _class_pair(graph, pair)
-    table = _table(space, v)
-    delta = arrival_vector(graph, i, j)
-    base = _interior_base(space, [delta])
-    excess = table[space.rows(base)] - table[space.rows(base + delta)]
-    return _reduce(f"increasing[{_pair_label(graph, i, j)}]", space, base, excess, tol)
-
-
-def _convex_guards(
-    space: TruncatedStateSpace,
-) -> dict[tuple[int, int], tuple[int, int]]:
-    """Supported convexity directions mapped to their (high, low) guard axes.
-
-    A direction is checked only on states with q[high] >= q[low]; that is
-    the half-space on which repeated steps keep comparing the same side of
-    the threshold.
-    """
-    graph = space.graph
-    tag = classify(graph).tag
-    if tag == N_SHAPED:
-        lay = n_layout(graph)
-        return {
-            (lay.d1, lay.s2_local): (lay.d1, lay.s1),
-            (lay.d2, lay.s1_local): (lay.s1, lay.d1),
-        }
-    if tag == W_SHAPED:
-        lay = w_layout(graph)
-        return {
-            (lay.d2, lay.s1_local): (lay.s1, lay.d1),
-            (lay.d1, lay.s2_local): (lay.d1, lay.s1),
-            (lay.d2, lay.s2_local): (lay.s2, lay.d3),
-            (lay.d3, lay.s1_local): (lay.d3, lay.s2),
-        }
-    raise WrongGraphClass(
-        f"convexity directions are defined for N and W shaped graphs, got {tag}"
+    base, (at_q, at_up) = _reads(space, v, [0, arrival_vector(graph, i, j)])
+    return _reduce(
+        f"increasing[{_pair_label(graph, i, j)}]", space, base, at_q - at_up, tol
     )
 
 
@@ -232,25 +237,18 @@ def check_convex(
     """
     graph = space.graph
     i, j = _class_pair(graph, direction)
-    guards = _convex_guards(space)
+    guards = _roles(graph, "convex")
     if (i, j) not in guards:
-        names = ", ".join(f"({_pair_label(graph, a, b)})" for a, b in guards)
         raise ValueError(
             f"({_pair_label(graph, i, j)}) is not a convexity direction of this "
-            f"graph; supported: {names}"
+            f"graph; supported: {_pair_names(graph, guards)}"
         )
     high, low = guards[(i, j)]
-    table = _table(space, v)
     delta = arrival_vector(graph, i, j)
-    base = _interior_base(
-        space, [delta, 2 * delta], keep=lambda b: b[:, high] >= b[:, low]
+    base, (at_q, mid, at_up2) = _reads(
+        space, v, [0, delta, 2 * delta], keep=lambda b: b[:, high] >= b[:, low]
     )
-    mid = table[space.rows(base + delta)]
-    excess = (
-        2.0 * mid
-        - table[space.rows(base)]
-        - table[space.rows(base + 2 * delta)]
-    )
+    excess = 2.0 * mid - at_q - at_up2
     return _reduce(f"convex[{_pair_label(graph, i, j)}]", space, base, excess, tol)
 
 
@@ -270,51 +268,25 @@ def check_boundary(
     edges, each paired with its opposite missing diagonal.
     """
     graph = space.graph
-    tag = classify(graph).tag
-    if tag == N_SHAPED:
-        lay = n_layout(graph)
-        flexible = (lay.d1, lay.s2_local)
-        if edge is None:
-            edge = flexible
-        if _class_pair(graph, edge) != flexible:
-            raise ValueError(
-                f"the boundary edge of an N graph is the flexible pair "
-                f"({_pair_label(graph, *flexible)})"
-            )
-        rhs_pair = flexible
-        lhs_pair = (lay.d2, lay.s1_local)
-    elif tag == W_SHAPED:
-        lay = w_layout(graph)
-        partners = {
-            (lay.d2, lay.s1_local): (lay.d1, lay.s2_local),
-            (lay.d2, lay.s2_local): (lay.d3, lay.s1_local),
-        }
-        if edge is None:
-            raise ValueError(
-                "a W graph has two boundary variants; pass one middle edge"
-            )
-        rhs_pair = _class_pair(graph, edge)
-        if rhs_pair not in partners:
-            names = ", ".join(f"({_pair_label(graph, a, b)})" for a, b in partners)
-            raise ValueError(
-                f"({_pair_label(graph, *rhs_pair)}) is not a middle edge; "
-                f"supported: {names}"
-            )
-        lhs_pair = partners[rhs_pair]
-    else:
-        raise WrongGraphClass(
-            f"the boundary comparison is defined for N and W shaped graphs, got {tag}"
+    partners = _roles(graph, "boundary")
+    if edge is None and len(partners) > 1:
+        raise ValueError("a W graph has two boundary variants; pass one middle edge")
+    rhs_pair = _class_pair(graph, next(iter(partners)) if edge is None else edge)
+    if rhs_pair not in partners:
+        raise ValueError(
+            f"({_pair_label(graph, *rhs_pair)}) is not a boundary edge: the "
+            f"flexible pair of an N graph or a middle edge of a W graph; "
+            f"supported: {_pair_names(graph, partners)}"
         )
     if space.cap - space.margin < 1:
         raise ValueError(
             "the interior box must contain the single-pair states; raise the "
             "cap or lower the margin"
         )
-    table = _table(space, v)
-    origin = np.zeros((1, graph.n_nodes), dtype=np.int64)
-    at_origin = table[space.rows(origin)]
-    at_lhs = table[space.rows(origin + arrival_vector(graph, *lhs_pair))]
-    at_rhs = table[space.rows(origin + arrival_vector(graph, *rhs_pair))]
+    shifts = [arrival_vector(graph, *p) for p in (partners[rhs_pair], rhs_pair)]
+    origin, (at_origin, at_lhs, at_rhs) = _reads(
+        space, v, [0, *shifts], keep=lambda b: ~b.any(axis=1)
+    )
     excess = (at_origin - at_lhs) - (at_rhs - at_origin)
     return _reduce(
         f"boundary[{_pair_label(graph, *rhs_pair)}]", space, origin, excess, tol
@@ -331,7 +303,8 @@ def check_undesirable(
     is valid and interior.  A failing report means holding items on the
     extreme pair can be cheaper than on its neighbor, so saturating the
     extreme edge first would not be optimal.  Needs a tree-structured
-    graph and an edge with a degree-one endpoint.
+    graph and an edge with a degree-one endpoint.  Ties between neighbors
+    go to the first in edge order.
     """
     graph = space.graph
     if len(graph.edges) != graph.n_nodes - 1:
@@ -345,46 +318,28 @@ def check_undesirable(
             f"({_pair_label(graph, i1, j1)}) is not an extreme edge; extreme "
             f"edges: {[(_pair_label(graph, a, b)) for a, b in info.extreme_edges]}"
         )
-    table = _table(space, v)
-    name = f"undesirable[{_pair_label(graph, i1, j1)}]"
-    checked = 0
-    best: tuple[float, PropertyReport] | None = None
+    up = arrival_vector(graph, i1, j1)
+    # Empty first blocks, from a read that checks the table's shape, keep
+    # the fold defined when the extreme edge has no neighbor.
+    interior, _ = _reads(space, v, [])
+    base, excess, neighbor = [interior[:0]], [np.empty((0, space.n_atoms))], []
     for i2, j2 in graph.edge_index:
         if (i2, j2) == (i1, j1) or (i2 != i1 and j2 != j1):
             continue
-        delta = arrival_vector(graph, i1, j1) - arrival_vector(graph, i2, j2)
-        base = _interior_base(space, [delta])
-        excess = table[space.rows(base)] - table[space.rows(base + delta)]
-        checked += excess.size
-        report = _reduce(
-            name, space, base, excess, tol, extra={"neighbor": [i2, j2]}
+        rows, (at_q, at_moved) = _reads(
+            space, v, [0, up - arrival_vector(graph, i2, j2)]
         )
-        if report.witness is None:
-            continue
-        raw = float(excess.ravel()[int(np.argmax(excess))])
-        if best is None or raw > best[0]:
-            best = (raw, report)
-    if best is None:
-        return PropertyReport(name, True, 0.0, None, tol, 0)
-    report = best[1]
-    return PropertyReport(
-        name, report.passed, report.worst_violation, report.witness, tol, checked
+        base.append(rows)
+        excess.append(at_q - at_moved)
+        neighbor += [(i2, j2)] * len(rows)
+    return _reduce(
+        f"undesirable[{_pair_label(graph, i1, j1)}]",
+        space,
+        np.concatenate(base),
+        np.concatenate(excess),
+        tol,
+        neighbor=np.array(neighbor, dtype=np.int64).reshape(-1, 2),
     )
-
-
-def _w_pairs(space: TruncatedStateSpace) -> dict[str, tuple[int, int]]:
-    graph = space.graph
-    if classify(graph).tag != W_SHAPED:
-        raise WrongGraphClass(
-            f"this property is defined on W shaped graphs, got {classify(graph).tag}"
-        )
-    lay = w_layout(graph)
-    return {
-        "middle1": (lay.d2, lay.s1_local),
-        "middle2": (lay.d2, lay.s2_local),
-        "miss1": (lay.d3, lay.s1_local),
-        "miss2": (lay.d1, lay.s2_local),
-    }
 
 
 def check_exchangeable(
@@ -402,32 +357,22 @@ def check_exchangeable(
     matter once the supply side is fixed.  The two supported pairs are
     (middle on s1, missing on s1) and (middle on s2, missing on s2).
     """
-    roles = _w_pairs(space)
     graph = space.graph
-    first = _class_pair(graph, pair[0])
-    second = _class_pair(graph, pair[1])
-    allowed = {
-        (roles["middle1"], roles["miss1"]),
-        (roles["middle2"], roles["miss2"]),
-    }
-    if (first, second) not in allowed:
+    roles = _roles(graph, "exchange")
+    first, second = _class_pair(graph, pair[0]), _class_pair(graph, pair[1])
+    if roles.get(first) != second:
         names = ", ".join(
             f"(({_pair_label(graph, *a)}), ({_pair_label(graph, *b)}))"
-            for a, b in sorted(allowed)
+            for a, b in roles.items()
         )
         raise ValueError(
             f"unsupported exchange pair; supported (middle, missing) pairs: {names}"
         )
-    table = _table(space, v)
     e1 = arrival_vector(graph, *first)
     e2 = arrival_vector(graph, *second)
-    base = _interior_base(space, [e1, e2, e2 - e1])
-    lhs = table[space.rows(base + e1)] - table[space.rows(base)]
-    rhs = table[space.rows(base + e2)] - table[space.rows(base + e2 - e1)]
-    excess = np.abs(lhs - rhs)
-    name = (
-        f"exchangeable[{_pair_label(graph, *first)}|{_pair_label(graph, *second)}]"
-    )
+    base, (at_q, at_e1, at_e2, at_swap) = _reads(space, v, [0, e1, e2, e2 - e1])
+    excess = np.abs((at_e1 - at_q) - (at_e2 - at_swap))
+    name = f"exchangeable[{_pair_label(graph, *first)}|{_pair_label(graph, *second)}]"
     return _reduce(name, space, base, excess, tol)
 
 
@@ -441,22 +386,13 @@ def check_modular(
     of one middle match must not depend on how many of the other have been
     made.
     """
-    roles = _w_pairs(space)
     graph = space.graph
-    e1 = arrival_vector(graph, *roles["middle1"])
-    e2 = arrival_vector(graph, *roles["middle2"])
-    table = _table(space, v)
-    base = _interior_base(space, [e1, e2, e1 + e2])
-    excess = np.abs(
-        table[space.rows(base + e1 + e2)]
-        - table[space.rows(base + e1)]
-        - table[space.rows(base + e2)]
-        + table[space.rows(base)]
-    )
-    name = (
-        f"modular[{_pair_label(graph, *roles['middle1'])}"
-        f"|{_pair_label(graph, *roles['middle2'])}]"
-    )
+    ((middle1, middle2),) = _roles(graph, "modular").items()
+    e1 = arrival_vector(graph, *middle1)
+    e2 = arrival_vector(graph, *middle2)
+    base, (at_q, at_e1, at_e2, at_both) = _reads(space, v, [0, e1, e2, e1 + e2])
+    excess = np.abs(at_both - at_e1 - at_e2 + at_q)
+    name = f"modular[{_pair_label(graph, *middle1)}|{_pair_label(graph, *middle2)}]"
     return _reduce(name, space, base, excess, tol)
 
 
@@ -499,6 +435,14 @@ def _shape_report(
     )
 
 
+def _decisions(space: TruncatedStateSpace, policy: Policy) -> tuple[np.ndarray, ...]:
+    """The interior post-arrival vectors and the policy's decisions on them,
+    as :func:`~matchdp.policies.read_decisions` returns them."""
+    _check_graph(policy, space.graph)
+    xs = space.interior_post_arrivals
+    return (xs, *read_decisions(policy, xs))
+
+
 def _verify_full_match(space: TruncatedStateSpace, policy: Policy) -> ShapeReport:
     graph = space.graph
     if classify(graph).tag != COMPLETE:
@@ -506,8 +450,7 @@ def _verify_full_match(space: TruncatedStateSpace, policy: Policy) -> ShapeRepor
             f"the full-match family lives on complete graphs, got "
             f"{classify(graph).tag}"
         )
-    xs = space.interior_post_arrivals
-    u, residual, inadmissible = read_decisions(policy, xs)
+    xs, u, residual, inadmissible = _decisions(space, policy)
     fields = {"decision": u, "residual": residual}
     remainder = np.any(residual != 0, axis=1)
     checks = [("inadmissible", inadmissible, fields), ("remainder", remainder, fields)]
@@ -518,8 +461,7 @@ def _verify_threshold_n(space: TruncatedStateSpace, policy: Policy) -> ShapeRepo
     graph = space.graph
     lay = n_layout(graph)
     pos = graph.edge_position
-    xs = space.interior_post_arrivals
-    u, _, inadmissible = read_decisions(policy, xs)
+    xs, u, _, inadmissible = _decisions(space, policy)
     d1, d2, s1, s2 = (xs[:, c] for c in (lay.d1, lay.d2, lay.s1, lay.s2))
     expected = np.stack([np.minimum(d1, s1), np.minimum(d2, s2)], axis=1)
     got = u[:, [pos[(lay.d1, lay.s1_local)], pos[(lay.d2, lay.s2_local)]]]
@@ -578,8 +520,7 @@ def _verify_priority_extreme(
     extremes = classify(graph).extreme_edges
     if not extremes:
         raise WrongGraphClass("graph has no extreme edges to verify priority on")
-    xs = space.interior_post_arrivals
-    u, _, inadmissible = read_decisions(policy, xs)
+    xs, u, _, inadmissible = _decisions(space, policy)
     # The largest total any admissible matching puts on the extreme edges:
     # saturate them greedily, on every row at once.
     rem = xs.copy()
@@ -617,7 +558,8 @@ def verify_policy_shape(
     could reach).  Decisions are read in one block, through
     :func:`~matchdp.policies.read_decisions`, on every interior
     post-arrival state of the space, ``space.interior_post_arrivals``, and
-    a row whose decision is inadmissible fails every family.
+    a row whose decision is inadmissible fails every family.  A policy
+    bound to another graph raises ValueError before any decision is read.
     """
     if family not in SHAPE_FAMILIES:
         raise ValueError(

@@ -18,6 +18,7 @@ from matchdp.errors import ActionSpaceBudget, Inadmissible, NoConvergence, Wrong
 from matchdp.graphs import (
     COMPLETE,
     N_SHAPED,
+    W_SHAPED,
     ArrivalDistribution,
     CostVector,
     MatchingGraph,
@@ -46,7 +47,7 @@ from matchdp.solver import (
     extract_policy,
 )
 from matchdp.states import ACTION_BUDGET, is_admissible, n_layout, node_usage, w_layout
-from matchdp.structure import MAX_WITNESSES, ShapeReport
+from matchdp.structure import MAX_WITNESSES, PROPERTY_TOL, PropertyReport, ShapeReport
 
 EXTRACT_GRID_LIMIT = 2_000_000
 
@@ -761,6 +762,156 @@ def reference_verify_policy_shape(
         "priority_extreme": _verify_priority_extreme,
     }
     return verify[family](space, policy)
+
+
+# ---- structural property checks, one (state, atom) at a time ----
+
+
+def _reference_pair_roles(graph: MatchingGraph) -> dict:
+    """Per check, its accepted pair arguments mapped to what each one brings:
+    a convexity direction to its (high, low) guard positions, a boundary
+    edge to its missing partner (None stands for the N graph's default
+    edge), an exchange argument (middle edge, missing pair) to nothing, and
+    modularity's argument None to the two middle edges."""
+    tag = classify(graph).tag
+    if tag == N_SHAPED:
+        lay = n_layout(graph)
+        flexible, missing = (lay.d1, lay.s2_local), (lay.d2, lay.s1_local)
+        return {
+            "convex": {flexible: (lay.d1, lay.s1), missing: (lay.s1, lay.d1)},
+            "boundary": {None: missing, flexible: missing},
+        }
+    if tag == W_SHAPED:
+        lay = w_layout(graph)
+        middle1, middle2 = (lay.d2, lay.s1_local), (lay.d2, lay.s2_local)
+        miss1, miss2 = (lay.d3, lay.s1_local), (lay.d1, lay.s2_local)
+        return {
+            "convex": {
+                middle1: (lay.s1, lay.d1),
+                miss2: (lay.d1, lay.s1),
+                middle2: (lay.s2, lay.d3),
+                miss1: (lay.d3, lay.s2),
+            },
+            "boundary": {middle1: miss2, middle2: miss1},
+            "exchangeable": {(middle1, miss1): None, (middle2, miss2): None},
+            "modular": {None: (middle1, middle2)},
+        }
+    return {}
+
+
+def reference_property_calls(graph: MatchingGraph) -> list[tuple[str, object]]:
+    """Every (check, pair argument) the structure checks accept on the graph."""
+    calls: list[tuple[str, object]] = [
+        ("increasing", (i, j)) for i in range(graph.n_d) for j in range(graph.n_s)
+    ]
+    for check, roles in _reference_pair_roles(graph).items():
+        calls += [(check, arg) for arg in roles]
+    if len(graph.edges) == graph.n_nodes - 1:
+        calls += [("undesirable", e) for e in classify(graph).extreme_edges]
+    return calls
+
+
+def _fold_property(
+    space: TruncatedStateSpace,
+    table: np.ndarray,
+    name: str,
+    variants: Sequence[tuple[dict, Sequence[Sequence[int]], Callable[..., float]]],
+    tol: float,
+    keep: Callable[[list[int]], bool] = lambda q: True,
+) -> PropertyReport:
+    """Scan the variants in order, then the states of ``space.balanced_states``
+    and the atoms: a (state, atom) counts when the state and each of its
+    shifts lie in the interior box, and the report keeps the first instance
+    of the largest excess of the variant's formula over the shifted reads."""
+    hi = space.cap - space.margin
+    best: tuple[float, dict] | None = None
+    checked = 0
+    for extra, shifts, excess in variants:
+        for state in space.balanced_states.tolist():
+            points = [[c + d for c, d in zip(state, shift)] for shift in shifts]
+            if not keep(state) or any(c < 0 or c > hi for p in points for c in p):
+                continue
+            rows = [space.state_index(p) for p in points]
+            for a, atom in enumerate(space.graph.arrival_atoms):
+                value = excess(*(float(table[r, a]) for r in rows))
+                checked += 1
+                if best is None or value > best[0]:
+                    best = (value, {"q": state, "atom": list(atom), **extra})
+    if best is None:
+        return PropertyReport(name, True, 0.0, None, tol, 0)
+    worst = max(best[0], 0.0)
+    return PropertyReport(name, worst <= tol, worst, best[1], tol, checked)
+
+
+def reference_property(
+    space: TruncatedStateSpace, v, check: str, arg=None, tol: float = PROPERTY_TOL
+) -> PropertyReport:
+    """``structure.check_<check>`` on one accepted argument (see
+    :func:`reference_property_calls`), by :func:`_fold_property`'s loop."""
+    graph = space.graph
+    table = np.asarray(v.data if isinstance(v, ValueFunction) else v, dtype=float)
+    zero = [0] * graph.n_nodes
+
+    def unit(pair, times=1):
+        vec = list(zero)
+        vec[pair[0]] += times
+        vec[graph.n_d + pair[1]] += times
+        return vec
+
+    def plus(*vecs):
+        return [sum(cs) for cs in zip(*vecs)]
+
+    def label(pair):
+        return f"{graph.demand_nodes[pair[0]]},{graph.supply_nodes[pair[1]]}"
+
+    roles = _reference_pair_roles(graph).get(check, {})
+    if check == "increasing":
+        variants = [({}, [zero, unit(arg)], lambda q, up: q - up)]
+        return _fold_property(space, table, f"increasing[{label(arg)}]", variants, tol)
+    if check == "convex":
+        high, low = roles[arg]
+        variants = [
+            ({}, [zero, unit(arg), unit(arg, 2)], lambda q, up, up2: 2.0 * up - q - up2)
+        ]
+        return _fold_property(
+            space, table, f"convex[{label(arg)}]", variants, tol,
+            keep=lambda q: q[high] >= q[low],
+        )
+    if check == "boundary":
+        edge = next(e for e in roles if e is not None) if arg is None else arg
+        variants = [
+            ({}, [zero, unit(roles[edge]), unit(edge)],
+             lambda q, miss, hit: (q - miss) - (hit - q))
+        ]
+        return _fold_property(
+            space, table, f"boundary[{label(edge)}]", variants, tol,
+            keep=lambda q: not any(q),
+        )
+    if check == "undesirable":
+        extreme = unit(arg)
+        variants = [
+            ({"neighbor": list(e)}, [zero, plus(extreme, unit(e, -1))],
+             lambda q, moved: q - moved)
+            for e in graph.edge_index
+            if e != tuple(arg) and (e[0] == arg[0] or e[1] == arg[1])
+        ]
+        return _fold_property(space, table, f"undesirable[{label(arg)}]", variants, tol)
+    if check == "exchangeable":
+        e1, e2 = unit(arg[0]), unit(arg[1])
+        variants = [
+            ({}, [zero, e1, e2, plus(e2, unit(arg[0], -1))],
+             lambda q, up1, up2, swap: abs((up1 - q) - (up2 - swap)))
+        ]
+        name = f"exchangeable[{label(arg[0])}|{label(arg[1])}]"
+        return _fold_property(space, table, name, variants, tol)
+    first, second = roles[None]
+    e1, e2 = unit(first), unit(second)
+    variants = [
+        ({}, [zero, e1, e2, plus(e1, e2)],
+         lambda q, up1, up2, both: abs(both - up1 - up2 + q))
+    ]
+    name = f"modular[{label(first)}|{label(second)}]"
+    return _fold_property(space, table, name, variants, tol)
 
 
 def reference_streams(

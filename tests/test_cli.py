@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ import matchdp
 from matchdp.cli import RECIPES, RunManifest, build_parser, main, reproduce, run
 from matchdp.errors import ParseError
 from matchdp.nshaped import NModelParams, average_cost, optimal_threshold
+from matchdp.structure import SHAPE_FAMILIES
 
 N_DOC = {
     "demand": ["d1", "d2"],
@@ -398,6 +400,14 @@ def test_a_mode_parsed_alone_prints_the_full_parsers_help(mode, capsys):
         main([mode, "--help"])
     assert capsys.readouterr().out == full
     assert "--" in full
+
+
+def test_verify_structure_help_lists_the_shape_families(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify-structure", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    listed = re.search(r"family to verify, one of: (.*?) \(default", text).group(1)
+    assert listed.split(", ") == list(SHAPE_FAMILIES)
 
 
 CLI_IMPORTS = """

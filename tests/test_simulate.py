@@ -382,6 +382,21 @@ class TestInadmissiblePolicies:
             )
 
 
+    @pytest.mark.parametrize("u", [[0, 0, 0, 5], [0]], ids=["long", "short"])
+    def test_decision_of_the_wrong_length_is_rejected(self, u):
+        graph, arrivals, costs = n_setup()
+
+        class Fixed(Policy):
+            label = "Fixed"
+
+            def decide(self, x):
+                return np.array(u)
+
+        shape = re.escape(f"({len(u)},)")
+        with pytest.raises(ValueError, match=rf"one entry per edge \(3\), got shape {shape}"):
+            simulate(graph, arrivals, costs, Fixed(graph), SimConfig(horizon=50))
+
+
 class TestCompare:
     def test_self_comparison_is_exactly_zero(self):
         graph, arrivals, costs = n_setup()

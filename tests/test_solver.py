@@ -10,7 +10,7 @@ import pytest
 
 from matchdp import solver as solver_module
 from matchdp.errors import Inadmissible, MatchDPError, NoConvergence, Unstable
-from matchdp.graphs import ArrivalDistribution, CostVector
+from matchdp.graphs import ArrivalDistribution, CostVector, MatchingGraph
 from matchdp.nshaped import NModelParams, average_cost, optimal_threshold
 from matchdp.policies import FullMatch, Policy, ThresholdN, ThresholdW
 from matchdp.solver import (
@@ -134,6 +134,21 @@ class TestTruncatedStateSpace:
             TruncatedStateSpace(make_n_graph(), cap=3, margin=0)
         with pytest.raises(ValueError):
             TruncatedStateSpace(make_n_graph(), cap=3, margin=4)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"cap": True, "margin": True}, {"cap": 4, "margin": 1.5}, {"cap": 3.0},
+         {"cap": "4"}],
+        ids=["bools", "float-margin", "float-cap", "string-cap"],
+    )
+    def test_rejects_non_integer_cap_and_margin(self, kwargs):
+        with pytest.raises(ValueError, match="must be an integer"):
+            TruncatedStateSpace(make_n_graph(), **kwargs)
+
+    def test_numpy_integer_cap_and_margin_become_ints(self):
+        space = TruncatedStateSpace(make_n_graph(), cap=np.int64(4), margin=np.int32(1))
+        assert (space.cap, space.margin) == (4, 1)
+        assert type(space.cap) is int and type(space.margin) is int
 
     @pytest.mark.parametrize("maker", [make_n_graph, make_w_graph, make_nn_graph])
     def test_extended_rows_are_the_closure_of_post_arrival_vectors(self, maker):
@@ -577,6 +592,28 @@ class TestPolicyEvaluation:
         assert evaluated.value.violations == rvi.value.violations
         vf = evaluate_policy(space, ThresholdN(n_graph, 1), costs, arrivals)
         assert np.all(np.isfinite(vf.data))
+
+    @pytest.mark.parametrize("mode", ["discounted", "average"])
+    def test_policy_of_another_graph_is_rejected_before_any_decision(self, mode):
+        # The N recipe's rates and costs; the policy's graph lists the
+        # demand nodes as (d2, d1), so it reads every vector swapped.
+        graph = make_n_graph()
+        swapped = MatchingGraph(graph.demand_nodes[::-1], graph.supply_nodes, graph.edges)
+        costs = CostVector(demand=np.array([1.0, 6.0]), supply=np.array([5.0, 2.0]))
+        arrivals = ArrivalDistribution(
+            alpha=np.array([0.65, 0.35]), beta=np.array([0.35, 0.65])
+        )
+        calls = []
+
+        class Counted(ThresholdN):
+            def decide(self, x):
+                calls.append(x)
+                return super().decide(x)
+
+        space = TruncatedStateSpace(graph, cap=12, margin=4)
+        with pytest.raises(ValueError, match=r"ThresholdN\(t=1\) is bound to another graph"):
+            evaluate_policy(space, Counted(swapped, 1), costs, arrivals, mode=mode)
+        assert calls == []
 
     def test_rejects_unknown_mode(self, n_graph, n_arrivals):
         space = TruncatedStateSpace(n_graph, cap=3)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchdp.errors import Inadmissible, WrongGraphClass
-from matchdp.graphs import ArrivalDistribution, CostVector
+from matchdp.graphs import ArrivalDistribution, CostVector, MatchingGraph
 from matchdp.nshaped import NModelParams, optimal_threshold
 from matchdp.policies import (
     AcyclicHeuristic,
@@ -45,10 +45,15 @@ from conftest import (
     make_complete22,
     make_n_graph,
     make_nn_graph,
+    make_path23,
     make_w_graph,
     unit_costs,
 )
-from oracles import reference_verify_policy_shape
+from oracles import (
+    reference_property,
+    reference_property_calls,
+    reference_verify_policy_shape,
+)
 
 EPS = 1e-3
 
@@ -604,6 +609,19 @@ class TestVerifyPolicyShape:
         with pytest.raises(Inadmissible):
             evaluate_policy(space, policy, unit_costs(graph), uniform)
 
+    @pytest.mark.parametrize("order", ["demand", "edges"])
+    def test_policy_of_another_graph_is_rejected(self, order):
+        space = TruncatedStateSpace(make_n_graph(), cap=12, margin=4)
+        graph = space.graph
+        demand, edges = graph.demand_nodes, graph.edges
+        if order == "demand":
+            demand = demand[::-1]
+        else:
+            edges = edges[::-1]
+        other = MatchingGraph(demand, graph.supply_nodes, edges)
+        with pytest.raises(ValueError, match=r"ThresholdN\(t=1\) is bound to another graph"):
+            verify_policy_shape(space, ThresholdN(other, 1), "threshold_n")
+
     def test_average_cost_extraction_matches_closed_form_threshold(self):
         graph = make_n_graph()
         params = NModelParams(alpha=0.65, beta=0.35, costs=(1.0, 6.0, 5.0, 2.0))
@@ -666,6 +684,67 @@ class TestVerifyAgainstOracle:
                     assert got.to_record() == want.to_record()
                     reasons |= {w["reason"] for w in want.witnesses}
         assert reasons
+
+
+# ---- the six property checks against their loop oracle ----
+
+
+CHECKS = {
+    "increasing": check_increasing,
+    "convex": check_convex,
+    "boundary": check_boundary,
+    "undesirable": check_undesirable,
+    "exchangeable": check_exchangeable,
+    "modular": check_modular,
+}
+
+
+def _one_edge_graph() -> MatchingGraph:
+    return MatchingGraph(
+        demand_nodes=("d1",), supply_nodes=("s1",), edges=(("d1", "s1"),)
+    )
+
+
+def _fork_graph() -> MatchingGraph:
+    """A tree whose node d1 has degree three, so that an extreme edge
+    (d1, s1) has two neighbors and ties between them are possible."""
+    return MatchingGraph(
+        demand_nodes=("d1", "d2"),
+        supply_nodes=("s1", "s2", "s3"),
+        edges=(("d1", "s1"), ("d1", "s2"), ("d1", "s3"), ("d2", "s3")),
+    )
+
+
+@pytest.mark.parametrize(
+    "make_graph, cap, margin",
+    [
+        pytest.param(make_n_graph, 6, 2, id="N-cap6"),
+        pytest.param(make_n_graph, 8, 3, id="N-cap8"),
+        pytest.param(make_w_graph, 5, 2, id="W-cap5"),
+        pytest.param(make_nn_graph, 3, 1, id="NN-cap3"),
+        pytest.param(make_path23, 4, 1, id="path23-cap4"),
+        pytest.param(_fork_graph, 4, 1, id="fork-cap4"),
+        pytest.param(_one_edge_graph, 4, 1, id="one-edge"),
+    ],
+)
+def test_property_checks_match_loop_oracle(make_graph, cap, margin):
+    # Coarse integer tables make ties common, so the tie rule (first
+    # neighbor, then first state and atom) is exercised along with the
+    # largest excess of a continuous table.
+    space = TruncatedStateSpace(make_graph(), cap=cap, margin=margin)
+    shape = (len(space.balanced_states), space.n_atoms)
+    rng = np.random.default_rng(17)
+    tables = [rng.normal(size=shape), rng.integers(0, 3, size=shape).astype(float)]
+    calls = reference_property_calls(space.graph)
+    for table in tables:
+        for check, arg in calls:
+            args = () if arg is None else (arg,)
+            got = CHECKS[check](space, table, *args)
+            want = reference_property(space, table, check, arg)
+            assert got.to_record() == want.to_record(), (check, arg)
+    if space.graph.n_nodes == 2:
+        report = check_undesirable(space, tables[0], (0, 0))
+        assert report.passed and report.checked == 0 and report.witness is None
 
 
 # ---- randomized coverage ----
