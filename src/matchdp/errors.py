@@ -53,7 +53,8 @@ class Unstable(MatchDPError):
 
 
 class NoConvergence(MatchDPError):
-    """An iterative solver hit its sweep limit before meeting tolerance."""
+    """An iterative solver hit its backup limit before the span of a
+    backup's change met tolerance; ``residual`` is the last span."""
 
     def __init__(self, message: str, iterations: int, residual: float):
         super().__init__(message)

@@ -123,6 +123,21 @@ def _check_graph(policy: Policy, graph: MatchingGraph) -> None:
         raise ValueError(f"policy {policy.label} is bound to another graph")
 
 
+def _counts(label: str, u) -> np.ndarray:
+    """Match counts ``u`` (one decision, or a block of them as rows) as an
+    int64 array.  Counts of any other dtype, floats (integral or not) and
+    bools among them, raise ValueError naming ``label`` instead of being
+    truncated."""
+    u = np.asarray(u)
+    if u.dtype.kind not in "iu":
+        shown = f": {u.tolist()}" if u.ndim == 1 else ""
+        raise ValueError(
+            f"policy {label} returned match counts of dtype {u.dtype}, "
+            f"not integers{shown}"
+        )
+    return u.astype(np.int64, copy=False)
+
+
 def read_decisions(
     policy: Policy, xs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -131,9 +146,10 @@ def read_decisions(
     Calls ``decide`` once per row of ``xs`` and returns the counts u (one
     row per vector, one column per edge), the residuals ``xs - usage(u)``,
     and the mask of inadmissible rows: a negative count or a negative
-    residual.  A decision of the wrong length raises ValueError.
+    residual.  A decision of the wrong length or with non-integer counts
+    raises ValueError.
     """
-    u = np.array([policy.decide(x) for x in xs], dtype=np.int64)
+    u = _counts(policy.label, [policy.decide(x) for x in xs])
     residual = xs - node_usage(policy.graph, u)
     return u, residual, np.any(u < 0, axis=1) | np.any(residual < 0, axis=1)
 
@@ -388,7 +404,7 @@ class PriorityExtreme(Policy):
             rem[i] -= take
             rem[s] -= take
         if self.inner is not None:
-            extra = np.asarray(self.inner.decide(rem), dtype=np.int64).tolist()
+            extra = _counts(self.inner.label, self.inner.decide(rem)).tolist()
             if len(extra) != len(u):
                 raise ValueError(
                     f"matching vector must have one entry per edge "
@@ -597,7 +613,7 @@ class Tabular(Policy):
     ):
         super().__init__(graph)
         self.table = {
-            tuple(int(v) for v in key): np.asarray(u, dtype=np.int64)
+            tuple(int(v) for v in key): _counts(self.label, u)
             for key, u in table.items()
         }
         self.fallback = fallback

@@ -69,7 +69,7 @@ from .graphs import (
     N_SHAPED,
     classify,
 )
-from .policies import Policy, ThresholdN, _check_graph
+from .policies import Policy, ThresholdN, _check_graph, _counts
 from .states import _integer, n_layout
 
 MAX_SEED = 2**64
@@ -629,7 +629,7 @@ class _Chain:
         nxt = self.next
         off = self.after.get(key)
         if off is None:
-            decision = np.asarray(self.policy.decide(x), dtype=np.int64)
+            decision = _counts(self.policy.label, self.policy.decide(x))
             if decision.shape != (len(graph.edges),):
                 raise ValueError(
                     f"matching vector must have one entry per edge "

@@ -245,18 +245,26 @@ class TruncatedStateSpace:
 @dataclass(frozen=True)
 class DPConfig:
     """Iteration controls: the discount ``theta`` (value iteration and
-    discounted evaluation only), the stopping tolerance ``tol`` (defaults
-    per mode when left unset) and the backup limit ``max_iters``.  The
-    state-space geometry comes from the space passed to each solver."""
+    discounted evaluation only), the tolerance ``tol`` on the span of
+    each backup's change Tv - v (when left unset, :data:`VI_TOL` in
+    discounted mode and :data:`RVI_SPAN_TOL` in average mode) and the
+    backup limit ``max_iters``, an integer of at least 1.  The state-space
+    geometry comes from the space passed to each solver."""
 
     theta: float = 0.95
     tol: float | None = None
     max_iters: int = MAX_ITERS
 
+    def __post_init__(self) -> None:
+        if self.tol is not None and not self.tol > 0:  # also rejects NaN
+            raise ValueError(f"tol must be positive, got {self.tol}")
+        max_iters = _integer("max_iters", self.max_iters)
+        if max_iters < 1:
+            raise ValueError(f"max_iters must be at least 1, got {max_iters}")
+        object.__setattr__(self, "max_iters", max_iters)
+
     def resolved_tol(self, mode: str) -> float:
         if self.tol is not None:
-            if not self.tol > 0:  # also rejects NaN
-                raise ValueError(f"tol must be positive, got {self.tol}")
             return self.tol
         return VI_TOL if mode == "discounted" else RVI_SPAN_TOL
 
@@ -268,10 +276,12 @@ class ValueFunction:
     ``data`` has shape ``(len(space.balanced_states), space.n_atoms)``:
     one row per balanced state in the order of ``space.balanced_states``,
     one column per arrival atom in ``graph.arrival_atoms`` order.
-    ``iterations`` counts the backups run, the last of which produced
-    ``data`` and moved it by ``residual`` (a sup norm, or a span in average
-    mode); the fixed-policy sweeps between optimality backups are not
-    counted.
+    ``iterations`` counts the backups run; ``residual`` is the span
+    max - min of the last one's change Tv - v, below tolerance.  In
+    discounted mode ``data`` lies within theta / (1 - theta) * residual / 2
+    of the fixed point, and in average mode the gain lies between the min
+    and the max of that change.  The fixed-policy sweeps between
+    optimality backups are not counted.
     """
 
     space: TruncatedStateSpace
@@ -308,13 +318,23 @@ def _post_arrival_costs(space: TruncatedStateSpace, costs: CostVector) -> np.nda
     return state_cost[:, None] + _atom_cost(space.graph, costs)
 
 
-def _initial_table(space: TruncatedStateSpace, v0: np.ndarray | None) -> np.ndarray:
+def _packed(
+    space: TruncatedStateSpace, table, name: str = "value table"
+) -> np.ndarray:
+    """``table`` as a float array, checked to have one row per balanced
+    state of ``space`` and one column per atom; another shape, such as
+    that of a table from another space, raises ValueError naming both."""
+    table = np.asarray(table, dtype=float)
     want = (len(space.balanced_states), space.n_atoms)
-    if v0 is None:
-        return np.zeros(want)
-    table = np.array(v0, dtype=float)
     if table.shape != want:
-        raise ValueError(f"v0 must have shape {want}, got {table.shape}")
+        raise ValueError(f"{name} must have shape {want}, got {table.shape}")
+    return table
+
+
+def _initial_table(space: TruncatedStateSpace, v0: np.ndarray | None) -> np.ndarray:
+    if v0 is None:
+        return np.zeros((len(space.balanced_states), space.n_atoms))
+    table = _packed(space, v0, "v0")
     if not np.isfinite(table).all():
         raise ValueError(f"v0 must be finite, got {table[~np.isfinite(table)][0]}")
     return table
@@ -396,8 +416,10 @@ def extract_policy(
     keyed by ``space.interior_post_arrivals``.  Interior x and all its
     successors stay inside [0, cap], and matching preserves balance, so
     every candidate read is a real state's value.  Each decision is the
-    lexicographically smallest minimizer of w(x - usage(u)).
+    lexicographically smallest minimizer of w(x - usage(u)).  A table of
+    another shape raises ValueError.
     """
+    table = _packed(space, table)
     ext, read, _, _, _ = space.backup_index
     xs = space.interior_post_arrivals
     # Interior x lies inside the cap, where an extended row reads itself.
@@ -440,9 +462,11 @@ def bellman_backup(
     """One synchronous sweep of the optimality operator (theta=1: average),
     which is the first sweep of the table's greedy policy.
 
-    Input and output are packed tables.  Raises :class:`MatchDPError` when
-    a state has an atom from which every matching leaves the sector.
+    Input and output are packed tables; an input of another shape raises
+    ValueError.  Raises :class:`MatchDPError` when a state has an atom from
+    which every matching leaves the sector.
     """
+    table = _packed(space, table)
     base = _post_arrival_costs(space, costs)
     probs = arrivals.atom_probs()
     succ = _greedy_successors(space, table, probs)
@@ -459,24 +483,29 @@ def _iterate(
     policy_sweeps: int = 0,
 ) -> tuple[float | None, ValueFunction]:
     """Run ``table = sweep_of(table)(table, theta)`` from v0 (zeros by
-    default) until the stopping rule of the mode holds; returns (gain,
-    value function).  ``sweep_of`` returns a :func:`_policy_sweep`.
+    default) until the span of the change Tv - v drops below tolerance;
+    returns (gain, value function).  ``sweep_of`` returns a
+    :func:`_policy_sweep`.
 
-    ``mode="discounted"`` sweeps with ``config.theta`` (0 <= theta < 1) and
-    stops when the sup norm of the change drops below tolerance; the gain
-    is None.  ``mode="average"`` sweeps with theta = 1, renormalizes each
-    iterate at row 0 (the zero queue), atom 0, and stops when the span of
-    the change drops below tolerance; the gain is the change there,
-    (Tv - v)(0, 0), so a start table with any value at row 0 reports it.  Raises :class:`NoConvergence`, naming ``solver`` and
-    carrying the last residual, when ``max_iters`` sweeps fail the rule.
+    ``mode="discounted"`` sweeps with ``config.theta`` (0 <= theta < 1).
+    The fixed point lies between Tv + theta / (1 - theta) * min(Tv - v)
+    and the same with the max (MacQueen 1966; Porteus 1971; Puterman
+    1994, Markov Decision Processes, section 6.6.3), so the returned
+    table is Tv shifted to the middle of those bounds, within
+    theta / (1 - theta) * span / 2 of the fixed point; the gain is None.
+    ``mode="average"`` sweeps with theta = 1 and renormalizes each iterate
+    at row 0 (the zero queue), atom 0; the gain is the change there,
+    (Tv - v)(0, 0), so a start table with any value at row 0 reports it.
+    Raises :class:`NoConvergence`, naming ``solver`` and carrying the last
+    span, when ``max_iters`` sweeps fail the rule.
 
     Each sweep that fails the rule is followed by ``policy_sweeps`` more
     sweeps of the same policy, renormalized like the iterates; with the
     greedy sweep of the table this is modified policy iteration (Puterman
-    1994, Markov Decision Processes, sections 6.5 and 8.7).  Only the first
-    sweep of each policy counts toward ``max_iters`` and
-    ``ValueFunction.iterations``, so the stopping rule and its certificate
-    are those of plain iteration.
+    1994, sections 6.5 and 8.7).  Only the first sweep of each policy
+    counts toward ``max_iters`` and ``ValueFunction.iterations``.  The
+    rule is tested on that sweep, Tv of the table it starts from, so the
+    bounds hold as for plain iteration.
     """
     config = config or DPConfig()
     discounted = mode == "discounted"
@@ -485,19 +514,19 @@ def _iterate(
         raise ValueError(f"discounted mode needs 0 <= theta < 1, got {theta}")
     tol = config.resolved_tol(mode)
     table = _initial_table(space, v0)
-    residual = np.inf
+    gain, residual = None, np.inf
     for n in range(1, config.max_iters + 1):
         sweep = sweep_of(table)
         new = sweep(table, theta)
         diff = new - table
-        if discounted:
-            gain = None
-            residual = float(np.abs(diff).max())
-        else:
+        low, high = float(diff.min()), float(diff.max())
+        residual = high - low
+        if not discounted:
             gain = float(diff[0, 0])  # row 0 is the zero queue
-            residual = float(diff.max() - diff.min())
-            new = new - new[0, 0]
+            new -= new[0, 0]
         if residual < tol:
+            if discounted:
+                new += theta / (1 - theta) * (low + high) / 2
             vf = ValueFunction(space, new, theta if discounted else None, n, residual)
             return gain, vf
         for _ in range(policy_sweeps):
@@ -505,10 +534,9 @@ def _iterate(
             if not discounted:
                 new -= new[0, 0]
         table = new
-    rule, last = ("tol", "residual") if discounted else ("span tol", "span")
     raise NoConvergence(
-        f"{solver} did not reach {rule}={tol:g} within {config.max_iters} "
-        f"backups (last {last} {residual:g})",
+        f"{solver} did not reach span tol={tol:g} within {config.max_iters} "
+        f"backups (last span {residual:g})",
         iterations=config.max_iters,
         residual=residual,
     )
@@ -544,12 +572,15 @@ def value_iteration(
     v0: np.ndarray | None = None,
     extract: bool = True,
 ) -> tuple[ValueFunction, Tabular | None]:
-    """Discounted optimal values from v = 0 (or a packed ``v0``) to
-    sup-norm tolerance, by modified policy iteration.
+    """Discounted optimal values from v = 0 (or a packed ``v0``), by
+    modified policy iteration.
 
-    Stops at the first backup whose largest absolute change over all states
-    drops below tolerance, and returns that backup.  ``iterations`` counts
-    backups.  Raises :class:`NoConvergence` with the last residual when the
+    Stops at the first backup Tv whose change Tv - v over all states has a
+    span below tolerance, and returns Tv + theta / (1 - theta) times the
+    midpoint of min(Tv - v) and max(Tv - v), the centre of the
+    MacQueen-Porteus bounds on the fixed point: within
+    theta / (1 - theta) * ``residual`` / 2 of it.  ``iterations`` counts
+    backups.  Raises :class:`NoConvergence` with the last span when the
     backup limit is hit.
     """
     _, vf = _optimal(

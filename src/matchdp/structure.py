@@ -36,7 +36,7 @@ import numpy as np
 from .errors import WrongGraphClass
 from .graphs import COMPLETE, MatchingGraph, N_SHAPED, W_SHAPED, classify
 from .policies import Policy, _check_graph, read_decisions, threshold_json
-from .solver import TruncatedStateSpace, ValueFunction
+from .solver import TruncatedStateSpace, ValueFunction, _packed
 from .states import arrival_vector, n_layout, w_layout
 
 PROPERTY_TOL = 1e-9
@@ -112,10 +112,7 @@ def _reads(
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Interior states (those ``keep`` passes) whose shift by every vector
     stays interior, and the table read at each shift of them."""
-    table = v.data if isinstance(v, ValueFunction) else np.asarray(v, dtype=float)
-    want = (len(space.balanced_states), space.n_atoms)
-    if table.shape != want:
-        raise ValueError(f"value table must have shape {want}, got {table.shape}")
+    table = _packed(space, v.data if isinstance(v, ValueFunction) else v)
     base = space.interior_balanced_states
     if keep is not None:
         base = base[keep(base)]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from matchdp.graphs import ArrivalDistribution, CostVector, MatchingGraph
+from matchdp.policies import Policy
 
 
 def make_n_graph() -> MatchingGraph:
@@ -78,6 +79,16 @@ def make_long_acyclic() -> MatchingGraph:
         supply_nodes=tuple(f"s{j}" for j in range(1, 6)),
         edges=tuple((f"d{i}", f"s{j}") for i, j in pairs),
     )
+
+
+class Fractional(Policy):
+    """On the N graph, both priority edges saturated plus 0.9 on (d1, s1):
+    an int64 cast would truncate every decision to an admissible one."""
+
+    label = "Fractional"
+
+    def decide(self, x):
+        return np.array([min(x[0], x[2]) + 0.9, 0, min(x[1], x[3])])
 
 
 def unit_costs(graph: MatchingGraph) -> CostVector:

@@ -286,8 +286,10 @@ def _reference_iterate(
     discounted: bool,
 ) -> tuple[float | None, ValueFunction]:
     """Backups of the optimality operator and nothing else, from zeros,
-    until the sup norm (discounted) or the span (average, renormalized at
-    row 0, atom 0) of the change drops below tolerance."""
+    until the span of the change drops below tolerance.  Average mode
+    renormalizes at row 0, atom 0; discounted mode returns the last backup
+    plus theta / (1 - theta) times the midpoint of the change's min and
+    max (the MacQueen-Porteus bounds)."""
     config = config or DPConfig()
     theta = config.theta if discounted else 1.0
     tol = config.resolved_tol("discounted" if discounted else "average")
@@ -296,15 +298,17 @@ def _reference_iterate(
     for n in range(1, config.max_iters + 1):
         new = reference_backup(space, table, costs, arrivals, theta)
         diff = new - table
+        low, high = float(diff.min()), float(diff.max())
+        residual = high - low
         if discounted:
             gain = None
-            residual = float(np.abs(diff).max())
             table = new
         else:
             gain = float(new[0, 0])
-            residual = float(diff.max() - diff.min())
             table = new - gain
         if residual < tol:
+            if discounted:
+                table = table + theta / (1 - theta) * (low + high) / 2
             vf = ValueFunction(space, table, theta if discounted else None, n, residual)
             return gain, vf
     raise NoConvergence(

@@ -446,9 +446,10 @@ def test_simulation_modes_load_no_solver_checks_or_closed_form(tmp_path):
 def test_module_entry_point(tmp_path):
     path = tmp_path / "n.json"
     path.write_text(json.dumps(N_DOC))
+    env = dict(os.environ, PYTHONPATH=str(Path(matchdp.__file__).parent.parent))
     proc = subprocess.run(
         [sys.executable, "-m", "matchdp", "classify", "--graph", str(path)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "class: n_shaped" in proc.stdout

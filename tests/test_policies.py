@@ -29,6 +29,7 @@ from matchdp.policies import (
 from matchdp.states import is_admissible, node_usage
 
 from conftest import (
+    Fractional,
     make_cmo33,
     make_complete22,
     make_n_graph,
@@ -486,6 +487,24 @@ def test_read_decisions_flags_negative_counts_and_overdraws(n_graph):
     assert inadmissible.tolist() == [False, True, True]
     with pytest.raises(ValueError, match="per edge"):
         read_decisions(Tabular(n_graph, {(1, 0, 0, 1): [0, 1]}), xs[:1])
+
+
+def test_read_decisions_rejects_fractional_counts(n_graph):
+    xs = np.array([[1, 0, 0, 1], [2, 1, 1, 2]])
+    with pytest.raises(ValueError, match="Fractional returned match counts of dtype float64"):
+        read_decisions(Fractional(n_graph), xs)
+
+
+def test_tabular_rejects_fractional_stored_counts(n_graph):
+    x = (1, 0, 1, 0)
+    with pytest.raises(ValueError, match=r"not integers: \[1\.9, 0\.0, 0\.0\]"):
+        Tabular(n_graph, {x: Fractional(n_graph).decide(x)})
+
+
+def test_priority_extreme_rejects_fractional_inner_counts(n_graph):
+    pol = PriorityExtreme(n_graph, inner=Fractional(n_graph))
+    with pytest.raises(ValueError, match=r"not integers: \[0\.9, 0\.0, 0\.0\]"):
+        pol.decide([1, 0, 0, 1])
 
 
 # ---- the decide contract ----

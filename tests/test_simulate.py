@@ -37,7 +37,7 @@ from matchdp.simulate import (
     write_replication_csv,
 )
 
-from conftest import make_complete22, make_n_graph, make_w_graph
+from conftest import Fractional, make_complete22, make_n_graph, make_w_graph
 from oracles import reference_simulate, reference_threshold_n
 
 # The package re-exports the function ``simulate`` over the module's name.
@@ -395,6 +395,11 @@ class TestInadmissiblePolicies:
         shape = re.escape(f"({len(u)},)")
         with pytest.raises(ValueError, match=rf"one entry per edge \(3\), got shape {shape}"):
             simulate(graph, arrivals, costs, Fixed(graph), SimConfig(horizon=50))
+
+    def test_fractional_counts_are_rejected(self):
+        graph, arrivals, costs = n_setup()
+        with pytest.raises(ValueError, match="Fractional returned match counts of dtype float64"):
+            simulate(graph, arrivals, costs, Fractional(graph), SimConfig(horizon=50))
 
 
 class TestCompare:

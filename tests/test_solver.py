@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from matchdp import solver as solver_module
+from matchdp.cli import RECIPES
 from matchdp.errors import Inadmissible, MatchDPError, NoConvergence, Unstable
-from matchdp.graphs import ArrivalDistribution, CostVector, MatchingGraph
+from matchdp.graphs import ArrivalDistribution, CostVector, MatchingGraph, load_graph
 from matchdp.nshaped import NModelParams, average_cost, optimal_threshold
 from matchdp.policies import FullMatch, Policy, ThresholdN, ThresholdW
 from matchdp.solver import (
@@ -19,14 +20,19 @@ from matchdp.solver import (
     _greedy,
     _greedy_successors,
     _initial_table,
+    _policy_sweep,
+    _post_arrival_costs,
+    _sector_successors,
     bellman_backup,
     evaluate_policy,
     extract_policy,
     relative_value_iteration,
     value_iteration,
 )
+from matchdp.structure import check_increasing
 
 from conftest import (
+    Fractional,
     make_cmo33,
     make_complete22,
     make_n_graph,
@@ -366,6 +372,43 @@ class TestValueIteration:
         assert err.value.iterations == 2
         assert err.value.residual > 0
 
+    def test_n_recipe_near_theta_one_takes_few_backups(self):
+        # The sup norm of the change shrinks like theta per backup and took
+        # 223 backups here; its span shrinks with the chain's mixing.
+        graph, arrivals, costs = load_graph(RECIPES["n-threshold"]["graph"])
+        space = TruncatedStateSpace(graph, cap=12, margin=4)
+        vf, _ = value_iteration(
+            space, costs, arrivals, DPConfig(theta=0.999), extract=False
+        )
+        assert vf.iterations <= 10
+
+    @pytest.mark.parametrize("theta", [0.99, 0.999])
+    @pytest.mark.parametrize("solve", ["optimal", "evaluate"])
+    def test_answer_carries_the_span_certificate(self, solve, theta):
+        # With Tv - v in [lo, hi] and w = Tv + theta / (1 - theta) * mid,
+        # mid = (lo + hi) / 2, Tw - w = (TTv - Tv) - theta * mid lies in
+        # theta * [lo - mid, hi - mid], so |Tw - w| <= theta * span / 2.
+        # Kept to N: the W graph's values (about 1e5) put float noise at
+        # the size of that bound.
+        graph, arrivals, costs = load_graph(RECIPES["n-threshold"]["graph"])
+        space = TruncatedStateSpace(graph, cap=12, margin=4)
+        config = DPConfig(theta=theta)
+        if solve == "optimal":
+            vf, _ = value_iteration(space, costs, arrivals, config, extract=False)
+            again = bellman_backup(space, vf.data, costs, arrivals, theta)
+        else:
+            policy = ThresholdN(graph, 1)
+            vf = evaluate_policy(space, policy, costs, arrivals, config)
+            sweep = _policy_sweep(
+                _post_arrival_costs(space, costs),
+                arrivals.atom_probs(),
+                _sector_successors(space, policy),
+            )
+            again = sweep(vf.data, theta)
+        eps = np.finfo(float).eps
+        gap = np.abs(again - vf.data).max()
+        assert gap <= theta * vf.residual / 2 + 8 * eps * np.abs(vf.data).max()
+
     def test_full_match_extracted_on_complete_graph(self):
         graph = make_complete22()
         space = TruncatedStateSpace(graph, cap=6)
@@ -615,6 +658,14 @@ class TestPolicyEvaluation:
             evaluate_policy(space, Counted(swapped, 1), costs, arrivals, mode=mode)
         assert calls == []
 
+    @pytest.mark.parametrize("mode", ["discounted", "average"])
+    def test_fractional_counts_are_rejected(self, n_graph, n_arrivals, mode):
+        space = TruncatedStateSpace(n_graph, cap=8)
+        with pytest.raises(ValueError, match="Fractional returned match counts"):
+            evaluate_policy(
+                space, Fractional(n_graph), unit_costs(n_graph), n_arrivals, mode=mode
+            )
+
     def test_rejects_unknown_mode(self, n_graph, n_arrivals):
         space = TruncatedStateSpace(n_graph, cap=3)
         with pytest.raises(ValueError):
@@ -684,6 +735,44 @@ def test_sweep_limit_raises_one_no_convergence(solver, solve, n_graph, n_arrival
 def test_nonpositive_or_nan_tolerance_is_rejected(tol):
     with pytest.raises(ValueError, match="tol must be positive"):
         DPConfig(tol=tol).resolved_tol("average")
+
+
+@pytest.mark.parametrize(
+    "max_iters, message",
+    [
+        (2.5, "max_iters must be an integer, got 2.5"),
+        (True, "max_iters must be an integer, got True"),
+        ("3", "max_iters must be an integer, got '3'"),
+        (0, "max_iters must be at least 1, got 0"),
+    ],
+    ids=["float", "bool", "string", "zero"],
+)
+def test_bad_backup_limit_is_rejected_at_construction(max_iters, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        DPConfig(max_iters=max_iters)
+
+
+def test_numpy_integer_backup_limit_becomes_an_int():
+    config = DPConfig(max_iters=np.int64(7))
+    assert config.max_iters == 7 and type(config.max_iters) is int
+
+
+@pytest.mark.parametrize(
+    "entry", ["v0", "bellman_backup", "extract_policy", "check_increasing"]
+)
+def test_table_of_another_space_is_rejected(n_graph, n_arrivals, entry):
+    table = np.zeros((len(TruncatedStateSpace(n_graph, cap=8).balanced_states), 4))
+    space = TruncatedStateSpace(n_graph, cap=9)
+    costs = unit_costs(n_graph)
+    calls = {
+        "v0": lambda: value_iteration(space, costs, n_arrivals, v0=table),
+        "bellman_backup": lambda: bellman_backup(space, table, costs, n_arrivals, 0.9),
+        "extract_policy": lambda: extract_policy(space, table, n_arrivals),
+        "check_increasing": lambda: check_increasing(space, table, (0, 0)),
+    }
+    want = f"must have shape {(len(space.balanced_states), 4)}, got {table.shape}"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        calls[entry]()
 
 
 def stable_arrivals(graph) -> ArrivalDistribution:

@@ -42,6 +42,7 @@ from matchdp.structure import (
 )
 
 from conftest import (
+    Fractional,
     make_complete22,
     make_n_graph,
     make_nn_graph,
@@ -621,6 +622,11 @@ class TestVerifyPolicyShape:
         other = MatchingGraph(demand, graph.supply_nodes, edges)
         with pytest.raises(ValueError, match=r"ThresholdN\(t=1\) is bound to another graph"):
             verify_policy_shape(space, ThresholdN(other, 1), "threshold_n")
+
+    def test_fractional_counts_are_rejected(self):
+        space = TruncatedStateSpace(make_n_graph(), cap=8, margin=2)
+        with pytest.raises(ValueError, match="Fractional returned match counts"):
+            verify_policy_shape(space, Fractional(space.graph), "priority_extreme")
 
     def test_average_cost_extraction_matches_closed_form_threshold(self):
         graph = make_n_graph()
