@@ -124,10 +124,9 @@ def _check_graph(policy: Policy, graph: MatchingGraph) -> None:
 
 
 def _counts(label: str, u) -> np.ndarray:
-    """Match counts ``u`` (one decision, or a block of them as rows) as an
-    int64 array.  Counts of any other dtype, floats (integral or not) and
-    bools among them, raise ValueError naming ``label`` instead of being
-    truncated."""
+    """Match counts ``u`` of one decision as an int64 array.  Counts of any
+    other dtype, floats (integral or not) and bools among them, raise
+    ValueError naming ``label`` instead of being truncated."""
     u = np.asarray(u)
     if u.dtype.kind not in "iu":
         shown = f": {u.tolist()}" if u.ndim == 1 else ""
@@ -138,18 +137,34 @@ def _counts(label: str, u) -> np.ndarray:
     return u.astype(np.int64, copy=False)
 
 
+def _decision(label: str, u, n_edges: int) -> np.ndarray:
+    """One decision checked by :func:`_counts` and to hold one count per
+    edge: another shape raises ValueError naming it."""
+    u = _counts(label, u)
+    if u.shape != (n_edges,):
+        raise ValueError(
+            f"matching vector must have one entry per edge ({n_edges}), "
+            f"got shape {u.shape}"
+        )
+    return u
+
+
 def read_decisions(
     policy: Policy, xs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decisions of a policy on a block of post-arrival vectors.
 
-    Calls ``decide`` once per row of ``xs`` and returns the counts u (one
+    Calls ``decide`` once per row of ``xs``, checks each decision as it
+    arrives and writes it into one block, and returns the counts u (one
     row per vector, one column per edge), the residuals ``xs - usage(u)``,
     and the mask of inadmissible rows: a negative count or a negative
-    residual.  A decision of the wrong length or with non-integer counts
+    residual.  A decision of the wrong shape or with non-integer counts
     raises ValueError.
     """
-    u = _counts(policy.label, [policy.decide(x) for x in xs])
+    n_edges = len(policy.graph.edges)
+    u = np.empty((len(xs), n_edges), dtype=np.int64)
+    for row, x in zip(u, xs):
+        row[:] = _decision(policy.label, policy.decide(x), n_edges)
     residual = xs - node_usage(policy.graph, u)
     return u, residual, np.any(u < 0, axis=1) | np.any(residual < 0, axis=1)
 
@@ -404,12 +419,7 @@ class PriorityExtreme(Policy):
             rem[i] -= take
             rem[s] -= take
         if self.inner is not None:
-            extra = _counts(self.inner.label, self.inner.decide(rem)).tolist()
-            if len(extra) != len(u):
-                raise ValueError(
-                    f"matching vector must have one entry per edge "
-                    f"({len(u)}), got {len(extra)} entries"
-                )
+            extra = _decision(self.inner.label, self.inner.decide(rem), len(u)).tolist()
             left = list(rem)
             for (i, s), c in zip(self._ends, extra):
                 left[i] -= c
@@ -599,7 +609,10 @@ class Tabular(Policy):
     The optimal matching of a Bellman backup depends on the state only
     through x = q + a, so solver extractions store decisions per x.  States
     missing from the table go to the fallback policy when one is given;
-    without one they raise :class:`MissingDecision`, which names x.
+    without one they raise :class:`MissingDecision`, which names x.  Keys
+    follow the rule of :func:`~matchdp.states._int_list`: a key with a
+    non-integer or negative entry, or of the wrong length, raises
+    ValueError instead of being truncated.
     """
 
     kind = "tabular"
@@ -613,7 +626,7 @@ class Tabular(Policy):
     ):
         super().__init__(graph)
         self.table = {
-            tuple(int(v) for v in key): _counts(self.label, u)
+            tuple(_int_list(key, self._n)): _counts(self.label, u)
             for key, u in table.items()
         }
         self.fallback = fallback

@@ -69,7 +69,7 @@ from .graphs import (
     N_SHAPED,
     classify,
 )
-from .policies import Policy, ThresholdN, _check_graph, _counts
+from .policies import Policy, ThresholdN, _check_graph, _decision
 from .states import _integer, n_layout
 
 MAX_SEED = 2**64
@@ -629,13 +629,8 @@ class _Chain:
         nxt = self.next
         off = self.after.get(key)
         if off is None:
-            decision = _counts(self.policy.label, self.policy.decide(x))
-            if decision.shape != (len(graph.edges),):
-                raise ValueError(
-                    f"matching vector must have one entry per edge "
-                    f"({len(graph.edges)}), got shape {decision.shape}"
-                )
-            u = decision.tolist()
+            decision = self.policy.decide(x)
+            u = _decision(self.policy.label, decision, len(graph.edges)).tolist()
             y = list(x)
             for e, (ei, ej) in enumerate(graph.edge_index):
                 y[ei] -= u[e]

@@ -56,20 +56,44 @@ MAX_ITERS = 100_000
 MPI_SWEEPS = 100
 
 
-def _sector(graph: MatchingGraph, side: int, one_at_side: bool = False) -> np.ndarray:
-    """Balanced vectors in [0, side]^nodes as rows, lexicographically ordered.
+def _signed(top: int, floor=np.int8) -> np.dtype:
+    """The narrowest signed integer dtype, no narrower than ``floor``, that
+    holds every integer in [0, top]."""
+    return np.promote_types(floor, np.min_scalar_type(-top - 1))
+
+
+def _sector(
+    graph: MatchingGraph, side: int, one_at_side: bool = False, by_level: bool = False
+) -> np.ndarray:
+    """Balanced vectors in [0, side]^nodes as rows, in the narrowest signed
+    dtype that holds ``side``: in lexicographic order, or with ``by_level``
+    sorted by level (the demand total) and lexicographically within a level.
 
     With ``one_at_side``, only vectors with at most one coordinate equal to
-    ``side`` on each side of the graph are kept.
+    ``side`` on each side of the graph are kept.  Each demand row is paired
+    with the supply rows of its level, one level at a time.
     """
+    dtype = _signed(side)
 
     def grid(n: int) -> np.ndarray:
-        rows = np.indices((side + 1,) * n).reshape(n, -1).T
+        rows = np.indices((side + 1,) * n, dtype=dtype).reshape(n, -1).T
         return rows[(rows == side).sum(axis=1) <= 1] if one_at_side else rows
 
     demand, supply = grid(graph.n_d), grid(graph.n_s)
-    d_rows, s_rows = np.nonzero(demand.sum(axis=1)[:, None] == supply.sum(axis=1))
-    return np.hstack([demand[d_rows], supply[s_rows]])
+    d_level, s_level = demand.sum(axis=1), supply.sum(axis=1)
+    if by_level:
+        order = np.argsort(d_level, kind="stable")
+        demand, d_level = demand[order], d_level[order]
+    per_level = np.bincount(s_level, minlength=d_level.max() + 1)
+    width = per_level[d_level]
+    start = np.cumsum(width) - width
+    out = np.empty((int(width.sum()), graph.n_nodes), dtype=dtype)
+    for level, count in enumerate(per_level.tolist()):
+        d = np.flatnonzero(d_level == level)
+        at = (start[d, None] + np.arange(count)).ravel()
+        out[at, : graph.n_d] = np.repeat(demand[d], count, axis=0)
+        out[at, graph.n_d :] = np.tile(supply[s_level == level], (len(d), 1))
+    return out
 
 
 def _rows(codes: np.ndarray, shape: tuple[int, ...], vectors) -> np.ndarray:
@@ -99,17 +123,25 @@ class BackupIndex(NamedTuple):
     """Index arrays of the optimality operator on the extended sector.
 
     Extended rows are the balanced vectors in [0, cap + 1]^nodes with at
-    most one coordinate at cap + 1 on each side, sorted by level, followed
-    by one sentinel row that always reads +inf.  They are closed under
-    removing a matched pair, and they hold every post-arrival vector.
+    most one coordinate at cap + 1 on each side, sorted by level and
+    lexicographically within a level, followed by one sentinel row that
+    always reads +inf.  They are closed under removing a matched pair, and
+    they hold every post-arrival vector.
 
-    - ``extended``: the vectors of the extended rows, without the sentinel.
+    - ``extended``: the vectors of the extended rows, without the sentinel,
+      in the narrowest signed dtype that holds cap + 1 (int8 up to cap 126).
     - ``read``: per extended row, the state row of its clip at the cap, or
-      ``len(balanced_states)`` (a +inf read) when the clip is unbalanced.
+      ``len(balanced_states)`` (a +inf read) when the clip is unbalanced;
+      intp.
     - ``pred``: per extended row and edge, the row one matched pair lower,
-      or the sentinel row when the edge has no item at one endpoint.
+      or the sentinel row when the edge has no item at one endpoint; int32
+      while the sentinel row's number fits, else int64.
     - ``levels``: (start, stop) of the rows of levels 1, 2, ... in turn.
-    - ``post``: per state row and atom, the row of the post-arrival vector.
+    - ``post``: per state row and atom, the row of the post-arrival vector;
+      intp.
+
+    ``read`` and ``post`` stay intp because every backup and every sweep
+    gathers through them.
     """
 
     extended: np.ndarray
@@ -155,7 +187,7 @@ class TruncatedStateSpace:
     @cached_property
     def balanced_states(self) -> np.ndarray:
         """Balanced vectors as rows, lexicographically ordered."""
-        states = _sector(self.graph, self.cap)
+        states = _sector(self.graph, self.cap).astype(np.int64)
         states.setflags(write=False)
         return states
 
@@ -208,37 +240,58 @@ class TruncatedStateSpace:
 
     @cached_property
     def backup_index(self) -> BackupIndex:
-        """Index arrays of :func:`bellman_backup`, built on its first call."""
-        graph, n_d = self.graph, self.graph.n_d
-        ext = _sector(graph, self.cap + 1, one_at_side=True)
+        """Index arrays of :func:`bellman_backup`, built on its first call.
+
+        A row's ravel code in the box [0, cap + 1]^nodes moves by a fixed
+        offset when a matched pair or an arrival is removed or added, and
+        the codes of one level ascend.  So each lookup adds that offset to
+        the codes of a block of rows and searches the sorted codes of the
+        level it lands on: the level below for ``pred``, the level above
+        for ``post``, and the states for ``read``.
+        """
+        graph, n_d, states = self.graph, self.graph.n_d, self.balanced_states
+        ext = _sector(graph, self.cap + 1, one_at_side=True, by_level=True)
         ext_shape = (self.cap + 2,) * graph.n_nodes
-        ext_codes = np.ravel_multi_index(ext.T, ext_shape)
+        codes = np.ravel_multi_index(ext.T, ext_shape)
+        state_codes = np.ravel_multi_index(states.T, ext_shape)
+        stride = (self.cap + 2) ** np.arange(graph.n_nodes - 1, -1, -1)
+        ends = np.array(graph.edge_index) + (0, n_d)  # the two nodes of each edge
+        edge_offset = stride[ends].sum(axis=1)
+        atom_offset = stride[np.array(graph.arrival_atoms) + (0, n_d)].sum(axis=1)
         level = ext[:, :n_d].sum(axis=1)
-        order = np.argsort(level, kind="stable")
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        ext, level = ext[order], level[order]
+        starts = np.searchsorted(level, np.arange(level[-1] + 2))
 
-        def ext_rows(vectors: np.ndarray) -> np.ndarray:
-            return rank[_rows(ext_codes, ext_shape, vectors)]
+        def find(at: int, want: np.ndarray) -> np.ndarray:
+            """Rows of the extended vectors of level ``at`` with codes ``want``."""
+            lo, hi = starts[at], starts[at + 1]
+            return lo + np.searchsorted(codes[lo:hi], want)
 
-        clipped = np.minimum(ext, self.cap)
-        is_state = clipped[:, :n_d].sum(axis=1) == clipped[:, n_d:].sum(axis=1)
-        read = np.full(len(ext) + 1, len(self.balanced_states))
-        read[:-1][is_state] = self.rows(clipped[is_state])
-        pred = np.full((len(ext), len(graph.edges)), len(ext))
-        for e, (i, j) in enumerate(graph.edge_index):
-            has = (ext[:, i] > 0) & (ext[:, n_d + j] > 0)
-            pred[has, e] = ext_rows(ext[has] - arrival_vector(graph, i, j))
-        starts = np.searchsorted(level, np.arange(1, level[-1] + 2)).tolist()
-        post = np.stack(
-            [
-                ext_rows(self.balanced_states + arrival_vector(graph, i, j))
-                for i, j in graph.arrival_atoms
-            ],
-            axis=1,
+        read = np.full(len(ext) + 1, len(states), dtype=np.intp)
+        pred = np.full(
+            (len(ext), len(graph.edges)), len(ext), dtype=_signed(len(ext), np.int32)
         )
-        levels = tuple(zip(starts[:-1], starts[1:]))
+        for at in range(len(starts) - 1):
+            lo, hi = starts[at], starts[at + 1]
+            block, block_codes = ext[lo:hi], codes[lo:hi]
+            # The clip of a row is balanced when it reaches cap + 1 on both
+            # sides or on neither; it then drops one item from each such node.
+            over = block == self.cap + 1
+            keep = np.flatnonzero(over[:, :n_d].any(axis=1) == over[:, n_d:].any(axis=1))
+            read[lo + keep] = np.searchsorted(
+                state_codes, block_codes[keep] - over[keep] @ stride
+            )
+            if at == 0:
+                continue  # the zero vector has no matched pair to remove
+            row, edge = np.nonzero(np.all(block[:, ends] > 0, axis=2))
+            pred[lo + row, edge] = find(at - 1, block_codes[row] - edge_offset[edge])
+        post = np.empty((len(states), self.n_atoms), dtype=np.intp)
+        state_level = states[:, :n_d].sum(axis=1)
+        by_level = np.argsort(state_level, kind="stable")
+        bounds = np.searchsorted(state_level[by_level], np.arange(state_level.max() + 2))
+        for at in range(len(bounds) - 1):
+            rows = by_level[bounds[at] : bounds[at + 1]]
+            post[rows] = find(at + 1, state_codes[rows, None] + atom_offset)
+        levels = tuple(zip(starts[1:-1].tolist(), starts[2:].tolist()))
         return BackupIndex(ext, read, pred, levels, post)
 
 
@@ -276,12 +329,12 @@ class ValueFunction:
     ``data`` has shape ``(len(space.balanced_states), space.n_atoms)``:
     one row per balanced state in the order of ``space.balanced_states``,
     one column per arrival atom in ``graph.arrival_atoms`` order.
-    ``iterations`` counts the backups run; ``residual`` is the span
-    max - min of the last one's change Tv - v, below tolerance.  In
-    discounted mode ``data`` lies within theta / (1 - theta) * residual / 2
-    of the fixed point, and in average mode the gain lies between the min
-    and the max of that change.  The fixed-policy sweeps between
-    optimality backups are not counted.
+    ``iterations`` counts the backups run; ``low`` and ``high`` are the
+    min and the max of the last one's change Tv - v, and ``residual`` is
+    their span ``high - low``, below tolerance.  In discounted mode
+    ``data`` lies within theta / (1 - theta) * residual / 2 of the fixed
+    point, and in average mode the gain lies in [low, high].  The
+    fixed-policy sweeps between optimality backups are not counted.
     """
 
     space: TruncatedStateSpace
@@ -289,6 +342,8 @@ class ValueFunction:
     theta: float | None
     iterations: int
     residual: float
+    low: float
+    high: float
 
     def value(self, q, atom: tuple[int, int]) -> float:
         graph = self.space.graph
@@ -337,10 +392,27 @@ def _initial_table(space: TruncatedStateSpace, v0: np.ndarray | None) -> np.ndar
     table = _packed(space, v0, "v0")
     if not np.isfinite(table).all():
         raise ValueError(f"v0 must be finite, got {table[~np.isfinite(table)][0]}")
-    return table
+    return table.copy()  # a solve writes its tables in place
 
 
 # ---- greedy decisions ----
+
+
+def _jumps(space: TruncatedStateSpace, w: np.ndarray) -> np.ndarray:
+    """jump[k] per extended row for the expected-value vector w, in the
+    dtype of ``pred`` (see :func:`_greedy`)."""
+    _, read, pred, levels, _ = space.backup_index
+    tail = np.append(w, np.inf)[read]
+    jump = np.tile(np.arange(len(read), dtype=pred.dtype), (pred.shape[1], 1))
+    for k in range(pred.shape[1] - 1, -1, -1):
+        # In place, level by level: the rows below already hold tail[k].
+        for start, stop in levels:
+            below = pred[start:stop, k]
+            lower = tail[below]
+            step = lower < tail[start:stop]
+            np.copyto(tail[start:stop], lower, where=step)
+            np.copyto(jump[k, start:stop], jump[k, below], where=step)
+    return jump
 
 
 def _greedy(
@@ -359,23 +431,12 @@ def _greedy(
     tail[0](x), and edge k takes the number of levels the jump descends.
     The test is exact because a minimum returns one of its inputs.
     """
-    ext, read, pred, levels, _ = space.backup_index
-    n_edges = pred.shape[1]
-    tail = np.append(w, np.inf)[read]
-    jump = np.tile(np.arange(len(read)), (n_edges, 1))
-    for k in range(n_edges - 1, -1, -1):
-        tail = tail.copy()
-        for start, stop in levels:
-            below = pred[start:stop, k]
-            lower = tail[below]
-            step = lower < tail[start:stop]
-            np.copyto(tail[start:stop], lower, where=step)
-            np.copyto(jump[k, start:stop], jump[k, below], where=step)
-    level = ext[:, : space.graph.n_d].sum(axis=1)
+    jump = _jumps(space, w)
+    level = space.backup_index.extended[:, : space.graph.n_d].sum(axis=1)
     rows = np.asarray(ext_rows, dtype=np.int64)
-    u = np.empty((len(rows), n_edges), dtype=np.int64)
-    for k in range(n_edges):
-        end = jump[k, rows]
+    u = np.empty((len(rows), len(jump)), dtype=np.int64)
+    for k, to in enumerate(jump):
+        end = to[rows]
         u[:, k] = level[rows] - level[end]
         rows = end
     return u, rows
@@ -392,8 +453,11 @@ def _greedy_successors(
     Raises :class:`MatchDPError` naming the first state that, at some atom,
     has no matching whose clipped successor stays in the sector.
     """
-    ext, read, _, _, post = space.backup_index
-    _, end = _greedy(space, table @ probs, np.arange(len(ext)))
+    _, read, _, _, post = space.backup_index
+    jump = _jumps(space, table @ probs)
+    end = jump[0]
+    for to in jump[1:]:
+        end = to[end]
     succ = read[end][post]
     if succ.max() == len(space.balanced_states):
         # The +inf sentinel is the largest row, so argmax finds its first state.
@@ -485,7 +549,9 @@ def _iterate(
     """Run ``table = sweep_of(table)(table, theta)`` from v0 (zeros by
     default) until the span of the change Tv - v drops below tolerance;
     returns (gain, value function).  ``sweep_of`` returns a
-    :func:`_policy_sweep`.
+    :func:`_policy_sweep`.  The iterates live in two tables allocated once
+    per solve and swapped after each backup, and Tv - v in a third; a
+    caller's v0 is copied, never written.
 
     ``mode="discounted"`` sweeps with ``config.theta`` (0 <= theta < 1).
     The fixed point lies between Tv + theta / (1 - theta) * min(Tv - v)
@@ -514,11 +580,12 @@ def _iterate(
         raise ValueError(f"discounted mode needs 0 <= theta < 1, got {theta}")
     tol = config.resolved_tol(mode)
     table = _initial_table(space, v0)
+    new, diff = np.empty_like(table), np.empty_like(table)
     gain, residual = None, np.inf
     for n in range(1, config.max_iters + 1):
         sweep = sweep_of(table)
-        new = sweep(table, theta)
-        diff = new - table
+        sweep(table, theta, out=new)
+        np.subtract(new, table, out=diff)
         low, high = float(diff.min()), float(diff.max())
         residual = high - low
         if not discounted:
@@ -527,13 +594,13 @@ def _iterate(
         if residual < tol:
             if discounted:
                 new += theta / (1 - theta) * (low + high) / 2
-            vf = ValueFunction(space, new, theta if discounted else None, n, residual)
-            return gain, vf
+            theta_out = theta if discounted else None
+            return gain, ValueFunction(space, new, theta_out, n, residual, low, high)
         for _ in range(policy_sweeps):
             sweep(new, theta, out=new)
             if not discounted:
                 new -= new[0, 0]
-        table = new
+        table, new = new, table
     raise NoConvergence(
         f"{solver} did not reach span tol={tol:g} within {config.max_iters} "
         f"backups (last span {residual:g})",
@@ -641,7 +708,7 @@ def _sector_successors(space: TruncatedStateSpace, policy: Policy) -> np.ndarray
     n_d = space.graph.n_d
     ext, _, _, _, post = space.backup_index
     rows = _distinct(post, len(ext))
-    xs = ext[rows]
+    xs = ext[rows].astype(np.int64)
     u, y, inadmissible = read_decisions(policy, xs)
     bad = np.flatnonzero(inadmissible)
     if len(bad):

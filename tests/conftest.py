@@ -81,6 +81,22 @@ def make_long_acyclic() -> MatchingGraph:
     )
 
 
+def make_fork() -> MatchingGraph:
+    """A tree whose node d1 has degree three, so that an extreme edge
+    (d1, s1) has two neighbors and ties between them are possible."""
+    return MatchingGraph(
+        demand_nodes=("d1", "d2"),
+        supply_nodes=("s1", "s2", "s3"),
+        edges=(("d1", "s1"), ("d1", "s2"), ("d1", "s3"), ("d2", "s3")),
+    )
+
+
+def make_one_edge() -> MatchingGraph:
+    return MatchingGraph(
+        demand_nodes=("d1",), supply_nodes=("s1",), edges=(("d1", "s1"),)
+    )
+
+
 class Fractional(Policy):
     """On the N graph, both priority edges saturated plus 0.9 on (d1, s1):
     an int64 cast would truncate every decision to an admissible one."""
@@ -89,6 +105,29 @@ class Fractional(Policy):
 
     def decide(self, x):
         return np.array([min(x[0], x[2]) + 0.9, 0, min(x[1], x[3])])
+
+
+class ZeroOfLength(Policy):
+    """Matches nothing, with a decision of ``length(x)`` zero counts."""
+
+    label = "ZeroOfLength"
+
+    def __init__(self, graph: MatchingGraph, length):
+        super().__init__(graph)
+        self.length = length
+
+    def decide(self, x):
+        return np.zeros(self.length(x), dtype=np.int64)
+
+
+# Decision lengths on the N graph (3 edges), and the wrong length that the
+# readers report: too long, too short, and a mix of the right length (at
+# x with no d1 item) and one entry short.
+WRONG_LENGTHS = [
+    pytest.param(lambda x: 4, 4, id="long"),
+    pytest.param(lambda x: 1, 1, id="short"),
+    pytest.param(lambda x: 3 if x[0] == 0 else 2, 2, id="mixed"),
+]
 
 
 def unit_costs(graph: MatchingGraph) -> CostVector:

@@ -46,7 +46,14 @@ from matchdp.solver import (
     _post_arrival_costs,
     extract_policy,
 )
-from matchdp.states import ACTION_BUDGET, is_admissible, n_layout, node_usage, w_layout
+from matchdp.states import (
+    ACTION_BUDGET,
+    arrival_vector,
+    is_admissible,
+    n_layout,
+    node_usage,
+    w_layout,
+)
 from matchdp.structure import MAX_WITNESSES, PROPERTY_TOL, PropertyReport, ShapeReport
 
 EXTRACT_GRID_LIMIT = 2_000_000
@@ -247,6 +254,66 @@ def _argmin_decision(
     return grid[best]
 
 
+# ---- the backup index from whole vectors ----
+
+
+def _reference_sector(graph: MatchingGraph, side: int, one_at_side: bool) -> np.ndarray:
+    """Balanced vectors in [0, side]^nodes, lexicographically, from the
+    (demand rows x supply rows) table of equal totals."""
+
+    def grid(n: int) -> np.ndarray:
+        rows = np.indices((side + 1,) * n).reshape(n, -1).T
+        return rows[(rows == side).sum(axis=1) <= 1] if one_at_side else rows
+
+    demand, supply = grid(graph.n_d), grid(graph.n_s)
+    d_rows, s_rows = np.nonzero(demand.sum(axis=1)[:, None] == supply.sum(axis=1))
+    return np.hstack([demand[d_rows], supply[s_rows]])
+
+
+def _reference_rows(codes: np.ndarray, shape: tuple[int, ...], vectors) -> np.ndarray:
+    vectors = np.asarray(vectors, dtype=np.int64).reshape(-1, len(shape))
+    want = np.ravel_multi_index(vectors.T, shape)
+    pos = np.searchsorted(codes, want)
+    assert np.all(codes[np.minimum(pos, len(codes) - 1)] == want)
+    return pos
+
+
+def reference_backup_index(space: TruncatedStateSpace) -> tuple:
+    """The five fields of ``space.backup_index`` in int64, built by
+    subtracting and adding whole vectors and looking each result up by its
+    ravel code in the lexicographic extended sector."""
+    graph, n_d, cap = space.graph, space.graph.n_d, space.cap
+    ext = _reference_sector(graph, cap + 1, one_at_side=True)
+    ext_shape = (cap + 2,) * graph.n_nodes
+    ext_codes = np.ravel_multi_index(ext.T, ext_shape)
+    level = ext[:, :n_d].sum(axis=1)
+    order = np.argsort(level, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    ext, level = ext[order], level[order]
+
+    def ext_rows(vectors: np.ndarray) -> np.ndarray:
+        return rank[_reference_rows(ext_codes, ext_shape, vectors)]
+
+    states = space.balanced_states
+    state_codes = np.ravel_multi_index(states.T, space.shape)
+    clipped = np.minimum(ext, cap)
+    is_state = clipped[:, :n_d].sum(axis=1) == clipped[:, n_d:].sum(axis=1)
+    read = np.full(len(ext) + 1, len(states))
+    read[:-1][is_state] = _reference_rows(state_codes, space.shape, clipped[is_state])
+    pred = np.full((len(ext), len(graph.edges)), len(ext))
+    for e, (i, j) in enumerate(graph.edge_index):
+        has = (ext[:, i] > 0) & (ext[:, n_d + j] > 0)
+        pred[has, e] = ext_rows(ext[has] - arrival_vector(graph, i, j))
+    starts = np.searchsorted(level, np.arange(1, level[-1] + 2)).tolist()
+    post = np.stack(
+        [ext_rows(states + arrival_vector(graph, i, j)) for i, j in graph.arrival_atoms],
+        axis=1,
+    )
+    levels = tuple(zip(starts[:-1], starts[1:]))
+    return ext, read, pred, levels, post
+
+
 # ---- plain value iteration ----
 
 
@@ -309,7 +376,8 @@ def _reference_iterate(
         if residual < tol:
             if discounted:
                 table = table + theta / (1 - theta) * (low + high) / 2
-            vf = ValueFunction(space, table, theta if discounted else None, n, residual)
+            theta_out = theta if discounted else None
+            vf = ValueFunction(space, table, theta_out, n, residual, low, high)
             return gain, vf
     raise NoConvergence(
         f"reference iteration did not reach tol={tol:g}",

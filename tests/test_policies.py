@@ -495,6 +495,20 @@ def test_read_decisions_rejects_fractional_counts(n_graph):
         read_decisions(Fractional(n_graph), xs)
 
 
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        pytest.param((1.9, 0, 1, 0), "must be integers", id="float"),
+        pytest.param(("1", 0, 1, 0), "must be integers", id="string"),
+        pytest.param((1, -1, 1, 0), "must be nonnegative", id="negative"),
+        pytest.param((1, 0, 1), "must have length 4", id="short"),
+    ],
+)
+def test_tabular_rejects_keys_that_are_not_vectors_of_counts(n_graph, key, message):
+    with pytest.raises(ValueError, match=message):
+        Tabular(n_graph, {key: [1, 0, 0]})
+
+
 def test_tabular_rejects_fractional_stored_counts(n_graph):
     x = (1, 0, 1, 0)
     with pytest.raises(ValueError, match=r"not integers: \[1\.9, 0\.0, 0\.0\]"):

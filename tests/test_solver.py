@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from matchdp.graphs import ArrivalDistribution, CostVector, MatchingGraph, load_
 from matchdp.nshaped import NModelParams, average_cost, optimal_threshold
 from matchdp.policies import FullMatch, Policy, ThresholdN, ThresholdW
 from matchdp.solver import (
+    BackupIndex,
     DPConfig,
     TruncatedStateSpace,
     _greedy,
@@ -23,6 +25,7 @@ from matchdp.solver import (
     _policy_sweep,
     _post_arrival_costs,
     _sector_successors,
+    _signed,
     bellman_backup,
     evaluate_policy,
     extract_policy,
@@ -32,11 +35,16 @@ from matchdp.solver import (
 from matchdp.structure import check_increasing
 
 from conftest import (
+    WRONG_LENGTHS,
     Fractional,
+    ZeroOfLength,
     make_cmo33,
     make_complete22,
+    make_fork,
+    make_long_acyclic,
     make_n_graph,
     make_nn_graph,
+    make_one_edge,
     make_path23,
     make_w_graph,
     unit_costs,
@@ -48,6 +56,7 @@ from oracles import (
     dense_backup,
     dense_policy_backup,
     dense_zero,
+    reference_backup_index,
     reference_relative_value_iteration,
     reference_sector_min,
     reference_value_iteration,
@@ -182,6 +191,52 @@ class TestTruncatedStateSpace:
                     todo.append(tuple(y))
         extended = TruncatedStateSpace(graph, cap=cap).backup_index.extended
         assert sorted(map(tuple, extended.tolist())) == sorted(closure)
+
+    @pytest.mark.parametrize(
+        "maker, cap",
+        [
+            pytest.param(make_n_graph, 6, id="N"),
+            pytest.param(make_w_graph, 4, id="W"),
+            pytest.param(make_nn_graph, 3, id="NN"),
+            pytest.param(make_path23, 4, id="path23"),
+            pytest.param(make_fork, 4, id="fork"),
+            pytest.param(make_complete22, 5, id="K22"),
+            pytest.param(make_one_edge, 4, id="one-edge"),
+            pytest.param(make_long_acyclic, 1, id="chain-cap1"),
+            pytest.param(make_long_acyclic, 2, id="chain-cap2"),
+        ],
+    )
+    def test_backup_index_matches_whole_vector_construction(self, maker, cap):
+        space = TruncatedStateSpace(maker(), cap=cap, margin=1)
+        index = space.backup_index
+        expected = reference_backup_index(space)
+        for name, got, want in zip(BackupIndex._fields, index, expected):
+            if name == "levels":
+                assert got == want
+            else:
+                assert np.array_equal(got, want), name
+        assert space.balanced_states.dtype == np.int64
+        assert index.extended.dtype == np.int8
+        assert index.pred.dtype == np.int32
+        assert index.read.dtype == index.post.dtype == np.intp
+
+    def test_index_dtypes_follow_the_largest_value(self):
+        assert _signed(127) == np.int8
+        assert _signed(128) == np.int16
+        assert _signed(2**31 - 1, np.int32) == np.int32
+        assert _signed(2**31, np.int32) == np.int64
+
+    def test_chain_index_build_stays_small(self):
+        # Built from whole int64 vectors, this index peaked at 70.9 MB.
+        space = TruncatedStateSpace(make_long_acyclic(), cap=2)
+        space.balanced_states
+        tracemalloc.start()
+        try:
+            space.backup_index
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 35e6
 
 
 class TestBackupKernel:
@@ -371,6 +426,26 @@ class TestValueIteration:
             )
         assert err.value.iterations == 2
         assert err.value.residual > 0
+
+    def test_start_table_is_not_written(self, n_graph, n_arrivals):
+        space = TruncatedStateSpace(n_graph, cap=4)
+        rng = np.random.default_rng(3)
+        start = rng.standard_normal((len(space.balanced_states), space.n_atoms))
+        before = start.copy()
+        costs = unit_costs(n_graph)
+        value_iteration(space, costs, n_arrivals, v0=start, extract=False)
+        relative_value_iteration(space, costs, n_arrivals, v0=start, extract=False)
+        assert np.array_equal(start, before)
+
+    def test_value_function_carries_the_bounds_of_the_last_change(self):
+        graph, arrivals, costs = load_graph(RECIPES["n-threshold"]["graph"])
+        space = TruncatedStateSpace(graph, cap=12, margin=4)
+        gain, vf, _ = relative_value_iteration(space, costs, arrivals, extract=False)
+        assert vf.high - vf.low == vf.residual
+        assert vf.low <= gain <= vf.high
+        vf, _ = value_iteration(space, costs, arrivals, extract=False)
+        assert vf.high - vf.low == vf.residual
+        assert vf.low <= vf.high
 
     def test_n_recipe_near_theta_one_takes_few_backups(self):
         # The sup norm of the change shrinks like theta per backup and took
@@ -665,6 +740,17 @@ class TestPolicyEvaluation:
             evaluate_policy(
                 space, Fractional(n_graph), unit_costs(n_graph), n_arrivals, mode=mode
             )
+
+    @pytest.mark.parametrize("length, wrong", WRONG_LENGTHS)
+    def test_decision_of_the_wrong_length_is_rejected(
+        self, n_graph, n_arrivals, length, wrong
+    ):
+        space = TruncatedStateSpace(n_graph, cap=8)
+        policy = ZeroOfLength(n_graph, length)
+        with pytest.raises(
+            ValueError, match=rf"one entry per edge \(3\), got shape \({wrong},\)"
+        ):
+            evaluate_policy(space, policy, unit_costs(n_graph), n_arrivals)
 
     def test_rejects_unknown_mode(self, n_graph, n_arrivals):
         space = TruncatedStateSpace(n_graph, cap=3)

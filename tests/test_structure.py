@@ -42,10 +42,14 @@ from matchdp.structure import (
 )
 
 from conftest import (
+    WRONG_LENGTHS,
     Fractional,
+    ZeroOfLength,
     make_complete22,
+    make_fork,
     make_n_graph,
     make_nn_graph,
+    make_one_edge,
     make_path23,
     make_w_graph,
     unit_costs,
@@ -628,6 +632,15 @@ class TestVerifyPolicyShape:
         with pytest.raises(ValueError, match="Fractional returned match counts"):
             verify_policy_shape(space, Fractional(space.graph), "priority_extreme")
 
+    @pytest.mark.parametrize("length, wrong", WRONG_LENGTHS)
+    def test_decision_of_the_wrong_length_is_rejected(self, length, wrong):
+        space = TruncatedStateSpace(make_n_graph(), cap=8, margin=2)
+        policy = ZeroOfLength(space.graph, length)
+        with pytest.raises(
+            ValueError, match=rf"one entry per edge \(3\), got shape \({wrong},\)"
+        ):
+            verify_policy_shape(space, policy, "priority_extreme")
+
     def test_average_cost_extraction_matches_closed_form_threshold(self):
         graph = make_n_graph()
         params = NModelParams(alpha=0.65, beta=0.35, costs=(1.0, 6.0, 5.0, 2.0))
@@ -705,22 +718,6 @@ CHECKS = {
 }
 
 
-def _one_edge_graph() -> MatchingGraph:
-    return MatchingGraph(
-        demand_nodes=("d1",), supply_nodes=("s1",), edges=(("d1", "s1"),)
-    )
-
-
-def _fork_graph() -> MatchingGraph:
-    """A tree whose node d1 has degree three, so that an extreme edge
-    (d1, s1) has two neighbors and ties between them are possible."""
-    return MatchingGraph(
-        demand_nodes=("d1", "d2"),
-        supply_nodes=("s1", "s2", "s3"),
-        edges=(("d1", "s1"), ("d1", "s2"), ("d1", "s3"), ("d2", "s3")),
-    )
-
-
 @pytest.mark.parametrize(
     "make_graph, cap, margin",
     [
@@ -729,8 +726,8 @@ def _fork_graph() -> MatchingGraph:
         pytest.param(make_w_graph, 5, 2, id="W-cap5"),
         pytest.param(make_nn_graph, 3, 1, id="NN-cap3"),
         pytest.param(make_path23, 4, 1, id="path23-cap4"),
-        pytest.param(_fork_graph, 4, 1, id="fork-cap4"),
-        pytest.param(_one_edge_graph, 4, 1, id="one-edge"),
+        pytest.param(make_fork, 4, 1, id="fork-cap4"),
+        pytest.param(make_one_edge, 4, 1, id="one-edge"),
     ],
 )
 def test_property_checks_match_loop_oracle(make_graph, cap, margin):
