@@ -289,8 +289,8 @@ class StabilityViolation:
 class StabilityReport:
     """Outcome of the strict subset drift test.
 
-    ``exhaustive`` is False when subsets were sampled instead of enumerated;
-    a sampled report can prove instability but can only suggest stability.
+    Every proper nonempty subset is enumerated, so ``exhaustive`` is always
+    True; it stays in the report and its record.
     """
 
     stable: bool
@@ -350,60 +350,16 @@ def _side_violations(
     return records, int(bad.size), int(masks.size)
 
 
-def _sampled_side_violations(
-    side: str,
-    labels: tuple[str, ...],
-    weights: np.ndarray,
-    neighbor_bits: list[int],
-    other_weights: np.ndarray,
-    sample: int,
-    rng: np.random.Generator,
-) -> tuple[list[StabilityViolation], int, int]:
-    n = len(labels)
-    records: list[StabilityViolation] = []
-    count = 0
-    checked = 0
-    for _ in range(sample):
-        pick = rng.random(n) < 0.5
-        if not pick.any() or pick.all():
-            continue
-        checked += 1
-        mass = float(weights[pick].sum())
-        union = 0
-        for k in np.nonzero(pick)[0]:
-            union |= neighbor_bits[int(k)]
-        nbr_mass = float(
-            sum(other_weights[j] for j in range(len(other_weights)) if union >> j & 1)
-        )
-        if mass >= nbr_mass:
-            count += 1
-            if len(records) < StabilityReport.MAX_RECORDED:
-                records.append(
-                    StabilityViolation(
-                        side=side,
-                        nodes=_mask_nodes(
-                            int(sum(1 << k for k in np.nonzero(pick)[0])), labels
-                        ),
-                        mass=mass,
-                        neighbor_mass=nbr_mass,
-                    )
-                )
-    return records, count, checked
-
-
 def check_stability(
     graph: MatchingGraph,
     arrivals: ArrivalDistribution,
-    *,
-    sample: int | None = None,
-    seed: int = 0,
 ) -> StabilityReport:
     """Test the strict drift condition over proper nonempty node subsets.
 
     Every proper nonempty demand subset must carry strictly less arrival
     mass than its supply neighborhood, and symmetrically for supply
-    subsets.  Graphs with more than 24 nodes are refused unless ``sample``
-    asks for Monte Carlo subset sampling instead (seeded, reproducible).
+    subsets.  Graphs with more than 24 nodes raise
+    :class:`~matchdp.errors.SubsetExplosion`.
     """
     if len(arrivals.alpha) != graph.n_d or len(arrivals.beta) != graph.n_s:
         raise ValueError("arrival vectors do not match the graph dimensions")
@@ -413,37 +369,23 @@ def check_stability(
     s_bits = [
         sum(1 << i for i in graph.demand_neighbors[j]) for j in range(graph.n_s)
     ]
-    if graph.n_nodes <= SUBSET_NODE_CAP:
-        rec_d, n_d_bad, checked_d = _side_violations(
-            "demand", graph.demand_nodes, arrivals.alpha, d_bits, arrivals.beta
-        )
-        rec_s, n_s_bad, checked_s = _side_violations(
-            "supply", graph.supply_nodes, arrivals.beta, s_bits, arrivals.alpha
-        )
-        exhaustive = True
-    elif sample is not None:
-        rng = np.random.default_rng(seed)
-        rec_d, n_d_bad, checked_d = _sampled_side_violations(
-            "demand", graph.demand_nodes, arrivals.alpha, d_bits, arrivals.beta,
-            sample, rng,
-        )
-        rec_s, n_s_bad, checked_s = _sampled_side_violations(
-            "supply", graph.supply_nodes, arrivals.beta, s_bits, arrivals.alpha,
-            sample, rng,
-        )
-        exhaustive = False
-    else:
+    if graph.n_nodes > SUBSET_NODE_CAP:
         raise SubsetExplosion(
-            f"{graph.n_nodes} nodes exceed the exhaustive subset cap of "
-            f"{SUBSET_NODE_CAP}; pass sample= to use Monte Carlo subsets"
+            f"{graph.n_nodes} nodes exceed the exhaustive subset cap of {SUBSET_NODE_CAP}"
         )
+    rec_d, n_d_bad, checked_d = _side_violations(
+        "demand", graph.demand_nodes, arrivals.alpha, d_bits, arrivals.beta
+    )
+    rec_s, n_s_bad, checked_s = _side_violations(
+        "supply", graph.supply_nodes, arrivals.beta, s_bits, arrivals.alpha
+    )
     total = n_d_bad + n_s_bad
     records = tuple((rec_d + rec_s)[: StabilityReport.MAX_RECORDED])
     return StabilityReport(
         stable=total == 0,
         violations=records,
         violation_count=total,
-        exhaustive=exhaustive,
+        exhaustive=True,
         subsets_checked=checked_d + checked_s,
     )
 

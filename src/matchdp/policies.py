@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
+from functools import cached_property
 
 import numpy as np
 
@@ -101,9 +102,19 @@ class Policy:
         simulator for the length of a :func:`~matchdp.simulate.simulate`
         or ``compare`` call (until a full transition table restarts),
         ``evaluate_policy`` on every post-arrival vector of the space and
-        ``verify_policy_shape`` on the interior ones.
+        ``verify_policy_shape`` on the interior ones.  Those two read a
+        :class:`Tabular` from its decision block without calling ``decide``.
         """
         raise NotImplementedError
+
+    def _decide_rows(self, xs: np.ndarray) -> np.ndarray:
+        """Decisions at the rows of ``xs`` as one (rows x edges) block:
+        ``decide`` once per row, each decision checked by :func:`_decision`."""
+        n_edges = len(self._ends)
+        u = np.empty((len(xs), n_edges), dtype=np.int64)
+        for row, x in zip(u, xs):
+            row[:] = _decision(self.label, self.decide(x), n_edges)
+        return u
 
     def spec_dict(self) -> dict:
         return {
@@ -154,17 +165,15 @@ def read_decisions(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decisions of a policy on a block of post-arrival vectors.
 
-    Calls ``decide`` once per row of ``xs``, checks each decision as it
+    Calls ``decide`` once per row of ``xs`` (a :class:`Tabular` gathers its
+    stored rows from its block instead), checks each decision as it
     arrives and writes it into one block, and returns the counts u (one
     row per vector, one column per edge), the residuals ``xs - usage(u)``,
     and the mask of inadmissible rows: a negative count or a negative
     residual.  A decision of the wrong shape or with non-integer counts
     raises ValueError.
     """
-    n_edges = len(policy.graph.edges)
-    u = np.empty((len(xs), n_edges), dtype=np.int64)
-    for row, x in zip(u, xs):
-        row[:] = _decision(policy.label, policy.decide(x), n_edges)
+    u = policy._decide_rows(xs)
     residual = xs - node_usage(policy.graph, u)
     return u, residual, np.any(u < 0, axis=1) | np.any(residual < 0, axis=1)
 
@@ -604,15 +613,20 @@ class AcyclicHeuristic(Policy):
 
 
 class Tabular(Policy):
-    """Dictionary policy keyed by the post-arrival vector.
+    """Table policy keyed by the post-arrival vector.
 
     The optimal matching of a Bellman backup depends on the state only
-    through x = q + a, so solver extractions store decisions per x.  States
-    missing from the table go to the fallback policy when one is given;
-    without one they raise :class:`MissingDecision`, which names x.  Keys
-    follow the rule of :func:`~matchdp.states._int_list`: a key with a
-    non-integer or negative entry, or of the wrong length, raises
-    ValueError instead of being truncated.
+    through x = q + a, so solver extractions store decisions per x.  They
+    are held as the ascending ravel codes of the keys in the box [0, largest
+    entry] per coordinate and one (keys x edges) int64 block in the same
+    order; ``table`` is a read-only view of them in key order.  Evaluation
+    and the shape checks gather from the block without calling ``decide``.
+    States missing from the table go to the fallback policy when one is
+    given; without one they raise :class:`MissingDecision`, which names x.
+    Keys follow the rule of :func:`~matchdp.states._int_list` and decisions
+    that of :func:`_decision`: a key or a decision they reject, a key box
+    too large for int64 codes, or a fallback bound to another graph raises
+    ValueError.
     """
 
     kind = "tabular"
@@ -625,30 +639,121 @@ class Tabular(Policy):
         fallback: Policy | None = None,
     ):
         super().__init__(graph)
-        self.table = {
-            tuple(_int_list(key, self._n)): _counts(self.label, u)
-            for key, u in table.items()
-        }
+        n_edges = len(self._ends)
+        try:
+            keys = np.array([_int_list(key, self._n) for key in table], dtype=np.int64)
+        except OverflowError:
+            raise ValueError("Tabular key box does not fit int64 ravel codes") from None
+        u = np.array([_decision(self.label, d, n_edges) for d in table.values()], dtype=np.int64)
+        self._store(keys.reshape(-1, self._n), u.reshape(-1, n_edges), fallback)
+
+    @classmethod
+    def from_block(
+        cls, graph: MatchingGraph, xs: np.ndarray, u: np.ndarray, fallback: Policy | None = None
+    ) -> Tabular:
+        """The table of decisions ``u[k]`` at distinct vectors ``xs[k]``; ``u``
+        is kept, not copied, when ``xs`` is ascending."""
+        self = cls.__new__(cls)
+        Policy.__init__(self, graph)
+        xs = np.asarray(xs)
+        if not self._counts_block(xs):
+            raise ValueError(f"keys must be rows of {self._n} nonnegative integers")
+        self._store(xs.astype(np.int64, copy=False), _counts(self.label, u), fallback)
+        return self
+
+    def _counts_block(self, xs: np.ndarray) -> bool:
+        """Whether ``xs`` is a block of rows of nonnegative integers, one per node."""
+        return xs.dtype.kind in "iu" and xs.shape[1:] == (self._n,) and not np.any(xs < 0)
+
+    def _store(self, keys: np.ndarray, u: np.ndarray, fallback: Policy | None) -> None:
+        if u.shape != (len(keys), len(self._ends)):
+            raise ValueError(f"decision block of shape {u.shape} does not match the keys")
+        self._shape = tuple(int(m) + 1 for m in keys.max(axis=0)) if len(keys) else (1,) * self._n
+        if math.prod(self._shape) > np.iinfo(np.int64).max:
+            raise ValueError(f"Tabular key box {self._shape} does not fit int64 ravel codes")
+        codes = np.ravel_multi_index(keys.T, self._shape)
+        if np.any(codes[1:] < codes[:-1]):
+            order = np.argsort(codes)
+            codes, u = codes[order], u[order]
+        if np.any(codes[1:] == codes[:-1]):
+            raise ValueError("Tabular keys must be distinct")
+        if fallback is not None:
+            _check_graph(fallback, self.graph)
+        self._codes, self._u = codes, u
         self.fallback = fallback
-        self.label = f"{self.label}[{len(self.table)} states]"
+        self.label = f"{self.label}[{len(codes)} states]"
+
+    @property
+    def table(self) -> Mapping[tuple[int, ...], np.ndarray]:
+        return _TableView(self)
+
+    @cached_property
+    def _rows(self) -> dict[tuple[int, ...], int]:
+        """Row of each key, built by the first lookup of one x (a tuple key
+        costs less per call than a ravel code computed in Python)."""
+        return {key: row for row, key in enumerate(self.table)}
 
     def decide(self, x: Sequence[int]) -> np.ndarray:
-        key = tuple(_int_list(x, self._n))
-        hit = self.table.get(key)
-        if hit is not None:
-            return hit.copy()
+        vec = _int_list(x, self._n)
+        row = self._rows.get(tuple(vec))
+        if row is not None:
+            return self._u[row].copy()
         if self.fallback is not None:
             return self.fallback.decide(x)
-        raise MissingDecision(
-            f"no stored decision for x={list(key)} and no fallback policy"
-        )
+        raise MissingDecision(f"no stored decision for x={vec} and no fallback policy")
+
+    def _decide_rows(self, xs: np.ndarray) -> np.ndarray:
+        """Stored rows gathered by one ``searchsorted``, the rest read by the
+        fallback; a block other than of nonnegative integer vectors is read
+        row by row, with those checks."""
+        xs = np.asarray(xs)
+        if not self._counts_block(xs):
+            return super()._decide_rows(xs)
+        want = np.ravel_multi_index(xs.T, self._shape, mode="clip")
+        pos = np.searchsorted(self._codes, want)
+        hit = np.all(xs < self._shape, axis=1) & (pos < len(self._codes))
+        hit[hit] = self._codes[pos[hit]] == want[hit]
+        u = np.empty((len(xs), len(self._ends)), dtype=np.int64)
+        u[hit] = self._u[pos[hit]]
+        missing = np.flatnonzero(~hit)
+        if len(missing) == 0:
+            return u
+        if self.fallback is None:
+            raise MissingDecision(
+                f"no stored decision for x={xs[missing[0]].tolist()} and no fallback policy"
+            )
+        u[missing] = self.fallback._decide_rows(xs[missing])
+        return u
 
     def spec_dict(self) -> dict:
         return {
             "type": self.kind,
-            "states": len(self.table),
+            "states": len(self._codes),
             "fallback": self.fallback.spec_dict() if self.fallback else None,
         }
+
+
+class _TableView(Mapping):
+    """A :class:`Tabular`'s decisions in key order; ``[x]`` is a copy."""
+
+    def __init__(self, policy: Tabular):
+        self._policy = policy
+
+    def __len__(self) -> int:
+        return len(self._policy._codes)
+
+    def __iter__(self):
+        keys = np.unravel_index(self._policy._codes, self._policy._shape)
+        return map(tuple, np.column_stack(keys).tolist())
+
+    def __getitem__(self, x) -> np.ndarray:
+        try:
+            row = self._policy._rows.get(tuple(_int_list(x, self._policy._n)))
+        except ValueError:
+            row = None
+        if row is None:
+            raise KeyError(x)
+        return self._policy._u[row].copy()
 
 
 # ---- JSON policy specs ----

@@ -480,8 +480,10 @@ def extract_policy(
     keyed by ``space.interior_post_arrivals``.  Interior x and all its
     successors stay inside [0, cap], and matching preserves balance, so
     every candidate read is a real state's value.  Each decision is the
-    lexicographically smallest minimizer of w(x - usage(u)).  A table of
-    another shape raises ValueError.
+    lexicographically smallest minimizer of w(x - usage(u)).  The decisions
+    stay one block, which :func:`evaluate_policy` and
+    :func:`~matchdp.structure.verify_policy_shape` read without calling
+    ``decide``.  A table of another shape raises ValueError.
     """
     table = _packed(space, table)
     ext, read, _, _, _ = space.backup_index
@@ -491,7 +493,7 @@ def extract_policy(
     ext_row = np.empty(len(space.balanced_states), dtype=np.int64)
     ext_row[read[inside]] = inside
     u, _ = _greedy(space, table @ arrivals.atom_probs(), ext_row[space.rows(xs)])
-    return Tabular(space.graph, dict(zip(map(tuple, xs.tolist()), u)))
+    return Tabular.from_block(space.graph, xs, u)
 
 
 # ---- optimality iterations ----

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
-from matchdp.graphs import ArrivalDistribution, CostVector, MatchingGraph
+from matchdp.cli import RECIPES
+from matchdp.graphs import ArrivalDistribution, CostVector, MatchingGraph, load_graph
 from matchdp.policies import Policy
+from matchdp.solver import TruncatedStateSpace, relative_value_iteration
 
 
 def make_n_graph() -> MatchingGraph:
@@ -128,6 +132,16 @@ WRONG_LENGTHS = [
     pytest.param(lambda x: 1, 1, id="short"),
     pytest.param(lambda x: 3 if x[0] == 0 else 2, 2, id="mixed"),
 ]
+
+
+@functools.cache
+def recipe_solve(recipe: str, cap: int, margin: int):
+    """(space, RVI value function, arrivals) on a recipe's graph, solved
+    once per test run."""
+    graph, arrivals, costs = load_graph(RECIPES[recipe]["graph"])
+    space = TruncatedStateSpace(graph, cap=cap, margin=margin)
+    _, vf, _ = relative_value_iteration(space, costs, arrivals, extract=False)
+    return space, vf, arrivals
 
 
 def unit_costs(graph: MatchingGraph) -> CostVector:

@@ -14,7 +14,13 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from matchdp.errors import ActionSpaceBudget, Inadmissible, NoConvergence, WrongGraphClass
+from matchdp.errors import (
+    ActionSpaceBudget,
+    Inadmissible,
+    MissingDecision,
+    NoConvergence,
+    WrongGraphClass,
+)
 from matchdp.graphs import (
     COMPLETE,
     N_SHAPED,
@@ -37,6 +43,7 @@ from matchdp.policies import (
     ThresholdN,
     ThresholdW,
     ThresholdWWorkload,
+    _decision,
 )
 from matchdp.simulate import SimConfig, SimResult, _aggregate
 from matchdp.solver import (
@@ -50,6 +57,7 @@ from matchdp.states import (
     ACTION_BUDGET,
     arrival_vector,
     is_admissible,
+    _int_list,
     n_layout,
     node_usage,
     w_layout,
@@ -654,6 +662,49 @@ def reference_decide(policy: Policy, x: Sequence[int]) -> np.ndarray:
         AcyclicHeuristic: _acyclic_heuristic,
     }
     return rules[type(policy)](policy, vec)
+
+
+# ---- table policies, one dict entry per decision ----
+
+
+class ReferenceTabular(Policy):
+    """The dict-backed table policy: one tuple key and one int64 array per
+    decision, checked by ``_decision`` when stored.  Labels, lookups and
+    errors are those of :class:`~matchdp.policies.Tabular`."""
+
+    label = "Tabular"
+
+    def __init__(self, graph: MatchingGraph, table, fallback: Policy | None = None):
+        super().__init__(graph)
+        self.table = {
+            tuple(_int_list(key, self._n)): _decision(self.label, u, len(graph.edges))
+            for key, u in table.items()
+        }
+        self.fallback = fallback
+        self.label = f"{self.label}[{len(self.table)} states]"
+
+    def decide(self, x: Sequence[int]) -> np.ndarray:
+        key = tuple(_int_list(x, self._n))
+        hit = self.table.get(key)
+        if hit is not None:
+            return hit.copy()
+        if self.fallback is not None:
+            return self.fallback.decide(x)
+        raise MissingDecision(f"no stored decision for x={list(key)} and no fallback policy")
+
+
+def reference_read_decisions(
+    policy: Policy, xs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``read_decisions`` one row at a time: ``decide`` once per row of
+    ``xs``, each decision checked as it arrives, then the residuals and the
+    inadmissible mask."""
+    n_edges = len(policy.graph.edges)
+    u = np.empty((len(xs), n_edges), dtype=np.int64)
+    for row, x in zip(u, xs):
+        row[:] = _decision(policy.label, policy.decide(x), n_edges)
+    residual = xs - node_usage(policy.graph, u)
+    return u, residual, np.any(u < 0, axis=1) | np.any(residual < 0, axis=1)
 
 
 # ---- policy shape verification, one x at a time ----

@@ -10,8 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchdp.errors import Inadmissible, ParseError, WrongGraphClass
-from matchdp.graphs import CostVector, NProjection, project_state
+from matchdp.errors import Inadmissible, MissingDecision, ParseError, WrongGraphClass
+from matchdp.graphs import (
+    ArrivalDistribution,
+    CostVector,
+    MatchingGraph,
+    NProjection,
+    project_state,
+)
 from matchdp.policies import (
     AcyclicHeuristic,
     FullMatch,
@@ -26,18 +32,28 @@ from matchdp.policies import (
     policy_from_spec,
     read_decisions,
 )
+from matchdp.solver import TruncatedStateSpace, extract_policy
 from matchdp.states import is_admissible, node_usage
 
 from conftest import (
+    WRONG_LENGTHS,
     Fractional,
+    ZeroOfLength,
     make_cmo33,
     make_complete22,
     make_n_graph,
     make_nn_graph,
+    make_path23,
     make_w_graph,
     unit_costs,
 )
-from oracles import reference_decide, reference_threshold_cmo, reference_threshold_n
+from oracles import (
+    ReferenceTabular,
+    reference_decide,
+    reference_read_decisions,
+    reference_threshold_cmo,
+    reference_threshold_n,
+)
 
 THRESHOLDS = st.sampled_from([0, 1, 2, 3, 4, 5, math.inf])
 
@@ -407,6 +423,172 @@ def test_tabular_lookup_and_fallback(n_graph):
     bare = Tabular(n_graph, table)
     with pytest.raises(KeyError, match="no stored decision"):
         bare.decide([2, 0, 1, 1])
+
+
+def test_tabular_rejects_stored_decisions_of_the_wrong_length(n_graph):
+    with pytest.raises(ValueError, match="per edge"):
+        Tabular(n_graph, {(1, 0, 0, 1): [0, 1]})
+
+
+def test_tabular_rejects_a_fallback_bound_to_another_graph(n_graph):
+    # Same nodes, edges in another order: its decisions would be read in
+    # the wrong coordinates.
+    other = MatchingGraph(n_graph.demand_nodes, n_graph.supply_nodes, n_graph.edges[::-1])
+    with pytest.raises(ValueError, match="bound to another graph"):
+        Tabular(n_graph, {}, fallback=ThresholdN(other, 0))
+    with pytest.raises(ValueError, match="bound to another graph"):
+        Tabular.from_block(
+            n_graph, np.zeros((0, 4), dtype=np.int64), np.zeros((0, 3), dtype=np.int64),
+            fallback=ThresholdN(other, 0),
+        )
+
+
+def test_tabular_rejects_keys_that_repeat_as_vectors(n_graph):
+    class Pairs(dict):
+        # A mapping whose keys differ but read as the same vector.
+        def __iter__(self):
+            return iter([(1, 0, 1, 0), (1, 0, 1, 0)])
+
+    with pytest.raises(ValueError, match="must be distinct"):
+        Tabular(n_graph, Pairs({"a": [1, 0, 0], "b": [0, 0, 0]}))
+
+
+def test_tabular_rejects_a_key_box_beyond_int64_codes(n_graph):
+    with pytest.raises(ValueError, match="does not fit int64 ravel codes"):
+        Tabular(n_graph, {(2**32, 0, 0, 2**32): [0, 0, 0]})
+    with pytest.raises(ValueError, match="does not fit int64 ravel codes"):
+        Tabular(n_graph, {(2**64, 0, 0, 1): [0, 0, 0]})
+
+
+def test_tabular_from_block_checks_the_block(n_graph):
+    xs = np.array([[1, 0, 0, 1], [1, 0, 1, 0]])
+    with pytest.raises(ValueError, match="does not match the keys"):
+        Tabular.from_block(n_graph, xs, np.zeros((2, 2), dtype=np.int64))
+    with pytest.raises(ValueError, match="not integers"):
+        Tabular.from_block(n_graph, xs, np.zeros((2, 3)))
+    u = np.zeros((2, 3), dtype=np.int64)
+    for bad in [xs + 0.5, xs[:, :3], -xs]:
+        with pytest.raises(ValueError, match="rows of 4 nonnegative integers"):
+            Tabular.from_block(n_graph, bad, u)
+    pol = Tabular.from_block(n_graph, xs[::-1], np.array([[1, 0, 0], [0, 1, 0]]))
+    assert pol.label == "Tabular[2 states]"
+    assert list(pol.table) == [(1, 0, 0, 1), (1, 0, 1, 0)]
+    assert pol.decide([1, 0, 0, 1]).tolist() == [0, 1, 0]
+
+
+def test_tabular_table_is_a_read_only_view_in_key_order(n_graph):
+    mapping = {
+        (2, 1, 1, 2): [1, 1, 1],
+        (0, 1, 1, 0): [0, 0, 1],
+        (1, 0, 0, 1): [0, 1, 0],
+        (1, 0, 1, 0): [1, 0, 0],
+    }
+    pol = Tabular(n_graph, mapping)
+    view = pol.table
+    assert len(view) == 4
+    assert list(view) == sorted(mapping)
+    assert view.keys() == mapping.keys()
+    assert [(x, u.tolist()) for x, u in view.items()] == sorted(mapping.items())
+    got = view[(2, 1, 1, 2)]
+    got[:] = 7
+    assert view[(2, 1, 1, 2)].tolist() == [1, 1, 1]
+    assert view[np.array([0, 1, 1, 0])].dtype == np.int64
+    for missing in [(0, 0, 0, 0), (3, 0, 0, 3), (1.0, 0, 1, 0), (1, 0, 1)]:
+        assert missing not in view
+        with pytest.raises(KeyError):
+            view[missing]
+    assert (1, 0, 1, 0) in view
+    with pytest.raises(TypeError):
+        view[(1, 0, 1, 0)] = [0, 0, 0]
+
+
+def _uniform(graph):
+    return ArrivalDistribution(
+        alpha=np.full(graph.n_d, 1 / graph.n_d), beta=np.full(graph.n_s, 1 / graph.n_s)
+    )
+
+
+def _same_read(pol, ref, xs):
+    got = read_decisions(pol, xs)
+    want = reference_read_decisions(ref, xs)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+BLOCK_GRAPHS = [
+    pytest.param(make_n_graph, id="N"),
+    pytest.param(make_w_graph, id="W"),
+    pytest.param(make_complete22, id="K22"),
+    pytest.param(make_nn_graph, id="NN"),
+    pytest.param(make_path23, id="path23"),
+]
+
+
+@pytest.mark.parametrize("maker", BLOCK_GRAPHS)
+def test_block_read_matches_the_dict_oracle_on_extracted_tables(maker):
+    graph = maker()
+    space = TruncatedStateSpace(graph, cap=5, margin=2)
+    rng = np.random.default_rng(len(space.balanced_states))
+    values = rng.integers(0, 3, size=len(space.balanced_states)).astype(float)
+    table = np.repeat(values[:, None], space.n_atoms, axis=1)
+    pol = extract_policy(space, table, _uniform(graph))
+    mapping = dict(pol.table.items())
+    xs = space.interior_post_arrivals
+    _same_read(pol, ReferenceTabular(graph, mapping), xs)
+    # Every third decision dropped; the rows of the whole space reach past
+    # the stored box, and the fallback reads them.
+    kept = {x: u for k, (x, u) in enumerate(mapping.items()) if k % 3}
+    fallback = MatchLongest(graph)
+    _same_read(
+        Tabular(graph, kept, fallback), ReferenceTabular(graph, kept, fallback),
+        space.balanced_states,
+    )
+    nested = Tabular(graph, {x: mapping[x] for x in mapping if x not in kept}, fallback)
+    _same_read(Tabular(graph, kept, nested), ReferenceTabular(graph, mapping, fallback), xs)
+    # Without a fallback both raise on the same first missing x.
+    with pytest.raises(MissingDecision) as want:
+        reference_read_decisions(ReferenceTabular(graph, kept), space.balanced_states)
+    with pytest.raises(MissingDecision) as got:
+        read_decisions(Tabular(graph, kept), space.balanced_states)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("maker", BLOCK_GRAPHS)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_block_read_matches_the_dict_oracle_on_hand_built_tables(maker, seed):
+    graph = maker()
+    n, n_edges = graph.n_nodes, len(graph.edges)
+    rng = np.random.default_rng(seed)
+    keys = {tuple(v) for v in rng.integers(0, 5, size=(40, n)).tolist()}
+    # Counts from -1 to 2: negative counts and overdraws flag rows.
+    mapping = {x: rng.integers(-1, 3, size=n_edges) for x in keys}
+    xs = np.vstack([np.array(sorted(keys)), rng.integers(0, 8, size=(40, n))])
+    rng.shuffle(xs)
+    fallback = MatchLongest(graph)
+    _same_read(Tabular(graph, mapping, fallback), ReferenceTabular(graph, mapping, fallback), xs)
+    stored = xs[[tuple(x) in keys for x in xs.tolist()]]
+    _same_read(Tabular(graph, mapping), ReferenceTabular(graph, mapping), stored)
+    with pytest.raises(MissingDecision) as want:
+        reference_read_decisions(ReferenceTabular(graph, mapping), xs)
+    with pytest.raises(MissingDecision) as got:
+        read_decisions(Tabular(graph, mapping), xs)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("length, wrong", WRONG_LENGTHS)
+def test_block_read_checks_the_fallback_decisions(n_graph, length, wrong):
+    pol = Tabular(n_graph, {(1, 0, 0, 1): [0, 1, 0]}, ZeroOfLength(n_graph, length))
+    xs = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [1, 1, 1, 1]])
+    with pytest.raises(ValueError, match=rf"per edge \(3\), got shape \({wrong},\)"):
+        read_decisions(pol, xs)
+
+
+def test_block_read_of_rows_that_are_not_count_vectors_is_read_row_by_row(n_graph):
+    pol = Tabular(n_graph, {(1, 0, 0, 1): [0, 1, 0]}, ThresholdN(n_graph, 0))
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        read_decisions(pol, np.array([[1, 0, 0, 1], [-1, 0, 0, -1]]))
+    with pytest.raises(ValueError, match="must be integers"):
+        read_decisions(pol, np.array([[1.0, 0.0, 0.0, 1.0]]))
 
 
 # ---- JSON specs ----

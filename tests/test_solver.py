@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import re
 import tracemalloc
@@ -47,6 +48,7 @@ from conftest import (
     make_one_edge,
     make_path23,
     make_w_graph,
+    recipe_solve,
     unit_costs,
 )
 from oracles import (
@@ -954,7 +956,48 @@ class TestAgainstPlainIteration:
             run(space, unit_costs(nn_graph), arrivals, config)
 
 
+def _table_digest(policy) -> str:
+    """sha256 of every (key, decision) pair in ascending key order."""
+    h = hashlib.sha256()
+    for x in sorted(policy.table):
+        h.update(np.asarray(x, dtype=np.int64).tobytes())
+        h.update(np.asarray(policy.table[x], dtype=np.int64).tobytes())
+    return h.hexdigest()[:16]
+
+
 class TestExtraction:
+    # Digests of the decisions stored one dict entry per x before the table
+    # became one block: the contents must not move by a single count.
+    @pytest.mark.parametrize(
+        "recipe, cap, margin, states, digest",
+        [
+            ("n-threshold", 20, 6, 2734, "d2de6c1c485afb16"),
+            ("w-counterexample", 7, 2, 1161, "feceb45cd85fae30"),
+            ("w-counterexample", 12, 3, 6984, "4dc4e80716abb5b2"),
+            ("complete-full", 8, 2, 342, "f9026e0872888180"),
+        ],
+        ids=["N-cap20", "W-cap7", "W-cap12", "K22-cap8"],
+    )
+    def test_extracted_decisions_are_pinned(self, recipe, cap, margin, states, digest):
+        space, vf, arrivals = recipe_solve(recipe, cap, margin)
+        policy = extract_policy(space, vf.data, arrivals)
+        assert policy.label == f"Tabular[{states} states]"
+        assert list(policy.table) == list(map(tuple, space.interior_post_arrivals.tolist()))
+        assert _table_digest(policy) == digest
+
+    def test_extracted_table_retains_one_code_and_one_row_per_decision(self):
+        space, vf, arrivals = recipe_solve("w-counterexample", 12, 3)
+        space.interior_post_arrivals, space.backup_index
+        tracemalloc.start()
+        try:
+            policy = extract_policy(space, vf.data, arrivals)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # One dict entry, tuple key and array per decision kept ~270 B each.
+        n_edges = len(space.graph.edges)
+        assert retained <= 8 * (n_edges + 1) * len(policy.table) + 64 * 1024
+
     def test_argmin_prefers_lexicographically_smallest_on_ties(self):
         space = TruncatedStateSpace(make_complete22(), cap=3)
         w = np.zeros(len(space.balanced_states))

@@ -26,6 +26,7 @@ from matchdp.solver import (
     TruncatedStateSpace,
     bellman_backup,
     evaluate_policy,
+    extract_policy,
     relative_value_iteration,
 )
 from matchdp.states import is_admissible, n_layout, w_layout
@@ -52,6 +53,7 @@ from conftest import (
     make_one_edge,
     make_path23,
     make_w_graph,
+    recipe_solve,
     unit_costs,
 )
 from oracles import (
@@ -654,6 +656,30 @@ class TestVerifyPolicyShape:
         assert report.passed
         assert report.inferred == {"t": optimal_threshold(params)}
         assert report.inferred["t"] == 1
+
+    def test_w_recipe_optimum_breaks_extreme_priority(self):
+        space, vf, arrivals = recipe_solve("w-counterexample", 12, 3)
+        report = verify_policy_shape(
+            space, extract_policy(space, vf.data, arrivals), "priority_extreme"
+        )
+        worse = [
+            ([0, 1, 1, 1, 1], 1, 0), ([0, 1, 2, 1, 2], 2, 1), ([0, 1, 2, 2, 1], 1, 0),
+            ([0, 1, 3, 1, 3], 3, 2), ([0, 1, 3, 2, 2], 2, 1), ([0, 1, 3, 3, 1], 1, 0),
+            ([0, 1, 4, 1, 4], 4, 3), ([0, 1, 4, 2, 3], 3, 2), ([0, 1, 4, 3, 2], 2, 1),
+            ([0, 1, 4, 4, 1], 1, 0),
+        ]
+        assert report.to_record() == {
+            "kind": "policy_shape",
+            "family": "priority_extreme",
+            "passed": False,
+            "inferred": {},
+            "witnesses": [
+                {"reason": "extreme_total", "x": x, "expected": e, "got": g}
+                for x, e, g in worse
+            ],
+            "violation_count": 4260,
+            "checked": 6984,
+        }
 
 
 def _oracle_cases():
