@@ -10,12 +10,18 @@ graph onto the two-by-two N model.
 Vector conventions used across the package: a state vector lists demand
 queue lengths first (file order) then supply queue lengths, and arrival
 atoms (i, j) are ordered lexicographically by demand index then supply
-index, both 0-based.
+index, both 0-based.  Only :class:`MatchingGraph` works out positions:
+``edge_ends`` (the two of each edge), ``atom_ends`` (the two each arrival
+atom fills), ``degrees`` (edges per position) and the one arrival-pair
+rule, :meth:`~MatchingGraph.atom_index`, which takes two in-range integers
+(a bool, a float or a string raises ValueError) to the atom's column.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -34,6 +40,24 @@ W_SHAPED = "w_shaped"
 COMPLETE_MINUS_ONE = "complete_minus_one"
 ACYCLIC = "acyclic"
 GENERAL_CYCLIC = "general_cyclic"
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a bool, a float or other non-integer raises
+    ValueError."""
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError):
+            return operator.index(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _pair(name: str, pair: Sequence[int]) -> tuple[int, int]:
+    """``pair`` as two ints through :func:`_integer`; another length raises
+    ValueError naming ``name``."""
+    pair = tuple(pair)
+    if len(pair) != 2:
+        raise ValueError(f"{name} must have 2 entries (demand, supply class), got {pair}")
+    return tuple(_integer(name, v) for v in pair)
 
 
 def _frozen_array(values: Sequence[float], dtype=float) -> np.ndarray:
@@ -66,12 +90,10 @@ class MatchingGraph:
             raise ValueError("node labels must be unique across both sides")
         if len(set(self.edges)) != len(self.edges):
             raise ValueError("duplicate edges are not allowed")
-        d_index = {name: i for i, name in enumerate(self.demand_nodes)}
-        s_index = {name: j for j, name in enumerate(self.supply_nodes)}
         for d, s in self.edges:
-            if d not in d_index:
+            if d not in self.demand_index:
                 raise ValueError(f"edge endpoint {d!r} is not a demand node")
-            if s not in s_index:
+            if s not in self.supply_index:
                 raise ValueError(f"edge endpoint {s!r} is not a supply node")
         covered = {d for d, _ in self.edges} | {s for _, s in self.edges}
         missing = [name for name in labels if name not in covered]
@@ -153,6 +175,34 @@ class MatchingGraph:
         """All (i, j) demand/supply pairs, lexicographic; arrivals ignore edges."""
         return tuple((i, j) for i in range(self.n_d) for j in range(self.n_s))
 
+    @cached_property
+    def edge_ends(self) -> tuple[tuple[int, int], ...]:
+        """State positions (demand, supply) of each edge, in file order."""
+        return tuple((i, self.n_d + j) for i, j in self.edge_index)
+
+    @cached_property
+    def atom_ends(self) -> tuple[tuple[int, int], ...]:
+        """State positions each arrival atom fills, in ``arrival_atoms`` order."""
+        return tuple((i, self.n_d + j) for i, j in self.arrival_atoms)
+
+    @cached_property
+    def degrees(self) -> tuple[int, ...]:
+        """Number of edges at each state position."""
+        ends = sum(self.edge_ends, ())
+        return tuple(map(ends.count, range(self.n_nodes)))
+
+    def atom_index(self, pair: Sequence[int], name: str = "atom") -> int:
+        """Column of the arrival atom ``pair`` = (demand class, supply class)
+        in ``arrival_atoms`` order.  A pair that :func:`_pair` rejects or
+        that lies outside the graph raises ValueError naming ``name``."""
+        i, j = _pair(name, pair)
+        if not (0 <= i < self.n_d and 0 <= j < self.n_s):
+            raise ValueError(
+                f"{name} out of range: ({i}, {j}) is not an arrival atom of this graph "
+                f"({self.n_d} demand and {self.n_s} supply classes)"
+            )
+        return i * self.n_s + j
+
 
 @dataclass(frozen=True)
 class ArrivalDistribution:
@@ -223,6 +273,27 @@ class CostVector:
         )
 
 
+def _check_sizes(
+    graph: MatchingGraph,
+    arrivals: ArrivalDistribution | None = None,
+    costs: CostVector | None = None,
+) -> None:
+    """Raise ValueError, naming the field and both sizes, unless the given
+    arrival laws and costs hold one entry per class of ``graph``: inputs
+    built for another graph would be read in the wrong coordinates."""
+    sides = (("demand", graph.n_d), ("supply", graph.n_s))
+    fields = []
+    if arrivals is not None:
+        fields += zip(("alpha", "beta"), (arrivals.alpha, arrivals.beta), sides)
+    if costs is not None:
+        fields += zip(("demand costs", "supply costs"), (costs.demand, costs.supply), sides)
+    for name, vec, (side, want) in fields:
+        if len(vec) != want:
+            raise ValueError(
+                f"{name} has {len(vec)} entries, but the graph has {want} {side} classes"
+            )
+
+
 # ---- classification ----
 
 
@@ -236,10 +307,9 @@ class GraphClass:
 
 
 def _extreme_edges(graph: MatchingGraph) -> tuple[tuple[int, int], ...]:
-    d_deg = [len(js) for js in graph.supply_neighbors]
-    s_deg = [len(iis) for iis in graph.demand_neighbors]
+    deg = graph.degrees
     return tuple(
-        (i, j) for i, j in graph.edge_index if d_deg[i] == 1 or s_deg[j] == 1
+        e for e, (d, s) in zip(graph.edge_index, graph.edge_ends) if deg[d] == 1 or deg[s] == 1
     )
 
 
@@ -253,18 +323,12 @@ def classify(graph: MatchingGraph) -> GraphClass:
     n_d, n_s, m = graph.n_d, graph.n_s, len(graph.edges)
     extremes = _extreme_edges(graph)
     present = set(graph.edge_index)
-    missing = [
-        (i, j)
-        for i in range(n_d)
-        for j in range(n_s)
-        if (i, j) not in present
-    ]
+    missing = [a for a in graph.arrival_atoms if a not in present]
     if m == n_d * n_s:
         return GraphClass(COMPLETE, None, extremes)
     if n_d == 2 and n_s == 2 and m == 3:
         return GraphClass(N_SHAPED, missing[0], extremes)
-    d_deg = sorted(len(js) for js in graph.supply_neighbors)
-    s_deg = sorted(len(iis) for iis in graph.demand_neighbors)
+    d_deg, s_deg = sorted(graph.degrees[:n_d]), sorted(graph.degrees[n_d:])
     if n_d == 3 and n_s == 2 and m == 4 and d_deg == [1, 1, 2] and s_deg == [2, 2]:
         return GraphClass(W_SHAPED, None, extremes)
     if n_d >= 2 and n_s >= 2 and m == n_d * n_s - 1:
@@ -361,14 +425,9 @@ def check_stability(
     subsets.  Graphs with more than 24 nodes raise
     :class:`~matchdp.errors.SubsetExplosion`.
     """
-    if len(arrivals.alpha) != graph.n_d or len(arrivals.beta) != graph.n_s:
-        raise ValueError("arrival vectors do not match the graph dimensions")
-    d_bits = [
-        sum(1 << j for j in graph.supply_neighbors[i]) for i in range(graph.n_d)
-    ]
-    s_bits = [
-        sum(1 << i for i in graph.demand_neighbors[j]) for j in range(graph.n_s)
-    ]
+    _check_sizes(graph, arrivals)
+    d_bits = [sum(1 << j for j in js) for js in graph.supply_neighbors]
+    s_bits = [sum(1 << i for i in iis) for iis in graph.demand_neighbors]
     if graph.n_nodes > SUBSET_NODE_CAP:
         raise SubsetExplosion(
             f"{graph.n_nodes} nodes exceed the exhaustive subset cap of {SUBSET_NODE_CAP}"
@@ -445,9 +504,8 @@ def project_state(proj: NProjection, state: Sequence[int]) -> np.ndarray:
 
 def project_arrival(proj: NProjection, i: int, j: int) -> tuple[int, int]:
     """Map an arrival atom (i, j) of the big graph to an N model atom."""
+    i, j = proj.graph.arrival_atoms[proj.graph.atom_index((i, j))]
     i_star, j_star = proj.missing
-    if not (0 <= i < proj.graph.n_d and 0 <= j < proj.graph.n_s):
-        raise ValueError(f"arrival atom ({i}, {j}) out of range")
     if j == j_star:
         return (1, 0) if i == i_star else (0, 0)
     if i == i_star:
@@ -457,13 +515,10 @@ def project_arrival(proj: NProjection, i: int, j: int) -> tuple[int, int]:
 
 def projected_arrival_law(proj: NProjection, arrivals: ArrivalDistribution) -> np.ndarray:
     """Aggregate the arrival law through the projection; returns a 2x2 table."""
-    if len(arrivals.alpha) != proj.graph.n_d or len(arrivals.beta) != proj.graph.n_s:
-        raise ValueError("arrival vectors do not match the graph dimensions")
+    _check_sizes(proj.graph, arrivals)
     law = np.zeros((2, 2))
-    for i in range(proj.graph.n_d):
-        for j in range(proj.graph.n_s):
-            ii, jj = project_arrival(proj, i, j)
-            law[ii, jj] += arrivals.alpha[i] * arrivals.beta[j]
+    for (i, j), p in zip(proj.graph.arrival_atoms, arrivals.atom_probs()):
+        law[project_arrival(proj, i, j)] += p
     return law
 
 
@@ -565,16 +620,9 @@ def load_graph(source) -> tuple[MatchingGraph, ArrivalDistribution, CostVector]:
             alpha=np.asarray(raw["alpha"], dtype=float),
             beta=np.asarray(raw["beta"], dtype=float),
         )
+        _check_sizes(graph, arrivals)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"invalid arrival distribution: {exc}") from exc
-    if len(arrivals.alpha) != graph.n_d:
-        raise ParseError(
-            f"field 'alpha' has {len(arrivals.alpha)} entries, expected {graph.n_d}"
-        )
-    if len(arrivals.beta) != graph.n_s:
-        raise ParseError(
-            f"field 'beta' has {len(arrivals.beta)} entries, expected {graph.n_s}"
-        )
     try:
         costs = CostVector.from_mapping(graph, raw["costs"])
     except ValueError as exc:

@@ -17,10 +17,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-import numpy as np
-
 from .errors import Unstable
-from .graphs import ArrivalDistribution, CostVector, MatchingGraph
+from .graphs import ArrivalDistribution, CostVector, MatchingGraph, _check_sizes, _integer
 from .states import n_layout
 
 RHO_FORMULA_LIMIT = 0.999
@@ -63,6 +61,7 @@ class NModelParams:
         costs: CostVector,
     ) -> "NModelParams":
         lay = n_layout(graph)
+        _check_sizes(graph, arrivals, costs)
         return cls(
             alpha=float(arrivals.alpha[lay.d1]),
             beta=float(arrivals.beta[lay.s1_local]),
@@ -141,7 +140,8 @@ def average_cost(params: NModelParams, t: int) -> float:
     arrival part contributes its expectation.
     """
     params._require_stable()
-    if not isinstance(t, (int, np.integer)) or t < 0:
+    t = _integer("threshold", t)
+    if t < 0:
         raise ValueError(f"threshold must be a finite nonnegative integer, got {t!r}")
     c_d1, c_d2, c_s1, c_s2 = params.costs
     rho = params.rho

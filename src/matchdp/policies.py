@@ -24,11 +24,15 @@ from .graphs import (
     CostVector,
     MatchingGraph,
     NProjection,
+    _check_sizes,
     classify,
 )
 from .states import (
     WLayout,
+    _counts,
+    _decision,
     _int_list,
+    _left,
     admissible_matchings,
     n_layout,
     node_usage,
@@ -66,9 +70,8 @@ class Policy:
 
     The constructor validates each threshold value, stores it under its
     name and appends ``(name=value, ...)`` to the label; the default
-    :meth:`spec_dict` writes the kind and the thresholds.  It also fixes
-    ``_ends``, the state positions (demand, supply) of each edge in file
-    order, so that rules index plain lists.
+    :meth:`spec_dict` writes the kind and the thresholds.  Rules index
+    plain lists through ``_ends``, the graph's ``edge_ends``.
     """
 
     kind: str = ""
@@ -78,7 +81,7 @@ class Policy:
     def __init__(self, graph: MatchingGraph, *values):
         self.graph = graph
         self._n = graph.n_nodes
-        self._ends = tuple((i, graph.n_d + j) for i, j in graph.edge_index)
+        self._ends = graph.edge_ends
         for name, value in zip(self.thresholds, values, strict=True):
             setattr(self, name, _check_threshold(name, value))
         if self.thresholds:
@@ -132,32 +135,6 @@ def _check_graph(policy: Policy, graph: MatchingGraph) -> None:
     have its vectors read in the wrong coordinates."""
     if policy.graph != graph:
         raise ValueError(f"policy {policy.label} is bound to another graph")
-
-
-def _counts(label: str, u) -> np.ndarray:
-    """Match counts ``u`` of one decision as an int64 array.  Counts of any
-    other dtype, floats (integral or not) and bools among them, raise
-    ValueError naming ``label`` instead of being truncated."""
-    u = np.asarray(u)
-    if u.dtype.kind not in "iu":
-        shown = f": {u.tolist()}" if u.ndim == 1 else ""
-        raise ValueError(
-            f"policy {label} returned match counts of dtype {u.dtype}, "
-            f"not integers{shown}"
-        )
-    return u.astype(np.int64, copy=False)
-
-
-def _decision(label: str, u, n_edges: int) -> np.ndarray:
-    """One decision checked by :func:`_counts` and to hold one count per
-    edge: another shape raises ValueError naming it."""
-    u = _counts(label, u)
-    if u.shape != (n_edges,):
-        raise ValueError(
-            f"matching vector must have one entry per edge ({n_edges}), "
-            f"got shape {u.shape}"
-        )
-    return u
 
 
 def read_decisions(
@@ -380,41 +357,28 @@ class PriorityExtreme(Policy):
         costs: CostVector | None = None,
     ):
         super().__init__(graph)
+        _check_sizes(graph, costs=costs)
         self.inner = inner
         info = classify(graph)
         if not info.extreme_edges:
             raise WrongGraphClass("graph has no extreme edges to prioritize")
-        d_deg = [len(js) for js in graph.supply_neighbors]
-        s_deg = [len(iis) for iis in graph.demand_neighbors]
-
-        def extreme_cost(edge: tuple[int, int]) -> float:
-            if costs is None:
-                return 0.0
-            i, j = edge
-            options = []
-            if d_deg[i] == 1:
-                options.append(float(costs.demand[i]))
-            if s_deg[j] == 1:
-                options.append(float(costs.supply[j]))
-            return max(options)
-
-        nodes_of = {
-            e: {("d", e[0]), ("s", e[1])} for e in info.extreme_edges
-        }
+        extremes = [graph.edge_position[e] for e in info.extreme_edges]
         adjacent = any(
-            nodes_of[a] & nodes_of[b]
-            for idx, a in enumerate(info.extreme_edges)
-            for b in info.extreme_edges[idx + 1:]
+            set(self._ends[a]) & set(self._ends[b])
+            for idx, a in enumerate(extremes)
+            for b in extremes[idx + 1:]
         )
         if adjacent and costs is None:
             raise ValueError(
                 "adjacent extreme edges need costs to fix their priority order"
             )
-        order = sorted(
-            info.extreme_edges,
-            key=lambda e: (-extreme_cost(e), graph.edge_position[e]),
-        )
-        self._extreme_positions = [graph.edge_position[e] for e in order]
+
+        def extreme_cost(e: int) -> float:
+            if costs is None:
+                return 0.0
+            return max(float(costs.vector[p]) for p in self._ends[e] if graph.degrees[p] == 1)
+
+        self._extreme_positions = sorted(extremes, key=lambda e: (-extreme_cost(e), e))
         if inner is not None:
             self.label = f"{self.label}[{inner.label}]"
 
@@ -429,11 +393,7 @@ class PriorityExtreme(Policy):
             rem[s] -= take
         if self.inner is not None:
             extra = _decision(self.inner.label, self.inner.decide(rem), len(u)).tolist()
-            left = list(rem)
-            for (i, s), c in zip(self._ends, extra):
-                left[i] -= c
-                left[s] -= c
-            if min(extra) < 0 or min(left) < 0:
+            if _left(self.graph, rem, extra) is None:
                 raise Inadmissible(
                     f"inner policy {self.inner.label} returned "
                     f"{extra} at residual {rem}"
@@ -462,10 +422,10 @@ class MaxWeight(Policy):
 
     def __init__(self, graph: MatchingGraph, costs: CostVector):
         super().__init__(graph)
+        _check_sizes(graph, costs=costs)
         self.costs = costs
         self._edge_costs = tuple(
-            (float(costs.demand[i]), i, float(costs.supply[j]), graph.n_d + j)
-            for i, j in graph.edge_index
+            (float(costs.vector[d]), d, float(costs.vector[s]), s) for d, s in self._ends
         )
 
     def decide(self, x: Sequence[int]) -> np.ndarray:
@@ -545,11 +505,11 @@ class AcyclicHeuristic(Policy):
         plan = []
         for level, layer in enumerate(self.layers):
             for e in layer:
-                i, j = graph.edge_index[e]
-                limits = None if level == 0 else (
-                    self._node_threshold("d", i), self._node_threshold("s", j)
+                ends = self._ends[e]
+                limits = None if level == 0 else tuple(
+                    self.node_thresholds.get(graph.node_labels[p], 0) for p in ends
                 )
-                plan.append((e, i, graph.n_d + j, limits))
+                plan.append((e, *ends, limits))
         self._plan = tuple(plan)
         shown = ", ".join(
             f"{n}:{threshold_json(v)}" for n, v in sorted(self.node_thresholds.items())
@@ -566,28 +526,17 @@ class AcyclicHeuristic(Policy):
         while frontier:
             for e in frontier:
                 assigned[e] = level
-            nodes = set()
-            for e in frontier:
-                i, j = graph.edge_index[e]
-                nodes.add(("d", i))
-                nodes.add(("s", j))
+            nodes = {p for e in frontier for p in graph.edge_ends[e]}
             level += 1
             frontier = sorted(
                 e
-                for e, (i, j) in enumerate(graph.edge_index)
-                if e not in assigned and (("d", i) in nodes or ("s", j) in nodes)
+                for e, ends in enumerate(graph.edge_ends)
+                if e not in assigned and not nodes.isdisjoint(ends)
             )
         layers: list[list[int]] = [[] for _ in range(level)]
         for e, lvl in assigned.items():
             layers[lvl].append(e)
         return tuple(tuple(sorted(es)) for es in layers)
-
-    def _node_threshold(self, side: str, idx: int) -> float:
-        if side == "d":
-            name = self.graph.demand_nodes[idx]
-        else:
-            name = self.graph.supply_nodes[idx]
-        return self.node_thresholds.get(name, 0)
 
     def decide(self, x: Sequence[int]) -> np.ndarray:
         rem = _int_list(x, self._n)

@@ -67,10 +67,13 @@ from .graphs import (
     CostVector,
     MatchingGraph,
     N_SHAPED,
+    _check_sizes,
+    _integer,
+    _pair,
     classify,
 )
-from .policies import Policy, ThresholdN, _check_graph, _decision
-from .states import _integer, n_layout
+from .policies import Policy, ThresholdN, _check_graph
+from .states import _decision, _left, n_layout
 
 MAX_SEED = 2**64
 
@@ -94,16 +97,10 @@ class SimConfig:
     def __post_init__(self) -> None:
         for name in ("horizon", "burn_in", "replications", "seed"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        for name in ("q0", "a0"):
-            values = getattr(self, name)
-            if values is not None:
-                object.__setattr__(
-                    self, name, tuple(_integer(name, v) for v in values)
-                )
-        if self.a0 is not None and len(self.a0) != 2:
-            raise ValueError(
-                f"a0 must have 2 entries (demand, supply class), got {self.a0}"
-            )
+        if self.q0 is not None:
+            object.__setattr__(self, "q0", tuple(_integer("q0", v) for v in self.q0))
+        if self.a0 is not None:
+            object.__setattr__(self, "a0", _pair("a0", self.a0))
         if not 0 <= self.burn_in < self.horizon:
             raise ValueError(
                 f"need horizon > burn_in >= 0, got horizon={self.horizon}, "
@@ -133,12 +130,9 @@ class SimConfig:
         return q
 
     def initial_atom(self, graph: MatchingGraph) -> tuple[int, int] | None:
-        if self.a0 is None:
-            return None
-        i, j = self.a0
-        if not (0 <= i < graph.n_d and 0 <= j < graph.n_s):
-            raise ValueError(f"a0 out of range: {self.a0}")
-        return i, j
+        if self.a0 is not None:
+            graph.atom_index(self.a0, "a0")
+        return self.a0
 
 
 @dataclass(frozen=True)
@@ -330,7 +324,7 @@ def _arrival_chunks(graph: MatchingGraph, arrivals: ArrivalDistribution,
     # below 1 cannot yield a class past the last one.
     d_knots = np.cumsum(arrivals.alpha)[:-1]
     s_knots = np.cumsum(arrivals.beta)[:-1]
-    first = cfg.initial_atom(graph)
+    first = None if cfg.a0 is None else graph.atom_index(cfg.a0, "a0")
 
     def size(start: int) -> int:
         return min(CHUNK_STEPS, cfg.horizon - start)
@@ -376,7 +370,7 @@ def _arrival_chunks(graph: MatchingGraph, arrivals: ArrivalDistribution,
             if filler is not None and ahead is not None:
                 filler.fill(ahead[2], size(ahead[1]))
             if start == 0 and first is not None:
-                a[0] = first[0] * graph.n_s + first[1]
+                a[0] = first
             cut = min(max(cfg.burn_in - start, 0), n)
             for counted, part in ((False, a[:cut]), (True, a[cut:])):
                 if len(part):
@@ -619,23 +613,19 @@ class _Chain:
         """Store the successor of entry k = row offset + atom, which the walk
         has counted, asking ``decide`` only for a post-arrival vector x not
         met before."""
-        graph, nd = self.graph, self.graph.n_d
         sid, a = divmod(k, self.n_atoms)
         x = list(self.states[sid])
-        i, j = divmod(a, graph.n_s)
-        x[i] += 1
-        x[nd + j] += 1
+        d, s = self.graph.atom_ends[a]
+        x[d] += 1
+        x[s] += 1
         key = tuple(x)
         nxt = self.next
         off = self.after.get(key)
         if off is None:
             decision = self.policy.decide(x)
-            u = _decision(self.policy.label, decision, len(graph.edges)).tolist()
-            y = list(x)
-            for e, (ei, ej) in enumerate(graph.edge_index):
-                y[ei] -= u[e]
-                y[nd + ej] -= u[e]
-            if min(u) < 0 or min(y) < 0:
+            u = _decision(self.policy.label, decision, len(self.graph.edges)).tolist()
+            y = _left(self.graph, x, u)
+            if y is None:
                 raise Inadmissible(
                     f"policy {self.policy.label} returned u={u} at x={x}"
                 )
@@ -649,11 +639,10 @@ class _Chain:
     def finish(self) -> tuple[float, list[int], list[int] | None]:
         """(total counted cost, node occupancy sums, level counts)."""
         self._fold()
-        nd = self.graph.n_d
         post = list(self.node_sums)
-        for (i, j), seen in zip(self.graph.arrival_atoms, self.atom_counts):
-            post[i] += seen
-            post[nd + j] += seen
+        for (d, s), seen in zip(self.graph.atom_ends, self.atom_counts):
+            post[d] += seen
+            post[s] += seen
         total = float(sum(c * n for c, n in zip(self.cvec, post)))
         return total, self.node_sums, self.level_counts
 
@@ -708,10 +697,12 @@ def _run(graph, arrivals, costs, policies, cfg, threads) -> list[tuple]:
     job builds its own memo.  A policy bound to another graph (one that
     differs in its nodes or in its edge order) raises ValueError, and so
     does a ``q0`` or ``a0`` that does not fit the graph, before any worker
-    process or helper thread starts.
+    process or helper thread starts, as do arrivals or costs sized for
+    another graph.
     """
     for policy in policies:
         _check_graph(policy, graph)
+    _check_sizes(graph, arrivals, costs)
     cfg.initial_queue(graph)
     cfg.initial_atom(graph)
     width = _thread_width(threads, cfg.replications)
@@ -769,6 +760,7 @@ def _thread_width(threads: int | None, replications: int) -> int:
             raise ValueError(
                 f"MATCHDP_THREADS must be an integer, got {raw!r}"
             ) from None
+    threads = _integer("threads", threads)
     if threads < 0:
         raise ValueError(f"thread width must be nonnegative, got {threads}")
     cpus = os.cpu_count() or 1

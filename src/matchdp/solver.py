@@ -44,9 +44,15 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import Inadmissible, MatchDPError, NoConvergence, Unstable
-from .graphs import ArrivalDistribution, CostVector, MatchingGraph, check_stability
+from .graphs import (
+    ArrivalDistribution,
+    CostVector,
+    MatchingGraph,
+    _check_sizes,
+    _integer,
+    check_stability,
+)
 from .policies import Policy, Tabular, _check_graph, read_decisions
-from .states import _integer, arrival_vector
 
 VI_TOL = 1e-9
 RVI_SPAN_TOL = 1e-8
@@ -227,7 +233,7 @@ class TruncatedStateSpace:
         balanced states and their rows order them.
         """
         graph = self.graph
-        atoms = np.array([arrival_vector(graph, i, j) for i, j in graph.arrival_atoms])
+        atoms = np.eye(graph.n_nodes, dtype=np.int64)[np.array(graph.atom_ends)].sum(axis=1)
         xs = self.interior_balanced_states[:, None, :] + atoms
         states = self.balanced_states
         out = states[_distinct(self.rows(xs), len(states))]
@@ -255,9 +261,9 @@ class TruncatedStateSpace:
         codes = np.ravel_multi_index(ext.T, ext_shape)
         state_codes = np.ravel_multi_index(states.T, ext_shape)
         stride = (self.cap + 2) ** np.arange(graph.n_nodes - 1, -1, -1)
-        ends = np.array(graph.edge_index) + (0, n_d)  # the two nodes of each edge
+        ends = np.array(graph.edge_ends)
         edge_offset = stride[ends].sum(axis=1)
-        atom_offset = stride[np.array(graph.arrival_atoms) + (0, n_d)].sum(axis=1)
+        atom_offset = stride[np.array(graph.atom_ends)].sum(axis=1)
         level = ext[:, :n_d].sum(axis=1)
         starts = np.searchsorted(level, np.arange(level[-1] + 2))
 
@@ -346,23 +352,12 @@ class ValueFunction:
     high: float
 
     def value(self, q, atom: tuple[int, int]) -> float:
-        graph = self.space.graph
-        if not (0 <= atom[0] < graph.n_d and 0 <= atom[1] < graph.n_s):
-            raise ValueError(f"{tuple(atom)} is not an arrival atom of this graph")
-        a_idx = atom[0] * graph.n_s + atom[1]
+        """The value at state q and an atom that ``graph.atom_index`` accepts."""
+        a_idx = self.space.graph.atom_index(atom)
         return float(self.data[self.space.state_index(q), a_idx])
 
 
 # ---- kernels ----
-
-
-def _atom_cost(graph: MatchingGraph, costs: CostVector) -> np.ndarray:
-    return np.array(
-        [
-            costs.vector[i] + costs.vector[graph.n_d + j]
-            for i, j in graph.arrival_atoms
-        ]
-    )
 
 
 def _post_arrival_costs(space: TruncatedStateSpace, costs: CostVector) -> np.ndarray:
@@ -370,7 +365,7 @@ def _post_arrival_costs(space: TruncatedStateSpace, costs: CostVector) -> np.nda
     state_cost = np.zeros(len(space.balanced_states))
     for k, c in enumerate(costs.vector):
         state_cost = state_cost + c * space.balanced_states[:, k]
-    return state_cost[:, None] + _atom_cost(space.graph, costs)
+    return state_cost[:, None] + costs.vector[np.array(space.graph.atom_ends)].sum(axis=1)
 
 
 def _packed(
@@ -483,8 +478,10 @@ def extract_policy(
     lexicographically smallest minimizer of w(x - usage(u)).  The decisions
     stay one block, which :func:`evaluate_policy` and
     :func:`~matchdp.structure.verify_policy_shape` read without calling
-    ``decide``.  A table of another shape raises ValueError.
+    ``decide``.  A table of another shape, or arrivals sized for another
+    graph, raises ValueError.
     """
+    _check_sizes(space.graph, arrivals)
     table = _packed(space, table)
     ext, read, _, _, _ = space.backup_index
     xs = space.interior_post_arrivals
@@ -528,10 +525,12 @@ def bellman_backup(
     """One synchronous sweep of the optimality operator (theta=1: average),
     which is the first sweep of the table's greedy policy.
 
-    Input and output are packed tables; an input of another shape raises
-    ValueError.  Raises :class:`MatchDPError` when a state has an atom from
-    which every matching leaves the sector.
+    Input and output are packed tables; an input of another shape, or costs
+    or arrivals sized for another graph, raises ValueError.  Raises
+    :class:`MatchDPError` when a state has an atom from which every
+    matching leaves the sector.
     """
+    _check_sizes(space.graph, arrivals, costs)
     table = _packed(space, table)
     base = _post_arrival_costs(space, costs)
     probs = arrivals.atom_probs()
@@ -622,7 +621,9 @@ def _optimal(
 ) -> tuple[float | None, ValueFunction]:
     """Modified policy iteration: each backup is the first sweep of the
     table's greedy policy, and :data:`MPI_SWEEPS` more follow a backup that
-    fails the stopping rule."""
+    fails the stopping rule.  Costs or arrivals sized for another graph
+    raise ValueError."""
+    _check_sizes(space.graph, arrivals, costs)
     base = _post_arrival_costs(space, costs)
     probs = arrivals.atom_probs()
 
@@ -744,11 +745,13 @@ def evaluate_policy(
     Iterates on the packed balanced-state rows with the policy's successor
     map precomputed once; stopping is that of the optimality iterations.
     Average mode, like :func:`relative_value_iteration`, requires stable
-    arrival rates.  A policy bound to another graph raises ValueError.
+    arrival rates.  A policy bound to another graph, or costs or arrivals
+    sized for another, raises ValueError.
     """
     if mode not in ("discounted", "average"):
         raise ValueError(f"mode must be 'discounted' or 'average', got {mode!r}")
     _check_graph(policy, space.graph)
+    _check_sizes(space.graph, arrivals, costs)
     if mode == "average":
         _require_stable(space.graph, arrivals)
     sweep = _policy_sweep(

@@ -6,12 +6,13 @@ and leave in demand/supply pairs.  After an arrival the post-arrival vector
 x = q + e(i, j) is what a matching decision acts on: an admissible matching
 assigns a count to every edge without exceeding the available items at any
 node.  Enumeration is lazy and lexicographic in file edge order, so the zero
-matching always comes first.
+matching always comes first.  A matching vector holds one count of an
+integer dtype per edge (:func:`_decision`, the rule every reader applies),
+and :func:`_left` is what x keeps after one.
 """
 
 from __future__ import annotations
 
-import contextlib
 import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -47,13 +48,39 @@ def _int_list(state: Sequence[int], length: int) -> list[int]:
     return vec
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an int; a bool, a float or other non-integer raises
-    ValueError."""
-    if not isinstance(value, bool):
-        with contextlib.suppress(TypeError):
-            return operator.index(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+def _counts(label: str | None, u) -> np.ndarray:
+    """Match counts ``u`` as an int64 array.  Counts of any other dtype,
+    floats (integral or not) and bools among them, raise ValueError naming
+    the policy ``label`` that returned them (None for a caller's matching
+    vector) instead of being truncated."""
+    u = np.asarray(u)
+    if u.dtype.kind not in "iu":
+        shown = f": {u.tolist()}" if u.ndim == 1 else ""
+        who = "matching vector holds" if label is None else f"policy {label} returned"
+        raise ValueError(f"{who} match counts of dtype {u.dtype}, not integers{shown}")
+    return u.astype(np.int64, copy=False)
+
+
+def _decision(label: str | None, u, n_edges: int) -> np.ndarray:
+    """One matching vector checked by :func:`_counts` and to hold one count
+    per edge: another shape raises ValueError naming it."""
+    u = _counts(label, u)
+    if u.shape != (n_edges,):
+        raise ValueError(
+            f"matching vector must have one entry per edge ({n_edges}), "
+            f"got shape {u.shape}"
+        )
+    return u
+
+
+def _left(graph: MatchingGraph, x: list[int], u: list[int]) -> list[int] | None:
+    """x minus what the matching u takes from each node, as a new list, or
+    None when a count is negative or a node is overdrawn."""
+    y = list(x)
+    for (d, s), c in zip(graph.edge_ends, u):
+        y[d] -= c
+        y[s] -= c
+    return None if min(u) < 0 or min(y) < 0 else y
 
 
 def as_state(graph: MatchingGraph, state: Sequence[int]) -> np.ndarray:
@@ -78,12 +105,10 @@ def check_queue_state(graph: MatchingGraph, q: Sequence[int]) -> np.ndarray:
 
 
 def arrival_vector(graph: MatchingGraph, i: int, j: int) -> np.ndarray:
-    """Unit arrival vector adding one item to demand class i and supply class j."""
-    if not (0 <= i < graph.n_d and 0 <= j < graph.n_s):
-        raise ValueError(f"arrival atom ({i}, {j}) out of range")
+    """Unit arrival vector adding one item to demand class i and supply class
+    j, a pair that :meth:`~matchdp.graphs.MatchingGraph.atom_index` accepts."""
     vec = np.zeros(graph.n_nodes, dtype=np.int64)
-    vec[i] += 1
-    vec[graph.n_d + j] += 1
+    vec[list(graph.atom_ends[graph.atom_index((i, j))])] = 1
     return vec
 
 
@@ -93,26 +118,21 @@ def post_arrival(graph: MatchingGraph, q: Sequence[int], i: int, j: int) -> np.n
 
 def node_usage(graph: MatchingGraph, u: Sequence[int]) -> np.ndarray:
     """Total items each node contributes to a per-edge matching vector, or
-    to each row of a block of them with shape (..., edges)."""
-    u_vec = np.asarray(u, dtype=np.int64)
-    if u_vec.ndim == 0 or u_vec.shape[-1] != len(graph.edges):
-        raise ValueError(
-            f"matching vector must have one entry per edge "
-            f"({len(graph.edges)}), got shape {u_vec.shape}"
-        )
-    usage = np.zeros(u_vec.shape[:-1] + (graph.n_nodes,), dtype=np.int64)
-    for k, (i, j) in enumerate(graph.edge_index):
-        usage[..., i] += u_vec[..., k]
-        usage[..., graph.n_d + j] += u_vec[..., k]
-    return usage
+    to each row of a block of them with shape (..., edges).  Counts follow
+    the rule of :func:`_decision`."""
+    u = _counts(None, u)
+    if u.shape[-1:] != (len(graph.edges),):
+        _decision(None, u, len(graph.edges))  # raises its wrong-length error
+    # Row k of the incidence matrix marks the two ends of edge k.
+    incidence = np.eye(graph.n_nodes, dtype=np.int64)[np.array(graph.edge_ends)].sum(axis=1)
+    return u @ incidence
 
 
 def is_admissible(graph: MatchingGraph, x: Sequence[int], u: Sequence[int]) -> bool:
-    """Whether matching u fits inside the post-arrival vector x."""
-    u_vec = np.asarray(u, dtype=np.int64)
-    if np.any(u_vec < 0):
-        return False
-    return bool(np.all(node_usage(graph, u_vec) <= as_state(graph, x)))
+    """Whether matching u fits inside the post-arrival vector x.  Vectors
+    that :func:`_int_list` or :func:`_decision` reject raise ValueError."""
+    u = _decision(None, u, len(graph.edges)).tolist()
+    return _left(graph, _int_list(x, graph.n_nodes), u) is not None
 
 
 def admissible_matchings(
@@ -130,14 +150,11 @@ def admissible_matchings(
     :class:`ActionSpaceBudget` once more than ``budget`` vectors would be
     produced; the raise happens mid-iteration because enumeration is lazy.
     """
-    rem = _int_list(x, graph.n_nodes)
-    n_d = graph.n_d
-    ends = [(i, n_d + j) for i, j in graph.edge_index]
-    return _matchings(ends, rem, budget)
+    return _matchings(graph.edge_ends, _int_list(x, graph.n_nodes), budget)
 
 
 def _matchings(
-    ends: list[tuple[int, int]], rem: list[int], budget: int
+    ends: tuple[tuple[int, int], ...], rem: list[int], budget: int
 ) -> Iterator[np.ndarray]:
     """The odometer behind :func:`admissible_matchings`.
 
@@ -181,15 +198,15 @@ def transition(
 ) -> np.ndarray:
     """Next queue state after arrival a = (i, j) and matching u.
 
-    Raises :class:`Inadmissible` if u does not fit inside q + e(a).
+    Raises :class:`Inadmissible` if u does not fit inside q + e(a), and
+    ValueError on counts that :func:`_decision` rejects.
     """
-    x = post_arrival(graph, check_queue_state(graph, q), *a)
-    u_vec = np.asarray(u, dtype=np.int64)
-    if not is_admissible(graph, x, u_vec):
-        raise Inadmissible(
-            f"matching {u_vec.tolist()} not admissible at x={x.tolist()}"
-        )
-    return x - node_usage(graph, u_vec)
+    x = post_arrival(graph, check_queue_state(graph, q), *a).tolist()
+    u = _decision(None, u, len(graph.edges)).tolist()
+    y = _left(graph, x, u)
+    if y is None:
+        raise Inadmissible(f"matching {u} not admissible at x={x}")
+    return np.array(y, dtype=np.int64)
 
 
 # ---- role layouts for the two structured graph families ----
@@ -243,19 +260,17 @@ def n_layout(graph: MatchingGraph) -> NLayout:
         raise WrongGraphClass(
             f"N layout needs an N-shaped graph, got {classify(graph).tag}"
         )
-    d_deg = [len(js) for js in graph.supply_neighbors]
-    s_deg = [len(iis) for iis in graph.demand_neighbors]
-    d1 = d_deg.index(2)
-    d2 = d_deg.index(1)
-    s2_local = s_deg.index(2)
-    s1_local = s_deg.index(1)
+    # Each side holds one position of degree 1 and one of degree 2, and
+    # the demand positions come first.
+    deg, n_d = graph.degrees, graph.n_d
+    s1, s2 = deg.index(1, n_d), deg.index(2, n_d)
     return NLayout(
-        d1=d1,
-        d2=d2,
-        s1=graph.n_d + s1_local,
-        s2=graph.n_d + s2_local,
-        s1_local=s1_local,
-        s2_local=s2_local,
+        d1=deg.index(2),
+        d2=deg.index(1),
+        s1=s1,
+        s2=s2,
+        s1_local=s1 - n_d,
+        s2_local=s2 - n_d,
     )
 
 
@@ -264,17 +279,10 @@ def w_layout(graph: MatchingGraph) -> WLayout:
         raise WrongGraphClass(
             f"W layout needs a W-shaped graph, got {classify(graph).tag}"
         )
-    d_deg = [len(js) for js in graph.supply_neighbors]
-    d2 = d_deg.index(2)
+    d2 = graph.degrees.index(2)  # the one demand position of degree 2
     s1_local, s2_local = 0, 1
-    d1 = next(
-        i for i in range(graph.n_d)
-        if i != d2 and graph.supply_neighbors[i] == (s1_local,)
-    )
-    d3 = next(
-        i for i in range(graph.n_d)
-        if i != d2 and graph.supply_neighbors[i] == (s2_local,)
-    )
+    # Each supply class pairs d2 with one leaf: d1 on s1, d3 on s2.
+    d1, d3 = (next(i for i in graph.demand_neighbors[j] if i != d2) for j in (0, 1))
     return WLayout(
         d1=d1,
         d2=d2,

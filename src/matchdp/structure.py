@@ -161,13 +161,7 @@ def _roles(graph: MatchingGraph, check: str) -> dict:
 
 
 def _class_pair(graph: MatchingGraph, pair: Sequence[int]) -> tuple[int, int]:
-    i, j = (int(v) for v in pair)
-    if not (0 <= i < graph.n_d and 0 <= j < graph.n_s):
-        raise ValueError(
-            f"pair ({i}, {j}) out of range for {graph.n_d} demand and "
-            f"{graph.n_s} supply classes"
-        )
-    return i, j
+    return graph.arrival_atoms[graph.atom_index(pair, "pair")]
 
 
 def _pair_label(graph: MatchingGraph, i: int, j: int) -> str:
@@ -522,12 +516,13 @@ def _verify_priority_extreme(
     # saturate them greedily, on every row at once.
     rem = xs.copy()
     best = np.zeros(len(xs), dtype=np.int64)
-    for i, j in extremes:
-        take = np.minimum(rem[:, i], rem[:, graph.n_d + j])
+    positions = [graph.edge_position[e] for e in extremes]
+    for d, s in (graph.edge_ends[e] for e in positions):
+        take = np.minimum(rem[:, d], rem[:, s])
         best += take
-        rem[:, i] -= take
-        rem[:, graph.n_d + j] -= take
-    got = u[:, [graph.edge_position[e] for e in extremes]].sum(axis=1)
+        rem[:, d] -= take
+        rem[:, s] -= take
+    got = u[:, positions].sum(axis=1)
     checks = [
         ("inadmissible", inadmissible, {}),
         ("extreme_total", got != best, {"expected": best, "got": got}),

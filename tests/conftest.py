@@ -134,6 +134,37 @@ WRONG_LENGTHS = [
 ]
 
 
+# Arrival pairs that no entry point accepts, and what each raises.
+BAD_ATOMS = [
+    pytest.param((0, 0, 1), "must have 2 entries", id="three-entries"),
+    pytest.param((True, 0), "must be an integer, got True", id="bool"),
+    pytest.param((0.5, 0), "must be an integer, got 0.5", id="float"),
+]
+
+# One field of the N graph's arrivals or costs (2 demand and 2 supply
+# classes) sized for another graph, and the message every reader raises.
+OTHER_SIZES = [
+    pytest.param("alpha", [1.0], "alpha has 1 entries, but the graph has 2 demand", id="alpha"),
+    pytest.param("beta", [0.2, 0.3, 0.5], "beta has 3 entries, but the graph has 2 supply", id="beta"),
+    pytest.param("demand", [1.0], "demand costs has 1 entries, but the graph has 2 demand", id="demand"),
+    pytest.param("supply", [5.0, 2.0, 1.0], "supply costs has 3 entries, but the graph has 2 supply",
+                 id="supply"),
+]
+OTHER_ARRIVALS = OTHER_SIZES[:2]
+OTHER_COSTS = OTHER_SIZES[2:]
+
+
+def n_inputs(field: str | None = None, entries=None) -> tuple[ArrivalDistribution, CostVector]:
+    """Stable arrivals and costs of the N graph, with ``field`` (alpha,
+    beta, demand or supply) replaced by ``entries``."""
+    arrivals = {"alpha": [0.6, 0.4], "beta": [0.4, 0.6]}
+    costs = {"demand": [1.0, 5.0], "supply": [5.0, 1.0]}
+    for table in (arrivals, costs):
+        if field in table:
+            table[field] = entries
+    return ArrivalDistribution(**arrivals), CostVector(**costs)
+
+
 @functools.cache
 def recipe_solve(recipe: str, cap: int, margin: int):
     """(space, RVI value function, arrivals) on a recipe's graph, solved

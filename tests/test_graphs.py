@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchdp.errors import NotCompleteMinusOne, ParseError, SubsetExplosion
 from matchdp.graphs import (
@@ -29,12 +31,15 @@ from matchdp.graphs import (
 )
 
 from conftest import (
+    BAD_ATOMS,
+    OTHER_ARRIVALS,
     make_cmo33,
     make_complete22,
     make_long_acyclic,
     make_n_graph,
     make_nn_graph,
     make_w_graph,
+    n_inputs,
 )
 
 
@@ -422,3 +427,56 @@ def test_load_graph_rejects_bad_json(tmp_path):
         load_graph(str(path))
     with pytest.raises(ParseError, match="cannot read"):
         load_graph(str(tmp_path / "does_not_exist.json"))
+
+
+# ---- state-vector positions ----
+
+
+@st.composite
+def connected_graphs(draw) -> MatchingGraph:
+    """A connected graph of 1-4 classes per side: a random spanning tree
+    plus random extra edges, with labels and edges in shuffled file order."""
+    demand = draw(st.permutations([f"d{k}" for k in range(draw(st.integers(1, 4)))]))
+    supply = draw(st.permutations([f"s{k}" for k in range(draw(st.integers(1, 4)))]))
+    placed = {"d": [demand[0]], "s": [supply[0]]}
+    edges = {(demand[0], supply[0])}
+    for name in draw(st.permutations(demand[1:] + supply[1:])):
+        side = name[0]
+        other = draw(st.sampled_from(placed["s" if side == "d" else "d"]))
+        edges.add((name, other) if side == "d" else (other, name))
+        placed[side].append(name)
+    edges |= draw(st.sets(st.sampled_from([(d, s) for d in demand for s in supply])))
+    return MatchingGraph(tuple(demand), tuple(supply), tuple(draw(st.permutations(sorted(edges)))))
+
+
+@given(graph=connected_graphs())
+@settings(max_examples=60, deadline=None)
+def test_positions_match_a_construction_from_the_labels(graph):
+    labels = list(graph.demand_nodes) + list(graph.supply_nodes)
+    assert graph.edge_ends == tuple((labels.index(d), labels.index(s)) for d, s in graph.edges)
+    assert graph.atom_ends == tuple(
+        (labels.index(d), labels.index(s)) for d in graph.demand_nodes for s in graph.supply_nodes
+    )
+    assert graph.degrees == tuple(sum(name in edge for edge in graph.edges) for name in labels)
+    columns = [graph.atom_index(atom) for atom in graph.arrival_atoms]
+    assert columns == list(range(graph.n_d * graph.n_s))
+    assert graph.atom_index((np.int64(graph.n_d - 1), np.int8(0))) == (graph.n_d - 1) * graph.n_s
+
+
+@pytest.mark.parametrize("atom, message", BAD_ATOMS[1:])
+def test_project_arrival_rejects_non_integer_atoms(atom, message):
+    proj = NProjection.from_graph(make_n_graph())
+    with pytest.raises(ValueError, match=message):
+        project_arrival(proj, *atom)
+    with pytest.raises(ValueError, match=r"atom out of range: \(2, 0\) is not an arrival atom"):
+        project_arrival(proj, 2, 0)
+
+
+@pytest.mark.parametrize("field, entries, message", OTHER_ARRIVALS)
+def test_arrivals_sized_for_another_graph_are_rejected(field, entries, message):
+    graph = make_n_graph()
+    arrivals, _ = n_inputs(field, entries)
+    with pytest.raises(ValueError, match=message):
+        check_stability(graph, arrivals)
+    with pytest.raises(ValueError, match=message):
+        projected_arrival_law(NProjection.from_graph(graph), arrivals)

@@ -22,7 +22,7 @@ from matchdp.nshaped import (
 from matchdp.policies import ThresholdN
 from matchdp.states import arrival_vector, node_usage
 
-from conftest import make_n_graph
+from conftest import OTHER_SIZES, make_n_graph, n_inputs
 
 BASE = NModelParams(alpha=0.6, beta=0.4, costs=(1.0, 1.0, 1.0, 1.0))
 SKEWED = NModelParams(alpha=0.55, beta=0.45, costs=(1.0, 10.0, 8.0, 2.0))
@@ -247,3 +247,17 @@ def test_unstable_params_raise():
     ):
         with pytest.raises(Unstable):
             call()
+
+
+@pytest.mark.parametrize("field, entries, message", OTHER_SIZES)
+def test_from_graph_rejects_inputs_sized_for_another_graph(field, entries, message):
+    arrivals, costs = n_inputs(field, entries)
+    with pytest.raises(ValueError, match=message):
+        NModelParams.from_graph(make_n_graph(), arrivals, costs)
+
+
+@pytest.mark.parametrize("t", [True, 1.0, 2.5, math.inf])
+def test_average_cost_takes_integer_thresholds_only(t):
+    with pytest.raises(ValueError, match=f"threshold must be an integer, got {t}"):
+        average_cost(BASE, t)
+    assert average_cost(BASE, np.int64(1)) == average_cost(BASE, 1)

@@ -36,6 +36,7 @@ from matchdp.solver import TruncatedStateSpace, extract_policy
 from matchdp.states import is_admissible, node_usage
 
 from conftest import (
+    OTHER_COSTS,
     WRONG_LENGTHS,
     Fractional,
     ZeroOfLength,
@@ -45,6 +46,7 @@ from conftest import (
     make_nn_graph,
     make_path23,
     make_w_graph,
+    n_inputs,
     unit_costs,
 )
 from oracles import (
@@ -775,3 +777,12 @@ def test_decisions_equal_the_numpy_oracle_on_a_box(name):
             raised += isinstance(want, tuple)
     # ThresholdW(0, 0) overdraws the middle class on unbalanced vectors.
     assert (raised > 0) == (name == "w")
+
+
+@pytest.mark.parametrize("build", [MaxWeight, lambda graph, costs: PriorityExtreme(graph, costs=costs)],
+                         ids=["MaxWeight", "PriorityExtreme"])
+@pytest.mark.parametrize("field, entries, message", OTHER_COSTS)
+def test_costs_sized_for_another_graph_are_rejected(build, field, entries, message):
+    _, costs = n_inputs(field, entries)
+    with pytest.raises(ValueError, match=message):
+        build(make_n_graph(), costs)

@@ -37,7 +37,14 @@ from matchdp.simulate import (
     write_replication_csv,
 )
 
-from conftest import Fractional, make_complete22, make_n_graph, make_w_graph
+from conftest import (
+    OTHER_SIZES,
+    Fractional,
+    make_complete22,
+    make_n_graph,
+    make_w_graph,
+    n_inputs,
+)
 from oracles import reference_simulate, reference_threshold_n
 
 # The package re-exports the function ``simulate`` over the module's name.
@@ -106,6 +113,7 @@ class TestConfigValidation:
             ("replications", {"horizon": 100, "replications": True}),
             ("seed", {"horizon": 100, "seed": False}),
             ("q0", {"horizon": 100, "q0": (True, 0, 0, 1)}),
+            ("a0", {"horizon": 100, "a0": (True, 0)}),
         ],
     )
     def test_bools_are_rejected(self, field, kwargs):
@@ -514,3 +522,27 @@ def test_aggregate_shape_invariants(seed, reps):
     assert len(result.node_means) == graph.n_nodes
     assert result.level_freqs is not None
     assert 0.0 <= sum(result.level_freqs) <= 1.0 + 1e-9
+
+
+# ---- inputs that do not fit the graph ----
+
+
+@pytest.mark.parametrize("run", ["simulate", "compare"])
+@pytest.mark.parametrize("field, entries, message", OTHER_SIZES)
+def test_inputs_sized_for_another_graph_are_rejected(run, field, entries, message):
+    graph = make_n_graph()
+    arrivals, costs = n_inputs(field, entries)
+    policies = [ThresholdN(graph, 0), ThresholdN(graph, 1)]
+    cfg = SimConfig(horizon=200, seed=1)
+    with pytest.raises(ValueError, match=message):
+        if run == "simulate":
+            simulate(graph, arrivals, costs, policies[0], cfg)
+        else:
+            compare(graph, arrivals, costs, policies, cfg)
+
+
+@pytest.mark.parametrize("threads", [True, 1.5])
+def test_non_integer_thread_widths_are_rejected(threads):
+    graph, arrivals, costs = n_setup()
+    with pytest.raises(ValueError, match=f"threads must be an integer, got {threads}"):
+        simulate(graph, arrivals, costs, ThresholdN(graph, 0), SimConfig(horizon=10), threads=threads)

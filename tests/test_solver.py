@@ -36,6 +36,9 @@ from matchdp.solver import (
 from matchdp.structure import check_increasing
 
 from conftest import (
+    BAD_ATOMS,
+    OTHER_ARRIVALS,
+    OTHER_SIZES,
     WRONG_LENGTHS,
     Fractional,
     ZeroOfLength,
@@ -48,6 +51,7 @@ from conftest import (
     make_one_edge,
     make_path23,
     make_w_graph,
+    n_inputs,
     recipe_solve,
     unit_costs,
 )
@@ -409,6 +413,15 @@ class TestValueIteration:
         for atom in [(0, 2), (-1, 0), (2, 0)]:
             with pytest.raises(ValueError, match=re.escape(f"{atom} is not an")):
                 vf.value(q, atom)
+
+    @pytest.mark.parametrize("atom, message", BAD_ATOMS)
+    def test_value_rejects_atoms_that_are_not_integer_pairs(self, n_graph, n_arrivals, atom, message):
+        space = TruncatedStateSpace(n_graph, cap=3)
+        vf, _ = value_iteration(
+            space, unit_costs(n_graph), n_arrivals, DPConfig(theta=0.5), extract=False
+        )
+        with pytest.raises(ValueError, match=message):
+            vf.value([1, 0, 0, 1], atom)
 
     def test_rejects_bad_theta(self, n_graph, n_arrivals):
         space = TruncatedStateSpace(n_graph, cap=3)
@@ -1088,3 +1101,37 @@ class TestExtraction:
         w = table @ arrivals.atom_probs()
         for x, u in policy.table.items():
             assert tuple(u) == tuple(_argmin_decision(space, w, np.asarray(x)))
+
+
+# ---- inputs sized for another graph ----
+
+SOLVES = {
+    "value_iteration": lambda space, costs, arrivals: value_iteration(space, costs, arrivals),
+    "relative_value_iteration": lambda space, costs, arrivals: relative_value_iteration(
+        space, costs, arrivals
+    ),
+    "evaluate_policy": lambda space, costs, arrivals: evaluate_policy(
+        space, ThresholdN(space.graph, 1), costs, arrivals, mode="average"
+    ),
+    "bellman_backup": lambda space, costs, arrivals: bellman_backup(
+        space, np.zeros((len(space.balanced_states), space.n_atoms)), costs, arrivals, 0.9
+    ),
+}
+
+
+@pytest.mark.parametrize("solve", sorted(SOLVES))
+@pytest.mark.parametrize("field, entries, message", OTHER_SIZES)
+def test_solvers_reject_inputs_sized_for_another_graph(solve, field, entries, message):
+    space = TruncatedStateSpace(make_n_graph(), cap=3)
+    arrivals, costs = n_inputs(field, entries)
+    with pytest.raises(ValueError, match=message):
+        SOLVES[solve](space, costs, arrivals)
+
+
+@pytest.mark.parametrize("field, entries, message", OTHER_ARRIVALS)
+def test_extract_policy_rejects_arrivals_sized_for_another_graph(field, entries, message):
+    space = TruncatedStateSpace(make_n_graph(), cap=3)
+    arrivals, _ = n_inputs(field, entries)
+    table = np.zeros((len(space.balanced_states), space.n_atoms))
+    with pytest.raises(ValueError, match=message):
+        extract_policy(space, table, arrivals)

@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchdp.errors import ActionSpaceBudget, Inadmissible, WrongGraphClass
+from matchdp.policies import Policy, read_decisions
 from matchdp.states import (
+    _left,
     admissible_matchings,
     arrival_vector,
     as_state,
@@ -25,6 +27,7 @@ from matchdp.states import (
 )
 
 from conftest import (
+    BAD_ATOMS,
     make_cmo33,
     make_complete22,
     make_n_graph,
@@ -193,6 +196,48 @@ def test_transition_preserves_balance(name, data):
     q_next = transition(graph, q, (i, j), u)
     assert is_balanced(graph, q_next)
     assert np.all(q_next >= 0)
+
+
+@pytest.mark.parametrize(
+    "u", [[0.5, 0, 0], [True, False, False]], ids=["fractional", "bool"]
+)
+def test_non_integer_match_counts_are_rejected(n_graph, u):
+    dtype = np.asarray(u).dtype
+    message = f"matching vector holds match counts of dtype {dtype}, not integers"
+    with pytest.raises(ValueError, match=message):
+        node_usage(n_graph, u)
+    with pytest.raises(ValueError, match=message):
+        is_admissible(n_graph, [1, 0, 0, 1], u)
+    with pytest.raises(ValueError, match=message):
+        transition(n_graph, [0, 0, 0, 0], (0, 0), u)
+
+
+@pytest.mark.parametrize("atom, message", BAD_ATOMS[1:])
+def test_arrival_vector_rejects_non_integer_atoms(n_graph, atom, message):
+    with pytest.raises(ValueError, match=message):
+        arrival_vector(n_graph, *atom)
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_MAKERS))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_left_is_the_residual_and_the_mask_of_read_decisions(name, data):
+    graph = GRAPH_MAKERS[name]()
+    x = data.draw(st.lists(st.integers(0, 3), min_size=graph.n_nodes, max_size=graph.n_nodes))
+    n_edges = len(graph.edges)
+    u = data.draw(st.lists(st.integers(-1, 3), min_size=n_edges, max_size=n_edges))
+
+    class Fixed(Policy):
+        def decide(self, _):
+            return np.array(u, dtype=np.int64)
+
+    _, residual, inadmissible = read_decisions(Fixed(graph), np.array([x], dtype=np.int64))
+    shown = list(x)
+    left = _left(graph, x, u)
+    assert x == shown  # x is left as it was
+    assert (left is None) == bool(inadmissible[0])
+    if left is not None:
+        assert left == residual[0].tolist() == (np.array(x) - node_usage(graph, u)).tolist()
 
 
 # ---- role layouts and residual sets ----

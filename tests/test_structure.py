@@ -360,6 +360,16 @@ class TestArgumentValidation:
         with pytest.raises(ValueError, match="out of range"):
             check_increasing(space, v, (5, 0))
 
+    @pytest.mark.parametrize(
+        "pair, message",
+        [((0.7, 0.2), "pair must be an integer, got 0.7"), (("1", "0"), "pair must be an integer, got '1'")],
+    )
+    def test_pair_of_non_integers(self, pair, message):
+        space = n_space()
+        v = linear_table(space, (1, 1, 1, 1))
+        with pytest.raises(ValueError, match=message):
+            check_increasing(space, v, pair)
+
     def test_convex_needs_n_or_w(self):
         graph = make_complete22()
         space = TruncatedStateSpace(graph, cap=4, margin=1)
