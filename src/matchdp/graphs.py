@@ -3,7 +3,8 @@
 A matching graph pairs a set of demand classes with a set of supply classes
 through an edge set describing which pairs may be matched.  The module keeps
 three immutable value objects (:class:`MatchingGraph`,
-:class:`ArrivalDistribution`, :class:`CostVector`), a structural classifier,
+:class:`ArrivalDistribution`, :class:`CostVector`), a structural classifier
+that also works out the state positions of each role the paper names,
 the subset-based stability test, and the projection of a complete-minus-one
 graph onto the two-by-two N model.
 
@@ -15,6 +16,8 @@ index, both 0-based.  Only :class:`MatchingGraph` works out positions:
 atom fills), ``degrees`` (edges per position) and the one arrival-pair
 rule, :meth:`~MatchingGraph.atom_index`, which takes two in-range integers
 (a bool, a float or a string raises ValueError) to the atom's column.
+Only :func:`classify` works out roles (:attr:`GraphClass.roles`), and
+:func:`role_positions` hands them to every reader.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import NotCompleteMinusOne, ParseError, SubsetExplosion
+from .errors import NotCompleteMinusOne, ParseError, SubsetExplosion, WrongGraphClass
 
 PROB_TOL = 1e-12
 SUBSET_NODE_CAP = 24
@@ -299,11 +302,23 @@ def _check_sizes(
 
 @dataclass(frozen=True)
 class GraphClass:
-    """Structural class of a graph plus the features downstream solvers key on."""
+    """Structural class of a graph, the features downstream solvers key on,
+    and the state positions of the roles the paper names.
+
+    ``roles`` is (d1, d2, s1, s2) on N and complete-minus-one graphs: d2
+    and s1 are the ends of the missing edge (one position each), while d1
+    and s2 are tuples grouping the other demand and the other supply
+    positions, so an N graph is its own projection, one position per
+    group.  On a W graph it is the five positions (d1, d2, d3, s1, s2):
+    d2 is the demand class of degree 2, s1 the supply class listed first,
+    d1 and d3 the degree-one partners of s1 and s2.  Other classes have
+    no roles, ``()``.
+    """
 
     tag: str
     missing_edge: tuple[int, int] | None
     extreme_edges: tuple[tuple[int, int], ...]
+    roles: tuple = ()
 
 
 def _extreme_edges(graph: MatchingGraph) -> tuple[tuple[int, int], ...]:
@@ -311,6 +326,24 @@ def _extreme_edges(graph: MatchingGraph) -> tuple[tuple[int, int], ...]:
     return tuple(
         e for e, (d, s) in zip(graph.edge_index, graph.edge_ends) if deg[d] == 1 or deg[s] == 1
     )
+
+
+def _missing_edge_roles(graph: MatchingGraph, missing: tuple[int, int]) -> tuple:
+    d2, s1 = graph.atom_ends[graph.atom_index(missing)]
+    return (
+        tuple(i for i in range(graph.n_d) if i != d2),
+        d2,
+        s1,
+        tuple(s for s in range(graph.n_d, graph.n_nodes) if s != s1),
+    )
+
+
+def _w_roles(graph: MatchingGraph) -> tuple[int, int, int, int, int]:
+    d2 = graph.degrees.index(2)  # the one demand position of degree 2
+    s1, s2 = graph.n_d, graph.n_d + 1
+    # Each supply class pairs d2 with one leaf: d1 on s1, d3 on s2.
+    d1, d3 = (next(d for d, s in graph.edge_ends if s == t and d != d2) for t in (s1, s2))
+    return d1, d2, d3, s1, s2
 
 
 def classify(graph: MatchingGraph) -> GraphClass:
@@ -327,15 +360,40 @@ def classify(graph: MatchingGraph) -> GraphClass:
     if m == n_d * n_s:
         return GraphClass(COMPLETE, None, extremes)
     if n_d == 2 and n_s == 2 and m == 3:
-        return GraphClass(N_SHAPED, missing[0], extremes)
+        return GraphClass(N_SHAPED, missing[0], extremes, _missing_edge_roles(graph, missing[0]))
     d_deg, s_deg = sorted(graph.degrees[:n_d]), sorted(graph.degrees[n_d:])
     if n_d == 3 and n_s == 2 and m == 4 and d_deg == [1, 1, 2] and s_deg == [2, 2]:
-        return GraphClass(W_SHAPED, None, extremes)
+        return GraphClass(W_SHAPED, None, extremes, _w_roles(graph))
     if n_d >= 2 and n_s >= 2 and m == n_d * n_s - 1:
-        return GraphClass(COMPLETE_MINUS_ONE, missing[0], extremes)
+        return GraphClass(
+            COMPLETE_MINUS_ONE, missing[0], extremes, _missing_edge_roles(graph, missing[0])
+        )
     if m == graph.n_nodes - 1:
         return GraphClass(ACYCLIC, None, extremes)
     return GraphClass(GENERAL_CYCLIC, None, extremes)
+
+
+_ROLE_READERS = {
+    N_SHAPED: (WrongGraphClass, "N layout needs an N-shaped graph"),
+    W_SHAPED: (WrongGraphClass, "W layout needs a W-shaped graph"),
+    COMPLETE_MINUS_ONE: (NotCompleteMinusOne, "projection needs a complete-minus-one graph"),
+}
+
+
+def role_positions(graph: MatchingGraph, family: str) -> tuple:
+    """``classify(graph).roles`` for a reader of ``family``.
+
+    N_SHAPED and W_SHAPED readers need a graph of that class, and raise
+    :class:`~matchdp.errors.WrongGraphClass` on another; a
+    COMPLETE_MINUS_ONE reader (a projection onto the N model) also takes
+    an N graph, its own projection, and raises
+    :class:`~matchdp.errors.NotCompleteMinusOne` on another class.
+    """
+    info = classify(graph)
+    if info.tag != family and (family, info.tag) != (COMPLETE_MINUS_ONE, N_SHAPED):
+        error, need = _ROLE_READERS[family]
+        raise error(f"{need}, got {info.tag}")
+    return info.roles
 
 
 # ---- stability ----
@@ -450,75 +508,35 @@ def check_stability(
 
 
 # ---- projection onto the two-by-two N model ----
+#
+# A complete-minus-one graph collapses onto the N model by its roles: the
+# d1 group into the flexible demand node, the s2 group into the flexible
+# supply node, and the two ends of the missing edge onto d2 and s1.
 
 
-@dataclass(frozen=True)
-class NProjection:
-    """Aggregation of a complete-minus-one graph onto the N-shaped model.
-
-    With (i*, j*) the unique missing edge, demand classes other than i*
-    collapse into the first N demand node and supply classes other than j*
-    collapse into the second N supply node.
-    """
-
-    graph: MatchingGraph
-    missing: tuple[int, int]
-    demand_group: tuple[int, ...]
-    supply_group: tuple[int, ...]
-
-    @classmethod
-    def from_graph(cls, graph: MatchingGraph) -> "NProjection":
-        info = classify(graph)
-        if info.tag not in (N_SHAPED, COMPLETE_MINUS_ONE):
-            raise NotCompleteMinusOne(
-                f"projection needs a complete-minus-one graph, got {info.tag}"
-            )
-        i_star, j_star = info.missing_edge  # type: ignore[misc]
-        return cls(
-            graph=graph,
-            missing=(i_star, j_star),
-            demand_group=tuple(i for i in range(graph.n_d) if i != i_star),
-            supply_group=tuple(j for j in range(graph.n_s) if j != j_star),
-        )
-
-
-def project_state(proj: NProjection, state: Sequence[int]) -> np.ndarray:
+def project_state(graph: MatchingGraph, state: Sequence[int]) -> np.ndarray:
     """Collapse a full state vector to N coordinates (d1, d2, s1, s2)."""
+    d1, d2, s1, s2 = role_positions(graph, COMPLETE_MINUS_ONE)
     vec = np.asarray(state)
-    if vec.shape != (proj.graph.n_nodes,):
-        raise ValueError(
-            f"state must have length {proj.graph.n_nodes}, got {vec.shape}"
-        )
-    q_d = vec[: proj.graph.n_d]
-    q_s = vec[proj.graph.n_d:]
-    i_star, j_star = proj.missing
-    return np.array(
-        [
-            q_d[list(proj.demand_group)].sum(),
-            q_d[i_star],
-            q_s[j_star],
-            q_s[list(proj.supply_group)].sum(),
-        ]
-    )
+    if vec.shape != (graph.n_nodes,):
+        raise ValueError(f"state must have length {graph.n_nodes}, got {vec.shape}")
+    return np.array([vec[list(d1)].sum(), vec[d2], vec[s1], vec[list(s2)].sum()])
 
 
-def project_arrival(proj: NProjection, i: int, j: int) -> tuple[int, int]:
+def project_arrival(graph: MatchingGraph, i: int, j: int) -> tuple[int, int]:
     """Map an arrival atom (i, j) of the big graph to an N model atom."""
-    i, j = proj.graph.arrival_atoms[proj.graph.atom_index((i, j))]
-    i_star, j_star = proj.missing
-    if j == j_star:
-        return (1, 0) if i == i_star else (0, 0)
-    if i == i_star:
-        return (1, 1)
-    return (0, 1)
+    _, d2, s1, _ = role_positions(graph, COMPLETE_MINUS_ONE)
+    d, s = graph.atom_ends[graph.atom_index((i, j))]
+    return int(d == d2), int(s != s1)
 
 
-def projected_arrival_law(proj: NProjection, arrivals: ArrivalDistribution) -> np.ndarray:
+def projected_arrival_law(graph: MatchingGraph, arrivals: ArrivalDistribution) -> np.ndarray:
     """Aggregate the arrival law through the projection; returns a 2x2 table."""
-    _check_sizes(proj.graph, arrivals)
+    role_positions(graph, COMPLETE_MINUS_ONE)  # the class is checked before the sizes
+    _check_sizes(graph, arrivals)
     law = np.zeros((2, 2))
-    for (i, j), p in zip(proj.graph.arrival_atoms, arrivals.atom_probs()):
-        law[project_arrival(proj, i, j)] += p
+    for (i, j), p in zip(graph.arrival_atoms, arrivals.atom_probs()):
+        law[project_arrival(graph, i, j)] += p
     return law
 
 
@@ -527,23 +545,18 @@ def check_projected_cost(
 ) -> bool:
     """Whether the cost vector collapses exactly onto the given N costs.
 
-    Demand costs must be constant over the aggregated demand group, supply
-    costs constant over the aggregated supply group, and the four-entry
-    ``n_costs`` (d1, d2, s1, s2) must equal those constants and the costs of
-    the two isolated nodes.
+    Costs must be constant over the d1 group and over the s2 group, and
+    the four-entry ``n_costs`` (d1, d2, s1, s2) must equal those constants
+    and the costs of the two ends of the missing edge.
     """
-    proj = NProjection.from_graph(graph)
+    d1, d2, s1, s2 = role_positions(graph, COMPLETE_MINUS_ONE)
     target = np.asarray(n_costs, dtype=float)
     if target.shape != (4,):
         raise ValueError("n_costs must have exactly four entries (d1, d2, s1, s2)")
-    group_d = costs.demand[list(proj.demand_group)]
-    group_s = costs.supply[list(proj.supply_group)]
+    group_d, group_s = costs.vector[list(d1)], costs.vector[list(s2)]
     if not (np.all(group_d == group_d[0]) and np.all(group_s == group_s[0])):
         return False
-    i_star, j_star = proj.missing
-    collapsed = np.array(
-        [group_d[0], costs.demand[i_star], costs.supply[j_star], group_s[0]]
-    )
+    collapsed = np.array([group_d[0], costs.vector[d2], costs.vector[s1], group_s[0]])
     return bool(np.all(collapsed == target))
 
 

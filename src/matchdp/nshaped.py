@@ -18,8 +18,15 @@ from functools import cached_property
 from typing import Sequence
 
 from .errors import Unstable
-from .graphs import ArrivalDistribution, CostVector, MatchingGraph, _check_sizes, _integer
-from .states import n_layout
+from .graphs import (
+    N_SHAPED,
+    ArrivalDistribution,
+    CostVector,
+    MatchingGraph,
+    _check_sizes,
+    _integer,
+    role_positions,
+)
 
 RHO_FORMULA_LIMIT = 0.999
 
@@ -60,17 +67,13 @@ class NModelParams:
         arrivals: ArrivalDistribution,
         costs: CostVector,
     ) -> "NModelParams":
-        lay = n_layout(graph)
+        (d1,), d2, s1, (s2,) = role_positions(graph, N_SHAPED)
         _check_sizes(graph, arrivals, costs)
+        law = (*arrivals.alpha, *arrivals.beta)  # one entry per state position
         return cls(
-            alpha=float(arrivals.alpha[lay.d1]),
-            beta=float(arrivals.beta[lay.s1_local]),
-            costs=(
-                float(costs.demand[lay.d1]),
-                float(costs.demand[lay.d2]),
-                float(costs.supply[lay.s1_local]),
-                float(costs.supply[lay.s2_local]),
-            ),
+            alpha=float(law[d1]),
+            beta=float(law[s1]),
+            costs=tuple(float(costs.vector[p]) for p in (d1, d2, s1, s2)),
         )
 
     @property

@@ -2,11 +2,11 @@
 
 Each policy is bound to a graph at construction (validating the graph class
 it needs) and exposes ``decide(x)`` returning a per-edge count vector that
-is admissible at x.  Threshold rules follow the role layouts of
-:mod:`matchdp.states`; on balanced vectors they reproduce their defining
-formulas exactly, and every count is additionally capped by the running
-residual so that a decision is admissible even on unbalanced vectors such
-as solver grid points.
+is admissible at x.  Threshold rules read the roles that
+:func:`~matchdp.graphs.classify` works out; on balanced vectors they
+reproduce their defining formulas exactly, and every count is additionally
+capped by the running residual so that a decision is admissible even on
+unbalanced vectors such as solver grid points.
 """
 
 from __future__ import annotations
@@ -21,22 +21,22 @@ import numpy as np
 from .errors import Inadmissible, MissingDecision, ParseError, WrongGraphClass
 from .graphs import (
     COMPLETE,
+    COMPLETE_MINUS_ONE,
+    N_SHAPED,
+    W_SHAPED,
     CostVector,
     MatchingGraph,
-    NProjection,
     _check_sizes,
     classify,
+    role_positions,
 )
 from .states import (
-    WLayout,
     _counts,
     _decision,
     _int_list,
     _left,
     admissible_matchings,
-    n_layout,
     node_usage,
-    w_layout,
 )
 
 
@@ -186,45 +186,40 @@ class FullMatch(Policy):
 class ThresholdCMO(Policy):
     """Threshold rule on a complete-minus-one graph via its N projection.
 
-    With (i*, j*) the missing edge, the demand classes other than i* form
-    the flexible group and the supply classes other than j* the other.
-    Group totals are the N rule on the projected state: both priority
-    totals saturate, and the cross total matches only the demand-group
-    surplus over x_{j*} beyond the threshold t.  Within a group, totals
-    are allocated greedily over edges in file order.
+    The roles of :func:`~matchdp.graphs.classify` group the demand
+    classes other than d2 into d1 and the supply classes other than s1
+    into s2, where (d2, s1) is the missing edge.  Group totals are the N
+    rule on the projected state: both priority totals saturate, and the
+    cross total matches only the d1 surplus over s1 beyond the threshold
+    t.  Within a group, totals are allocated greedily over edges in file
+    order.
     """
 
     kind = "threshold_cmo"
     label = "ThresholdCMO"
     thresholds = ("t",)
+    _graph_class = COMPLETE_MINUS_ONE
 
     def __init__(self, graph: MatchingGraph, t):
-        proj = NProjection.from_graph(graph)
+        d1, d2, s1, s2 = role_positions(graph, self._graph_class)
         super().__init__(graph, t)
-        i_star, j_star = proj.missing
-        nd = graph.n_d
-        self._d_star, self._s_star = i_star, nd + j_star
-        self._demand = proj.demand_group
-        self._supply = tuple(nd + j for j in proj.supply_group)
+        self._d1, self._d2, self._s1, self._s2 = d1, d2, s1, s2
 
-        def group(pairs) -> tuple[tuple[int, int, int], ...]:
-            """(edge, demand position, supply position), in file order."""
-            return tuple(sorted((graph.edge_position[(i, j)], i, nd + j) for i, j in pairs))
+        def group(ds, ss) -> tuple[tuple[int, int, int], ...]:
+            """(edge, demand position, supply position) of each edge from
+            ``ds`` to ``ss``, in file order."""
+            return tuple((e, d, s) for e, (d, s) in enumerate(self._ends) if d in ds and s in ss)
 
-        self._groups = (
-            group((i, j_star) for i in proj.demand_group),
-            group((i_star, j) for j in proj.supply_group),
-            group((i, j) for i in proj.demand_group for j in proj.supply_group),
-        )
+        self._groups = (group(d1, (s1,)), group((d2,), s2), group(d1, s2))
 
     def decide(self, x: Sequence[int]) -> np.ndarray:
         rem = _int_list(x, self._n)
-        sum_d = sum(rem[i] for i in self._demand)
-        sum_s = sum(rem[s] for s in self._supply)
-        total_11 = min(sum_d, rem[self._s_star])
-        total_22 = min(rem[self._d_star], sum_s)
+        sum_d = sum(rem[d] for d in self._d1)
+        sum_s = sum(rem[s] for s in self._s2)
+        total_11 = min(sum_d, rem[self._s1])
+        total_22 = min(rem[self._d2], sum_s)
         k = min(
-            _surplus_after(sum_d - rem[self._s_star], self.t),
+            _surplus_after(sum_d - rem[self._s1], self.t),
             sum_d - total_11,
             sum_s - total_22,
         )
@@ -250,23 +245,25 @@ class ThresholdN(ThresholdCMO):
 
     kind = "threshold_n"
     label = "ThresholdN"
-
-    def __init__(self, graph: MatchingGraph, t):
-        n_layout(graph)  # raises WrongGraphClass unless the graph is N-shaped
-        super().__init__(graph, t)
+    _graph_class = N_SHAPED
 
 
-def _w_edges(graph: MatchingGraph) -> tuple[WLayout, tuple[int, int, int, int]]:
-    """The W layout and the positions of edges (1,1), (2,1), (2,2), (3,2)."""
-    lay = w_layout(graph)
-    pos = graph.edge_position
-    return lay, (
-        pos[(lay.d1, lay.s1_local)], pos[(lay.d2, lay.s1_local)],
-        pos[(lay.d2, lay.s2_local)], pos[(lay.d3, lay.s2_local)],
-    )
+class _WRule(Policy):
+    """A rule on the W-shaped graph.  ``_pack`` reads (d1, d2, d3, s1, s2)
+    off x at the positions of :func:`~matchdp.graphs.classify`'s roles,
+    and ``_e11``, ``_e21``, ``_e22``, ``_e32`` are the edges (d1, s1),
+    (d2, s1), (d2, s2), (d3, s2)."""
+
+    def __init__(self, graph: MatchingGraph, *values):
+        d1, d2, d3, s1, s2 = role_positions(graph, W_SHAPED)
+        super().__init__(graph, *values)
+        self._pack = operator.itemgetter(d1, d2, d3, s1, s2)
+        self._e11, self._e21, self._e22, self._e32 = map(
+            self._ends.index, ((d1, s1), (d2, s1), (d2, s2), (d3, s2))
+        )
 
 
-class ThresholdW(Policy):
+class ThresholdW(_WRule):
     """Two-threshold rule on the W-shaped graph.
 
     Extreme edges (d1, s1) and (d3, s2) are matched fully; the middle
@@ -280,12 +277,11 @@ class ThresholdW(Policy):
     thresholds = ("t21", "t22")
 
     def __init__(self, graph: MatchingGraph, t21, t22):
-        self.layout, (self._e11, self._e21, self._e22, self._e32) = _w_edges(graph)
         super().__init__(graph, t21, t22)
 
     def decide(self, x: Sequence[int]) -> np.ndarray:
         vec = _int_list(x, self._n)
-        d1, d2, d3, s1, s2 = self.layout.pack(vec)
+        d1, d2, d3, s1, s2 = self._pack(vec)
         k = min(_surplus_after(s1 - d1, self.t21), d2)
         j = min(_surplus_after(s2 - d3, self.t22), d2)
         if k + j > d2:
@@ -301,7 +297,7 @@ class ThresholdW(Policy):
         return np.array(u, dtype=np.int64)
 
 
-class ThresholdWWorkload(Policy):
+class ThresholdWWorkload(_WRule):
     """W-graph rule thresholding the middle workload instead of each surplus.
 
     Pairs (d1, s1) and (d2, s2) are matched with priority.  The leaf class
@@ -316,11 +312,10 @@ class ThresholdWWorkload(Policy):
     thresholds = ("t21", "t32")
 
     def __init__(self, graph: MatchingGraph, t21, t32):
-        self.layout, (self._e11, self._e21, self._e22, self._e32) = _w_edges(graph)
         super().__init__(graph, t21, t32)
 
     def decide(self, x: Sequence[int]) -> np.ndarray:
-        d1, d2, d3, s1, s2 = self.layout.pack(_int_list(x, self._n))
+        d1, d2, d3, s1, s2 = self._pack(_int_list(x, self._n))
         u11 = min(d1, s1)
         u22 = min(d2, s2)
         rem_s1 = s1 - u11

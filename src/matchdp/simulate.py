@@ -70,10 +70,10 @@ from .graphs import (
     _check_sizes,
     _integer,
     _pair,
-    classify,
+    role_positions,
 )
 from .policies import Policy, ThresholdN, _check_graph
-from .states import _decision, _left, n_layout
+from .states import _decision, _left, check_queue_state
 
 MAX_SEED = 2**64
 
@@ -116,18 +116,15 @@ class SimConfig:
         return self.horizon - self.burn_in
 
     def initial_queue(self, graph: MatchingGraph) -> list[int]:
+        """Zeros when ``q0`` is omitted, else ``q0`` as checked by
+        :func:`~matchdp.states.check_queue_state`, whose ValueError is
+        raised again under the name q0."""
         if self.q0 is None:
             return [0] * graph.n_nodes
-        q = list(self.q0)
-        if len(q) != graph.n_nodes:
-            raise ValueError(
-                f"q0 must have {graph.n_nodes} coordinates, got {len(q)}"
-            )
-        if min(q) < 0:
-            raise ValueError(f"q0 must be nonnegative, got {q}")
-        if sum(q[: graph.n_d]) != sum(q[graph.n_d :]):
-            raise ValueError(f"q0 must be balanced, got {q}")
-        return q
+        try:
+            return check_queue_state(graph, self.q0).tolist()
+        except ValueError as exc:
+            raise ValueError(f"q0: {exc}") from None
 
     def initial_atom(self, graph: MatchingGraph) -> tuple[int, int] | None:
         if self.a0 is not None:
@@ -463,13 +460,13 @@ class _Chain:
         self.top = _stride(self.n_atoms)
         self._set_stride(1)
         self.cvec = [float(c) for c in costs.vector]
-        self.layout = None
-        if (isinstance(policy, ThresholdN) and classify(graph).tag == N_SHAPED
-                and policy.t != math.inf):
+        self.level_of = None
+        if isinstance(policy, ThresholdN) and policy.t != math.inf:
             from .nshaped import level_of_state
 
-            self.layout = n_layout(graph)
-            self.level_of = level_of_state
+            (d1,), d2, s1, (s2,) = role_positions(graph, N_SHAPED)
+            roles = operator.itemgetter(d1, d2, s1, s2)
+            self.level_of = lambda key: level_of_state(policy.t, roles(key))
         self._forget()
 
     def _set_stride(self, m: int) -> None:
@@ -511,11 +508,8 @@ class _Chain:
                 self._forget()
             sid = self.ids[key] = len(self.states)
             self.states.append(key)
-            if self.layout is not None:
-                lay = self.layout
-                self.levels.append(self.level_of(
-                    self.policy.t, (key[lay.d1], key[lay.d2], key[lay.s1], key[lay.s2])
-                ))
+            if self.level_of is not None:
+                self.levels.append(self.level_of(key))
             self.next += [None] * self.n_atoms
             self.hits += [0] * self.n_atoms
         return sid * self.n_atoms
@@ -559,7 +553,7 @@ class _Chain:
             self.atom_counts[a] += sum(hits[a::width])
         for k, column in enumerate(zip(*self.states)):
             self.node_sums[k] += sum(map(operator.mul, visits, column))
-        if self.layout is not None:
+        if self.level_of is not None:
             counts = self.level_counts
             for level, seen in zip(self.levels, visits):
                 if level is not None and seen:
@@ -571,7 +565,7 @@ class _Chain:
         self.counting = False
         self.node_sums = [0] * self.graph.n_nodes
         self.atom_counts = [0] * self.n_atoms
-        self.level_counts = None if self.layout is None else [0] * (self.policy.t + 1)
+        self.level_counts = None if self.level_of is None else [0] * (self.policy.t + 1)
         self.s = self._locate(q0)
 
     def walk(self, piece: tuple[list[int], list[int]], counted: bool) -> None:

@@ -53,6 +53,7 @@ from .graphs import (
     check_stability,
 )
 from .policies import Policy, Tabular, _check_graph, read_decisions
+from .states import as_state
 
 VI_TOL = 1e-9
 RVI_SPAN_TOL = 1e-8
@@ -105,9 +106,13 @@ def _sector(
 def _rows(codes: np.ndarray, shape: tuple[int, ...], vectors) -> np.ndarray:
     """Positions of vectors in a set given by its ascending ravel codes.
 
-    Raises KeyError naming the first vector that is not in the set.
+    Raises KeyError naming the first vector that is not in the set, and
+    ValueError on a block that is not of an integer dtype.
     """
-    vectors = np.asarray(vectors, dtype=np.int64).reshape(-1, len(shape))
+    vectors = np.asarray(vectors)
+    if vectors.dtype.kind not in "iu":
+        raise ValueError(f"state vectors must hold integers, got dtype {vectors.dtype}")
+    vectors = vectors.astype(np.int64, copy=False).reshape(-1, len(shape))
     want = np.ravel_multi_index(vectors.T, shape)
     pos = np.searchsorted(codes, want)
     found = codes[np.minimum(pos, len(codes) - 1)] == want
@@ -210,11 +215,14 @@ class TruncatedStateSpace:
         return _rows(self.balanced_codes, self.shape, vectors)
 
     def state_index(self, q) -> int:
-        """Position of a balanced vector in the packed state list."""
-        return int(self.rows(q)[0])
+        """Position of a balanced vector in the packed state list.  q is
+        read by the rule of :func:`~matchdp.states.as_state`."""
+        return int(self.rows(as_state(self.graph, q))[0])
 
     def is_interior(self, q) -> bool:
-        return bool(np.all(np.asarray(q) <= self.cap - self.margin))
+        """Whether every entry of q, read by the rule of
+        :func:`~matchdp.states.as_state`, is at most cap - margin."""
+        return bool(np.all(as_state(self.graph, q) <= self.cap - self.margin))
 
     @cached_property
     def interior_balanced_states(self) -> np.ndarray:

@@ -14,13 +14,12 @@ and :func:`_left` is what x keeps after one.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import ActionSpaceBudget, Inadmissible, WrongGraphClass
-from .graphs import MatchingGraph, N_SHAPED, W_SHAPED, classify
+from .errors import ActionSpaceBudget, Inadmissible
+from .graphs import MatchingGraph
 
 ACTION_BUDGET = 10**6
 
@@ -29,15 +28,18 @@ def _int_list(state: Sequence[int], length: int) -> list[int]:
     """``state`` as a list of ``length`` nonnegative Python ints.
 
     An integer numpy vector passes through ``.tolist()``; any other entry
-    must pass ``operator.index``, so floats (integral or not), strings and
-    float arrays raise ValueError naming the vector instead of being
-    truncated or parsed.
+    must be no bool and pass ``operator.index``, so bools, floats (integral
+    or not), strings and bool or float arrays raise ValueError naming the
+    vector instead of being read as integers, truncated or parsed.
     """
     if isinstance(state, np.ndarray) and state.ndim == 1 and state.dtype.kind in "iu":
         vec = state.tolist()
     else:
         try:
-            vec = list(map(operator.index, state))
+            vec = list(state)
+            if bool in map(type, vec):
+                raise TypeError
+            vec = list(map(operator.index, vec))
         except TypeError:
             shown = state.tolist() if isinstance(state, np.ndarray) else state
             raise ValueError(f"state entries must be integers, got {shown!r}") from None
@@ -207,88 +209,3 @@ def transition(
     if y is None:
         raise Inadmissible(f"matching {u} not admissible at x={x}")
     return np.array(y, dtype=np.int64)
-
-
-# ---- role layouts for the two structured graph families ----
-
-
-@dataclass(frozen=True)
-class NLayout:
-    """Coordinate roles of an N-shaped graph.
-
-    d1 is the flexible demand class (adjacent to both supplies), s2 the
-    flexible supply class; the missing edge is (d2, s1).  Attributes are
-    positions into the full state vector; ``d1``/``d2`` also index alpha and
-    ``s1_local``/``s2_local`` index beta.
-    """
-
-    d1: int
-    d2: int
-    s1: int
-    s2: int
-    s1_local: int
-    s2_local: int
-
-
-@dataclass(frozen=True)
-class WLayout:
-    """Coordinate roles of a W-shaped graph.
-
-    d2 is the flexible demand class adjacent to both supplies; s1 is the
-    supply class listed first in the file, with d1 its degree-one partner
-    and d3 the degree-one partner of s2.  Edge roles follow the naming
-    (1,1), (2,1), (2,2), (3,2).
-    """
-
-    d1: int
-    d2: int
-    d3: int
-    s1: int
-    s2: int
-    s1_local: int
-    s2_local: int
-
-    def pack(self, x: Sequence[int]) -> tuple[int, int, int, int, int]:
-        return (
-            int(x[self.d1]), int(x[self.d2]), int(x[self.d3]),
-            int(x[self.s1]), int(x[self.s2]),
-        )
-
-
-def n_layout(graph: MatchingGraph) -> NLayout:
-    if classify(graph).tag != N_SHAPED:
-        raise WrongGraphClass(
-            f"N layout needs an N-shaped graph, got {classify(graph).tag}"
-        )
-    # Each side holds one position of degree 1 and one of degree 2, and
-    # the demand positions come first.
-    deg, n_d = graph.degrees, graph.n_d
-    s1, s2 = deg.index(1, n_d), deg.index(2, n_d)
-    return NLayout(
-        d1=deg.index(2),
-        d2=deg.index(1),
-        s1=s1,
-        s2=s2,
-        s1_local=s1 - n_d,
-        s2_local=s2 - n_d,
-    )
-
-
-def w_layout(graph: MatchingGraph) -> WLayout:
-    if classify(graph).tag != W_SHAPED:
-        raise WrongGraphClass(
-            f"W layout needs a W-shaped graph, got {classify(graph).tag}"
-        )
-    d2 = graph.degrees.index(2)  # the one demand position of degree 2
-    s1_local, s2_local = 0, 1
-    # Each supply class pairs d2 with one leaf: d1 on s1, d3 on s2.
-    d1, d3 = (next(i for i in graph.demand_neighbors[j] if i != d2) for j in (0, 1))
-    return WLayout(
-        d1=d1,
-        d2=d2,
-        d3=d3,
-        s1=graph.n_d + s1_local,
-        s2=graph.n_d + s2_local,
-        s1_local=s1_local,
-        s2_local=s2_local,
-    )

@@ -34,10 +34,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import WrongGraphClass
-from .graphs import COMPLETE, MatchingGraph, N_SHAPED, W_SHAPED, classify
+from .graphs import COMPLETE, MatchingGraph, N_SHAPED, W_SHAPED, classify, role_positions
 from .policies import Policy, _check_graph, read_decisions, threshold_json
 from .solver import TruncatedStateSpace, ValueFunction, _packed
-from .states import arrival_vector, n_layout, w_layout
+from .states import arrival_vector
 
 PROPERTY_TOL = 1e-9
 MAX_WITNESSES = 10
@@ -132,22 +132,22 @@ def _roles(graph: MatchingGraph, check: str) -> dict:
     maps to its missing partner, an exchanged middle edge to the missing
     pair on its supply class, and the first middle edge to the second.
     """
-    tag = classify(graph).tag
-    roles: dict = {}
-    if tag == N_SHAPED:
-        lay = n_layout(graph)
-        flexible, missing = (lay.d1, lay.s2_local), (lay.d2, lay.s1_local)
+    info = classify(graph)
+    n_d, roles = graph.n_d, {}
+    if info.tag == N_SHAPED:
+        (d1,), d2, s1, (s2,) = info.roles
+        flexible, missing = (d1, s2 - n_d), (d2, s1 - n_d)
         roles = {
-            "convex": {flexible: (lay.d1, lay.s1), missing: (lay.s1, lay.d1)},
+            "convex": {flexible: (d1, s1), missing: (s1, d1)},
             "boundary": {flexible: missing},
         }
-    elif tag == W_SHAPED:
-        lay = w_layout(graph)
-        middle1, middle2 = (lay.d2, lay.s1_local), (lay.d2, lay.s2_local)
-        miss1, miss2 = (lay.d3, lay.s1_local), (lay.d1, lay.s2_local)
+    elif info.tag == W_SHAPED:
+        d1, d2, d3, s1, s2 = info.roles
+        middle1, middle2 = (d2, s1 - n_d), (d2, s2 - n_d)
+        miss1, miss2 = (d3, s1 - n_d), (d1, s2 - n_d)
         roles = {
-            "convex": {middle1: (lay.s1, lay.d1), miss2: (lay.d1, lay.s1),
-                       middle2: (lay.s2, lay.d3), miss1: (lay.d3, lay.s2)},
+            "convex": {middle1: (s1, d1), miss2: (d1, s1),
+                       middle2: (s2, d3), miss1: (d3, s2)},
             "boundary": {middle1: miss2, middle2: miss1},
             "exchange": {middle1: miss1, middle2: miss2},
             "modular": {middle1: middle2},
@@ -155,7 +155,7 @@ def _roles(graph: MatchingGraph, check: str) -> dict:
     if check not in roles:
         families = "N and W" if check in ("convex", "boundary") else "W"
         raise WrongGraphClass(
-            f"the {check} check is defined on {families} shaped graphs, got {tag}"
+            f"the {check} check is defined on {families} shaped graphs, got {info.tag}"
         )
     return roles[check]
 
@@ -450,15 +450,15 @@ def _verify_full_match(space: TruncatedStateSpace, policy: Policy) -> ShapeRepor
 
 def _verify_threshold_n(space: TruncatedStateSpace, policy: Policy) -> ShapeReport:
     graph = space.graph
-    lay = n_layout(graph)
-    pos = graph.edge_position
+    (d1,), d2, s1, (s2,) = role_positions(graph, N_SHAPED)
+    e11, e22, e12 = map(graph.edge_ends.index, ((d1, s1), (d2, s2), (d1, s2)))
     xs, u, _, inadmissible = _decisions(space, policy)
-    d1, d2, s1, s2 = (xs[:, c] for c in (lay.d1, lay.d2, lay.s1, lay.s2))
-    expected = np.stack([np.minimum(d1, s1), np.minimum(d2, s2)], axis=1)
-    got = u[:, [pos[(lay.d1, lay.s1_local)], pos[(lay.d2, lay.s2_local)]]]
+    x_d1, x_d2, x_s1, x_s2 = xs[:, [d1, d2, s1, s2]].T
+    expected = np.stack([np.minimum(x_d1, x_s1), np.minimum(x_d2, x_s2)], axis=1)
+    got = u[:, [e11, e22]]
     priority = np.any(got != expected, axis=1)
-    surplus = np.maximum(0, d1 - s1)
-    k = u[:, pos[(lay.d1, lay.s2_local)]]
+    surplus = np.maximum(0, x_d1 - x_s1)
+    k = u[:, e12]
     checks = [
         ("inadmissible", inadmissible, {}),
         ("priority_total", priority, {"expected": expected, "got": got}),

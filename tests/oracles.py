@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from types import SimpleNamespace
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -28,7 +29,6 @@ from matchdp.graphs import (
     ArrivalDistribution,
     CostVector,
     MatchingGraph,
-    NProjection,
     classify,
 )
 from matchdp.nshaped import level_of_state
@@ -58,9 +58,7 @@ from matchdp.states import (
     arrival_vector,
     is_admissible,
     _int_list,
-    n_layout,
     node_usage,
-    w_layout,
 )
 from matchdp.structure import MAX_WITNESSES, PROPERTY_TOL, PropertyReport, ShapeReport
 
@@ -417,6 +415,54 @@ def reference_relative_value_iteration(
     return gain, vf, extract_policy(space, vf.data, arrivals)
 
 
+# ---- roles, from node and edge labels ----
+
+
+def reference_roles(graph: MatchingGraph) -> dict[str, tuple[int, ...]]:
+    """The state positions of each role, from the labels alone.
+
+    A W graph (three demand and two supply labels, four edges, each supply
+    label on two of them): d2 is the demand label on two edges, s1 and s2
+    the supply labels in file order, and d1 and d3 their other partners.
+    A graph with exactly one absent (demand, supply) label pair and at
+    least two labels a side (N or complete-minus-one): d2 and s1 are the
+    labels of that pair, d1 and s2 all other demand and supply labels.
+    Every role maps to a tuple of positions; other graphs have none.
+    """
+    demand, supply, edges = graph.demand_nodes, graph.supply_nodes, set(graph.edges)
+    where = {label: k for k, label in enumerate(demand + supply)}
+    partners = {label: [b for a, b in edges if a == label] + [a for a, b in edges if b == label]
+                for label in where}
+    if len(demand) == 3 and len(supply) == 2 and len(edges) == 4 and all(
+        len(partners[s]) == 2 for s in supply
+    ):
+        (middle,) = [d for d in demand if len(partners[d]) == 2]
+        first, second = supply
+        leaf = {s: d for d, s in edges if d != middle}
+        labels = (leaf[first], middle, leaf[second], first, second)
+        return {name: (where[label],) for name, label in zip(("d1", "d2", "d3", "s1", "s2"), labels)}
+    absent = [(d, s) for d in demand for s in supply if (d, s) not in edges]
+    if len(absent) == 1 and len(demand) >= 2 and len(supply) >= 2:
+        ((d2, s1),) = absent
+        return {
+            "d1": tuple(where[d] for d in demand if d != d2),
+            "d2": (where[d2],),
+            "s1": (where[s1],),
+            "s2": tuple(where[s] for s in supply if s != s1),
+        }
+    return {}
+
+
+def reference_layout(graph: MatchingGraph) -> SimpleNamespace:
+    """The one position of each role of an N or W graph (see
+    :func:`reference_roles`), and the supply class indices ``s1_local``
+    and ``s2_local`` that pair arguments take."""
+    roles = {name: p for name, (p,) in reference_roles(graph).items()}
+    return SimpleNamespace(
+        **roles, s1_local=roles["s1"] - graph.n_d, s2_local=roles["s2"] - graph.n_d
+    )
+
+
 # ---- threshold rules as first written, one formula per graph family ----
 
 
@@ -427,7 +473,7 @@ def _surplus(value: int, t: float) -> int:
 def reference_threshold_n(graph: MatchingGraph, t: float, x: Sequence[int]) -> np.ndarray:
     """The N rule on the N layout: both priority edges saturate, and the
     flexible edge (d1, s2) takes the d1 surplus over s1 beyond t."""
-    lay = n_layout(graph)
+    lay = reference_layout(graph)
     pos = graph.edge_position
     e11 = pos[(lay.d1, lay.s1_local)]
     e12 = pos[(lay.d1, lay.s2_local)]
@@ -444,17 +490,20 @@ def reference_threshold_cmo(graph: MatchingGraph, t: float, x: Sequence[int]) ->
     """The complete-minus-one rule: group totals from the N rule on the
     projected state, allocated greedily over each group's edges in file
     order, one numpy residual update per edge."""
-    proj = NProjection.from_graph(graph)
-    i_star, j_star = proj.missing
+    roles = reference_roles(graph)
+    (i_star,), (s_star,) = roles["d2"], roles["s1"]
+    j_star = s_star - graph.n_d
+    demand_group = roles["d1"]
+    supply_group = [s - graph.n_d for s in roles["s2"]]
     pos = graph.edge_position
     groups = (
-        sorted(pos[(i, j_star)] for i in proj.demand_group),
-        sorted(pos[(i_star, j)] for j in proj.supply_group),
-        sorted(pos[(i, j)] for i in proj.demand_group for j in proj.supply_group),
+        sorted(pos[(i, j_star)] for i in demand_group),
+        sorted(pos[(i_star, j)] for j in supply_group),
+        sorted(pos[(i, j)] for i in demand_group for j in supply_group),
     )
     vec = np.asarray(x, dtype=np.int64)
-    sum_d = int(vec[list(proj.demand_group)].sum())
-    sum_s = int(vec[[graph.n_d + j for j in proj.supply_group]].sum())
+    sum_d = int(vec[list(demand_group)].sum())
+    sum_s = int(vec[list(roles["s2"])].sum())
     x_dstar = int(vec[i_star])
     x_sstar = int(vec[graph.n_d + j_star])
     total_11 = min(sum_d, x_sstar)
@@ -537,17 +586,19 @@ def _full_match(policy: FullMatch, x: np.ndarray) -> np.ndarray:
 
 
 def _w_edge_positions(graph: MatchingGraph):
-    lay = w_layout(graph)
+    """The W roles (d1, d2, d3, s1, s2) and the edges (d1, s1), (d2, s1),
+    (d2, s2), (d3, s2)."""
+    lay = reference_layout(graph)
     pos = graph.edge_position
-    return lay, (
+    return (lay.d1, lay.d2, lay.d3, lay.s1, lay.s2), (
         pos[(lay.d1, lay.s1_local)], pos[(lay.d2, lay.s1_local)],
         pos[(lay.d2, lay.s2_local)], pos[(lay.d3, lay.s2_local)],
     )
 
 
 def _threshold_w(policy: ThresholdW, x: np.ndarray) -> np.ndarray:
-    lay, (e11, e21, e22, e32) = _w_edge_positions(policy.graph)
-    d1, d2, d3, s1, s2 = lay.pack(x)
+    at, (e11, e21, e22, e32) = _w_edge_positions(policy.graph)
+    d1, d2, d3, s1, s2 = (int(x[p]) for p in at)
     k = min(_surplus(s1 - d1, policy.t21), d2)
     j = min(_surplus(s2 - d3, policy.t22), d2)
     if k + j > d2:
@@ -564,8 +615,8 @@ def _threshold_w(policy: ThresholdW, x: np.ndarray) -> np.ndarray:
 
 
 def _threshold_w_workload(policy: ThresholdWWorkload, x: np.ndarray) -> np.ndarray:
-    lay, (e11, e21, e22, e32) = _w_edge_positions(policy.graph)
-    d1, d2, d3, s1, s2 = lay.pack(x)
+    at, (e11, e21, e22, e32) = _w_edge_positions(policy.graph)
+    d1, d2, d3, s1, s2 = (int(x[p]) for p in at)
     u11 = min(d1, s1)
     u22 = min(d2, s2)
     rem_s1 = s1 - u11
@@ -761,7 +812,7 @@ def _verify_full_match(space: TruncatedStateSpace, policy: Policy) -> ShapeRepor
 
 def _verify_threshold_n(space: TruncatedStateSpace, policy: Policy) -> ShapeReport:
     graph = space.graph
-    lay = n_layout(graph)
+    lay = reference_layout(graph)
     pos = graph.edge_position
     e11 = pos[(lay.d1, lay.s1_local)]
     e12 = pos[(lay.d1, lay.s2_local)]
@@ -898,14 +949,14 @@ def _reference_pair_roles(graph: MatchingGraph) -> dict:
     modularity's argument None to the two middle edges."""
     tag = classify(graph).tag
     if tag == N_SHAPED:
-        lay = n_layout(graph)
+        lay = reference_layout(graph)
         flexible, missing = (lay.d1, lay.s2_local), (lay.d2, lay.s1_local)
         return {
             "convex": {flexible: (lay.d1, lay.s1), missing: (lay.s1, lay.d1)},
             "boundary": {None: missing, flexible: missing},
         }
     if tag == W_SHAPED:
-        lay = w_layout(graph)
+        lay = reference_layout(graph)
         middle1, middle2 = (lay.d2, lay.s1_local), (lay.d2, lay.s2_local)
         miss1, miss2 = (lay.d3, lay.s1_local), (lay.d1, lay.s2_local)
         return {
@@ -1058,8 +1109,12 @@ def reference_replication(graph, costs, policy, cfg, d_idx, s_idx, threshold):
     """Step-by-step run calling ``decide`` on every step.
 
     Returns (total counted cost, node occupancy sums, level counts), with
-    level counts only when ``threshold`` is given.
+    level counts only when ``threshold`` is given, read at the N roles of
+    :func:`reference_roles`.
     """
+    if threshold is not None:
+        lay = reference_layout(graph)
+        at = (lay.d1, lay.d2, lay.s1, lay.s2)
     nd = graph.n_d
     n_nodes = graph.n_nodes
     cvec = [float(v) for v in costs.vector]
@@ -1075,7 +1130,7 @@ def reference_replication(graph, costs, policy, cfg, d_idx, s_idx, threshold):
             for k in range(n_nodes):
                 node_sums[k] += q[k]
             if counts is not None:
-                level = level_of_state(threshold, q)
+                level = level_of_state(threshold, [q[p] for p in at])
                 if level is not None:
                     while len(counts) <= level:
                         counts.append(0)
@@ -1113,7 +1168,7 @@ def reference_simulate(
     """Serial step-by-step simulation with the package's aggregation.
 
     Level counts are kept for a finite threshold rule on an N graph, read
-    from the queue in file order.
+    at its roles.
     """
     threshold = None
     if (isinstance(policy, ThresholdN) and classify(graph).tag == N_SHAPED

@@ -37,7 +37,7 @@ from matchdp.solver import (
     relative_value_iteration,
     value_iteration,
 )
-from matchdp.states import admissible_matchings, n_layout
+from matchdp.states import admissible_matchings
 from matchdp.structure import (
     check_boundary,
     check_convex,
@@ -52,7 +52,7 @@ from conftest import (
     make_w_graph,
     unit_costs,
 )
-from oracles import brute_admissible, dense_backup, dense_zero
+from oracles import brute_admissible, dense_backup, dense_zero, reference_layout
 
 
 def report(number: int, text: str) -> None:
@@ -241,7 +241,7 @@ def test_criterion_06_average_cost_formula_matches_simulation_and_dp():
 
 def test_criterion_07_value_iterates_keep_all_six_properties():
     graph = make_n_graph()
-    lay = n_layout(graph)
+    lay = reference_layout(graph)
     space = TruncatedStateSpace(graph, cap=12, margin=6)
     arrivals = ArrivalDistribution(
         alpha=np.array([0.9, 0.1]), beta=np.array([0.1, 0.9])

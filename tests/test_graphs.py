@@ -18,7 +18,6 @@ from matchdp.graphs import (
     ArrivalDistribution,
     CostVector,
     MatchingGraph,
-    NProjection,
     StabilityReport,
     check_projected_cost,
     check_stability,
@@ -41,6 +40,7 @@ from conftest import (
     make_w_graph,
     n_inputs,
 )
+from oracles import reference_roles
 
 
 # ---- construction and validation ----
@@ -264,41 +264,49 @@ def test_violation_record_cap():
 
 
 def test_projection_requires_complete_minus_one(w_graph, nn_graph):
+    arrivals = ArrivalDistribution(alpha=[0.4, 0.3, 0.3], beta=[0.5, 0.5])
+    costs = CostVector(demand=[1.0] * 3, supply=[1.0] * 2)
+    calls = (
+        lambda g: project_state(g, [0] * g.n_nodes),
+        lambda g: project_arrival(g, 0, 0),
+        lambda g: projected_arrival_law(g, arrivals),
+        lambda g: check_projected_cost(g, costs, [1, 1, 1, 1]),
+    )
     for g in (w_graph, nn_graph):
-        with pytest.raises(NotCompleteMinusOne):
-            NProjection.from_graph(g)
+        for call in calls:
+            with pytest.raises(
+                NotCompleteMinusOne, match="projection needs a complete-minus-one graph, got"
+            ):
+                call(g)
 
 
 def test_projection_roles(cmo33):
-    proj = NProjection.from_graph(cmo33)
-    assert proj.missing == (2, 0)
-    assert proj.demand_group == (0, 1)
-    assert proj.supply_group == (1, 2)
+    info = classify(cmo33)
+    assert info.missing_edge == (2, 0)
+    # The d1 group is (d1, d2), d2 is d3, s1 is s1, and the s2 group is (s2, s3).
+    assert info.roles == ((0, 1), 2, 3, (4, 5))
 
 
 def test_project_state_example(cmo33):
-    proj = NProjection.from_graph(cmo33)
-    assert project_state(proj, [2, 1, 0, 3, 0, 0]).tolist() == [3, 0, 3, 0]
+    assert project_state(cmo33, [2, 1, 0, 3, 0, 0]).tolist() == [3, 0, 3, 0]
 
 
 def test_project_arrival_cases(cmo33):
-    proj = NProjection.from_graph(cmo33)
     # Atoms hitting s1 from a grouped demand map to the priority pair.
-    assert project_arrival(proj, 0, 0) == (0, 0)
-    assert project_arrival(proj, 1, 0) == (0, 0)
+    assert project_arrival(cmo33, 0, 0) == (0, 0)
+    assert project_arrival(cmo33, 1, 0) == (0, 0)
     # Atoms leaving from d3 map to the isolated demand.
-    assert project_arrival(proj, 2, 1) == (1, 1)
-    assert project_arrival(proj, 2, 2) == (1, 1)
+    assert project_arrival(cmo33, 2, 1) == (1, 1)
+    assert project_arrival(cmo33, 2, 2) == (1, 1)
     # The missing pair itself maps to the unmatched corner.
-    assert project_arrival(proj, 2, 0) == (1, 0)
+    assert project_arrival(cmo33, 2, 0) == (1, 0)
     # Everything else is the flexible pair.
-    assert project_arrival(proj, 0, 1) == (0, 1)
-    assert project_arrival(proj, 1, 2) == (0, 1)
+    assert project_arrival(cmo33, 0, 1) == (0, 1)
+    assert project_arrival(cmo33, 1, 2) == (0, 1)
 
 
 def test_projection_additivity(cmo33):
     """Projecting q + e(a) equals projecting q plus the projected arrival."""
-    proj = NProjection.from_graph(cmo33)
     rng = np.random.default_rng(0)
     for _ in range(50):
         demand = rng.integers(0, 3, size=3)
@@ -309,18 +317,17 @@ def test_projection_additivity(cmo33):
                 e = np.zeros(6, dtype=int)
                 e[i] += 1
                 e[3 + j] += 1
-                lhs = project_state(proj, q + e)
-                ii, jj = project_arrival(proj, i, j)
+                lhs = project_state(cmo33, q + e)
+                ii, jj = project_arrival(cmo33, i, j)
                 e_n = np.zeros(4, dtype=int)
                 e_n[ii] += 1
                 e_n[2 + jj] += 1
-                assert np.array_equal(lhs, project_state(proj, q) + e_n)
+                assert np.array_equal(lhs, project_state(cmo33, q) + e_n)
 
 
 def test_projected_law_sums_to_one(cmo33):
-    proj = NProjection.from_graph(cmo33)
     arr = ArrivalDistribution(alpha=[0.5, 0.3, 0.2], beta=[0.3, 0.3, 0.4])
-    law = projected_arrival_law(proj, arr)
+    law = projected_arrival_law(cmo33, arr)
     assert law.shape == (2, 2)
     assert law.sum() == pytest.approx(1.0, abs=1e-12)
     assert law[1, 0] == pytest.approx(0.2 * 0.3)
@@ -463,13 +470,52 @@ def test_positions_match_a_construction_from_the_labels(graph):
     assert graph.atom_index((np.int64(graph.n_d - 1), np.int8(0))) == (graph.n_d - 1) * graph.n_s
 
 
+@st.composite
+def role_graphs(draw) -> tuple[MatchingGraph, str, tuple]:
+    """An N graph, a W graph or a complete-minus-one graph of 3x3, 2x3 or
+    3x2 classes, with labels that name roles, in shuffled file order; with
+    its tag and its roles built from the labels."""
+    shape = draw(st.sampled_from(["N", "W", (3, 3), (2, 3), (3, 2)]))
+    if shape == "W":
+        edges = [("A", "U"), ("M", "U"), ("M", "V"), ("B", "V")]
+        demand, supply = draw(st.permutations("AMB")), draw(st.permutations("UV"))
+    else:
+        n_d, n_s = (2, 2) if shape == "N" else shape
+        # D2 and S1 are the ends of the missing edge; D1* and S2* the groups.
+        demand = draw(st.permutations(["D2"] + [f"D1{k}" for k in range(n_d - 1)]))
+        supply = draw(st.permutations(["S1"] + [f"S2{k}" for k in range(n_s - 1)]))
+        edges = [(d, s) for d in demand for s in supply if (d, s) != ("D2", "S1")]
+    graph = MatchingGraph(tuple(demand), tuple(supply), tuple(draw(st.permutations(edges))))
+    at = (list(demand) + list(supply)).index
+    if shape == "W":
+        leaf = {"U": "A", "V": "B"}
+        first, second = supply
+        return graph, W_SHAPED, (at(leaf[first]), at("M"), at(leaf[second]), at(first), at(second))
+    d1 = tuple(at(name) for name in demand if name != "D2")
+    s2 = tuple(at(name) for name in supply if name != "S1")
+    tag = N_SHAPED if shape == "N" else COMPLETE_MINUS_ONE
+    return graph, tag, (d1, at("D2"), at("S1"), s2)
+
+
+@given(case=role_graphs())
+@settings(max_examples=80, deadline=None)
+def test_roles_match_a_construction_from_the_labels(case):
+    graph, tag, roles = case
+    info = classify(graph)
+    assert (info.tag, info.roles) == (tag, roles)
+    # The oracles derive the roles on their own, one tuple per role.
+    assert tuple(reference_roles(graph).values()) == tuple(
+        r if isinstance(r, tuple) else (r,) for r in roles
+    )
+
+
 @pytest.mark.parametrize("atom, message", BAD_ATOMS[1:])
 def test_project_arrival_rejects_non_integer_atoms(atom, message):
-    proj = NProjection.from_graph(make_n_graph())
+    graph = make_n_graph()
     with pytest.raises(ValueError, match=message):
-        project_arrival(proj, *atom)
+        project_arrival(graph, *atom)
     with pytest.raises(ValueError, match=r"atom out of range: \(2, 0\) is not an arrival atom"):
-        project_arrival(proj, 2, 0)
+        project_arrival(graph, 2, 0)
 
 
 @pytest.mark.parametrize("field, entries, message", OTHER_ARRIVALS)
@@ -479,4 +525,4 @@ def test_arrivals_sized_for_another_graph_are_rejected(field, entries, message):
     with pytest.raises(ValueError, match=message):
         check_stability(graph, arrivals)
     with pytest.raises(ValueError, match=message):
-        projected_arrival_law(NProjection.from_graph(graph), arrivals)
+        projected_arrival_law(graph, arrivals)

@@ -19,7 +19,7 @@ import pytest
 
 from matchdp.cli import RECIPES
 from matchdp.errors import Inadmissible, MatchDPError, MissingDecision
-from matchdp.graphs import ArrivalDistribution, CostVector, load_graph
+from matchdp.graphs import ArrivalDistribution, CostVector, MatchingGraph, load_graph
 from matchdp.policies import (
     AcyclicHeuristic,
     FullMatch,
@@ -80,6 +80,15 @@ class TestAgainstStepByStepReference:
     def test_threshold_n(self, t):
         graph, _, _ = setup = n_setup()
         assert_matches_reference(setup, [ThresholdN(graph, t)])
+
+    def test_threshold_n_on_a_relabelled_graph(self):
+        # The N graph of n_setup with both sides and the edges listed in
+        # another order: levels are read at the roles, not in file order.
+        graph = MatchingGraph(("d2", "d1"), ("s2", "s1"),
+                              (("d2", "s2"), ("d1", "s1"), ("d1", "s2")))
+        arrivals = ArrivalDistribution(alpha=np.array([0.4, 0.6]), beta=np.array([0.6, 0.4]))
+        costs = CostVector(demand=np.array([3.0, 1.0]), supply=np.array([1.0, 2.0]))
+        assert_matches_reference((graph, arrivals, costs), [ThresholdN(graph, 2)])
 
     def test_threshold_n_off_track_start(self):
         graph, _, _ = setup = n_setup()

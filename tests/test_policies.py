@@ -15,7 +15,6 @@ from matchdp.graphs import (
     ArrivalDistribution,
     CostVector,
     MatchingGraph,
-    NProjection,
     project_state,
 )
 from matchdp.policies import (
@@ -187,7 +186,6 @@ def test_threshold_cmo_commutes_with_projection(data):
     n = make_n_graph()
     t = data.draw(st.sampled_from([0, 1, 2, math.inf]))
     x = balanced_vector(data, graph, cap=4)
-    proj = NProjection.from_graph(graph)
     u = ThresholdCMO(graph, t).decide(x)
     assert is_admissible(graph, x, u)
     # Group totals must equal the N rule decision on the projected state.
@@ -201,7 +199,7 @@ def test_threshold_cmo_commutes_with_projection(data):
         else:
             assert (ii, jj) == (1, 1), "missing-pair edge cannot exist"
             grouped[2] += count
-    expected = ThresholdN(n, t).decide(project_state(proj, x))
+    expected = ThresholdN(n, t).decide(project_state(graph, x))
     assert grouped.tolist() == expected.tolist()
 
 
@@ -684,6 +682,7 @@ def test_read_decisions_rejects_fractional_counts(n_graph):
     [
         pytest.param((1.9, 0, 1, 0), "must be integers", id="float"),
         pytest.param(("1", 0, 1, 0), "must be integers", id="string"),
+        pytest.param((True, 0, True, 0), "must be integers", id="bool"),
         pytest.param((1, -1, 1, 0), "must be nonnegative", id="negative"),
         pytest.param((1, 0, 1), "must have length 4", id="short"),
     ],
@@ -711,8 +710,9 @@ def test_priority_extreme_rejects_fractional_inner_counts(n_graph):
 @pytest.mark.parametrize(
     "x",
     [[1.5, 0.5, 0.5, 1.5], [1.0, 0, 0, 1], ["1", "0", "0", "1"],
-     np.array([1.0, 0.0, 0.0, 1.0])],
-    ids=["float", "integral-float", "string", "float-array"],
+     np.array([1.0, 0.0, 0.0, 1.0]), [True, False, False, True],
+     np.array([True, False, False, True])],
+    ids=["float", "integral-float", "string", "float-array", "bool", "bool-array"],
 )
 def test_decide_rejects_non_integer_entries(n_graph, x):
     for policy in (ThresholdN(n_graph, 0), MaxWeight(n_graph, unit_costs(n_graph))):

@@ -147,6 +147,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="balanced"):
             simulate(graph, arrivals, costs, ThresholdN(graph, 0), cfg)
 
+    @pytest.mark.parametrize(
+        "q0, message",
+        [
+            ((1, 0, 0), "q0: state must have length 4, got 3 entries"),
+            ((1, -1, 0, 0), r"q0: state entries must be nonnegative, got \[1, -1, 0, 0\]"),
+            ((2, 0, 1, 0), "q0: queue state must be balanced, got demand sum 2 vs supply sum 1"),
+        ],
+        ids=["length", "sign", "balance"],
+    )
+    def test_q0_is_checked_as_a_queue_state(self, q0, message):
+        graph, arrivals, costs = n_setup()
+        with pytest.raises(ValueError, match=message):
+            simulate(graph, arrivals, costs, ThresholdN(graph, 0), SimConfig(horizon=10, q0=q0))
+
     def test_a0_range(self, monkeypatch):
         def no_workers(*args, **kwargs):
             raise AssertionError("a worker started before a0 was checked")

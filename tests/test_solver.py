@@ -140,6 +140,33 @@ class TestTruncatedStateSpace:
         with pytest.raises(KeyError):
             space.state_index([1, 0, 0, 0])
 
+    @pytest.mark.parametrize(
+        "q", [[1.5, 0.5, 0.5, 1.5], [True, 0, 0, True], "1001"], ids=["float", "bool", "string"]
+    )
+    def test_state_reads_reject_non_integer_vectors(self, n_graph, n_arrivals, q):
+        space = TruncatedStateSpace(n_graph, cap=3)
+        vf, _ = value_iteration(
+            space, unit_costs(n_graph), n_arrivals, DPConfig(theta=0.5), extract=False
+        )
+        for read in (space.state_index, space.is_interior, lambda q: vf.value(q, (0, 0))):
+            with pytest.raises(ValueError, match="state entries must be integers"):
+                read(q)
+
+    def test_state_reads_reject_vectors_of_another_length(self, n_graph):
+        space = TruncatedStateSpace(n_graph, cap=3)
+        for read in (space.state_index, space.is_interior):
+            with pytest.raises(ValueError, match="state must have length 4, got 5 entries"):
+                read([1, 0, 0, 1, 0])
+
+    def test_rows_reject_non_integer_blocks(self, n_graph):
+        space = TruncatedStateSpace(n_graph, cap=3)
+        for block in ([[1.5, 0.5, 0.5, 1.5]], np.array([[True, False, False, True]])):
+            with pytest.raises(ValueError, match="state vectors must hold integers, got dtype"):
+                space.rows(block)
+        assert space.rows(np.array([[1, 0, 0, 1]], dtype=np.uint8)).tolist() == [10]
+        with pytest.raises(KeyError, match=r"\(1, 0, 0, 0\) is not a balanced state"):
+            space.rows([[1, 0, 0, 1], [1, 0, 0, 0]])
+
     def test_interior_and_tainted_partition(self):
         space = TruncatedStateSpace(make_n_graph(), cap=4, margin=2)
         assert space.is_interior([2, 0, 1, 1])

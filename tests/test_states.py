@@ -1,4 +1,4 @@
-"""State dynamics: matching enumeration, transitions, role layouts."""
+"""State dynamics: matching enumeration, transitions, the roles of classify."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchdp.errors import ActionSpaceBudget, Inadmissible, WrongGraphClass
+from matchdp.graphs import N_SHAPED, W_SHAPED, classify, role_positions
 from matchdp.policies import Policy, read_decisions
 from matchdp.states import (
     _left,
@@ -19,11 +20,9 @@ from matchdp.states import (
     check_queue_state,
     is_admissible,
     is_balanced,
-    n_layout,
     node_usage,
     post_arrival,
     transition,
-    w_layout,
 )
 
 from conftest import (
@@ -146,8 +145,9 @@ def test_enumerator_equals_the_recursive_oracle(budget):
 
 @pytest.mark.parametrize(
     "x",
-    [[1.9, 0, 0, 1.9], [1.0, 0, 0, 1.0], ["1", "0", "0", "1"], np.array([1.0, 0, 0, 1])],
-    ids=["float", "integral-float", "string", "float-array"],
+    [[1.9, 0, 0, 1.9], [1.0, 0, 0, 1.0], ["1", "0", "0", "1"], np.array([1.0, 0, 0, 1]),
+     [True, 0, 0, True], np.array([True, False, False, True])],
+    ids=["float", "integral-float", "string", "float-array", "bool", "bool-array"],
 )
 def test_non_integer_states_are_rejected(n_graph, x):
     with pytest.raises(ValueError, match="integers"):
@@ -240,12 +240,11 @@ def test_left_is_the_residual_and_the_mask_of_read_decisions(name, data):
         assert left == residual[0].tolist() == (np.array(x) - node_usage(graph, u)).tolist()
 
 
-# ---- role layouts and residual sets ----
+# ---- roles from classify, and residual sets ----
 
 
 def test_n_layout_roles(n_graph):
-    lay = n_layout(n_graph)
-    assert (lay.d1, lay.d2, lay.s1, lay.s2) == (0, 1, 2, 3)
+    assert classify(n_graph).roles == ((0,), 1, 2, (3,))
 
 
 def test_n_layout_detects_permuted_roles():
@@ -255,17 +254,15 @@ def test_n_layout_detects_permuted_roles():
         edges=(("b", "u"), ("b", "v"), ("a", "u")),
     )
     # b is flexible (both supplies), a only matches u, so u is flexible.
-    lay = n_layout(g)
-    assert g.demand_nodes[lay.d1] == "b"
-    assert g.demand_nodes[lay.d2] == "a"
-    assert g.node_labels[lay.s1] == "v"
-    assert g.node_labels[lay.s2] == "u"
+    (d1,), d2, s1, (s2,) = classify(g).roles
+    assert g.demand_nodes[d1] == "b"
+    assert g.demand_nodes[d2] == "a"
+    assert g.node_labels[s1] == "v"
+    assert g.node_labels[s2] == "u"
 
 
 def test_w_layout_roles(w_graph):
-    lay = w_layout(w_graph)
-    assert (lay.d1, lay.d2, lay.d3) == (0, 1, 2)
-    assert (lay.s1, lay.s2) == (3, 4)
+    assert classify(w_graph).roles == (0, 1, 2, 3, 4)
 
 
 def test_w_layout_follows_supply_file_order():
@@ -274,18 +271,19 @@ def test_w_layout_follows_supply_file_order():
         supply_nodes=("y", "x"),
         edges=(("p", "x"), ("mid", "x"), ("mid", "y"), ("r", "y")),
     )
-    lay = w_layout(g)
-    assert g.demand_nodes[lay.d2] == "mid"
+    d1, d2, d3, s1, s2 = classify(g).roles
+    assert g.demand_nodes[d2] == "mid"
     # First supply in file order plays the s1 role; its leaf partner is d1.
-    assert g.node_labels[lay.s1] == "y"
-    assert g.demand_nodes[lay.d1] == "r"
-    assert g.demand_nodes[lay.d3] == "p"
+    assert g.node_labels[s1] == "y"
+    assert g.demand_nodes[d1] == "r"
+    assert g.demand_nodes[d3] == "p"
 
 
 def test_layout_rejects_wrong_class(complete22, w_graph, n_graph):
-    with pytest.raises(WrongGraphClass):
-        n_layout(complete22)
-    with pytest.raises(WrongGraphClass):
-        n_layout(w_graph)
-    with pytest.raises(WrongGraphClass):
-        w_layout(n_graph)
+    with pytest.raises(WrongGraphClass, match="N layout needs an N-shaped graph, got complete"):
+        role_positions(complete22, N_SHAPED)
+    with pytest.raises(WrongGraphClass, match="N layout needs an N-shaped graph, got w_shaped"):
+        role_positions(w_graph, N_SHAPED)
+    with pytest.raises(WrongGraphClass, match="W layout needs a W-shaped graph, got n_shaped"):
+        role_positions(n_graph, W_SHAPED)
+    assert classify(complete22).roles == ()

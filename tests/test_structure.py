@@ -29,7 +29,7 @@ from matchdp.solver import (
     extract_policy,
     relative_value_iteration,
 )
-from matchdp.states import is_admissible, n_layout, w_layout
+from matchdp.states import is_admissible
 from matchdp.structure import (
     PropertyReport,
     ShapeReport,
@@ -57,6 +57,7 @@ from conftest import (
     unit_costs,
 )
 from oracles import (
+    reference_layout,
     reference_property,
     reference_property_calls,
     reference_verify_policy_shape,
@@ -204,7 +205,7 @@ class TestSoundness:
 
     def test_convex_flexible_detects_planted_concavity(self):
         space = n_space()
-        lay = n_layout(space.graph)
+        lay = reference_layout(space.graph)
         v = table_from(space, lambda q, atom: -(EPS / 2) * q[lay.d1] ** 2)
         report = check_convex(space, v, (lay.d1, lay.s2_local))
         assert not report.passed
@@ -213,7 +214,7 @@ class TestSoundness:
 
     def test_convex_missing_detects_planted_concavity(self):
         space = n_space()
-        lay = n_layout(space.graph)
+        lay = reference_layout(space.graph)
         v = table_from(space, lambda q, atom: -(EPS / 2) * q[lay.s1] ** 2)
         report = check_convex(space, v, (lay.d2, lay.s1_local))
         assert not report.passed
@@ -254,7 +255,7 @@ class TestSoundness:
 
     def test_exchangeable_detects_demand_identity_break(self):
         space = w_space()
-        lay = w_layout(space.graph)
+        lay = reference_layout(space.graph)
         v = table_from(space, lambda q, atom: (EPS / 2) * q[lay.d2] ** 2)
         report = check_exchangeable(
             space, v, ((lay.d2, lay.s1_local), (lay.d3, lay.s1_local))
@@ -264,7 +265,7 @@ class TestSoundness:
 
     def test_exchangeable_passes_on_linear(self):
         space = w_space()
-        lay = w_layout(space.graph)
+        lay = reference_layout(space.graph)
         v = linear_table(space, (5.0, -2.0, 1.0, 3.0, 7.0))
         for pair in [
             ((lay.d2, lay.s1_local), (lay.d3, lay.s1_local)),
@@ -276,7 +277,7 @@ class TestSoundness:
 
     def test_modular_detects_planted_interaction(self):
         space = w_space()
-        lay = w_layout(space.graph)
+        lay = reference_layout(space.graph)
         v = table_from(space, lambda q, atom: EPS * q[lay.s1] * q[lay.s2])
         report = check_modular(space, v)
         assert not report.passed
@@ -294,7 +295,7 @@ class TestSoundness:
 class TestConvexGuards:
     def test_guards_split_the_imbalance_axis(self):
         space = n_space()
-        lay = n_layout(space.graph)
+        lay = reference_layout(space.graph)
 
         def kinked(q, atom):
             l = int(q[lay.d1]) - int(q[lay.s1])
@@ -311,7 +312,7 @@ class TestConvexGuards:
 
     def test_w_guards_keep_all_four_directions_on_linear(self):
         space = w_space()
-        lay = w_layout(space.graph)
+        lay = reference_layout(space.graph)
         v = linear_table(space, (2.0, 4.0, 1.0, 3.0, 5.0))
         for direction in [
             (lay.d2, lay.s1_local),
@@ -333,7 +334,7 @@ class TestBoundaryVariants:
         v = zero_table(space)
         # Single-pair state of the missing diagonal (d1, s2).
         v[space.state_index([1, 0, 0, 0, 1])] = -EPS
-        lay = w_layout(space.graph)
+        lay = reference_layout(space.graph)
         hit = check_boundary(space, v, (lay.d2, lay.s1_local))
         assert not hit.passed
         assert hit.worst_violation == pytest.approx(EPS)
@@ -421,7 +422,7 @@ class TestArgumentValidation:
 
     def test_exchangeable_rejects_crossed_pairs(self):
         space = w_space()
-        lay = w_layout(space.graph)
+        lay = reference_layout(space.graph)
         v = linear_table(space, (1, 1, 1, 1, 1))
         with pytest.raises(ValueError, match="unsupported exchange pair"):
             check_exchangeable(
@@ -456,7 +457,7 @@ class TestArgumentValidation:
 class TestInteriorDiscipline:
     def test_tainted_and_unbalanced_cells_never_enter_verdicts(self):
         space = n_space()
-        lay = n_layout(space.graph)
+        lay = reference_layout(space.graph)
         base = linear_table(space, (1.0, 2.0, 3.0, 4.0))
         corrupt = base.copy()
         for row, q in enumerate(space.balanced_states):
@@ -491,7 +492,7 @@ class TestInteriorDiscipline:
 class TestValueIterates:
     def test_discounted_iterates_keep_all_six_properties(self):
         graph = make_n_graph()
-        lay = n_layout(graph)
+        lay = reference_layout(graph)
         space = TruncatedStateSpace(graph, cap=12, margin=6)
         arrivals = ArrivalDistribution(
             alpha=np.array([0.9, 0.1]), beta=np.array([0.1, 0.9])
@@ -803,7 +804,7 @@ def test_nonnegative_linear_tables_are_increasing(coeffs):
 def test_linear_tables_are_exchangeable_regardless_of_sign(coeffs):
     graph = make_w_graph()
     space = TruncatedStateSpace(graph, cap=4, margin=1)
-    lay = w_layout(graph)
+    lay = reference_layout(graph)
     v = linear_table(space, coeffs)
     for pair in [
         ((lay.d2, lay.s1_local), (lay.d3, lay.s1_local)),
@@ -823,7 +824,7 @@ def test_priority_totals_bound_the_flexible_count(x, k):
     # The threshold_n verifier has no flexible-count check because an
     # admissible decision with both priority totals has k <= surplus.
     graph = make_n_graph()
-    lay = n_layout(graph)
+    lay = reference_layout(graph)
     pos = graph.edge_position
     d1, d2, s1, s2 = x[lay.d1], x[lay.d2], x[lay.s1], x[lay.s2]
     u = np.zeros(len(graph.edges), dtype=np.int64)
