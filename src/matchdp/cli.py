@@ -31,7 +31,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -64,8 +64,12 @@ DEFAULT_STEPS = 10_000
 _FAMILIES = ("full_match", "threshold_n", "priority_extreme")
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.10g}"
+def _fmt(value) -> str:
+    """A value as printed: a float to 10 significant digits, or n/a when it
+    is NaN; any other value as ``str`` gives it."""
+    if not isinstance(value, float):
+        return str(value)
+    return "n/a" if math.isnan(value) else f"{value:.10g}"
 
 
 @dataclass(frozen=True)
@@ -161,44 +165,28 @@ def _mode_stability(graph, arrivals, costs, manifest, say, out):
             f"  {bad.side} subset {list(bad.nodes)}: mass {_fmt(bad.mass)}"
             f" >= neighbor mass {_fmt(bad.neighbor_mass)}"
         )
-    record = {
-        "stable": report.stable,
-        "exhaustive": report.exhaustive,
-        "subsets_checked": report.subsets_checked,
-        "violation_count": report.violation_count,
-        "violations": [
-            {
-                "side": bad.side,
-                "nodes": list(bad.nodes),
-                "mass": bad.mass,
-                "neighbor_mass": bad.neighbor_mass,
-            }
-            for bad in report.violations
-        ],
-    }
-    return (0 if report.stable else 1), record
+    return (0 if report.stable else 1), asdict(report)
 
 
 def _mode_classify(graph, arrivals, costs, manifest, say, out):
     info = classify(graph)
-    labels = graph.node_labels
 
     def edge_name(edge):
         i, j = edge
         return [graph.demand_nodes[i], graph.supply_nodes[j]]
 
-    say(f"nodes: {graph.n_d} demand, {graph.n_s} supply")
-    say(f"edges: {len(graph.edges)}")
-    say(f"class: {info.tag}")
-    if info.missing_edge is not None:
-        say(f"missing edge: {edge_name(info.missing_edge)}")
-    say(f"extreme edges: {[edge_name(e) for e in info.extreme_edges]}")
     record = {
         "tag": info.tag,
         "missing_edge": edge_name(info.missing_edge) if info.missing_edge else None,
         "extreme_edges": [edge_name(e) for e in info.extreme_edges],
-        "node_labels": list(labels),
+        "node_labels": list(graph.node_labels),
     }
+    say(f"nodes: {graph.n_d} demand, {graph.n_s} supply")
+    say(f"edges: {len(graph.edges)}")
+    say(f"class: {info.tag}")
+    if record["missing_edge"] is not None:
+        say(f"missing edge: {record['missing_edge']}")
+    say(f"extreme edges: {record['extreme_edges']}")
     return 0, record
 
 
@@ -263,24 +251,18 @@ def _mode_threshold(graph, arrivals, costs, manifest, say, out):
     )
 
     params = NModelParams.from_graph(graph, arrivals, costs)
-    rho = params.rho
-    ratio = params.cost_ratio
-    k = threshold_location(params)
     t_star = optimal_threshold(params)
-    f_star = average_cost(params, t_star)
-    say(f"rho: {_fmt(rho)}")
-    say(f"cost ratio R: {_fmt(ratio)}")
-    say(f"continuous minimizer k: {_fmt(k)}")
-    say(f"optimal threshold t*: {t_star}")
-    say(f"average cost f(t*): {_fmt(f_star)}")
-    record = {
-        "rho": rho,
-        "cost_ratio": ratio,
-        "continuous_minimizer": k,
-        "optimal_threshold": t_star,
-        "average_cost": f_star,
-    }
-    return 0, record
+    # (printed name, record key, value)
+    rows = (
+        ("rho", "rho", params.rho),
+        ("cost ratio R", "cost_ratio", params.cost_ratio),
+        ("continuous minimizer k", "continuous_minimizer", threshold_location(params)),
+        ("optimal threshold t*", "optimal_threshold", t_star),
+        ("average cost f(t*)", "average_cost", average_cost(params, t_star)),
+    )
+    for name, _, value in rows:
+        say(f"{name}: {_fmt(value)}")
+    return 0, {key: value for _, key, value in rows}
 
 
 def _sim_config(cfg: dict) -> SimConfig:
@@ -292,18 +274,23 @@ def _sim_config(cfg: dict) -> SimConfig:
     )
 
 
+def _only_spec(manifest: RunManifest, hint: str = "") -> dict:
+    """The one policy spec of a mode that takes exactly one."""
+    if len(manifest.policies) != 1:
+        raise ParseError(
+            f"{manifest.mode} needs exactly one policy spec,"
+            f" got {len(manifest.policies)}{hint}"
+        )
+    return manifest.policies[0]
+
+
 def _say_sim_result(say, result):
-    se = "n/a" if math.isnan(result.se) else _fmt(result.se)
-    say(f"{result.label}: mean cost {_fmt(result.mean)} (se {se})")
+    say(f"{result.label}: mean cost {_fmt(result.mean)} (se {_fmt(result.se)})")
 
 
 def _mode_simulate(graph, arrivals, costs, manifest, say, out):
-    if len(manifest.policies) != 1:
-        raise ParseError(
-            f"simulate needs exactly one policy spec, got {len(manifest.policies)}"
-            " (use compare for several)"
-        )
-    policy = policy_from_spec(graph, manifest.policies[0], costs)
+    spec = _only_spec(manifest, " (use compare for several)")
+    policy = policy_from_spec(graph, spec, costs)
     result = simulate(graph, arrivals, costs, policy, _sim_config(manifest.config))
     _say_sim_result(say, result)
     for name, value in zip(graph.node_labels, result.node_means):
@@ -326,10 +313,9 @@ def _mode_compare(graph, arrivals, costs, manifest, say, out):
     for entry in result.results:
         _say_sim_result(say, entry)
     for pair in result.pairs:
-        se = "n/a" if math.isnan(pair.se) else _fmt(pair.se)
         say(
             f"{pair.first} - {pair.second}: paired diff {_fmt(pair.mean)}"
-            f" (se {se})"
+            f" (se {_fmt(pair.se)})"
         )
     if out is not None:
         write_replication_csv(out / "replications.csv", result.results)
@@ -351,18 +337,14 @@ def _default_family(graph: MatchingGraph) -> str:
 
 
 def _mode_verify_structure(graph, arrivals, costs, manifest, say, out):
-    if len(manifest.policies) != 1:
-        raise ParseError(
-            f"verify-structure needs exactly one policy spec,"
-            f" got {len(manifest.policies)}"
-        )
+    spec = _only_spec(manifest)
     from .solver import TruncatedStateSpace
     from .structure import verify_policy_shape
 
     cfg = manifest.config
     # Null when the graph has no default family; this raises it after the echo.
     family = cfg["family"] or _default_family(graph)
-    policy = policy_from_spec(graph, manifest.policies[0], costs)
+    policy = policy_from_spec(graph, spec, costs)
     space = TruncatedStateSpace(graph, cap=cfg["cap"], margin=cfg["margin"])
     report = verify_policy_shape(space, policy, family)
     say(f"family: {report.family}")
@@ -522,8 +504,10 @@ def _paired_ordering(result, first_label: str, second_label: str) -> tuple[float
     raise KeyError(f"no pair for {first_label!r} vs {second_label!r}")
 
 
-def _recipe_n_threshold(name: str) -> RecipeResult:
-    from .nshaped import NModelParams, optimal_threshold
+def _dp_recipe(name: str, family: str):
+    """Solve a DP recipe's pinned graph by relative value iteration at its
+    pinned cap and margin, and verify the extracted policy against
+    ``family``: (graph, arrivals, costs, gain, value function, report)."""
     from .solver import TruncatedStateSpace, relative_value_iteration
     from .structure import verify_policy_shape
 
@@ -532,7 +516,13 @@ def _recipe_n_threshold(name: str) -> RecipeResult:
     cfg = pins["config"]
     space = TruncatedStateSpace(graph, cap=cfg["cap"], margin=cfg["margin"])
     gain, vf, policy = relative_value_iteration(space, costs, arrivals)
-    report = verify_policy_shape(space, policy, "threshold_n")
+    return graph, arrivals, costs, gain, vf, verify_policy_shape(space, policy, family)
+
+
+def _recipe_n_threshold(name: str) -> RecipeResult:
+    from .nshaped import NModelParams, optimal_threshold
+
+    graph, arrivals, costs, gain, vf, report = _dp_recipe(name, "threshold_n")
     params = NModelParams.from_graph(graph, arrivals, costs)
     t_star = optimal_threshold(params)
     inferred = report.inferred.get("t")
@@ -551,15 +541,7 @@ def _recipe_n_threshold(name: str) -> RecipeResult:
 
 
 def _recipe_complete_full(name: str) -> RecipeResult:
-    from .solver import TruncatedStateSpace, relative_value_iteration
-    from .structure import verify_policy_shape
-
-    pins = RECIPES[name]
-    graph, arrivals, costs = load_graph(pins["graph"])
-    cfg = pins["config"]
-    space = TruncatedStateSpace(graph, cap=cfg["cap"], margin=cfg["margin"])
-    gain, vf, policy = relative_value_iteration(space, costs, arrivals)
-    report = verify_policy_shape(space, policy, "full_match")
+    _, _, _, gain, vf, report = _dp_recipe(name, "full_match")
     passed = report.passed and report.checked > 0
     return RecipeResult(
         name,
@@ -623,8 +605,7 @@ def _cmd_reproduce(name: str) -> int:
     print(f"assertion: {RECIPES[name]['assertion']}")
     result = reproduce(name)
     for key, value in result.details.items():
-        shown = _fmt(value) if isinstance(value, float) else value
-        print(f"{key}: {shown}")
+        print(f"{key}: {_fmt(value)}")
     print("PASS" if result.passed else "FAIL")
     return 0 if result.passed else 1
 
@@ -764,10 +745,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.mode == "reproduce":
             return _cmd_reproduce(args.recipe)
         return run(_manifest_from_args(args))
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (MatchDPError, ValueError) as exc:

@@ -617,9 +617,14 @@ def load_graph(source) -> tuple[MatchingGraph, ArrivalDistribution, CostVector]:
         edges.append((entry[0], entry[1]))
     if not isinstance(raw["costs"], dict):
         raise ParseError("field 'costs' must map node labels to numbers")
-    for key, val in raw["costs"].items():
+    # Every rate and cost is a JSON number: not a string, not a bool.
+    entries = [
+        (f"{name!r}[{k}]", v) for name in ("alpha", "beta") for k, v in enumerate(raw[name])
+    ]
+    entries += [(f"'costs'[{key!r}]", v) for key, v in raw["costs"].items()]
+    for where, val in entries:
         if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise ParseError(f"field 'costs'[{key!r}] must be a number")
+            raise ParseError(f"field {where} must be a number")
     try:
         graph = MatchingGraph(
             demand_nodes=tuple(raw["demand"]),

@@ -33,6 +33,7 @@ from .graphs import (
 from .states import (
     _counts,
     _decision,
+    _find_rows,
     _int_list,
     _left,
     admissible_matchings,
@@ -647,16 +648,13 @@ class Tabular(Policy):
         raise MissingDecision(f"no stored decision for x={vec} and no fallback policy")
 
     def _decide_rows(self, xs: np.ndarray) -> np.ndarray:
-        """Stored rows gathered by one ``searchsorted``, the rest read by the
-        fallback; a block other than of nonnegative integer vectors is read
-        row by row, with those checks."""
+        """Stored rows gathered by one :func:`_find_rows`, the rest read by
+        the fallback; a block other than of nonnegative integer vectors is
+        read row by row, with those checks."""
         xs = np.asarray(xs)
         if not self._counts_block(xs):
             return super()._decide_rows(xs)
-        want = np.ravel_multi_index(xs.T, self._shape, mode="clip")
-        pos = np.searchsorted(self._codes, want)
-        hit = np.all(xs < self._shape, axis=1) & (pos < len(self._codes))
-        hit[hit] = self._codes[pos[hit]] == want[hit]
+        pos, hit = _find_rows(self._codes, self._shape, xs)
         u = np.empty((len(xs), len(self._ends)), dtype=np.int64)
         u[hit] = self._u[pos[hit]]
         missing = np.flatnonzero(~hit)

@@ -717,15 +717,17 @@ def _run(graph, arrivals, costs, policies, cfg, threads) -> list[tuple]:
 # ---- aggregation ----
 
 
+def _mean_se(values: Sequence[float]) -> tuple[float, float]:
+    """The mean of ``values`` and its standard error, NaN for one value."""
+    n = len(values)
+    se = statistics.stdev(values) / math.sqrt(n) if n > 1 else math.nan
+    return statistics.fmean(values), se
+
+
 def _aggregate(label: str, outs: Sequence[tuple], cfg: SimConfig) -> SimResult:
     counted = cfg.counted
     rep_means = tuple(total / counted for total, _, _ in outs)
-    mean = statistics.fmean(rep_means)
-    se = (
-        statistics.stdev(rep_means) / math.sqrt(len(rep_means))
-        if len(rep_means) > 1
-        else math.nan
-    )
+    mean, se = _mean_se(rep_means)
     node_means = tuple(
         statistics.fmean(ns[k] / counted for _, ns, _ in outs)
         for k in range(len(outs[0][1]))
@@ -811,35 +813,35 @@ def compare(
     pairs = []
     for first, second in itertools.combinations(ordered, 2):
         diffs = [ma - mb for ma, mb in zip(first.rep_means, second.rep_means)]
-        se = (
-            statistics.stdev(diffs) / math.sqrt(len(diffs))
-            if len(diffs) > 1
-            else math.nan
-        )
-        pairs.append(
-            PairedDiff(first.label, second.label, statistics.fmean(diffs), se)
-        )
+        pairs.append(PairedDiff(first.label, second.label, *_mean_se(diffs)))
     return CompareResult(ordered, tuple(pairs))
 
 
 # ---- CSV output ----
 
 
+@contextlib.contextmanager
+def _csv_writer(file: IO[str] | str | Path, header: Sequence[str]):
+    """A csv writer on ``file`` with ``header`` written: a path is opened
+    here and closed on the way out, an open file is written as it is."""
+    import csv
+
+    with contextlib.ExitStack() as stack:
+        if isinstance(file, (str, Path)):
+            file = stack.enter_context(open(file, "w", encoding="utf-8", newline=""))
+        writer = csv.writer(file)
+        writer.writerow(header)
+        yield writer
+
+
 def write_replication_csv(
     file: IO[str] | str | Path, results: Sequence[SimResult]
 ) -> None:
     """One row per (policy, replication): policy, replication, mean_cost."""
-    if isinstance(file, (str, Path)):
-        with open(file, "w", encoding="utf-8", newline="") as handle:
-            write_replication_csv(handle, results)
-        return
-    import csv
-
-    writer = csv.writer(file)
-    writer.writerow(["policy", "replication", "mean_cost"])
-    for result in results:
-        for rep, value in enumerate(result.rep_means):
-            writer.writerow([result.label, rep, repr(value)])
+    with _csv_writer(file, ["policy", "replication", "mean_cost"]) as writer:
+        for result in results:
+            for rep, value in enumerate(result.rep_means):
+                writer.writerow([result.label, rep, repr(value)])
 
 
 def write_comparison_csv(file: IO[str] | str | Path, result: CompareResult) -> None:
@@ -849,25 +851,9 @@ def write_comparison_csv(file: IO[str] | str | Path, result: CompareResult) -> N
     :func:`compare` builds them, so two policies that share a label keep
     their own means.
     """
-    if isinstance(file, (str, Path)):
-        with open(file, "w", encoding="utf-8", newline="") as handle:
-            write_comparison_csv(handle, result)
-        return
-    import csv
-
-    writer = csv.writer(file)
-    writer.writerow(
-        ["first", "second", "first_mean", "second_mean", "diff_mean", "diff_se"]
-    )
+    header = ["first", "second", "first_mean", "second_mean", "diff_mean", "diff_se"]
     ordered = itertools.combinations(result.results, 2)
-    for pair, (first, second) in zip(result.pairs, ordered):
-        writer.writerow(
-            [
-                pair.first,
-                pair.second,
-                repr(first.mean),
-                repr(second.mean),
-                repr(pair.mean),
-                repr(pair.se),
-            ]
-        )
+    with _csv_writer(file, header) as writer:
+        for pair, (first, second) in zip(result.pairs, ordered):
+            means = (first.mean, second.mean, pair.mean, pair.se)
+            writer.writerow([pair.first, pair.second, *map(repr, means)])

@@ -24,7 +24,7 @@ walk over the levels (``_greedy``) finds the lexicographically smallest
 minimizing matching of every extended row at once.  Policy extraction
 reads its decisions from that walk.
 
-Every DP sweep has one form, base + theta * w[succ] (``_policy_sweep``):
+Every DP sweep has one form, base + theta * w[succ] (``_sweep``):
 the post-arrival cost plus the discounted expected value of the successor
 row per (state, atom).  Solving and evaluating differ only in where succ
 comes from.  An optimality backup is the first sweep of the table's greedy
@@ -37,6 +37,7 @@ call per distinct post-arrival row.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -53,7 +54,7 @@ from .graphs import (
     check_stability,
 )
 from .policies import Policy, Tabular, _check_graph, read_decisions
-from .states import as_state
+from .states import _find_rows, as_state
 
 VI_TOL = 1e-9
 RVI_SPAN_TOL = 1e-8
@@ -101,25 +102,6 @@ def _sector(
         out[at, : graph.n_d] = np.repeat(demand[d], count, axis=0)
         out[at, graph.n_d :] = np.tile(supply[s_level == level], (len(d), 1))
     return out
-
-
-def _rows(codes: np.ndarray, shape: tuple[int, ...], vectors) -> np.ndarray:
-    """Positions of vectors in a set given by its ascending ravel codes.
-
-    Raises KeyError naming the first vector that is not in the set, and
-    ValueError on a block that is not of an integer dtype.
-    """
-    vectors = np.asarray(vectors)
-    if vectors.dtype.kind not in "iu":
-        raise ValueError(f"state vectors must hold integers, got dtype {vectors.dtype}")
-    vectors = vectors.astype(np.int64, copy=False).reshape(-1, len(shape))
-    want = np.ravel_multi_index(vectors.T, shape)
-    pos = np.searchsorted(codes, want)
-    found = codes[np.minimum(pos, len(codes) - 1)] == want
-    if not np.all(found):
-        bad = tuple(int(v) for v in vectors[np.flatnonzero(~found)[0]])
-        raise KeyError(f"{bad} is not a balanced state of this space")
-    return pos
 
 
 def _distinct(rows: np.ndarray, n: int) -> np.ndarray:
@@ -211,8 +193,18 @@ class TruncatedStateSpace:
 
     def rows(self, vectors) -> np.ndarray:
         """Row of each balanced vector (one per row of ``vectors``) in
-        ``balanced_states`` and in every value table on this space."""
-        return _rows(self.balanced_codes, self.shape, vectors)
+        ``balanced_states`` and in every value table on this space.  Raises
+        KeyError naming the first vector that is not a state, and ValueError
+        on a block that is not of an integer dtype."""
+        vectors = np.asarray(vectors)
+        if vectors.dtype.kind not in "iu":
+            raise ValueError(f"state vectors must hold integers, got dtype {vectors.dtype}")
+        vectors = vectors.reshape(-1, self.graph.n_nodes)
+        pos, hit = _find_rows(self.balanced_codes, self.shape, vectors)
+        if not hit.all():
+            bad = tuple(int(v) for v in vectors[hit.argmin()])
+            raise KeyError(f"{bad} is not a balanced state of this space")
+        return pos
 
     def state_index(self, q) -> int:
         """Position of a balanced vector in the packed state list.  q is
@@ -315,14 +307,20 @@ class DPConfig:
     discounted evaluation only), the tolerance ``tol`` on the span of
     each backup's change Tv - v (when left unset, :data:`VI_TOL` in
     discounted mode and :data:`RVI_SPAN_TOL` in average mode) and the
-    backup limit ``max_iters``, an integer of at least 1.  The state-space
-    geometry comes from the space passed to each solver."""
+    backup limit ``max_iters``, an integer of at least 1.  ``theta`` and
+    ``tol`` must be real numbers, not bools; theta's range is checked by
+    the discounted solves that read it.  The state-space geometry comes
+    from the space passed to each solver."""
 
     theta: float = 0.95
     tol: float | None = None
     max_iters: int = MAX_ITERS
 
     def __post_init__(self) -> None:
+        reals = [("theta", self.theta)] + ([] if self.tol is None else [("tol", self.tol)])
+        for name, value in reals:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if self.tol is not None and not self.tol > 0:  # also rejects NaN
             raise ValueError(f"tol must be positive, got {self.tol}")
         max_iters = _integer("max_iters", self.max_iters)
@@ -504,23 +502,23 @@ def extract_policy(
 # ---- optimality iterations ----
 
 
-def _policy_sweep(
-    base: np.ndarray, probs: np.ndarray, succ: np.ndarray
-) -> Callable[..., np.ndarray]:
-    """``sweep(table, theta, out=None)``: one sweep base + theta * w[succ]
-    of a fixed policy's operator, where w = table @ probs is the expected
-    value of ``table`` over the arrival atoms, ``base`` the post-arrival
-    costs and ``succ`` the successor row per (state row, atom).  The
-    result is written into ``out`` when given, which may be ``table``
-    itself."""
-
-    def sweep(table: np.ndarray, theta: float, out: np.ndarray | None = None):
-        # Every successor row is valid: "clip" only spares take a buffer.
-        out = np.take(theta * (table @ probs), succ, out=out, mode="clip")
-        out += base
-        return out
-
-    return sweep
+def _sweep(
+    table: np.ndarray,
+    base: np.ndarray,
+    probs: np.ndarray,
+    succ: np.ndarray,
+    theta: float,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """One sweep base + theta * w[succ] of a fixed policy's operator, where
+    w = table @ probs is the expected value of ``table`` over the arrival
+    atoms, ``base`` the post-arrival costs and ``succ`` the successor row
+    per (state row, atom).  The result is written into ``out`` when given,
+    which may be ``table`` itself."""
+    # Every successor row is valid: "clip" only spares take a buffer.
+    out = np.take(theta * (table @ probs), succ, out=out, mode="clip")
+    out += base
+    return out
 
 
 def bellman_backup(
@@ -542,8 +540,7 @@ def bellman_backup(
     table = _packed(space, table)
     base = _post_arrival_costs(space, costs)
     probs = arrivals.atom_probs()
-    succ = _greedy_successors(space, table, probs)
-    return _policy_sweep(base, probs, succ)(table, theta)
+    return _sweep(table, base, probs, _greedy_successors(space, table, probs), theta)
 
 
 def _iterate(
@@ -552,15 +549,16 @@ def _iterate(
     mode: str,
     v0: np.ndarray | None,
     solver: str,
-    sweep_of: Callable[[np.ndarray], Callable[..., np.ndarray]],
+    base: np.ndarray,
+    probs: np.ndarray,
+    succ_of: Callable[[np.ndarray], np.ndarray],
     policy_sweeps: int = 0,
 ) -> tuple[float | None, ValueFunction]:
-    """Run ``table = sweep_of(table)(table, theta)`` from v0 (zeros by
-    default) until the span of the change Tv - v drops below tolerance;
-    returns (gain, value function).  ``sweep_of`` returns a
-    :func:`_policy_sweep`.  The iterates live in two tables allocated once
-    per solve and swapped after each backup, and Tv - v in a third; a
-    caller's v0 is copied, never written.
+    """Run ``table = _sweep(table, base, probs, succ_of(table), theta)``
+    from v0 (zeros by default) until the span of the change Tv - v drops
+    below tolerance; returns (gain, value function).  The iterates live in
+    two tables allocated once per solve and swapped after each backup, and
+    Tv - v in a third; a caller's v0 is copied, never written.
 
     ``mode="discounted"`` sweeps with ``config.theta`` (0 <= theta < 1).
     The fixed point lies between Tv + theta / (1 - theta) * min(Tv - v)
@@ -592,8 +590,8 @@ def _iterate(
     new, diff = np.empty_like(table), np.empty_like(table)
     gain, residual = None, np.inf
     for n in range(1, config.max_iters + 1):
-        sweep = sweep_of(table)
-        sweep(table, theta, out=new)
+        succ = succ_of(table)
+        _sweep(table, base, probs, succ, theta, out=new)
         np.subtract(new, table, out=diff)
         low, high = float(diff.min()), float(diff.max())
         residual = high - low
@@ -606,7 +604,7 @@ def _iterate(
             theta_out = theta if discounted else None
             return gain, ValueFunction(space, new, theta_out, n, residual, low, high)
         for _ in range(policy_sweeps):
-            sweep(new, theta, out=new)
+            _sweep(new, base, probs, succ, theta, out=new)
             if not discounted:
                 new -= new[0, 0]
         table, new = new, table
@@ -626,19 +624,21 @@ def _optimal(
     mode: str,
     v0: np.ndarray | None,
     solver: str,
-) -> tuple[float | None, ValueFunction]:
+    extract: bool,
+) -> tuple[float | None, ValueFunction, Tabular | None]:
     """Modified policy iteration: each backup is the first sweep of the
     table's greedy policy, and :data:`MPI_SWEEPS` more follow a backup that
-    fails the stopping rule.  Costs or arrivals sized for another graph
-    raise ValueError."""
+    fails the stopping rule.  Returns (gain, value function, the greedy
+    policy of the result when ``extract``).  Costs or arrivals sized for
+    another graph raise ValueError."""
     _check_sizes(space.graph, arrivals, costs)
     base = _post_arrival_costs(space, costs)
     probs = arrivals.atom_probs()
-
-    def greedy_sweep(table: np.ndarray) -> Callable[..., np.ndarray]:
-        return _policy_sweep(base, probs, _greedy_successors(space, table, probs))
-
-    return _iterate(space, config, mode, v0, solver, greedy_sweep, MPI_SWEEPS)
+    gain, vf = _iterate(
+        space, config, mode, v0, solver, base, probs,
+        lambda table: _greedy_successors(space, table, probs), MPI_SWEEPS,
+    )
+    return gain, vf, extract_policy(space, vf.data, arrivals) if extract else None
 
 
 def value_iteration(
@@ -661,10 +661,9 @@ def value_iteration(
     backups.  Raises :class:`NoConvergence` with the last span when the
     backup limit is hit.
     """
-    _, vf = _optimal(
-        space, costs, arrivals, config, "discounted", v0, "value iteration"
+    _, vf, policy = _optimal(
+        space, costs, arrivals, config, "discounted", v0, "value iteration", extract
     )
-    policy = extract_policy(space, vf.data, arrivals) if extract else None
     return vf, policy
 
 
@@ -698,11 +697,9 @@ def relative_value_iteration(
     counts backups.
     """
     _require_stable(space.graph, arrivals)
-    gain, vf = _optimal(
-        space, costs, arrivals, config, "average", v0, "relative value iteration"
+    return _optimal(
+        space, costs, arrivals, config, "average", v0, "relative value iteration", extract
     )
-    policy = extract_policy(space, vf.data, arrivals) if extract else None
-    return gain, vf, policy
 
 
 # ---- fixed-policy evaluation ----
@@ -762,10 +759,9 @@ def evaluate_policy(
     _check_sizes(space.graph, arrivals, costs)
     if mode == "average":
         _require_stable(space.graph, arrivals)
-    sweep = _policy_sweep(
-        _post_arrival_costs(space, costs),
-        arrivals.atom_probs(),
-        _sector_successors(space, policy),
+    succ = _sector_successors(space, policy)
+    gain, vf = _iterate(
+        space, config, mode, None, "policy evaluation",
+        _post_arrival_costs(space, costs), arrivals.atom_probs(), lambda _: succ,
     )
-    gain, vf = _iterate(space, config, mode, None, "policy evaluation", lambda _: sweep)
     return vf if gain is None else (gain, vf)

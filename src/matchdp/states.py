@@ -85,6 +85,20 @@ def _left(graph: MatchingGraph, x: list[int], u: list[int]) -> list[int] | None:
     return None if min(u) < 0 or min(y) < 0 else y
 
 
+def _find_rows(
+    codes: np.ndarray, shape: tuple[int, ...], vectors: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of a block of integer vectors in a set given by its
+    ascending ravel codes in the box ``shape``, and the mask of those found.
+    A vector outside the box is a miss; a miss's position is meaningless."""
+    vectors = vectors.astype(np.int64, copy=False)
+    want = np.ravel_multi_index(vectors.T, shape, mode="clip")
+    pos = np.searchsorted(codes, want)
+    hit = np.all((vectors >= 0) & (vectors < shape), axis=1) & (pos < len(codes))
+    hit[hit] = codes[pos[hit]] == want[hit]
+    return pos, hit
+
+
 def as_state(graph: MatchingGraph, state: Sequence[int]) -> np.ndarray:
     """``state`` as an int64 vector, validated by the rule of :func:`_int_list`."""
     return np.array(_int_list(state, graph.n_nodes), dtype=np.int64)

@@ -331,6 +331,11 @@ class TestInputErrors:
         assert main(["solve-average", "--graph", path, "--cap", "4"]) == 2
         assert "costs must be finite" in capsys.readouterr().err
 
+    def test_string_rate_exits_2(self, graph_file, capsys):
+        path = graph_file(dict(N_DOC, alpha=["0.6", "0.4"]))
+        assert main(["stability", "--graph", path]) == 2
+        assert "field 'alpha'[0] must be a number" in capsys.readouterr().err
+
 
 class TestReproduce:
     # Every line after the manifest is pinned, so a solver change that moves

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -391,6 +393,30 @@ def test_load_graph_rejects_malformed(mutation, needle):
     doc = _valid_doc()
     mutation(doc)
     with pytest.raises(ParseError, match=needle):
+        load_graph(doc)
+
+
+@pytest.mark.parametrize(
+    "field, entries, where",
+    [
+        ("alpha", ["0.6", "0.4"], "'alpha'[0]"),
+        ("beta", [0.4, True], "'beta'[1]"),
+        ("beta", [0.4, None], "'beta'[1]"),
+        ("costs", {"d1": 1.0, "d2": False, "s1": 1.0, "s2": 1.0}, "'costs'['d2']"),
+    ],
+    ids=["string-alpha", "bool-beta", "null-beta", "bool-cost"],
+)
+def test_rates_and_costs_must_be_json_numbers(field, entries, where):
+    doc = _valid_doc()
+    doc[field] = entries
+    with pytest.raises(ParseError, match=re.escape(f"field {where} must be a number")):
+        load_graph(doc)
+
+
+def test_a_bool_rate_is_not_read_as_one():
+    doc = {"demand": ["d1"], "supply": ["s1"], "edges": [["d1", "s1"]],
+           "alpha": [True], "beta": [1.0], "costs": {"d1": 1.0, "s1": 1.0}}
+    with pytest.raises(ParseError, match=re.escape("field 'alpha'[0] must be a number")):
         load_graph(doc)
 
 

@@ -20,13 +20,14 @@ from matchdp.solver import (
     BackupIndex,
     DPConfig,
     TruncatedStateSpace,
+    ValueFunction,
     _greedy,
     _greedy_successors,
     _initial_table,
-    _policy_sweep,
     _post_arrival_costs,
     _sector_successors,
     _signed,
+    _sweep,
     bellman_backup,
     evaluate_policy,
     extract_policy,
@@ -166,6 +167,21 @@ class TestTruncatedStateSpace:
         assert space.rows(np.array([[1, 0, 0, 1]], dtype=np.uint8)).tolist() == [10]
         with pytest.raises(KeyError, match=r"\(1, 0, 0, 0\) is not a balanced state"):
             space.rows([[1, 0, 0, 1], [1, 0, 0, 0]])
+
+    def test_reads_outside_the_box_raise_the_key_error(self, n_graph):
+        # cap 3: every entry past 3 lies outside the box of ravel codes.
+        space = TruncatedStateSpace(n_graph, cap=3)
+        table = np.zeros((len(space.balanced_states), space.n_atoms))
+        vf = ValueFunction(space, table, 0.9, 1, 0.0, 0.0, 0.0)
+        reads = [
+            (space.rows, [5, 0, 0, 5]),
+            (space.state_index, [4, 0, 0, 4]),
+            (lambda q: vf.value(q, (0, 0)), [9, 0, 0, 9]),
+        ]
+        for read, q in reads:
+            shown = re.escape(str(tuple(q)))
+            with pytest.raises(KeyError, match=f"{shown} is not a balanced state"):
+                read(q)
 
     def test_interior_and_tainted_partition(self):
         space = TruncatedStateSpace(make_n_graph(), cap=4, margin=2)
@@ -516,12 +532,13 @@ class TestValueIteration:
         else:
             policy = ThresholdN(graph, 1)
             vf = evaluate_policy(space, policy, costs, arrivals, config)
-            sweep = _policy_sweep(
+            again = _sweep(
+                vf.data,
                 _post_arrival_costs(space, costs),
                 arrivals.atom_probs(),
                 _sector_successors(space, policy),
+                theta,
             )
-            again = sweep(vf.data, theta)
         eps = np.finfo(float).eps
         gap = np.abs(again - vf.data).max()
         assert gap <= theta * vf.residual / 2 + 8 * eps * np.abs(vf.data).max()
@@ -878,6 +895,21 @@ def test_nonpositive_or_nan_tolerance_is_rejected(tol):
 def test_bad_backup_limit_is_rejected_at_construction(max_iters, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         DPConfig(max_iters=max_iters)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("tol", True), ("theta", False), ("tol", "1e-3"), ("theta", "0.9"), ("theta", None)],
+    ids=["bool-tol", "bool-theta", "string-tol", "string-theta", "none-theta"],
+)
+def test_discount_and_tolerance_must_be_real_numbers(field, value):
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be a real number, got {value!r}")):
+        DPConfig(**{field: value})
+
+
+def test_numpy_reals_are_accepted_as_discount_and_tolerance():
+    config = DPConfig(theta=np.float32(0.5), tol=np.int64(1))
+    assert config.resolved_tol("average") == 1
 
 
 def test_numpy_integer_backup_limit_becomes_an_int():

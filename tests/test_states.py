@@ -13,6 +13,7 @@ from matchdp.errors import ActionSpaceBudget, Inadmissible, WrongGraphClass
 from matchdp.graphs import N_SHAPED, W_SHAPED, classify, role_positions
 from matchdp.policies import Policy, read_decisions
 from matchdp.states import (
+    _find_rows,
     _left,
     admissible_matchings,
     arrival_vector,
@@ -287,3 +288,25 @@ def test_layout_rejects_wrong_class(complete22, w_graph, n_graph):
     with pytest.raises(WrongGraphClass, match="W layout needs a W-shaped graph, got n_shaped"):
         role_positions(n_graph, W_SHAPED)
     assert classify(complete22).roles == ()
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_find_rows_matches_set_membership(data):
+    # A random set of vectors in a random box, searched for a block that
+    # mixes members, other vectors of the box, and vectors with a negative
+    # entry or an entry past the box.
+    width = data.draw(st.integers(1, 4))
+    shape = tuple(data.draw(st.lists(st.integers(1, 4), min_size=width, max_size=width)))
+    inside = st.tuples(*(st.integers(0, side - 1) for side in shape))
+    members = sorted(data.draw(st.sets(inside, max_size=20)))
+    anywhere = st.tuples(*(st.integers(-2, side + 2) for side in shape))
+    queries = data.draw(
+        st.lists(st.one_of(st.sampled_from(members), anywhere) if members else anywhere,
+                 max_size=20)
+    )
+    codes = np.array([np.ravel_multi_index(v, shape) for v in members], dtype=np.int64)
+    block = np.array(queries, dtype=np.int64).reshape(-1, width)
+    pos, hit = _find_rows(codes, shape, block)
+    assert hit.tolist() == [q in set(members) for q in queries]
+    assert [members[p] for p in pos[hit]] == [q for q in queries if q in set(members)]
