@@ -56,6 +56,11 @@ def threshold_json(value):
     return "inf" if value == math.inf else value
 
 
+# Entries a threshold block read takes in int64; a block with a larger one
+# is read row by row in Python ints.
+_BLOCK_ENTRY_LIMIT = 2**32
+
+
 def _surplus_after(value: int, threshold: float) -> int:
     """Items beyond a protected threshold; zero when the threshold is inf."""
     if threshold == math.inf:
@@ -106,8 +111,12 @@ class Policy:
         simulator for the length of a :func:`~matchdp.simulate.simulate`
         or ``compare`` call (until a full transition table restarts),
         ``evaluate_policy`` on every post-arrival vector of the space and
-        ``verify_policy_shape`` on the interior ones.  Those two read a
-        :class:`Tabular` from its decision block without calling ``decide``.
+        ``verify_policy_shape`` on the interior ones.  Those two read
+        through :func:`read_decisions`, which does not call ``decide`` for
+        a :class:`Tabular` (it gathers from its decision block) nor for a
+        :class:`ThresholdCMO` or :class:`ThresholdN` (they apply their rule
+        to the whole block in numpy), unless a subclass overrides
+        ``decide`` or the block is not of nonnegative integer rows.
         """
         raise NotImplementedError
 
@@ -119,6 +128,17 @@ class Policy:
         for row, x in zip(u, xs):
             row[:] = _decision(self.label, self.decide(x), n_edges)
         return u
+
+    def _counts_block(self, xs) -> bool:
+        """Whether ``xs`` is an array of rows of nonnegative integers, one
+        per node: the blocks that a block reader may read without the
+        per-row checks of :func:`~matchdp.states._int_list`."""
+        return (
+            isinstance(xs, np.ndarray)
+            and xs.dtype.kind in "iu"
+            and xs.shape[1:] == (self._n,)
+            and not np.any(xs < 0)
+        )
 
     def spec_dict(self) -> dict:
         return {
@@ -143,13 +163,18 @@ def read_decisions(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decisions of a policy on a block of post-arrival vectors.
 
-    Calls ``decide`` once per row of ``xs`` (a :class:`Tabular` gathers its
-    stored rows from its block instead), checks each decision as it
+    Calls ``decide`` once per row of ``xs``, checks each decision as it
     arrives and writes it into one block, and returns the counts u (one
     row per vector, one column per edge), the residuals ``xs - usage(u)``,
     and the mask of inadmissible rows: a negative count or a negative
     residual.  A decision of the wrong shape or with non-integer counts
-    raises ValueError.
+    raises ValueError.  Two policies read an array of nonnegative integer
+    rows without calling ``decide``: a :class:`Tabular` gathers its stored
+    rows from its decision block, and a :class:`ThresholdCMO` or
+    :class:`ThresholdN` applies its rule to the whole block in numpy, with
+    the results of ``decide`` row for row.  A subclass of those two that
+    overrides ``decide``, and any other block, is read row by row, with
+    the per-row errors.
     """
     u = policy._decide_rows(xs)
     residual = xs - node_usage(policy.graph, u)
@@ -204,7 +229,8 @@ class ThresholdCMO(Policy):
     def __init__(self, graph: MatchingGraph, t):
         d1, d2, s1, s2 = role_positions(graph, self._graph_class)
         super().__init__(graph, t)
-        self._d1, self._d2, self._s1, self._s2 = d1, d2, s1, s2
+        # Lists, which index the node rows of a block as well as a list.
+        self._d1, self._d2, self._s1, self._s2 = list(d1), d2, s1, list(s2)
 
         def group(ds, ss) -> tuple[tuple[int, int, int], ...]:
             """(edge, demand position, supply position) of each edge from
@@ -233,6 +259,44 @@ class ThresholdCMO(Policy):
                 rem[s] -= take
                 left -= take
         return np.array(u, dtype=np.int64)
+
+    def _decide_rows(self, xs: np.ndarray) -> np.ndarray:
+        """The rule of :meth:`decide` on every row of ``xs`` at once, one
+        numpy operation per quantity and per edge: the group totals, the
+        thresholded cross total, then each group's greedy split in file
+        order, on unbalanced rows and at t = inf alike.
+
+        A subclass that overrides ``decide``, a block that
+        :meth:`Policy._counts_block` rejects, and a block with an entry of
+        2**32 or more (where int64 sums could wrap and Python ints do not)
+        are read by ``decide`` row by row instead.
+        """
+        if (
+            type(self).decide is not ThresholdCMO.decide
+            or not self._counts_block(xs)
+            or xs.max(initial=0) >= _BLOCK_ENTRY_LIMIT
+        ):
+            return super()._decide_rows(xs)
+        rem = np.array(xs.T, dtype=np.int64, order="C")  # one row per node
+        sum_d = rem[self._d1].sum(axis=0)
+        sum_s = rem[self._s2].sum(axis=0)
+        total_11 = np.minimum(sum_d, rem[self._s1])
+        total_22 = np.minimum(rem[self._d2], sum_s)
+        # Sums stay below 2**62, so a larger t (inf among them) matches none.
+        t = min(self.t, 2**62)
+        k = np.minimum(
+            np.maximum(sum_d - rem[self._s1] - t, 0),
+            np.minimum(sum_d - total_11, sum_s - total_22),
+        )
+        u = np.zeros((len(xs), len(self._ends)), dtype=np.int64)
+        for left, group in zip((total_11, total_22, k), self._groups):
+            for e, i, s in group:
+                take = np.minimum(np.minimum(left, rem[i]), rem[s])
+                u[:, e] = take
+                rem[i] -= take
+                rem[s] -= take
+                left -= take
+        return u
 
 
 class ThresholdN(ThresholdCMO):
@@ -605,10 +669,6 @@ class Tabular(Policy):
             raise ValueError(f"keys must be rows of {self._n} nonnegative integers")
         self._store(xs.astype(np.int64, copy=False), _counts(self.label, u), fallback)
         return self
-
-    def _counts_block(self, xs: np.ndarray) -> bool:
-        """Whether ``xs`` is a block of rows of nonnegative integers, one per node."""
-        return xs.dtype.kind in "iu" and xs.shape[1:] == (self._n,) and not np.any(xs < 0)
 
     def _store(self, keys: np.ndarray, u: np.ndarray, fallback: Policy | None) -> None:
         if u.shape != (len(keys), len(self._ends)):

@@ -31,8 +31,9 @@ comes from.  An optimality backup is the first sweep of the table's greedy
 policy, whose successors the walk gives, and value iteration and relative
 value iteration run modified policy iteration: each backup that fails the
 stopping rule is followed by more sweeps of the same greedy policy.
-Fixed-policy evaluation takes its successors once, from one ``decide``
-call per distinct post-arrival row.
+Fixed-policy evaluation takes its successors once, from the policy's
+decisions on every distinct post-arrival row, read in one block by
+:func:`~matchdp.policies.read_decisions`.
 """
 
 from __future__ import annotations
@@ -515,8 +516,11 @@ def _sweep(
     atoms, ``base`` the post-arrival costs and ``succ`` the successor row
     per (state row, atom).  The result is written into ``out`` when given,
     which may be ``table`` itself."""
+    w = table @ probs
+    if theta != 1.0:  # at 1.0 (average mode) the product is an exact copy
+        w *= theta
     # Every successor row is valid: "clip" only spares take a buffer.
-    out = np.take(theta * (table @ probs), succ, out=out, mode="clip")
+    out = np.take(w, succ, out=out, mode="clip")
     out += base
     return out
 
@@ -547,7 +551,7 @@ def _iterate(
     space: TruncatedStateSpace,
     config: DPConfig | None,
     mode: str,
-    v0: np.ndarray | None,
+    table: np.ndarray,
     solver: str,
     base: np.ndarray,
     probs: np.ndarray,
@@ -555,10 +559,11 @@ def _iterate(
     policy_sweeps: int = 0,
 ) -> tuple[float | None, ValueFunction]:
     """Run ``table = _sweep(table, base, probs, succ_of(table), theta)``
-    from v0 (zeros by default) until the span of the change Tv - v drops
-    below tolerance; returns (gain, value function).  The iterates live in
-    two tables allocated once per solve and swapped after each backup, and
-    Tv - v in a third; a caller's v0 is copied, never written.
+    from the start ``table``, which it writes, until the span of the change
+    Tv - v drops below tolerance; returns (gain, value function).  The
+    iterates live in ``table`` and one more table allocated once per solve,
+    swapped after each backup: Tv - v is written over the table v it came
+    from, which the next sweep overwrites anyway.
 
     ``mode="discounted"`` sweeps with ``config.theta`` (0 <= theta < 1).
     The fixed point lies between Tv + theta / (1 - theta) * min(Tv - v)
@@ -586,13 +591,12 @@ def _iterate(
     if discounted and not 0.0 <= theta < 1.0:
         raise ValueError(f"discounted mode needs 0 <= theta < 1, got {theta}")
     tol = config.resolved_tol(mode)
-    table = _initial_table(space, v0)
-    new, diff = np.empty_like(table), np.empty_like(table)
+    new = np.empty_like(table)
     gain, residual = None, np.inf
     for n in range(1, config.max_iters + 1):
         succ = succ_of(table)
         _sweep(table, base, probs, succ, theta, out=new)
-        np.subtract(new, table, out=diff)
+        diff = np.subtract(new, table, out=table)
         low, high = float(diff.min()), float(diff.max())
         residual = high - low
         if not discounted:
@@ -628,14 +632,23 @@ def _optimal(
 ) -> tuple[float | None, ValueFunction, Tabular | None]:
     """Modified policy iteration: each backup is the first sweep of the
     table's greedy policy, and :data:`MPI_SWEEPS` more follow a backup that
-    fails the stopping rule.  Returns (gain, value function, the greedy
-    policy of the result when ``extract``).  Costs or arrivals sized for
-    another graph raise ValueError."""
+    fails the stopping rule.  Without ``v0``, average mode starts from the
+    post-arrival costs less their value at the zero queue and first atom:
+    the greedy policy of a constant table never matches, and a first backup
+    from one would spend its policy sweeps evaluating that policy.
+    Discounted mode starts from zeros, because on the W recipe graph at
+    theta 0.9 the cost start took one backup more.  Returns (gain, value
+    function, the greedy policy of the result when ``extract``).  Costs or
+    arrivals sized for another graph raise ValueError."""
     _check_sizes(space.graph, arrivals, costs)
     base = _post_arrival_costs(space, costs)
     probs = arrivals.atom_probs()
+    if v0 is None and mode == "average":
+        table = base - base[0, 0]
+    else:
+        table = _initial_table(space, v0)
     gain, vf = _iterate(
-        space, config, mode, v0, solver, base, probs,
+        space, config, mode, table, solver, base, probs,
         lambda table: _greedy_successors(space, table, probs), MPI_SWEEPS,
     )
     return gain, vf, extract_policy(space, vf.data, arrivals) if extract else None
@@ -691,10 +704,11 @@ def relative_value_iteration(
     """Average-cost gain and bias by modified policy iteration, normalized
     at the zero queue and first atom.
 
-    Requires stable arrival rates.  Stops at the first backup whose change
-    over all states has a span below tolerance; the gain estimate is that
-    backup's pre-normalization value at the reference state.  ``iterations``
-    counts backups.
+    Starts from a packed ``v0``, or by default from the post-arrival costs
+    (see :func:`_optimal`).  Requires stable arrival rates.  Stops at the
+    first backup whose change over all states has a span below tolerance;
+    the gain estimate is that backup's pre-normalization value at the
+    reference state.  ``iterations`` counts backups.
     """
     _require_stable(space.graph, arrivals)
     return _optimal(
@@ -708,7 +722,8 @@ def relative_value_iteration(
 def _sector_successors(space: TruncatedStateSpace, policy: Policy) -> np.ndarray:
     """Successor row per (state row, atom) under the policy.
 
-    ``decide`` runs once per distinct post-arrival row of the backup index.
+    The decisions on the distinct post-arrival rows of the backup index are
+    read in one block by :func:`~matchdp.policies.read_decisions`.
     Raises :class:`Inadmissible` when a decision overdraws x, or when its
     successor clipped at the cap leaves the balanced sector, because such a
     policy does not act on this state space.
@@ -761,7 +776,7 @@ def evaluate_policy(
         _require_stable(space.graph, arrivals)
     succ = _sector_successors(space, policy)
     gain, vf = _iterate(
-        space, config, mode, None, "policy evaluation",
+        space, config, mode, _initial_table(space, None), "policy evaluation",
         _post_arrival_costs(space, costs), arrivals.atom_probs(), lambda _: succ,
     )
     return vf if gain is None else (gain, vf)

@@ -358,15 +358,21 @@ def _reference_iterate(
     config: DPConfig | None,
     discounted: bool,
 ) -> tuple[float | None, ValueFunction]:
-    """Backups of the optimality operator and nothing else, from zeros,
-    until the span of the change drops below tolerance.  Average mode
-    renormalizes at row 0, atom 0; discounted mode returns the last backup
-    plus theta / (1 - theta) times the midpoint of the change's min and
-    max (the MacQueen-Porteus bounds)."""
+    """Backups of the optimality operator and nothing else, until the span
+    of the change drops below tolerance, from the solvers' default start:
+    zeros in discounted mode, the post-arrival costs less their [0, 0]
+    entry in average mode.  Average mode renormalizes at row 0, atom 0;
+    discounted mode returns the last backup plus theta / (1 - theta) times
+    the midpoint of the change's min and max (the MacQueen-Porteus
+    bounds)."""
     config = config or DPConfig()
     theta = config.theta if discounted else 1.0
     tol = config.resolved_tol("discounted" if discounted else "average")
-    table = np.zeros((len(space.balanced_states), space.n_atoms))
+    if discounted:
+        table = np.zeros((len(space.balanced_states), space.n_atoms))
+    else:
+        base = _post_arrival_costs(space, costs)
+        table = base - base[0, 0]
     residual = math.inf
     for n in range(1, config.max_iters + 1):
         new = reference_backup(space, table, costs, arrivals, theta)

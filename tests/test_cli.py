@@ -346,7 +346,7 @@ class TestReproduce:
         assert out.splitlines()[1:] == [
             "assertion: DP threshold equals the closed-form optimum",
             "gain: 9.232488096",
-            "iterations: 7",
+            "iterations: 6",
             "shape violations: 0",
             "inferred threshold: 1",
             "closed-form threshold: 1",
@@ -359,7 +359,7 @@ class TestReproduce:
         assert out.splitlines()[1:] == [
             "assertion: average-cost policy matches everything on the interior",
             "gain: 3.5",
-            "iterations: 4",
+            "iterations: 1",
             "interior states checked: 342",
             "shape violations: 0",
             "PASS",

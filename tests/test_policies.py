@@ -31,8 +31,9 @@ from matchdp.policies import (
     policy_from_spec,
     read_decisions,
 )
-from matchdp.solver import TruncatedStateSpace, extract_policy
+from matchdp.solver import TruncatedStateSpace, evaluate_policy, extract_policy
 from matchdp.states import is_admissible, node_usage
+from matchdp.structure import verify_policy_shape
 
 from conftest import (
     OTHER_COSTS,
@@ -589,6 +590,92 @@ def test_block_read_of_rows_that_are_not_count_vectors_is_read_row_by_row(n_grap
         read_decisions(pol, np.array([[1, 0, 0, 1], [-1, 0, 0, -1]]))
     with pytest.raises(ValueError, match="must be integers"):
         read_decisions(pol, np.array([[1.0, 0.0, 0.0, 1.0]]))
+
+
+def _cmo33_reordered() -> MatchingGraph:
+    graph = make_cmo33()
+    return MatchingGraph(
+        demand_nodes=graph.demand_nodes,
+        supply_nodes=graph.supply_nodes,
+        edges=tuple(graph.edges[k] for k in (4, 0, 7, 2, 6, 1, 5, 3)),
+    )
+
+
+THRESHOLD_BLOCK_RULES = [
+    pytest.param(lambda t: ThresholdN(make_n_graph(), t), id="N"),
+    pytest.param(lambda t: ThresholdCMO(make_cmo33(), t), id="cmo33"),
+    pytest.param(lambda t: ThresholdCMO(_cmo33_reordered(), t), id="cmo33-reordered"),
+]
+
+
+@pytest.mark.parametrize("t", [0, 1, 3, math.inf])
+@pytest.mark.parametrize("build", THRESHOLD_BLOCK_RULES)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_threshold_block_read_equals_decide_row_by_row(build, t, data):
+    pol = build(t)
+    graph = pol.graph
+    n = graph.n_nodes
+    # Balanced rows, as the solvers read, and unbalanced ones, in any
+    # integer dtype.
+    rows = data.draw(st.lists(st.lists(st.integers(0, 9), min_size=n, max_size=n), max_size=30))
+    rows += [balanced_vector(data, graph, cap=7) for _ in range(data.draw(st.integers(0, 10)))]
+    dtype = data.draw(st.sampled_from([np.int64, np.int32, np.uint8]))
+    xs = np.array(rows, dtype=dtype).reshape(-1, n)
+    want = np.array([pol.decide(x) for x in xs], dtype=np.int64).reshape(-1, len(graph.edges))
+    got = pol._decide_rows(xs)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    _same_read(pol, pol, xs)
+
+
+def test_threshold_block_with_entries_past_int64_sums_is_read_in_python_ints(cmo33):
+    # The d1 group total 2**63 wraps in int64, not in Python ints.
+    pol = ThresholdCMO(cmo33, 1)
+    big = 2**62
+    xs = np.array([[big, big, 0, 0, big, big], [1, 2, 0, 1, 1, 1]])
+    _same_read(pol, pol, xs)
+
+
+NOT_COUNT_BLOCKS = {
+    "float-row": np.array([[1, 0, 0, 1], [0.5, 0, 0, 0.5]]),
+    "negative-row": np.array([[1, 0, 0, 1], [2, -1, 0, 1]]),
+    "narrow-block": np.array([[1, 0, 1], [0, 1, 1]]),
+    "wrong-width-row": [[1, 0, 0, 1], [1, 0, 1], [0, 1, 1, 0]],
+}
+
+
+@pytest.mark.parametrize("t", [0, math.inf])
+@pytest.mark.parametrize("block", NOT_COUNT_BLOCKS.values(), ids=NOT_COUNT_BLOCKS.keys())
+def test_threshold_block_of_rows_that_are_not_count_vectors_raises_the_row_error(
+    n_graph, block, t
+):
+    pol = ThresholdN(n_graph, t)
+    with pytest.raises(ValueError) as want:
+        reference_read_decisions(pol, block)
+    with pytest.raises(ValueError) as got:
+        read_decisions(pol, block)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("t", [0, 2, math.inf])
+def test_threshold_evaluation_and_shape_verdict_equal_the_row_by_row_read(n_graph, t):
+    class RowByRow(ThresholdN):
+        """ThresholdN whose own ``decide`` sends every read row by row."""
+
+        def decide(self, x):
+            return super().decide(x)
+
+    space = TruncatedStateSpace(n_graph, cap=10, margin=3)
+    costs = CostVector(demand=np.array([1.0, 5.0]), supply=np.array([4.0, 2.0]))
+    arrivals = ArrivalDistribution(alpha=np.array([0.6, 0.4]), beta=np.array([0.4, 0.6]))
+    block, rows = ThresholdN(n_graph, t), RowByRow(n_graph, t)
+    gain, vf = evaluate_policy(space, block, costs, arrivals, mode="average")
+    row_gain, row_vf = evaluate_policy(space, rows, costs, arrivals, mode="average")
+    assert gain == row_gain and vf.iterations == row_vf.iterations
+    assert np.array_equal(vf.data, row_vf.data)
+    assert verify_policy_shape(space, block, "threshold_n") == verify_policy_shape(
+        space, rows, "threshold_n"
+    )
 
 
 # ---- JSON specs ----
