@@ -516,11 +516,8 @@ def _sweep(
     atoms, ``base`` the post-arrival costs and ``succ`` the successor row
     per (state row, atom).  The result is written into ``out`` when given,
     which may be ``table`` itself."""
-    w = table @ probs
-    if theta != 1.0:  # at 1.0 (average mode) the product is an exact copy
-        w *= theta
     # Every successor row is valid: "clip" only spares take a buffer.
-    out = np.take(w, succ, out=out, mode="clip")
+    out = np.take(theta * (table @ probs), succ, out=out, mode="clip")
     out += base
     return out
 
