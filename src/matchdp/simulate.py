@@ -38,13 +38,20 @@ STRIDE_WIDTH and at least STEPS_PER_ENTRY steps in the call for each
 entry of a row per state met so far; it never rises again (on the bench
 runs: 4 on the N graph, 2 on the W graph, 1 on the NN graph and on an N
 graph in heavy traffic).  Each piece is encoded once per stride in use
-into codes of m atoms, shared by the chains at that stride, and the hot
-loop is one table read and one visit count per m steps, with no test for
-a miss (an entry not met yet holds None, and the step after it raises);
-the last steps of a piece go one at a time.  Costs, queue means and level
-frequencies are computed afterwards from the visit counts.  With integer
-costs every partial sum is exact, so the result equals a step-by-step run
-bit for bit.
+into codes of m atoms, shared by the chains at that stride.  At stride 1
+the hot loop is one table read and one visit count per step, with no test
+for a miss (an entry not met yet holds None, and the step after it
+raises).  At stride m > 1 the codes are walked in blocks of BLOCK codes,
+and the hot loop is one table read per m steps with no count at all: it
+keeps only the first row of each block, and after the piece one numpy
+pass over all its blocks in lockstep rebuilds every entry they visited
+and counts them with ``np.bincount``.  A block that meets an entry not
+met yet is walked again from its first row on a slow path, which notes
+each entry it visits and fills the ones not met before; so do the codes
+left at the end of a piece, and the atoms left go one at a time.  Costs,
+queue means and level frequencies are computed afterwards from the visit
+counts, in numpy.  With integer costs every partial sum is exact, so the
+result equals a step-by-step run bit for bit.
 """
 
 from __future__ import annotations
@@ -215,26 +222,41 @@ entry is filled by a miss that walks its m steps one at a time, so a chain
 walks at stride m only while ``len(states) * A**m * STEPS_PER_ENTRY`` is
 within the steps its memo walks in the call.
 
-On two shared CPUs with Python 3.11, a filled entry costs 1.6-3.1 us and
-a step at stride m saves 27-53 ns against stride 1 on the bench chains,
-so a full table repays its fills from 35-115 steps per entry.  Forcing
-each stride in turn, the fastest were 4 on the N bench chain, 2 on the W
-bench chains and 1 on the NN bench chains and on an N chain in heavy
-traffic; the rule picks exactly these for any value from 118 to 420 (the
-W chains bound both ends), and 200 lies inside with room on both sides."""
+On two shared CPUs with Python 3.11, a filled entry costs 3.3-5.0 us on
+the bench chains at their strides, the slow path's walk of its block
+included, and a step at stride m saves 54-75 ns against stride 1, so a
+full table repays its fills from 44-93 steps per entry.  Forcing each
+stride in turn (medians of 11 interleaved runs), the fastest were 4 on the
+N bench chain (3 within 2% of it), 2 on the W bench chains, 3 on the W
+recipe chains (ThresholdW as fast at 2), and 1 on the NN bench chains and
+on an N chain in heavy traffic; the rule picks exactly these for any value
+from 118 to 420 (the W bench chains bound both ends), and 200 lies inside
+with room on both sides."""
 
 MEMO_LIMIT = 1 << 18
 """Entries a policy's one-step transition table may hold.  A run of the
 ``Idle`` chain of the kernel tests on the N graph, where every state is
-new, peaks at ~38 MiB (tracemalloc, 60,000 steps, the stream's buffers
-included) at stride 1 and ~40 MiB at the top stride 4, with the
-multi-step table beside it; folding the full table at a restart raises
-the peaks to ~42 and ~45 MiB (70,000 steps)."""
+new, peaks at ~38.5 MiB (tracemalloc, 60,000 steps in pieces of 4,096, the
+stream's buffers included) at stride 1 and ~40.6 MiB at the top stride 4,
+with the multi-step table beside it; folding the full table at a restart
+raises the peaks to ~41 and ~45 MiB (70,000 steps)."""
 
 STRIDE_LIMIT = 1 << 18
-"""Entries a policy's multi-step table may hold.  A full one takes ~4-5 MiB
-at stride 4 on the N graph: 4.2 MiB for ``Idle``, 5.1 MiB for
-ThresholdN(inf) in heavy traffic, which fills 28,326 entries."""
+"""Entries a policy's multi-step table may hold.  The list, its numpy counts
+and its numpy mirror take 8 bytes an entry each, so a full one takes
+~6-7 MiB at stride 4 on the N graph: 6.2 MiB for ``Idle``, 7.0 MiB for
+ThresholdN(inf) in heavy traffic, which fills 25,239 entries before its
+first drop."""
+
+BLOCK = 64
+"""Codes per block of the uncounted multi-step walk.  The counting pass
+makes BLOCK numpy gathers per piece, however many blocks it holds, and a
+block that meets an unfilled entry is walked again whole on the slow path;
+smaller blocks cost the walk more bookkeeping per block.  On two shared
+CPUs with Python 3.11, in 9 interleaved runs at 16, 32, 64, 128 and 256
+codes, the w-model ``compare`` of the benchmark took medians of 165, 162,
+143, 144 and 156 ms, and the n-model ``simulate`` 296, 257, 255, 275 and
+326 ms."""
 
 
 def _stride(n_atoms: int, states: int = 0, steps: int = 0) -> int:
@@ -374,24 +396,29 @@ def _arrival_chunks(graph: MatchingGraph, arrivals: ArrivalDistribution,
                     yield rep, counted, part
 
 
-def _encode(atoms: np.ndarray, n_atoms: int, stride: int) -> tuple[list[int], list[int]]:
-    """Split a piece into the codes of its whole strides and the atoms left.
+def _encode(atoms: np.ndarray, n_atoms: int,
+            stride: int) -> tuple[np.ndarray | None, list[list[int]], list[int], list[int]]:
+    """Split a piece into blocks of codes, the codes left and the atoms left.
 
     The code of atoms a_1 .. a_m is their Horner sum with base n_atoms,
-    a_1 the most significant; with stride 1 there are no codes and every
-    atom is left.
+    a_1 the most significant.  The whole blocks of BLOCK codes come twice:
+    as a (BLOCK, blocks) array whose column b is block b, which the
+    counting pass reads, and as one list per block, which the walk reads.
+    With stride 1 there are no codes and every atom is left.
     """
     if stride == 1:
-        return [], atoms.tolist()
+        return None, [], [], atoms.tolist()
     body = len(atoms) - len(atoms) % stride
     codes = atoms[0:body:stride]
     for r in range(1, stride):
         codes = codes * n_atoms + atoms[r:body:stride]
-    return codes.tolist(), atoms[body:].tolist()
+    whole = len(codes) - len(codes) % BLOCK
+    blocks = codes[:whole].reshape(-1, BLOCK)
+    return blocks.T, blocks.tolist(), codes[whole:].tolist(), atoms[body:].tolist()
 
 
 def _walk(keys: list[int], s: int, nxt: list, hits: list[int], miss) -> int:
-    """The hot loop: follow ``keys`` through one table from row offset s.
+    """The counted walk: follow ``keys`` through one table from row offset s.
 
     Every step counts its entry.  An entry not met before holds None, so
     the step after it fails on ``None + key`` (a TypeError, which costs
@@ -417,6 +444,33 @@ def _walk(keys: list[int], s: int, nxt: list, hits: list[int], miss) -> int:
     return s
 
 
+def _blocks(blocks: Iterator[tuple[int, list[int]]], t: int, nxt: list,
+            heads: list[int], cols: list[int]) -> tuple[int, list[int] | None]:
+    """The hot loop at stride m > 1: follow (index, block) pairs of codes
+    through the multi-step table from row t, counting nothing.
+
+    A block walked to its end appends its first row to ``heads`` and its
+    index to ``cols``, from which the counting pass rebuilds its visits.
+    Returns the row reached and None once ``blocks`` runs out, or the first
+    row of a block that meets an entry not filled yet, and that block: an
+    unfilled entry holds None, so the step after it fails on ``None +
+    code`` (a TypeError), or the block ends on None.
+    """
+    for i, block in blocks:
+        u = t
+        try:
+            for c in block:
+                u = nxt[u + c]
+        except TypeError:
+            return t, block
+        if u is None:
+            return t, block
+        heads.append(t)
+        cols.append(i)
+        t = u
+    return t, None
+
+
 class _Chain:
     """One policy's chain, memoized per (queue vector, arrival atom).
 
@@ -433,16 +487,22 @@ class _Chain:
 
     With stride m > 1 a second table, derived from the first, takes m
     arrivals per lookup: ``mnext[row + code]`` is the row of the state that
-    the m atoms of ``code`` lead to, and ``mhits`` counts its visits.  Rows
-    are made for the states a multi-step walk starts from.  A miss walks
-    its m steps through the one-step table, which counts them and asks
+    the m atoms of ``code`` lead to, and the numpy array ``mcount`` counts
+    its visits.  Rows are made for the states a multi-step walk starts
+    from.  A piece's whole blocks of codes are walked without counting
+    (:func:`_blocks`); a block that meets an unfilled entry is walked again
+    from its first row on the slow path, which notes each entry it visits
+    in ``seen`` and fills each entry not met before.  A fill walks its m
+    steps through the one-step table, which counts them and asks
     ``decide`` only where that table misses, so the one-step table and the
-    ``decide`` calls are those of a walk one arrival at a time.  Before the
-    one-step visits are folded, the hits of each entry in ``filled`` (the
-    multi-step entries stored so far) are replayed onto the one-step
-    entries that entry stands for.  A multi-step table that would pass
-    STRIDE_LIMIT entries is replayed and dropped; a one-step restart drops
-    it too.
+    ``decide`` calls are those of a walk one arrival at a time.  The
+    blocks walked (``heads``, ``cols``) and the entries noted are counted
+    by :meth:`_flush` after the piece, and before any restart or drop, on
+    the table they were walked on.  Before the one-step visits are folded,
+    the counts of each entry in ``filled`` (the multi-step entries stored
+    so far) are replayed onto the one-step entries that entry stands for.
+    A multi-step table that would pass STRIDE_LIMIT entries is replayed and
+    dropped; a one-step restart drops it too.
 
     The stride follows from the chain's own counts (see :func:`_stride`):
     the first piece a chain walks in a call goes one arrival at a time, and
@@ -493,11 +553,18 @@ class _Chain:
         self._drop()
 
     def _drop(self) -> None:
+        """Start an empty multi-step table; what is not yet counted of the
+        last one (only ever burn-in visits) is discarded with it."""
         self.rows: dict[int, int] = {}
         self.starts: list[int] = []
         self.mnext: list[int | None] = []
-        self.mhits: list[int] = []
+        self.mcount = np.zeros(0, dtype=np.int64)
         self.filled: list[int] = []
+        self.mirror = np.zeros(0, dtype=np.intp)
+        self.mirrored = 0
+        self.heads: list[int] = []
+        self.cols: list[int] = []
+        self.seen: list[int] = []
 
     def _locate(self, key: tuple[int, ...]) -> int:
         """Row offset of a queue vector, registering it when new."""
@@ -524,38 +591,89 @@ class _Chain:
             row = self.rows[s] = len(self.mnext)
             self.starts.append(s)
             self.mnext += [None] * self.width
-            self.mhits += [0] * self.width
         return row
 
+    def _mirror(self) -> np.ndarray:
+        """The multi-step table as a numpy array, exact at every filled entry."""
+        new = self.filled[self.mirrored:]
+        if new:
+            if len(self.mirror) < len(self.mnext):
+                grown = np.zeros(len(self.mnext), dtype=np.intp)
+                grown[:len(self.mirror)] = self.mirror
+                self.mirror = grown
+            mnext = self.mnext
+            self.mirror[new] = [mnext[k] for k in new]
+            self.mirrored = len(self.filled)
+        return self.mirror
+
+    def _flush(self) -> None:
+        """Add the visits walked since the last flush to ``mcount``.
+
+        The blocks in ``heads`` and ``cols`` are rebuilt in one lockstep
+        pass over all of them: BLOCK gathers through a numpy mirror of the
+        table, each taking every block one code further.
+        """
+        counts = np.bincount(np.array(self.seen, dtype=np.intp), minlength=len(self.mnext))
+        counts[:len(self.mcount)] += self.mcount
+        if self.heads:
+            first, last = self.cols[0], self.cols[-1]
+            # Without a slow block between them the columns are one slice.
+            if last - first + 1 == len(self.cols):
+                grid = self.grid[:, first:last + 1]
+            else:
+                grid = self.grid[:, self.cols]
+            mirror = self._mirror()
+            t = np.array(self.heads, dtype=np.intp)
+            # The entries of 16 codes of every block are counted at a time:
+            # holding all 64 at once raised the w-model bench's peak RSS by
+            # about 0.3 MiB.
+            visited = np.empty((16, len(t)), dtype=np.intp)
+            for j in range(0, len(grid), 16):
+                part = grid[j:j + 16]
+                for codes, k in zip(part, visited):
+                    np.add(t, codes, out=k)
+                    t = mirror[k]
+                counts += np.bincount(visited[:len(part)].ravel(), minlength=len(counts))
+        self.mcount = counts
+        self.heads.clear()
+        self.cols.clear()
+        self.seen.clear()
+
     def _replay(self) -> None:
-        """Move the multi-step hits onto the one-step entries they stand for."""
-        nxt, hits, mhits = self.next, self.hits, self.mhits
-        width, starts, paths = self.width, self.starts, self.paths
-        for k in self.filled:
-            seen = mhits[k]
-            if seen:
-                row, code = divmod(k, width)
-                s = starts[row]
-                for a in paths[code]:
-                    step = s + a
-                    hits[step] += seen
-                    s = nxt[step]
-                mhits[k] = 0
+        """Move the multi-step counts onto the one-step entries they stand for."""
+        if not self.filled:
+            return
+        self._flush()
+        filled = np.array(self.filled, dtype=np.intp)
+        seen = self.mcount[filled]
+        filled, seen = filled[seen > 0], seen[seen > 0]
+        rows, codes = np.divmod(filled, self.width)
+        s = np.array(self.starts, dtype=np.intp)[rows]
+        nxt = np.array([-1 if v is None else v for v in self.next], dtype=np.intp)
+        moved = np.zeros(len(self.next), dtype=np.int64)
+        for j in reversed(range(self.stride)):
+            step = s + codes // self.n_atoms**j % self.n_atoms
+            np.add.at(moved, step, seen)
+            s = nxt[step]
+        hits = self.hits
+        landed = np.flatnonzero(moved)
+        for k, count in zip(landed.tolist(), moved[landed].tolist()):
+            hits[k] += count
+        self.mcount[:] = 0
 
     def _fold(self) -> None:
         """Add the counted visits gathered so far to the running sums."""
         if not self.counting:
             return
         self._replay()
-        hits, width = self.hits, self.n_atoms
-        visits = [sum(hits[b:b + width]) for b in range(0, len(hits), width)]
-        for a in range(width):
-            self.atom_counts[a] += sum(hits[a::width])
-        for k, column in enumerate(zip(*self.states)):
-            self.node_sums[k] += sum(map(operator.mul, visits, column))
+        hits = np.array(self.hits, dtype=np.int64).reshape(-1, self.n_atoms)
+        visits = hits.sum(axis=1)
+        states = np.array(self.states, dtype=np.int64).reshape(len(visits), -1)
+        self.atom_counts = list(map(operator.add, self.atom_counts, hits.sum(axis=0).tolist()))
+        self.node_sums = list(map(operator.add, self.node_sums, (visits @ states).tolist()))
         if self.level_of is not None:
             counts = self.level_counts
-            for level, seen in zip(self.levels, visits):
+            for level, seen in zip(self.levels, visits.tolist()):
                 if level is not None and seen:
                     counts.extend([0] * (level + 1 - len(counts)))
                     counts[level] += seen
@@ -568,40 +686,70 @@ class _Chain:
         self.level_counts = None if self.level_of is None else [0] * (self.policy.t + 1)
         self.s = self._locate(q0)
 
-    def walk(self, piece: tuple[list[int], list[int]], counted: bool) -> None:
+    def walk(self, piece: tuple, counted: bool) -> None:
         """Advance the chain over a piece of the arrival stream, given as
-        :func:`_encode`'s (codes, atoms left) at the chain's stride, then
-        pick the stride of the next piece.
+        :func:`_encode`'s (code grid, blocks, codes left, atoms left) at the
+        chain's stride, then pick the stride of the next piece.
 
         Steps are counted in every piece; the first counted piece of a
         replication drops what the burn-in (or the last replication) left.
         """
         if counted and not self.counting:
             self.hits = [0] * len(self.next)
-            self.mhits = [0] * len(self.mnext)
+            self.mcount = np.zeros(len(self.mnext), dtype=np.int64)
             self.counting = True
-        codes, tail = piece
+        grid, blocks, rest, tail = piece
         s = self.s
-        if codes:
-            row = _walk(codes, self._row(s), self.mnext, self.mhits, self._multi_miss)
+        if blocks or rest:
+            row = self._multi(grid, blocks, rest, self._row(s))
             s = self.starts[row // self.width]
         self.s = _walk(tail, s, self.next, self.hits, self._miss)
         self._restride()
 
-    def _multi_miss(self, k: int) -> tuple[int, list, list[int]]:
-        """Walk the steps of entry k = multi-step row + code one at a time
-        and store the row they end on."""
+    def _multi(self, grid: np.ndarray, blocks: list[list[int]], rest: list[int],
+               t: int) -> int:
+        """Walk a piece's codes from row t: the whole blocks uncounted, a
+        block that meets an unfilled entry and the codes left on the slow
+        path; then count them all."""
+        self.grid = grid
+        blocks = enumerate(blocks)
+        while True:
+            t, block = _blocks(blocks, t, self.mnext, self.heads, self.cols)
+            if block is None:
+                break
+            t = self._slow(block, t)
+        t = self._slow(rest, t)
+        self._flush()
+        self.grid = None
+        return t
+
+    def _slow(self, codes: list[int], t: int) -> int:
+        """Walk codes one lookup at a time from row t, noting each entry
+        visited in ``seen`` and filling each entry not met before."""
+        nxt, note = self.mnext, self.seen.append
+        for c in codes:
+            k = t + c
+            t = nxt[k]
+            if t is None:
+                t = self._fill(k)
+                # A fill may restart or drop the table.
+                nxt, note = self.mnext, self.seen.append
+            else:
+                note(k)
+        return t
+
+    def _fill(self, k: int) -> int:
+        """Walk the m steps of entry k = multi-step row + code one at a time
+        and store the row they end on.  This visit of k is counted by those
+        steps, on the one-step table, and not in ``mcount``."""
         row, code = divmod(k, self.width)
         mnext, filled = self.mnext, self.filled
-        # The walk counted entry k, whose steps are counted one at a time
-        # below; the count it will replay must not hold this visit too.
-        self.mhits[k] -= 1
         s = _walk(self.paths[code], self.starts[row], self.next, self.hits, self._miss)
-        # After a restart or a drop ``mnext`` is the discarded table, so
-        # the store is moot.
+        # After a restart or a drop ``mnext`` and ``filled`` are the
+        # discarded table's, so the stores are moot.
         mnext[k] = end = self._row(s)
         filled.append(k)
-        return end, self.mnext, self.mhits
+        return end
 
     def _miss(self, k: int) -> tuple[int, list, list[int]]:
         """Store the successor of entry k = row offset + atom, which the walk
@@ -626,7 +774,7 @@ class _Chain:
             off = self._locate(tuple(y))
             # After a restart ``after`` is the new table's, and so is ``off``.
             self.after[key] = off
-        # After a restart ``nxt`` is the discarded table, so the store is moot.
+        # After a restart ``nxt`` is the discarded table's, so the store is moot.
         nxt[k] = off
         return off, self.next, self.hits
 

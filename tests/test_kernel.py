@@ -11,11 +11,14 @@ from __future__ import annotations
 import importlib
 import itertools
 import math
+import random
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchdp.cli import RECIPES
 from matchdp.errors import Inadmissible, MatchDPError, MissingDecision
@@ -408,17 +411,17 @@ LIMITS = {
 
 @pytest.fixture
 def events(monkeypatch):
-    """Counts of restarts inside a multi-step miss and of multi-step drops."""
+    """Counts of restarts inside a multi-step fill and of multi-step drops."""
     seen = {"restarts inside": 0, "restarts": 0, "drops": 0}
     depth = [0]
-    multi_miss, forget, drop = (
-        simmod._Chain._multi_miss, simmod._Chain._forget, simmod._Chain._drop
+    fill, forget, drop = (
+        simmod._Chain._fill, simmod._Chain._forget, simmod._Chain._drop
     )
 
-    def multi_miss_spy(chain, k):
+    def fill_spy(chain, k):
         depth[0] += 1
         try:
-            return multi_miss(chain, k)
+            return fill(chain, k)
         finally:
             depth[0] -= 1
 
@@ -431,7 +434,7 @@ def events(monkeypatch):
         seen["drops"] += 1
         drop(chain)
 
-    monkeypatch.setattr(simmod._Chain, "_multi_miss", multi_miss_spy)
+    monkeypatch.setattr(simmod._Chain, "_fill", fill_spy)
     monkeypatch.setattr(simmod._Chain, "_forget", forget_spy)
     monkeypatch.setattr(simmod._Chain, "_drop", drop_spy)
     return seen
@@ -627,6 +630,152 @@ def first_piece_strides(graph, arrivals, costs, policies, steps) -> list[int]:
         for chain in chains:
             chain.walk(simmod._encode(atoms, graph.n_d * graph.n_s, chain.stride), counted)
     return [chain.stride for chain in chains]
+
+
+# ---- the uncounted block walk ----
+
+
+class Scrambled(Policy):
+    """Matches along the edges in an order, and by amounts, drawn from a
+    generator keyed by (seed, x): a fixed but arbitrary admissible rule."""
+
+    label = "Scrambled"
+
+    def __init__(self, graph, seed):
+        super().__init__(graph)
+        self.seed = seed
+
+    def decide(self, x):
+        rng = random.Random(hash((self.seed, *map(int, x))))
+        left = [int(v) for v in x]
+        u = [0] * len(self.graph.edges)
+        edges = list(enumerate(self.graph.edge_ends))
+        rng.shuffle(edges)
+        for e, (d, s) in edges:
+            u[e] = rng.randint(0, min(left[d], left[s]))
+            left[d] -= u[e]
+            left[s] -= u[e]
+        return np.array(u, dtype=np.int64)
+
+
+def walk_pieces(setup, policy, m, pieces):
+    """A chain walked over ``pieces`` (lists of atoms) at stride m from the
+    first piece on, counted throughout; it is finished, so every count has
+    reached the one-step table."""
+    graph, _, costs = setup
+    n_atoms = graph.n_d * graph.n_s
+    # With no bound on the steps walked the rule never lowers the stride.
+    chain = simmod._Chain(graph, costs, policy, math.inf)
+    chain.top = m
+    chain._set_stride(m)
+    chain.start(tuple([0] * graph.n_nodes))
+    for atoms in pieces:
+        chain.walk(simmod._encode(np.array(atoms, dtype=np.uint8), n_atoms, m), True)
+    return chain, chain.finish()
+
+
+def assert_same_walk(setup, seed, m, pieces):
+    """The chain at stride m meets the same states, counts the same
+    one-step visits, ends in the same state and folds the same sums as the
+    counted walk one arrival at a time."""
+    graph = setup[0]
+    one, one_out = walk_pieces(setup, Scrambled(graph, seed), 1, pieces)
+    multi, multi_out = walk_pieces(setup, Scrambled(graph, seed), m, pieces)
+    assert multi.stride == m
+    assert multi.states == one.states
+    assert multi.hits == one.hits
+    assert multi.s == one.s
+    assert multi_out == one_out
+
+
+GRAPHS = {"n": n_setup, "w": w_setup}
+
+
+class TestBlockWalk:
+    def test_a_miss_at_the_first_step_stops_at_that_block(self):
+        # Rows of width 2 at offsets 0 and 2; entry 2 + 1 is not filled.
+        nxt = [2, 0, 0, None]
+        heads, cols = [], []
+        blocks = enumerate([[1, 0], [1, 0], [0, 0]])
+        assert simmod._blocks(blocks, 0, nxt, heads, cols) == (2, [1, 0])
+        assert (heads, cols) == ([0], [0])
+        # The next call goes on with the block after it, from the row given.
+        assert simmod._blocks(blocks, 0, nxt, heads, cols) == (0, None)
+        assert (heads, cols) == ([0, 0], [0, 2])
+
+    def test_a_miss_at_the_last_step_stops_at_that_block(self):
+        nxt = [2, 0, 0, None]
+        heads, cols = [], []
+        blocks = enumerate([[0, 1], [0, 0]])
+        assert simmod._blocks(blocks, 0, nxt, heads, cols) == (0, [0, 1])
+        assert (heads, cols) == ([], [])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(GRAPHS)),
+        seed=st.integers(0, 2**16),
+        m=st.integers(2, 4),
+        block=st.sampled_from([1, 2, 3, 5, 64]),
+        rows=st.sampled_from([None, 1, 2, 5]),
+        states=st.sampled_from([None, 2, 3, 12]),
+        draws=st.lists(st.integers(0, 5), min_size=1, max_size=400),
+        cuts=st.lists(st.integers(1, 150), min_size=1, max_size=6),
+    )
+    def test_counts_and_end_state_equal_the_counted_walk(
+        self, name, seed, m, block, rows, states, draws, cuts
+    ):
+        graph, _, _ = setup = GRAPHS[name]()
+        n_atoms = graph.n_d * graph.n_s
+        m = min(m, simmod._stride(n_atoms))
+        atoms = [a % n_atoms for a in draws]
+        pieces = []
+        for cut in itertools.cycle(cuts):
+            if not atoms:
+                break
+            pieces.append(atoms[:cut])
+            atoms = atoms[cut:]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simmod, "BLOCK", block)
+            if rows is not None:
+                patch.setattr(simmod, "STRIDE_LIMIT", rows * n_atoms**m)
+            if states is not None:
+                patch.setattr(simmod, "MEMO_LIMIT", states * n_atoms)
+            assert_same_walk(setup, seed, m, pieces)
+
+    @pytest.mark.parametrize("limits", ["defaults", "one-step restarts", "multi-step drops"])
+    def test_misses_at_both_ends_of_blocks_and_mid_piece_restarts(
+        self, limits, monkeypatch, events
+    ):
+        """Blocks of 4 codes over pieces of 203 steps at stride 2: a spy
+        finds where in its block each miss falls."""
+        setup = n_setup()
+        monkeypatch.setattr(simmod, "BLOCK", 4)
+        for name, value in LIMITS[limits](4, 16).items():
+            monkeypatch.setattr(simmod, name, value)
+        where = set()
+        blocks = simmod._blocks
+
+        def spy(pairs, t, nxt, heads, cols):
+            t, block = blocks(pairs, t, nxt, heads, cols)
+            if block is not None:
+                u = t
+                for i, c in enumerate(block):
+                    u = nxt[u + c]
+                    if u is None:
+                        where.add(i)
+                        break
+            return t, block
+
+        monkeypatch.setattr(simmod, "_blocks", spy)
+        rng = np.random.default_rng(5)
+        pieces = [rng.integers(0, 4, 203).tolist() for _ in range(12)]
+        for seed in range(6):
+            assert_same_walk(setup, seed, 2, pieces)
+        assert {0, 3} <= where
+        if limits == "one-step restarts":
+            assert events["restarts inside"] > 0
+        if limits == "multi-step drops":
+            assert events["drops"] > events["restarts"]
 
 
 class TestDPPolicies:
