@@ -616,12 +616,7 @@ class _Chain:
         counts = np.bincount(np.array(self.seen, dtype=np.intp), minlength=len(self.mnext))
         counts[:len(self.mcount)] += self.mcount
         if self.heads:
-            first, last = self.cols[0], self.cols[-1]
-            # Without a slow block between them the columns are one slice.
-            if last - first + 1 == len(self.cols):
-                grid = self.grid[:, first:last + 1]
-            else:
-                grid = self.grid[:, self.cols]
+            grid = self.grid[:, self.cols]
             mirror = self._mirror()
             t = np.array(self.heads, dtype=np.intp)
             # The entries of 16 codes of every block are counted at a time:
@@ -650,9 +645,10 @@ class _Chain:
         rows, codes = np.divmod(filled, self.width)
         s = np.array(self.starts, dtype=np.intp)[rows]
         nxt = np.array([-1 if v is None else v for v in self.next], dtype=np.intp)
+        steps = np.array(self.paths, dtype=np.intp)[codes]
         moved = np.zeros(len(self.next), dtype=np.int64)
-        for j in reversed(range(self.stride)):
-            step = s + codes // self.n_atoms**j % self.n_atoms
+        for j in range(self.stride):
+            step = s + steps[:, j]
             np.add.at(moved, step, seen)
             s = nxt[step]
         hits = self.hits
@@ -666,14 +662,15 @@ class _Chain:
         if not self.counting:
             return
         self._replay()
-        hits = np.array(self.hits, dtype=np.int64).reshape(-1, self.n_atoms)
-        visits = hits.sum(axis=1)
-        states = np.array(self.states, dtype=np.int64).reshape(len(visits), -1)
-        self.atom_counts = list(map(operator.add, self.atom_counts, hits.sum(axis=0).tolist()))
-        self.node_sums = list(map(operator.add, self.node_sums, (visits @ states).tolist()))
+        hits, width = self.hits, self.n_atoms
+        visits = [sum(hits[b:b + width]) for b in range(0, len(hits), width)]
+        for a in range(width):
+            self.atom_counts[a] += sum(hits[a::width])
+        for k, column in enumerate(zip(*self.states)):
+            self.node_sums[k] += sum(map(operator.mul, visits, column))
         if self.level_of is not None:
             counts = self.level_counts
-            for level, seen in zip(self.levels, visits.tolist()):
+            for level, seen in zip(self.levels, visits):
                 if level is not None and seen:
                     counts.extend([0] * (level + 1 - len(counts)))
                     counts[level] += seen
