@@ -50,7 +50,7 @@ met yet is walked again from its first row on a slow path, which notes
 each entry it visits and fills the ones not met before; so do the codes
 left at the end of a piece, and the atoms left go one at a time.  Costs,
 queue means and level frequencies are computed afterwards from the visit
-counts, in numpy.  With integer costs every partial sum is exact, so the
+counts.  With integer costs every partial sum is exact, so the
 result equals a step-by-step run bit for bit.
 """
 
@@ -236,10 +236,11 @@ with room on both sides."""
 MEMO_LIMIT = 1 << 18
 """Entries a policy's one-step transition table may hold.  A run of the
 ``Idle`` chain of the kernel tests on the N graph, where every state is
-new, peaks at ~38.5 MiB (tracemalloc, 60,000 steps in pieces of 4,096, the
-stream's buffers included) at stride 1 and ~40.6 MiB at the top stride 4,
-with the multi-step table beside it; folding the full table at a restart
-raises the peaks to ~41 and ~45 MiB (70,000 steps)."""
+new, peaks at ~37.2 MiB (tracemalloc, one replication of 60,000 steps in
+pieces of 4,096, the stream's buffers included) at stride 1 and ~39.2 MiB
+at the top stride 4, with the multi-step table beside it; folding the full
+table at a restart raises the peaks to ~39.6 and ~43.7 MiB (70,000
+steps)."""
 
 STRIDE_LIMIT = 1 << 18
 """Entries a policy's multi-step table may hold.  The list, its numpy counts
