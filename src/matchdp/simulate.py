@@ -7,23 +7,24 @@ and removes the policy's matching.  Replications are independent; the
 standard error is computed across replication means, never within a run.
 
 Reproducibility contract: replication r of a run with seed s consumes the
-uniform stream of a Philox counter generator keyed by (s, r).  Step n uses
-row n of a (horizon, 2) uniform block; the demand class is the inverse-CDF
-index of column 0 under alpha, the supply class of column 1 under beta.
-The same (seed, replication) therefore yields the same arrival sequence
-for every policy, which is what makes comparisons paired.  The block is
-drawn in pieces of CHUNK_STEPS rows, which yields the same doubles, into
-one buffer that every piece of the run reuses: a piece is mapped out of it
-into a reused buffer of atoms before the next is drawn into it.  In a
-serial run whose streams have more than one piece, one helper thread (a
-plain thread fed by a queue, no executor) makes every draw of the run,
-in order: the next piece's uniforms are drawn while the chains walk the
-current one, the next replication's first piece during a replication's
-last.  A pool worker draws every piece on its own thread: a pool as wide
-as the CPUs leaves no core free for a helper.  The buffers are one piece
-long, so memory grows with neither the horizon nor the replications, and
-as no two draws overlap the results are bit-identical to drawing every
-piece on the calling thread.
+64-bit words of a Philox counter generator keyed by (s, r).  Step n reads
+words 2n and 2n + 1 as the uniforms u = (w >> 11) * 2**-53 that
+``Generator.random`` makes of them; the demand class is the inverse-CDF
+index of the first under alpha, the supply class of the second under
+beta, read off the raw words against integer knots, which is exact.  The
+same (seed, replication) therefore yields the same arrival sequence for
+every policy, which is what makes comparisons paired.  The words are drawn
+in pieces of CHUNK_STEPS steps, which yields the same words, and each piece
+is mapped into a reused buffer of atoms.  In a serial run whose streams
+have more than one piece, one helper thread (a plain thread fed by a
+queue, no executor) makes every draw of the run, in order, one piece
+ahead: the next piece is drawn while this one is mapped and walked, the
+next replication's first piece during a replication's last.  A pool worker
+draws every piece on its own thread: a pool as wide as the CPUs leaves no
+core free for a helper.  At most two pieces of words are alive at once,
+so memory grows with neither the horizon nor the replications, and as no
+two draws overlap the results are bit-identical to drawing every piece on
+the calling thread.
 
 Every policy runs through one kernel.  A step depends only on the queue
 vector and the arrival atom, so the kernel memoizes the successor of each
@@ -32,31 +33,38 @@ vector x = q + a, so a pair it has not seen looks x up in a map from x to
 its successor, and ``decide`` is called (and admissibility checked) once
 per distinct x.  A multi-step memo, derived from the one-step one, maps a
 state and m consecutive atoms to the state they lead to.  Each chain picks
-its own stride m from its own counts: its first piece goes one arrival at
-a time, and after each piece m is the largest stride with A**m <=
-STRIDE_WIDTH and at least STEPS_PER_ENTRY steps in the call for each
-entry of a row per state met so far; it never rises again (on the bench
-runs: 4 on the N graph, 2 on the W graph, 1 on the NN graph and on an N
-graph in heavy traffic).  Each piece is encoded once per stride in use
-into codes of m atoms, shared by the chains at that stride.  At stride 1
-the hot loop is one table read and one visit count per step, with no test
-for a miss (an entry not met yet holds None, and the step after it
-raises).  At stride m > 1 the codes are walked in blocks of BLOCK codes,
-and the hot loop is one table read per m steps with no count at all: it
-keeps only the first row of each block, and after the piece one numpy
-pass over all its blocks in lockstep rebuilds every entry they visited
-and counts them with ``np.bincount``.  A block that meets an entry not
-met yet is walked again from its first row on a slow path, which notes
-each entry it visits and fills the ones not met before; so do the codes
-left at the end of a piece, and the atoms left go one at a time.  Costs,
-queue means and level frequencies are computed afterwards from the visit
-counts.  With integer costs every partial sum is exact, so the
-result equals a step-by-step run bit for bit.
+its own stride m from its own counts: its first STRIDE_WARMUP steps in a
+call go one arrival at a time, and after each piece from then on m is the
+largest stride with A**m <= STRIDE_WIDTH and at least STEPS_PER_ENTRY
+steps in the call for each entry of a row per state met so far; it never
+rises again (on the bench runs: 4 on the N graph, 2 on the W graph, 1 on
+the NN graph and on an N graph in heavy traffic).  Each piece is encoded
+once per stride in use into codes of m atoms, shared by the chains at
+that stride.  At stride 1 the hot loop is one table read and one visit
+count per step, with no test for a miss (an entry not met yet holds None,
+and the step after it raises).  At stride m > 1 a piece's codes go in
+lanes of LANE codes: numpy guesses each lane's first row (where a walk
+from the current row ends its predecessor) and walks every lane from it in
+lockstep through a numpy mirror of the table; one scan then accepts the
+lanes in order, and walks again on a slow path a lane whose guess was
+wrong or that met an entry not met yet.  ``np.bincount`` counts the
+accepted steps.  Walks of an N chain from different rows meet within a few
+codes, so its guesses are almost all right; a chain whose first judged
+piece has many wrong guesses walks blocks of BLOCK codes instead, one
+table read per m steps with no count at all, and after the piece one numpy
+pass rebuilds and counts the entries the blocks visited.  Only the slow
+path, which notes each entry it visits, fills the ones not met before, so
+``decide`` is called on the true path, in the order of a walk one arrival
+at a time; the codes left at the end of a piece go that way too, and the
+atoms left one at a time.  Costs, queue means and level frequencies are
+computed afterwards from the visit counts.  With integer costs every
+partial sum is exact, so the result equals a step-by-step run bit for bit.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 import operator
@@ -206,8 +214,10 @@ class CompareResult:
 
 # ---- the simulation kernel ----
 
-CHUNK_STEPS = 1 << 16
-"""Arrival steps drawn, and walked by every policy, per piece of a stream."""
+CHUNK_STEPS = 1 << 15
+"""Arrival steps drawn, and walked by every policy, per piece of a stream.
+A piece's raw words take 16 bytes a step and two pieces are in flight at
+once (one mapped, the next drawn), so the stream's buffers hold 1 MiB."""
 
 STRIDE_WIDTH = 256
 """Most entries per row of the multi-step table: with A arrival atoms no
@@ -222,32 +232,29 @@ entry is filled by a miss that walks its m steps one at a time, so a chain
 walks at stride m only while ``len(states) * A**m * STEPS_PER_ENTRY`` is
 within the steps its memo walks in the call.
 
-On two shared CPUs with Python 3.11, a filled entry costs 3.3-5.0 us on
-the bench chains at their strides, the slow path's walk of its block
-included, and a step at stride m saves 54-75 ns against stride 1, so a
-full table repays its fills from 44-93 steps per entry.  Forcing each
-stride in turn (medians of 11 interleaved runs), the fastest were 4 on the
-N bench chain (3 within 2% of it), 2 on the W bench chains, 3 on the W
-recipe chains (ThresholdW as fast at 2), and 1 on the NN bench chains and
-on an N chain in heavy traffic; the rule picks exactly these for any value
-from 118 to 420 (the W bench chains bound both ends), and 200 lies inside
-with room on both sides."""
+200 was tuned on the block walk alone, where it picked the fastest stride
+on every chain measured.  Forcing each stride in turn with the lane walk
+(two shared CPUs, Python 3.11, medians of 5 interleaved runs), the rule
+still picks the fastest on the W bench chains (2) and on an N chain in
+heavy traffic (1), but not on the N bench chain (0.19 s at its 4, 0.16 s
+at 2 or 3) nor on the W recipe's ThresholdWWorkload (0.95 s at its 3,
+0.80 s at 2); see ROADMAP item 7."""
 
 MEMO_LIMIT = 1 << 18
 """Entries a policy's one-step transition table may hold.  A run of the
 ``Idle`` chain of the kernel tests on the N graph, where every state is
 new, peaks at ~37.2 MiB (tracemalloc, one replication of 60,000 steps in
 pieces of 4,096, the stream's buffers included) at stride 1 and ~39.2 MiB
-at the top stride 4, with the multi-step table beside it; folding the full
-table at a restart raises the peaks to ~39.6 and ~43.7 MiB (70,000
-steps)."""
+at the top stride 4 from the first piece on, with the multi-step table
+beside it; folding the full table at a restart raises the peaks to ~39.6
+and ~43.7 MiB (70,000 steps)."""
 
 STRIDE_LIMIT = 1 << 18
 """Entries a policy's multi-step table may hold.  The list, its numpy counts
 and its numpy mirror take 8 bytes an entry each, so a full one takes
 ~6-7 MiB at stride 4 on the N graph: 6.2 MiB for ``Idle``, 7.0 MiB for
 ThresholdN(inf) in heavy traffic, which fills 25,239 entries before its
-first drop."""
+first drop.  The mirror's sentinel row adds one row, 2 KiB at stride 4."""
 
 BLOCK = 64
 """Codes per block of the uncounted multi-step walk.  The counting pass
@@ -255,9 +262,31 @@ makes BLOCK numpy gathers per piece, however many blocks it holds, and a
 block that meets an unfilled entry is walked again whole on the slow path;
 smaller blocks cost the walk more bookkeeping per block.  On two shared
 CPUs with Python 3.11, in 9 interleaved runs at 16, 32, 64, 128 and 256
-codes, the w-model ``compare`` of the benchmark took medians of 165, 162,
-143, 144 and 156 ms, and the n-model ``simulate`` 296, 257, 255, 275 and
-326 ms."""
+codes, the w-model ``compare`` of the benchmark (whose chains walk blocks)
+took medians of 192, 207, 199, 225 and 262 ms."""
+
+LANE = 16
+"""Codes per lane of the speculative multi-step walk (see
+:func:`_speculate`).  Each pass makes LANE numpy gathers per piece, and a
+lane with a wrong guess or an unfilled entry is walked again in Python;
+longer lanes also give walks from different rows more codes to meet in.
+On two shared CPUs with Python 3.11, in 9 interleaved runs at 4, 8, 16, 32
+and 64 codes, the n-model ``simulate`` of the benchmark took medians of
+233, 179, 175, 182 and 192 ms."""
+
+MISGUESS_SHARE = 0.1
+"""Share of a chain's judged lanes that may start from a wrong guess for
+the chain to keep walking lanes; above it the chain walks blocks.  With
+lanes forced, 0.2% of the judged lanes of the bench N chain start from a
+wrong guess, and 43% of those of the two bench W chains (67% on their
+first judged piece)."""
+
+STRIDE_WARMUP = 1 << 16
+"""Steps a chain walks in a call, one arrival at a time, before its stride
+is first chosen: the states met in them stand for those to come.  On the
+heavy-traffic N chain of ROADMAP item 7 the first 2**15 steps meet 302
+states, few enough for stride 2, and the first 2**16 meet 574, too many
+for any stride above 1."""
 
 
 def _stride(n_atoms: int, states: int = 0, steps: int = 0) -> int:
@@ -276,45 +305,60 @@ def _stride(n_atoms: int, states: int = 0, steps: int = 0) -> int:
 
 
 class _Filler:
-    """One helper thread that fills a buffer with uniforms, on request.
+    """One helper thread that makes draws on request.
 
-    ``fill(draw, n)`` asks for ``draw(out=buf[:n])`` and ``wait()`` returns
-    once it is done, raising the draw's exception if it failed.  Requests
-    are served in order on the one thread, so the doubles are those of
-    drawing on the calling thread.  ``close()`` ends and joins the thread.
+    ``fill(draw)`` asks for ``draw()`` and ``wait()`` returns its result,
+    raising the draw's exception if it failed.  Requests are served in
+    order on the one thread, so the words are those of drawing on the
+    calling thread.  ``close()`` ends and joins the thread.
     """
 
-    def __init__(self, buf: np.ndarray):
+    def __init__(self):
         import queue
         import threading
 
         self.requests = queue.SimpleQueue()
         self.done = queue.SimpleQueue()
-        self.thread = threading.Thread(target=self._serve, args=(buf,))
+        self.thread = threading.Thread(target=self._serve)
         self.thread.start()
 
-    def _serve(self, buf: np.ndarray) -> None:
-        for draw, n in iter(self.requests.get, None):
+    def _serve(self) -> None:
+        for draw in iter(self.requests.get, None):
             try:
-                draw(out=buf[:n])
+                self.done.put((draw(), None))
             # Whatever the draw raises is raised again by ``wait`` on the
             # calling thread, which would otherwise wait forever.
             except BaseException as error:
-                self.done.put(error)
-            else:
-                self.done.put(None)
+                self.done.put((None, error))
 
-    def fill(self, draw, n: int) -> None:
-        self.requests.put((draw, n))
+    def fill(self, draw) -> None:
+        self.requests.put(draw)
 
-    def wait(self) -> None:
-        error = self.done.get()
+    def wait(self) -> np.ndarray:
+        words, error = self.done.get()
         if error is not None:
             raise error
+        return words
 
     def close(self) -> None:
         self.requests.put(None)
         self.thread.join()
+
+
+def _raw_knots(cdf: np.ndarray) -> list[np.uint64]:
+    """The knots of a CDF as thresholds on raw 64-bit Philox words.
+
+    ``Generator.random`` makes the uniform u = (w >> 11) * 2**-53 of a word
+    w, so u >= x exactly when w >= ceil(x * 2**53) * 2**11: scaling by a
+    power of two is exact.  A knot whose ceiling reaches 2**53 lies above
+    every uniform and is left out.
+    """
+    knots = []
+    for x in cdf.tolist():
+        k = math.ceil(x * 2.0**53)
+        if k < 2**53:
+            knots.append(np.uint64(k << 11))
+    return knots
 
 
 def _arrival_chunks(graph: MatchingGraph, arrivals: ArrivalDistribution,
@@ -325,25 +369,27 @@ def _arrival_chunks(graph: MatchingGraph, arrivals: ArrivalDistribution,
     A piece covers at most CHUNK_STEPS consecutive steps of one replication
     and never straddles the end of the burn-in; ``atoms`` holds its atom
     indices i * n_s + j in a buffer that the next piece reuses.  Every
-    piece is drawn into one buffer of uniforms and mapped out of it, on
-    this thread, into one buffer of atoms of the narrowest unsigned type
-    that holds a code of the widest stride.  So while the chains walk a
-    piece only its codes and the buffers are alive, whatever the horizon
-    and the replications.
+    piece is drawn as a (steps, 2) block of raw Philox words and mapped
+    out of it, on this thread, into one buffer of atoms of the narrowest
+    unsigned type that holds a code of the widest stride; the words are
+    let go once mapped.  So while the chains walk a piece only its codes,
+    the atoms and at most two pieces of words are alive, whatever the
+    horizon and the replications.
 
     With ``overlap`` and streams of more than one piece, one helper thread
     (:class:`_Filler`) makes every draw of the run, in (replication, piece)
-    order: once a piece is mapped, the helper fills the next one, of this
-    replication or the first of the next, into the buffer (numpy draws
-    without the GIL) while this thread encodes and the chains walk.
-    Otherwise every piece is drawn here and no thread starts.
+    order, one piece ahead: as soon as a piece's words arrive, the helper
+    is asked for the next piece, of this replication or the first of the
+    next, and draws it (without the GIL) while this thread maps this
+    piece, encodes it and the chains walk it.  Otherwise every piece is
+    drawn here and no thread starts.
     """
     n_atoms = graph.n_d * graph.n_s
     # The class is the count of CDF knots at or below the uniform, the
     # inverse-CDF index; the last knot is left out so a CDF that rounds
     # below 1 cannot yield a class past the last one.
-    d_knots = np.cumsum(arrivals.alpha)[:-1]
-    s_knots = np.cumsum(arrivals.beta)[:-1]
+    d_knots = _raw_knots(np.cumsum(arrivals.alpha)[:-1])
+    s_knots = _raw_knots(np.cumsum(arrivals.beta)[:-1])
     first = None if cfg.a0 is None else graph.atom_index(cfg.a0, "a0")
 
     def size(start: int) -> int:
@@ -351,11 +397,10 @@ def _arrival_chunks(graph: MatchingGraph, arrivals: ArrivalDistribution,
 
     def schedule() -> Iterator[tuple[int, int, object]]:
         for rep in reps:
-            rng = np.random.Generator(np.random.Philox(key=[cfg.seed, rep]))
+            bits = np.random.Philox(key=[cfg.seed, rep])
             for start in range(0, cfg.horizon, CHUNK_STEPS):
-                yield rep, start, rng.random
+                yield rep, start, functools.partial(bits.random_raw, (size(start), 2))
 
-    buf = np.empty((size(0), 2))
     flag = np.empty(size(0), dtype=bool)
     atom = np.empty(size(0), dtype=np.min_scalar_type(n_atoms ** _stride(n_atoms) - 1))
     draws = schedule()
@@ -364,31 +409,29 @@ def _arrival_chunks(graph: MatchingGraph, arrivals: ArrivalDistribution,
         # Streams of one piece each have no walk to overlap a draw with.
         filler = None
         if overlap and cfg.horizon > CHUNK_STEPS:
-            filler = _Filler(buf)
+            filler = _Filler()
             stack.callback(filler.close)
-            filler.fill(ahead[2], size(ahead[1]))
+            filler.fill(ahead[2])
         while ahead is not None:
             rep, start, draw = ahead
-            n = size(start)
-            if filler is None:
-                draw(out=buf[:n])
-            else:
-                filler.wait()
-            u, a, f = buf[:n], atom[:n], flag[:n]
-            a.fill(0)
-            for knot in d_knots:
-                np.greater_equal(u[:, 0], knot, out=f)
-                a += f
-            # With one demand class every atom is a supply class, and n_s
-            # itself may not fit the atom type.
-            if len(d_knots):
-                a *= graph.n_s
-            for knot in s_knots:
-                np.greater_equal(u[:, 1], knot, out=f)
-                a += f
+            words = draw() if filler is None else filler.wait()
             ahead = next(draws, None)
             if filler is not None and ahead is not None:
-                filler.fill(ahead[2], size(ahead[1]))
+                filler.fill(ahead[2])
+            n = len(words)
+            a, f = atom[:n], flag[:n]
+            a.fill(0)
+            for knot in d_knots:
+                np.greater_equal(words[:, 0], knot, out=f)
+                a += f
+            # Every atom is a supply class when no knot can split the
+            # demand, and n_s itself may not fit the atom type.
+            if d_knots:
+                a *= graph.n_s
+            for knot in s_knots:
+                np.greater_equal(words[:, 1], knot, out=f)
+                a += f
+            words = None
             if start == 0 and first is not None:
                 a[0] = first
             cut = min(max(cfg.burn_in - start, 0), n)
@@ -397,25 +440,68 @@ def _arrival_chunks(graph: MatchingGraph, arrivals: ArrivalDistribution,
                     yield rep, counted, part
 
 
-def _encode(atoms: np.ndarray, n_atoms: int,
-            stride: int) -> tuple[np.ndarray | None, list[list[int]], list[int], list[int]]:
-    """Split a piece into blocks of codes, the codes left and the atoms left.
+class _Piece:
+    """A piece of the stream at one stride m: ``codes``, a numpy array of
+    the codes of its consecutive runs of m atoms, and ``tail``, the list of
+    atoms left after them (every atom at stride 1, which makes no codes).
 
     The code of atoms a_1 .. a_m is their Horner sum with base n_atoms,
-    a_1 the most significant.  The whole blocks of BLOCK codes come twice:
-    as a (BLOCK, blocks) array whose column b is block b, which the
-    counting pass reads, and as one list per block, which the walk reads.
-    With stride 1 there are no codes and every atom is left.
+    a_1 the most significant.  The lane walk and the block walk read the
+    codes in shapes of their own, each made on first use and shared by the
+    chains at this stride.
     """
-    if stride == 1:
-        return None, [], [], atoms.tolist()
-    body = len(atoms) - len(atoms) % stride
-    codes = atoms[0:body:stride]
-    for r in range(1, stride):
-        codes = codes * n_atoms + atoms[r:body:stride]
-    whole = len(codes) - len(codes) % BLOCK
-    blocks = codes[:whole].reshape(-1, BLOCK)
-    return blocks.T, blocks.tolist(), codes[whole:].tolist(), atoms[body:].tolist()
+
+    def __init__(self, atoms: np.ndarray, n_atoms: int, stride: int):
+        body = len(atoms) - len(atoms) % stride if stride > 1 else 0
+        codes = atoms[0:body:stride]
+        for r in range(1, stride):
+            codes = codes * n_atoms + atoms[r:body:stride]
+        self.codes = codes
+        self.tail = atoms[body:].tolist()
+
+    @functools.cached_property
+    def lanes(self) -> np.ndarray:
+        """The whole lanes of LANE codes as a (LANE, lanes) array whose
+        column i is lane i."""
+        whole = len(self.codes) - len(self.codes) % LANE
+        return self.codes[:whole].reshape(-1, LANE).T
+
+    @functools.cached_property
+    def blocks(self) -> tuple[np.ndarray, list[list[int]]]:
+        """The whole blocks of BLOCK codes, twice: as a (BLOCK, blocks)
+        array whose column b is block b, which the counting pass reads, and
+        as one list per block, which the walk reads."""
+        whole = len(self.codes) - len(self.codes) % BLOCK
+        blocks = self.codes[:whole].reshape(-1, BLOCK)
+        return blocks.T, blocks.tolist()
+
+
+def _speculate(mirror: np.ndarray, grid: np.ndarray,
+               t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Walk every lane (column of ``grid``) in lockstep through the sentinel
+    mirror of the multi-step table (see :meth:`_Chain._mirror`), twice.
+
+    The first pass starts every lane at row t; the second starts each lane
+    at the row where the first ended its predecessor, and lane 0 at t.
+    Where walks from different rows soon reach the same row, the second
+    pass starts almost every lane at the row the chain is in when it gets
+    there.  Returns the second pass's first rows, the entries it visited
+    (shaped as ``grid``) and its last rows.  A lane that meets an unfilled
+    entry ends on the sentinel row, -width, and its later entries are
+    negative.
+    """
+    ends = np.full(grid.shape[1], t, dtype=np.intp)
+    for codes in grid:
+        ends = mirror[ends + codes]
+    heads = np.empty_like(ends)
+    heads[0] = t
+    heads[1:] = ends[:-1]
+    visits = np.empty(grid.shape, dtype=np.intp)
+    ends = heads
+    for codes, k in zip(grid, visits):
+        np.add(ends, codes, out=k)
+        ends = mirror[k]
+    return heads, visits, ends
 
 
 def _walk(keys: list[int], s: int, nxt: list, hits: list[int], miss) -> int:
@@ -490,26 +576,34 @@ class _Chain:
     arrivals per lookup: ``mnext[row + code]`` is the row of the state that
     the m atoms of ``code`` lead to, and the numpy array ``mcount`` counts
     its visits.  Rows are made for the states a multi-step walk starts
-    from.  A piece's whole blocks of codes are walked without counting
-    (:func:`_blocks`); a block that meets an unfilled entry is walked again
-    from its first row on the slow path, which notes each entry it visits
-    in ``seen`` and fills each entry not met before.  A fill walks its m
-    steps through the one-step table, which counts them and asks
-    ``decide`` only where that table misses, so the one-step table and the
-    ``decide`` calls are those of a walk one arrival at a time.  The
-    blocks walked (``heads``, ``cols``) and the entries noted are counted
-    by :meth:`_flush` after the piece, and before any restart or drop, on
-    the table they were walked on.  Before the one-step visits are folded,
-    the counts of each entry in ``filled`` (the multi-step entries stored
-    so far) are replayed onto the one-step entries that entry stands for.
-    A multi-step table that would pass STRIDE_LIMIT entries is replayed and
-    dropped; a one-step restart drops it too.
+    from.  Only the slow path (:meth:`_slow`) fills entries: it walks codes
+    one lookup at a time, notes each entry it visits in ``seen`` and fills
+    each entry not met before.  A fill walks its m steps through the
+    one-step table, which counts them and asks ``decide`` only where that
+    table misses, so the one-step table and the ``decide`` calls are those
+    of a walk one arrival at a time.
+
+    A piece's codes are walked either in lanes (:meth:`_lanes`): guessed
+    in numpy and confirmed or walked again in order, their accepted steps
+    kept as the grid ``visits``; or in blocks (:func:`_blocks`): walked
+    without counting, a block that meets an unfilled entry walked again
+    from its first row on the slow path, the blocks walked kept as
+    ``heads`` and ``cols``.  A chain walks lanes until its first piece
+    whose lanes mostly meet no unfilled entry is judged, and from then on
+    only if few of that piece's guesses were wrong (``walk_lanes``).
+    Either way the visits are counted by :meth:`_flush` after the piece,
+    and before any restart or drop, on the table they were walked on.
+    Before the one-step visits are folded, the counts of each entry in
+    ``filled`` (the multi-step entries stored so far) are replayed onto
+    the one-step entries that entry stands for.  A multi-step table that
+    would pass STRIDE_LIMIT entries is replayed and dropped; a one-step
+    restart drops it too.
 
     The stride follows from the chain's own counts (see :func:`_stride`):
-    the first piece a chain walks in a call goes one arrival at a time, and
-    after each piece the stride is the rule's for the states met so far
-    and the ``steps`` its memo walks in the call, never above the last.  A
-    fall replays and drops the multi-step table.
+    the first STRIDE_WARMUP steps a chain walks in a call go one arrival at
+    a time, and after each piece from then on the stride is the rule's for
+    the states met so far and the ``steps`` its memo walks in the call,
+    never above the last.  A fall replays and drops the multi-step table.
     """
 
     def __init__(self, graph: MatchingGraph, costs: CostVector, policy: Policy,
@@ -520,6 +614,8 @@ class _Chain:
         self.n_atoms = graph.n_d * graph.n_s
         self.top = _stride(self.n_atoms)
         self._set_stride(1)
+        self.walked = 0
+        self.walk_lanes: bool | None = None
         self.cvec = [float(c) for c in costs.vector]
         self.level_of = None
         if isinstance(policy, ThresholdN) and policy.t != math.inf:
@@ -536,7 +632,10 @@ class _Chain:
         self.paths = list(itertools.product(range(self.n_atoms), repeat=m))
 
     def _restride(self) -> None:
-        """After a piece: the stride of the next, from the states met so far."""
+        """After a piece: the stride of the next, from the states met so far,
+        once the chain has walked STRIDE_WARMUP steps in the call."""
+        if self.walked < STRIDE_WARMUP:
+            return
         self.top = min(self.top, _stride(self.n_atoms, len(self.states), self.steps))
         if self.top != self.stride:
             if self.stride > 1:
@@ -566,6 +665,7 @@ class _Chain:
         self.heads: list[int] = []
         self.cols: list[int] = []
         self.seen: list[int] = []
+        self.visits: np.ndarray | None = None
 
     def _locate(self, key: tuple[int, ...]) -> int:
         """Row offset of a queue vector, registering it when new."""
@@ -595,13 +695,18 @@ class _Chain:
         return row
 
     def _mirror(self) -> np.ndarray:
-        """The multi-step table as a numpy array, exact at every filled entry."""
+        """The multi-step table as a numpy array with a sentinel row after
+        it.  A filled entry holds its row; every other entry, the sentinel
+        row's included, holds -width, which indexes the sentinel row from
+        the end, so a walk that meets an unfilled entry stays there."""
+        size = len(self.mnext) + self.width
+        if len(self.mirror) < size:
+            grown = np.full(size, -self.width, dtype=np.intp)
+            # The old sentinel row lands on entries not filled yet.
+            grown[:len(self.mirror)] = self.mirror
+            self.mirror = grown
         new = self.filled[self.mirrored:]
         if new:
-            if len(self.mirror) < len(self.mnext):
-                grown = np.zeros(len(self.mnext), dtype=np.intp)
-                grown[:len(self.mirror)] = self.mirror
-                self.mirror = grown
             mnext = self.mnext
             self.mirror[new] = [mnext[k] for k in new]
             self.mirrored = len(self.filled)
@@ -612,7 +717,10 @@ class _Chain:
 
         The blocks in ``heads`` and ``cols`` are rebuilt in one lockstep
         pass over all of them: BLOCK gathers through a numpy mirror of the
-        table, each taking every block one code further.
+        table, each taking every block one code further.  Each lane of
+        ``visits`` is counted from step ``counted_from`` of the lane on:
+        0 for a lane accepted whole, the join for a lane walked again up to
+        it, and past the end for one walked again whole or not reached.
         """
         counts = np.bincount(np.array(self.seen, dtype=np.intp), minlength=len(self.mnext))
         counts[:len(self.mcount)] += self.mcount
@@ -630,6 +738,12 @@ class _Chain:
                     np.add(t, codes, out=k)
                     t = mirror[k]
                 counts += np.bincount(visited[:len(part)].ravel(), minlength=len(counts))
+        if self.visits is not None:
+            visits, first = self.visits, self.counted_from
+            if first.any():
+                visits = visits[np.arange(len(visits))[:, None] >= first]
+            counts += np.bincount(visits.ravel(), minlength=len(counts))
+            self.visits = None
         self.mcount = counts
         self.heads.clear()
         self.cols.clear()
@@ -684,10 +798,9 @@ class _Chain:
         self.level_counts = None if self.level_of is None else [0] * (self.policy.t + 1)
         self.s = self._locate(q0)
 
-    def walk(self, piece: tuple, counted: bool) -> None:
-        """Advance the chain over a piece of the arrival stream, given as
-        :func:`_encode`'s (code grid, blocks, codes left, atoms left) at the
-        chain's stride, then pick the stride of the next piece.
+    def walk(self, piece: _Piece, counted: bool) -> None:
+        """Advance the chain over a piece of the arrival stream, encoded at
+        the chain's stride, then pick the stride of the next piece.
 
         Steps are counted in every piece; the first counted piece of a
         replication drops what the burn-in (or the last replication) left.
@@ -696,30 +809,117 @@ class _Chain:
             self.hits = [0] * len(self.next)
             self.mcount = np.zeros(len(self.mnext), dtype=np.int64)
             self.counting = True
-        grid, blocks, rest, tail = piece
+        self.walked += len(piece.codes) * self.stride + len(piece.tail)
         s = self.s
-        if blocks or rest:
-            row = self._multi(grid, blocks, rest, self._row(s))
+        if len(piece.codes):
+            row = self._multi(piece, self._row(s))
             s = self.starts[row // self.width]
-        self.s = _walk(tail, s, self.next, self.hits, self._miss)
+        self.s = _walk(piece.tail, s, self.next, self.hits, self._miss)
         self._restride()
 
-    def _multi(self, grid: np.ndarray, blocks: list[list[int]], rest: list[int],
-               t: int) -> int:
-        """Walk a piece's codes from row t: the whole blocks uncounted, a
-        block that meets an unfilled entry and the codes left on the slow
+    def _multi(self, piece: _Piece, t: int) -> int:
+        """Walk a piece's codes from row t: its whole lanes, or its whole
+        blocks if the chain walks blocks, then the codes left on the slow
         path; then count them all."""
-        self.grid = grid
-        blocks = enumerate(blocks)
-        while True:
-            t, block = _blocks(blocks, t, self.mnext, self.heads, self.cols)
-            if block is None:
-                break
-            t = self._slow(block, t)
-        t = self._slow(rest, t)
+        done = 0
+        if self.walk_lanes is not False:
+            t, done = self._lanes(piece.lanes, t)
+        if self.walk_lanes is False:
+            self.grid, blocks = piece.blocks
+            done = self.grid.size
+            blocks = enumerate(blocks)
+            while True:
+                t, block = _blocks(blocks, t, self.mnext, self.heads, self.cols)
+                if block is None:
+                    break
+                t = self._slow(block, t)
+        t = self._slow(piece.codes[done:].tolist(), t)
         self._flush()
         self.grid = None
         return t
+
+    def _lanes(self, grid: np.ndarray, t: int) -> tuple[int, int]:
+        """Walk the lanes of a piece (the columns of ``grid``) from row t;
+        return the row reached and the number of codes walked.
+
+        :func:`_speculate` walks every lane from a guessed first row.  Then,
+        in lane order from the row confirmed so far, a lane whose guess is
+        that row and which met no unfilled entry is accepted, and any other
+        is walked again from that row: up to where it joins its speculative
+        path (:meth:`_rejoin`), or whole on the slow path if that path met
+        an unfilled entry.  So only the true path fills entries and asks
+        ``decide``, in the order of a walk one lookup at a time.  A fill
+        that restarts or drops the table ends the lanes after the one it
+        falls in.
+
+        The first piece whose lanes mostly meet no unfilled entry is judged
+        before any of this: if more than MISGUESS_SHARE of its lanes that
+        follow such a lane start from another row than that lane's end, the
+        chain walks blocks from then on and nothing is walked here.
+        """
+        lanes = grid.shape[1]
+        if not lanes:
+            return t, 0
+        stall = -self.width
+        heads, visits, ends = _speculate(self._mirror(), grid, t)
+        ok = ends != stall
+        if self.walk_lanes is None and 2 * np.count_nonzero(ok) > lanes > 1:
+            judged = ok[:-1]
+            wrong = np.count_nonzero(judged & (heads[1:] != ends[:-1]))
+            self.walk_lanes = bool(wrong <= MISGUESS_SHARE * np.count_nonzero(judged))
+            if not self.walk_lanes:
+                return t, 0
+        # A lane is ok when it met no unfilled entry and, past the first,
+        # starts where its predecessor ended.
+        ok[1:] &= heads[1:] == ends[:-1]
+        self.visits = visits
+        self.counted_from = first = np.full(lanes, len(grid), dtype=np.intp)
+        nxt = self.mnext
+        bad = iter(np.flatnonzero(~ok).tolist())
+        b = next(bad, lanes)
+        i = 0
+        while i < lanes:
+            if i < b and heads[i] == t:
+                # Lanes i .. b - 1 each start where the last one ended.
+                first[i:b] = 0
+                t, i = int(ends[b - 1]), b
+                continue
+            if i == b:
+                b = next(bad, lanes)
+            codes = grid[:, i].tolist()
+            if ends[i] == stall:
+                t = self._slow(codes, t)
+            else:
+                t, j = self._rejoin(codes, visits[:, i].tolist(), t)
+                if j is not None:
+                    first[i] = j
+                    t = int(ends[i])
+            i += 1
+            if self.mnext is not nxt:
+                break
+        return t, i * len(grid)
+
+    def _rejoin(self, codes: list[int], path: list[int],
+                t: int) -> tuple[int, int | None]:
+        """Walk a lane's codes from row t as :meth:`_slow` does, until the
+        entry visited is the one its speculative ``path`` visited at that
+        step.  Returns the row reached and that step, from which the path
+        is the chain's, or None if the lane never joins it (or a fill
+        restarts or drops the table, after which the lane is finished on
+        the slow path)."""
+        nxt, note = self.mnext, self.seen.append
+        for j, c in enumerate(codes):
+            k = t + c
+            if k == path[j]:
+                return t, j
+            t = nxt[k]
+            if t is None:
+                t = self._fill(k)
+                if self.mnext is not nxt:
+                    return self._slow(codes[j + 1:], t), None
+            else:
+                note(k)
+        return t, None
 
     def _slow(self, codes: list[int], t: int) -> int:
         """Walk codes one lookup at a time from row t, noting each entry
@@ -815,7 +1015,7 @@ def _replicate(chains: Sequence[_Chain], graph: MatchingGraph,
                 for chain in chains:
                     m = chain.stride
                     if m not in piece:
-                        piece[m] = _encode(atoms, n_atoms, m)
+                        piece[m] = _Piece(atoms, n_atoms, m)
                     chain.walk(piece[m], counted)
             outs.append(tuple(chain.finish() for chain in chains))
     return outs

@@ -10,10 +10,14 @@ from __future__ import annotations
 
 import importlib
 import itertools
+import json
 import math
 import random
 import threading
 import tracemalloc
+import types
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,11 +37,16 @@ from matchdp.policies import (
     ThresholdWWorkload,
     policy_from_spec,
 )
+from matchdp.nshaped import NModelParams, optimal_threshold
 from matchdp.simulate import SimConfig, compare, simulate
 from matchdp.solver import TruncatedStateSpace, relative_value_iteration
 
 from conftest import make_complete22, make_nn_graph
-from oracles import reference_simulate
+from oracles import reference_simulate, reference_streams
+from test_bench_golden import GRAPHS as BENCH_GRAPHS
+from test_bench_golden import POLICIES as BENCH_POLICIES
+from test_bench_golden import RUNS as BENCH_RUNS
+from test_bench_golden import SEEDS as BENCH_SEEDS
 from test_simulate import n_setup, w_setup
 
 # The package re-exports the function ``simulate`` over the module's name.
@@ -224,26 +233,26 @@ class TestHelperThread:
 
     @pytest.fixture
     def draws(self, monkeypatch):
-        """Patch the generator to log (thread id, shape) per draw, and the
-        replication of its key under ``reps``; draw number ``fail_at``
-        (counted from 1) raises the exception stored under ``error``."""
+        """Patch the bit generator to log (thread id, shape) per draw of raw
+        words, and the replication of its key under ``reps``; draw number
+        ``fail_at`` (counted from 1) raises the exception stored under
+        ``error``."""
         log = {"calls": [], "reps": [], "fail_at": None, "error": RuntimeError("draw failed")}
-        real = np.random.Generator
+        real = np.random.Philox
 
         class Logged:
-            def __init__(self, bit_generator):
-                self.inner = real(bit_generator)
-                self.rep = int(bit_generator.state["state"]["key"][1])
+            def __init__(self, *args, **kwargs):
+                self.inner = real(*args, **kwargs)
+                self.rep = int(self.inner.state["state"]["key"][1])
 
-            def random(self, size=None, out=None):
-                shape = size if out is None else out.shape
-                log["calls"].append((threading.get_ident(), shape))
+            def random_raw(self, size=None):
+                log["calls"].append((threading.get_ident(), size))
                 log["reps"].append(self.rep)
                 if len(log["calls"]) == log["fail_at"]:
                     raise log["error"]
-                return self.inner.random(size, out=out)
+                return self.inner.random_raw(size)
 
-        monkeypatch.setattr(np.random, "Generator", Logged)
+        monkeypatch.setattr(np.random, "Philox", Logged)
         monkeypatch.setattr(simmod, "CHUNK_STEPS", 7)
         return log
 
@@ -293,6 +302,59 @@ class TestHelperThread:
         assert info.value is draws["error"]
         assert threading.active_count() == before
 
+    def test_at_most_two_pieces_of_words_are_alive_at_once(self, monkeypatch):
+        """The helper draws one piece ahead of the piece being mapped, and a
+        piece's words are let go once mapped."""
+        alive = []
+        most = [0]
+        real = np.random.Philox
+
+        class Counted:
+            def __init__(self, *args, **kwargs):
+                self.inner = real(*args, **kwargs)
+
+            def random_raw(self, size=None):
+                words = self.inner.random_raw(size)
+                alive.append(None)
+                most[0] = max(most[0], len(alive))
+                weakref.finalize(words, alive.pop)
+                return words
+
+        # Each request after the first finds this piece's words alive.
+        asked = []
+        fill = simmod._Filler.fill
+
+        def fill_spy(filler, draw):
+            asked.append(len(alive))
+            fill(filler, draw)
+
+        monkeypatch.setattr(np.random, "Philox", Counted)
+        monkeypatch.setattr(simmod._Filler, "fill", fill_spy)
+        monkeypatch.setattr(simmod, "CHUNK_STEPS", 7)
+        graph, arrivals, costs = n_setup()
+        simulate(graph, arrivals, costs, ThresholdN(graph, 2), CFG, threads=1)
+        assert len(asked) == 2 * math.ceil(CFG.horizon / 7)
+        assert asked[1:] == [1] * (len(asked) - 1)
+        assert most[0] <= 2 and not alive
+
+
+class InlineFiller:
+    """Stands in for the helper thread: each draw is made on the calling
+    thread as soon as it is asked for, so the next piece's words are drawn
+    while this piece's are mapped, at every piece."""
+
+    def __init__(self):
+        self.words = []
+
+    def fill(self, draw):
+        self.words.append(draw())
+
+    def wait(self):
+        return self.words.pop(0)
+
+    def close(self):
+        pass
+
 
 def stream_peak(pieces: int) -> int:
     """tracemalloc peak of a FullMatch run on the complete 2x2 graph whose
@@ -311,9 +373,73 @@ def stream_peak(pieces: int) -> int:
 
 def test_stream_memory_does_not_grow_with_the_horizon(monkeypatch):
     monkeypatch.setattr(simmod, "CHUNK_STEPS", 1024)
-    stream_peak(2)  # the first helper imports its modules
-    piece = simmod.CHUNK_STEPS * 2 * 8  # one piece of float64 uniforms
+    # Every run walks at the top stride from its first piece on, so its
+    # tables are the same whatever the horizon.
+    monkeypatch.setattr(simmod, "STEPS_PER_ENTRY", 0)
+    monkeypatch.setattr(simmod, "STRIDE_WARMUP", 0)
+    # A helper thread holds two pieces of words at once only if it starts
+    # the next draw before this piece is mapped; drawing inline, every
+    # piece of every run holds both, so the peaks do not hang on timing.
+    monkeypatch.setattr(simmod, "_Filler", InlineFiller)
+    stream_peak(2)  # the first run makes what every run reuses
+    piece = simmod.CHUNK_STEPS * 2 * 8  # one piece of raw 64-bit words
     assert abs(stream_peak(64) - stream_peak(4)) <= piece
+
+
+def stream_atoms(graph, arrivals, cfg, rep, overlap=False) -> list[int]:
+    """The atoms of replication ``rep`` as the kernel's stream yields them."""
+    atoms = []
+    for _, _, part in simmod._arrival_chunks(graph, arrivals, cfg, [rep], overlap):
+        atoms += part.tolist()
+    return atoms
+
+
+def reference_atoms(graph, arrivals, cfg, rep) -> list[int]:
+    d_idx, s_idx = reference_streams(graph, arrivals, cfg, rep)
+    return [d * graph.n_s + s for d, s in zip(d_idx, s_idx)]
+
+
+class TestRawStream:
+    """Classes read off raw Philox words equal the inverse-CDF classes of
+    ``Generator.random``'s uniforms, which ``reference_streams`` computes."""
+
+    @pytest.mark.parametrize(
+        "x",
+        [0.0, 0.25, 0.5, 0.75, 1 / 3, 0.1, 2**-60, 1 - 2**-53, 1 - 2**-54, 1.0],
+    )
+    def test_a_word_is_at_or_above_a_knot_exactly_when_its_uniform_is(self, x):
+        knots = simmod._raw_knots(np.array([x]))
+        ceiling = math.ceil(x * 2**53)
+        assert len(knots) == (ceiling < 2**53)
+        k = int(knots[0]) if knots else 2**64
+        for w in {k - 2**11, k - 1, k, k + 1, k + 2**11 - 1, 0, 2**64 - 1}:
+            if 0 <= w < 2**64:
+                assert ((w >> 11) * 2.0**-53 >= x) == (w >= k)
+
+    @pytest.mark.parametrize(
+        "alpha, beta",
+        [
+            pytest.param([0.5, 0.25, 0.25], [0.5, 0.5], id="dyadic knots"),
+            pytest.param([0.0, 0.4, 0.0, 0.6], [0.3, 0.7, 0.0], id="zero-mass classes"),
+            pytest.param([1.0], [0.2, 0.3, 0.5], id="one demand class"),
+            pytest.param([0.31, 0.69], [0.77, 0.23], id="two by two"),
+        ],
+    )
+    @pytest.mark.parametrize("chunk", [7, 4096])
+    @pytest.mark.parametrize("a0", [None, (0, 1)])
+    def test_classes_equal_the_reference(self, alpha, beta, chunk, a0, monkeypatch):
+        demand = tuple(f"d{i}" for i in range(len(alpha)))
+        supply = tuple(f"s{j}" for j in range(len(beta)))
+        graph = MatchingGraph(demand, supply, tuple(itertools.product(demand, supply)))
+        # ArrivalDistribution refuses a zero-mass class; the stream reads
+        # only the two vectors.
+        arrivals = types.SimpleNamespace(alpha=np.array(alpha), beta=np.array(beta))
+        cfg = SimConfig(horizon=1000, burn_in=13, seed=99, a0=a0)
+        monkeypatch.setattr(simmod, "CHUNK_STEPS", chunk)
+        for rep in (0, 1):
+            expected = reference_atoms(graph, arrivals, cfg, rep)
+            assert stream_atoms(graph, arrivals, cfg, rep) == expected
+            assert stream_atoms(graph, arrivals, cfg, rep, overlap=True) == expected
 
 
 class TestMemoBound:
@@ -338,6 +464,7 @@ class TestMemoBound:
         first piece, in rows of 64."""
         monkeypatch.setattr(simmod, "STRIDE_WIDTH", 64)
         monkeypatch.setattr(simmod, "STEPS_PER_ENTRY", 0)
+        monkeypatch.setattr(simmod, "STRIDE_WARMUP", 0)
         monkeypatch.setattr(simmod, "STRIDE_LIMIT", 128)
         sizes: list[int] = []
         row = simmod._Chain._row
@@ -441,11 +568,13 @@ def events(monkeypatch):
 
 
 def set_limits(monkeypatch, limits, graph, m):
-    """Patch the row width and the steps per entry so that every chain walks
-    at stride m after its first piece, and the named limits."""
+    """Patch the row width, the steps per entry and the warm-up so that
+    every chain walks at stride m after its first piece, and the named
+    limits."""
     n_atoms = graph.n_d * graph.n_s
     monkeypatch.setattr(simmod, "STRIDE_WIDTH", n_atoms**m)
     monkeypatch.setattr(simmod, "STEPS_PER_ENTRY", 0)
+    monkeypatch.setattr(simmod, "STRIDE_WARMUP", 0)
     assert simmod._stride(n_atoms) == m
     for name, value in LIMITS[limits](n_atoms, n_atoms**m).items():
         monkeypatch.setattr(simmod, name, value)
@@ -587,6 +716,7 @@ class TestStrides:
         # walks at stride 2 after its first piece and at 1 from 126 states,
         # and stays at 1 after each restart at 150 states empties its memo.
         monkeypatch.setattr(simmod, "STEPS_PER_ENTRY", 1)
+        monkeypatch.setattr(simmod, "STRIDE_WARMUP", 0)
         monkeypatch.setattr(simmod, "CHUNK_STEPS", 64)
         monkeypatch.setattr(simmod, "MEMO_LIMIT", 150 * 4)
         strides = []
@@ -619,16 +749,17 @@ class TestStrides:
 
 
 def first_piece_strides(graph, arrivals, costs, policies, steps) -> list[int]:
-    """Each chain's stride after the first piece (CHUNK_STEPS steps) of
-    replication 0, for memos that walk ``steps`` in the call."""
-    cfg = SimConfig(horizon=2 * simmod.CHUNK_STEPS, burn_in=0, seed=20260825)
+    """Each chain's stride after its first STRIDE_WARMUP steps, walked in
+    pieces of CHUNK_STEPS from replication 0, for memos that walk ``steps``
+    in the call."""
+    cfg = SimConfig(horizon=simmod.STRIDE_WARMUP, burn_in=0, seed=20260825)
     chains = [simmod._Chain(graph, costs, p, steps) for p in policies]
     for chain in chains:
         chain.start(tuple(cfg.initial_queue(graph)))
-    stream = simmod._arrival_chunks(graph, arrivals, cfg, [0], overlap=False)
-    for _, counted, atoms in itertools.islice(stream, 1):
+    for _, counted, atoms in simmod._arrival_chunks(graph, arrivals, cfg, [0], overlap=False):
         for chain in chains:
-            chain.walk(simmod._encode(atoms, graph.n_d * graph.n_s, chain.stride), counted)
+            assert chain.stride == 1
+            chain.walk(simmod._Piece(atoms, graph.n_d * graph.n_s, chain.stride), counted)
     return [chain.stride for chain in chains]
 
 
@@ -658,29 +789,31 @@ class Scrambled(Policy):
         return np.array(u, dtype=np.int64)
 
 
-def walk_pieces(setup, policy, m, pieces):
+def walk_pieces(setup, policy, m, pieces, lanes=None):
     """A chain walked over ``pieces`` (lists of atoms) at stride m from the
     first piece on, counted throughout; it is finished, so every count has
-    reached the one-step table."""
+    reached the one-step table.  ``lanes`` is the chain's ``walk_lanes``:
+    None leaves the walk to the gate, True and False force lanes or blocks."""
     graph, _, costs = setup
     n_atoms = graph.n_d * graph.n_s
     # With no bound on the steps walked the rule never lowers the stride.
     chain = simmod._Chain(graph, costs, policy, math.inf)
     chain.top = m
     chain._set_stride(m)
+    chain.walk_lanes = lanes
     chain.start(tuple([0] * graph.n_nodes))
     for atoms in pieces:
-        chain.walk(simmod._encode(np.array(atoms, dtype=np.uint8), n_atoms, m), True)
+        chain.walk(simmod._Piece(np.array(atoms, dtype=np.uint8), n_atoms, m), True)
     return chain, chain.finish()
 
 
-def assert_same_walk(setup, seed, m, pieces):
-    """The chain at stride m meets the same states, counts the same
-    one-step visits, ends in the same state and folds the same sums as the
-    counted walk one arrival at a time."""
+def assert_same_walk(setup, seed, m, pieces, lanes=None, policy=Scrambled):
+    """The chain of ``policy(graph, seed)`` at stride m meets the same
+    states, counts the same one-step visits, ends in the same state and
+    folds the same sums as the counted walk one arrival at a time."""
     graph = setup[0]
-    one, one_out = walk_pieces(setup, Scrambled(graph, seed), 1, pieces)
-    multi, multi_out = walk_pieces(setup, Scrambled(graph, seed), m, pieces)
+    one, one_out = walk_pieces(setup, policy(graph, seed), 1, pieces)
+    multi, multi_out = walk_pieces(setup, policy(graph, seed), m, pieces, lanes)
     assert multi.stride == m
     assert multi.states == one.states
     assert multi.hits == one.hits
@@ -715,15 +848,18 @@ class TestBlockWalk:
         name=st.sampled_from(sorted(GRAPHS)),
         seed=st.integers(0, 2**16),
         m=st.integers(2, 4),
+        walk=st.sampled_from([None, True, False]),
         block=st.sampled_from([1, 2, 3, 5, 64]),
+        lane=st.sampled_from([1, 2, 3, 5, 16]),
         rows=st.sampled_from([None, 1, 2, 5]),
         states=st.sampled_from([None, 2, 3, 12]),
         draws=st.lists(st.integers(0, 5), min_size=1, max_size=400),
         cuts=st.lists(st.integers(1, 150), min_size=1, max_size=6),
     )
     def test_counts_and_end_state_equal_the_counted_walk(
-        self, name, seed, m, block, rows, states, draws, cuts
+        self, name, seed, m, walk, block, lane, rows, states, draws, cuts
     ):
+        """Lanes, blocks, or the gate's choice between them (``walk``)."""
         graph, _, _ = setup = GRAPHS[name]()
         n_atoms = graph.n_d * graph.n_s
         m = min(m, simmod._stride(n_atoms))
@@ -736,11 +872,12 @@ class TestBlockWalk:
             atoms = atoms[cut:]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(simmod, "BLOCK", block)
+            patch.setattr(simmod, "LANE", lane)
             if rows is not None:
                 patch.setattr(simmod, "STRIDE_LIMIT", rows * n_atoms**m)
             if states is not None:
                 patch.setattr(simmod, "MEMO_LIMIT", states * n_atoms)
-            assert_same_walk(setup, seed, m, pieces)
+            assert_same_walk(setup, seed, m, pieces, walk)
 
     @pytest.mark.parametrize("limits", ["defaults", "one-step restarts", "multi-step drops"])
     def test_misses_at_both_ends_of_blocks_and_mid_piece_restarts(
@@ -770,12 +907,213 @@ class TestBlockWalk:
         rng = np.random.default_rng(5)
         pieces = [rng.integers(0, 4, 203).tolist() for _ in range(12)]
         for seed in range(6):
-            assert_same_walk(setup, seed, 2, pieces)
+            assert_same_walk(setup, seed, 2, pieces, lanes=False)
         assert {0, 3} <= where
         if limits == "one-step restarts":
             assert events["restarts inside"] > 0
         if limits == "multi-step drops":
             assert events["drops"] > events["restarts"]
+
+
+# ---- the speculative lane walk ----
+
+
+@pytest.fixture
+def lane_events(monkeypatch):
+    """Where the unfilled entry falls in each lane that meets one (position
+    in the lane), how each lane walked again ended (the join step, or None),
+    and the restarts and drops made inside :meth:`_Chain._lanes`."""
+    seen = {"misses at": set(), "joins": [], "restarts": 0, "drops": 0}
+    depth = [0]
+    lanes, rejoin, speculate = simmod._Chain._lanes, simmod._Chain._rejoin, simmod._speculate
+    forget, drop = simmod._Chain._forget, simmod._Chain._drop
+
+    def lanes_spy(chain, grid, t):
+        depth[0] += 1
+        try:
+            return lanes(chain, grid, t)
+        finally:
+            depth[0] -= 1
+
+    def speculate_spy(mirror, grid, t):
+        heads, visits, ends = speculate(mirror, grid, t)
+        for i in np.flatnonzero((ends < 0) & (heads >= 0)):
+            # The entry visited last before the walk turns negative.
+            seen["misses at"].add(int(np.count_nonzero(visits[:, i] >= 0)) - 1)
+        return heads, visits, ends
+
+    def rejoin_spy(chain, codes, path, t):
+        out = rejoin(chain, codes, path, t)
+        seen["joins"].append(out[1])
+        return out
+
+    def forget_spy(chain):
+        seen["restarts"] += depth[0] > 0
+        forget(chain)
+
+    def drop_spy(chain):
+        seen["drops"] += depth[0] > 0
+        drop(chain)
+
+    monkeypatch.setattr(simmod._Chain, "_lanes", lanes_spy)
+    monkeypatch.setattr(simmod, "_speculate", speculate_spy)
+    monkeypatch.setattr(simmod._Chain, "_rejoin", rejoin_spy)
+    monkeypatch.setattr(simmod._Chain, "_forget", forget_spy)
+    monkeypatch.setattr(simmod._Chain, "_drop", drop_spy)
+    return seen
+
+
+def misguessed(speculate):
+    """``_speculate`` with every odd lane walked instead from a wrong row:
+    row 0, or the row after it where the lane's guess is row 0."""
+
+    def wrong(mirror, grid, t):
+        heads, visits, ends = speculate(mirror, grid, t)
+        width = -int(mirror[-1])
+        for i in range(1, grid.shape[1], 2):
+            u = heads[i] = width if heads[i] == 0 and len(mirror) > 3 * width else 0
+            for j, c in enumerate(grid[:, i].tolist()):
+                visits[j, i] = k = u + c
+                u = mirror[k]
+            ends[i] = u
+        return heads, visits, ends
+
+    return wrong
+
+
+class TestLaneWalk:
+    def test_lanes_stall_on_the_sentinel_row(self):
+        # Rows of width 2 at offsets 0 and 2, then the sentinel row; entry
+        # 2 + 1 is not filled.  Lane 1 meets it at its first code (from the
+        # row where pass one ends lane 0), lane 2 at its last.
+        mirror = np.array([2, 0, 0, -2, -2, -2])
+        grid = np.array([[1, 0], [1, 1], [0, 1]], dtype=np.uint8).T
+        heads, visits, ends = simmod._speculate(mirror, grid, 0)
+        assert heads.tolist() == [0, 2, 0]
+        assert visits.tolist() == [[1, 3, 0], [0, -1, 3]]
+        assert ends.tolist() == [2, -2, -2]
+
+    @pytest.mark.parametrize("lane", [1, 2, 3, 5, 16])
+    @pytest.mark.parametrize("limits", ["defaults", "one-step restarts", "multi-step drops"])
+    def test_misses_at_both_ends_of_lanes_and_mid_repair_restarts(
+        self, lane, limits, monkeypatch, lane_events
+    ):
+        """Pieces of 203 steps at stride 2, walked in lanes.  Atoms 1 and 2
+        are rare, so codes that hold them are met late, anywhere in a lane;
+        under the small limits the tables restart or drop inside the lanes'
+        walks again."""
+        setup = n_setup()
+        monkeypatch.setattr(simmod, "LANE", lane)
+        for name, value in LIMITS[limits](4, 16).items():
+            monkeypatch.setattr(simmod, name, value)
+        rng = np.random.default_rng(5)
+        pieces = [rng.choice(4, 203, p=[0.47, 0.03, 0.03, 0.47]).tolist() for _ in range(24)]
+        for seed in range(6):
+            assert_same_walk(setup, seed, 2, pieces, lanes=True)
+        if limits == "defaults":
+            assert {0, lane - 1} <= lane_events["misses at"]
+        if limits == "one-step restarts":
+            assert lane_events["restarts"] > 0
+        if limits == "multi-step drops":
+            assert lane_events["drops"] > lane_events["restarts"]
+
+    @pytest.mark.parametrize("lane", [1, 2, 3, 5, 16])
+    @pytest.mark.parametrize("limits", ["defaults", "one-step restarts", "multi-step drops"])
+    def test_wrong_guesses_are_walked_again(self, lane, limits, monkeypatch, lane_events):
+        """Every odd lane is guessed from a wrong row: the scan walks it
+        again, and it joins its speculative path mid-lane or never.  The
+        threshold chains keep to few states, so with the default limits
+        most guesses meet filled entries only."""
+        setup = n_setup()
+        monkeypatch.setattr(simmod, "LANE", lane)
+        for name, value in LIMITS[limits](4, 16).items():
+            monkeypatch.setattr(simmod, name, value)
+        monkeypatch.setattr(simmod, "_speculate", misguessed(simmod._speculate))
+        rng = np.random.default_rng(8)
+        pieces = [rng.integers(0, 4, 203).tolist() for _ in range(12)]
+        for t in range(4):
+            assert_same_walk(setup, t, 2, pieces, lanes=True, policy=ThresholdN)
+        # Under the small limits the tables hold too little for a wrong
+        # guess to get far before it meets an unfilled entry.
+        if limits == "defaults":
+            joins = lane_events["joins"]
+            assert None in joins
+            if lane > 1:
+                assert any(j is not None and j > 0 for j in joins)
+
+    def test_the_gate_keeps_lanes_on_the_n_chain_and_blocks_on_the_w_chains(
+        self, monkeypatch
+    ):
+        """On the bench runs every W chain leaves the lane walk after its
+        first judged piece; the N chain is judged once and walks lanes to
+        the end."""
+        calls = []
+        lanes = simmod._Chain._lanes
+
+        def spy(chain, grid, t):
+            before = chain.walk_lanes
+            out = lanes(chain, grid, t)
+            calls.append((chain.policy.label, before, chain.walk_lanes))
+            return out
+
+        monkeypatch.setattr(simmod._Chain, "_lanes", spy)
+        for name in ("n-model", "w-model"):
+            calls.clear()
+            run_bench(name, [])
+            labels = {label for label, _, _ in calls}
+            assert len(labels) == (1 if name == "n-model" else 2)
+            for label in labels:
+                seen = [(before, after) for lab, before, after in calls if lab == label]
+                judged = [k for k, (before, after) in enumerate(seen)
+                          if before is None and after is not None]
+                assert len(judged) == 1
+                verdict = seen[judged[0]][1]
+                if name == "n-model":
+                    assert verdict is True
+                    assert all(after is True for _, after in seen[judged[0]:])
+                    assert len(seen) - judged[0] > 100
+                else:
+                    assert verdict is False
+                    assert judged[0] == len(seen) - 1
+
+
+BENCH_DECIDES = Path(__file__).parent / "golden" / "bench_decides.json"
+
+
+def run_bench(name, logs):
+    """The bench's simulation run ``name`` at its first seed, with every
+    vector handed to each policy's ``decide`` appended, in order, to a list
+    of its own in ``logs``."""
+    graph, arrivals, costs = load_graph(BENCH_GRAPHS[name])
+    cfg = SimConfig(seed=BENCH_SEEDS[0], **BENCH_RUNS[name])
+    if name == "n-model":
+        t = optimal_threshold(NModelParams.from_graph(graph, arrivals, costs))
+        policies = [ThresholdN(graph, t)]
+    else:
+        policies = [policy_from_spec(graph, spec, costs) for spec in BENCH_POLICIES[name]]
+    logs += [decide_log(p) for p in policies]
+    if len(policies) == 1:
+        simulate(graph, arrivals, costs, policies[0], cfg, threads=1)
+    else:
+        compare(graph, arrivals, costs, policies, cfg, threads=1)
+
+
+def bench_decides() -> dict[str, list]:
+    out = {}
+    for name in ("n-model", "w-model"):
+        logs = []
+        run_bench(name, logs)
+        out[name] = [[list(x) for x in log] for log in logs]
+    return out
+
+
+def test_decide_calls_on_the_bench_runs_are_pinned():
+    """The ``decide`` calls of the bench's N and W runs, vector by vector
+    and in order, as ``golden/bench_decides.json`` holds them: recorded from
+    the block walk, before lanes and the raw-word stream.  Regenerate it
+    with ``PYTHONPATH=src python tests/test_kernel.py`` only after a change
+    that is meant to move them."""
+    assert bench_decides() == json.loads(BENCH_DECIDES.read_text())
 
 
 class TestDPPolicies:
@@ -788,3 +1126,7 @@ class TestDPPolicies:
             simulate(graph, arrivals, costs, policy, cfg)
         assert isinstance(info.value, MissingDecision)
         assert isinstance(info.value, KeyError)
+
+
+if __name__ == "__main__":
+    BENCH_DECIDES.write_text(json.dumps(bench_decides()) + "\n")
