@@ -13,18 +13,18 @@ words 2n and 2n + 1 as the uniforms u = (w >> 11) * 2**-53 that
 index of the first under alpha, the supply class of the second under
 beta, read off the raw words against integer knots, which is exact.  The
 same (seed, replication) therefore yields the same arrival sequence for
-every policy, which is what makes comparisons paired.  The words are drawn
-in pieces of CHUNK_STEPS steps, which yields the same words, and each piece
-is mapped into a reused buffer of atoms.  In a serial run whose streams
-have more than one piece, one helper thread (a plain thread fed by a
-queue, no executor) makes every draw of the run, in order, one piece
-ahead: the next piece is drawn while this one is mapped and walked, the
-next replication's first piece during a replication's last.  A pool worker
-draws every piece on its own thread: a pool as wide as the CPUs leaves no
-core free for a helper.  At most two pieces of words are alive at once,
-so memory grows with neither the horizon nor the replications, and as no
-two draws overlap the results are bit-identical to drawing every piece on
-the calling thread.
+every policy, which is what makes comparisons paired.  The stream is
+walked in pieces of CHUNK_STEPS steps, each drawn in two halves, which
+yields the same words, and each half is mapped into its half of a reused
+buffer of atoms.  In a serial run whose streams have more than one piece,
+one helper thread (a plain thread fed by a queue, no executor) makes every
+draw of the run, in order, two halves ahead: the next piece is drawn while
+this one is mapped and walked, the next replication's first piece during
+a replication's last.  A pool worker draws every half on its own thread:
+a pool as wide as the CPUs leaves no core free for a helper.  At most two
+halves of words are alive at once, so memory grows with neither the
+horizon nor the replications, and as no two draws overlap the results
+are bit-identical to drawing every piece on the calling thread.
 
 Every policy runs through one kernel.  A step depends only on the queue
 vector and the arrival atom, so the kernel memoizes the successor of each
@@ -33,32 +33,33 @@ vector x = q + a, so a pair it has not seen looks x up in a map from x to
 its successor, and ``decide`` is called (and admissibility checked) once
 per distinct x.  A multi-step memo, derived from the one-step one, maps a
 state and m consecutive atoms to the state they lead to.  Each chain picks
-its own stride m from its own counts: its first STRIDE_WARMUP steps in a
-call go one arrival at a time, and after each piece from then on m is the
-largest stride with A**m <= STRIDE_WIDTH and at least STEPS_PER_ENTRY
-steps in the call for each entry of a row per state met so far; it never
-rises again (on the bench runs: 4 on the N graph, 2 on the W graph, 1 on
-the NN graph and on an N graph in heavy traffic).  Each piece is encoded
-once per stride in use into codes of m atoms, shared by the chains at
-that stride.  At stride 1 the hot loop is one table read and one visit
-count per step, with no test for a miss (an entry not met yet holds None,
-and the step after it raises).  At stride m > 1 a piece's codes go in
-lanes of LANE codes: numpy guesses each lane's first row (where a walk
-from the current row ends its predecessor) and walks every lane from it in
-lockstep through a numpy mirror of the table; one scan then accepts the
-lanes in order, and walks again on a slow path a lane whose guess was
-wrong or that met an entry not met yet.  ``np.bincount`` counts the
-accepted steps.  Walks of an N chain from different rows meet within a few
-codes, so its guesses are almost all right; a chain whose first judged
-piece has many wrong guesses walks blocks of BLOCK codes instead, one
-table read per m steps with no count at all, and after the piece one numpy
-pass rebuilds and counts the entries the blocks visited.  Only the slow
-path, which notes each entry it visits, fills the ones not met before, so
-``decide`` is called on the true path, in the order of a walk one arrival
-at a time; the codes left at the end of a piece go that way too, and the
-atoms left one at a time.  Costs, queue means and level frequencies are
-computed afterwards from the visit counts.  With integer costs every
-partial sum is exact, so the result equals a step-by-step run bit for bit.
+its own stride m from its own counts: its first piece goes one arrival at
+a time, and after each piece m is the largest stride with A**m <=
+STRIDE_WIDTH and at least STEPS_PER_ENTRY steps in the call for each entry
+of a row per state met so far; it never rises again (on the bench runs: 4
+on the N graph, 2 on the W graph, 1 on the NN graph and on an N graph in
+heavy traffic).  Each piece is encoded once per stride in use into codes
+of m atoms, shared by the chains at that stride.  At stride 1 the hot loop
+is one table read and one visit count per step, with no test for a miss
+(an entry not met yet holds None, and the step after it raises).  At
+stride m > 1 a piece's codes go in lanes of LANE codes: numpy guesses each
+lane's first row (where a walk from the current row ends its predecessor)
+and walks every lane from it in lockstep through a numpy mirror of the
+table; one scan then accepts the lanes in order, and walks again on a slow
+path a lane whose guess was wrong or that met an entry not met yet.
+``np.bincount`` counts the accepted steps.  Walks of an N chain from
+different rows meet within a few codes, so its guesses are almost all
+right; a chain whose first judged piece has many wrong guesses walks
+blocks of BLOCK codes instead, one table read per m steps with no count at
+all, and after the piece one numpy pass rebuilds and counts the entries
+the blocks visited.  So do the pieces before the judged one whose lanes
+mostly meet entries not met yet.  Only the slow path, which notes each
+entry it visits, fills the ones not met before, so ``decide`` is called on
+the true path, in the order of a walk one arrival at a time; the codes
+left at the end of a piece go that way too, and the atoms left one at a
+time.  Costs, queue means and level frequencies are computed afterwards
+from the visit counts.  With integer costs every partial sum is exact, so
+the result equals a step-by-step run bit for bit.
 """
 
 from __future__ import annotations
@@ -214,10 +215,11 @@ class CompareResult:
 
 # ---- the simulation kernel ----
 
-CHUNK_STEPS = 1 << 15
-"""Arrival steps drawn, and walked by every policy, per piece of a stream.
-A piece's raw words take 16 bytes a step and two pieces are in flight at
-once (one mapped, the next drawn), so the stream's buffers hold 1 MiB."""
+CHUNK_STEPS = 1 << 16
+"""Arrival steps walked by every policy per piece of a stream.  A piece's
+raw words take 16 bytes a step; it is drawn in two halves and at most two
+halves are alive at once (one mapped, the next drawn), so the stream's
+words take at most 1 MiB."""
 
 STRIDE_WIDTH = 256
 """Most entries per row of the multi-step table: with A arrival atoms no
@@ -235,19 +237,18 @@ within the steps its memo walks in the call.
 200 was tuned on the block walk alone, where it picked the fastest stride
 on every chain measured.  Forcing each stride in turn with the lane walk
 (two shared CPUs, Python 3.11, medians of 5 interleaved runs), the rule
-still picks the fastest on the W bench chains (2) and on an N chain in
-heavy traffic (1), but not on the N bench chain (0.19 s at its 4, 0.16 s
-at 2 or 3) nor on the W recipe's ThresholdWWorkload (0.95 s at its 3,
-0.80 s at 2); see ROADMAP item 7."""
+still picks the fastest stride, or one within 5% of it, on the N and W
+bench chains, the W recipe's chains and an N chain in heavy traffic; see
+ROADMAP item 7."""
 
 MEMO_LIMIT = 1 << 18
 """Entries a policy's one-step transition table may hold.  A run of the
 ``Idle`` chain of the kernel tests on the N graph, where every state is
 new, peaks at ~37.2 MiB (tracemalloc, one replication of 60,000 steps in
 pieces of 4,096, the stream's buffers included) at stride 1 and ~39.2 MiB
-at the top stride 4 from the first piece on, with the multi-step table
-beside it; folding the full table at a restart raises the peaks to ~39.6
-and ~43.7 MiB (70,000 steps)."""
+at the top stride 4, with the multi-step table beside it; folding the full
+table at a restart raises the peaks to ~39.6 and ~43.7 MiB (70,000
+steps)."""
 
 STRIDE_LIMIT = 1 << 18
 """Entries a policy's multi-step table may hold.  The list, its numpy counts
@@ -263,7 +264,7 @@ block that meets an unfilled entry is walked again whole on the slow path;
 smaller blocks cost the walk more bookkeeping per block.  On two shared
 CPUs with Python 3.11, in 9 interleaved runs at 16, 32, 64, 128 and 256
 codes, the w-model ``compare`` of the benchmark (whose chains walk blocks)
-took medians of 192, 207, 199, 225 and 262 ms."""
+took medians of 171, 155, 144, 154 and 166 ms."""
 
 LANE = 16
 """Codes per lane of the speculative multi-step walk (see
@@ -272,22 +273,18 @@ lane with a wrong guess or an unfilled entry is walked again in Python;
 longer lanes also give walks from different rows more codes to meet in.
 On two shared CPUs with Python 3.11, in 9 interleaved runs at 4, 8, 16, 32
 and 64 codes, the n-model ``simulate`` of the benchmark took medians of
-233, 179, 175, 182 and 192 ms."""
+119, 106, 96, 122 and 139 ms."""
 
 MISGUESS_SHARE = 0.1
 """Share of a chain's judged lanes that may start from a wrong guess for
 the chain to keep walking lanes; above it the chain walks blocks.  With
-lanes forced, 0.2% of the judged lanes of the bench N chain start from a
-wrong guess, and 43% of those of the two bench W chains (67% on their
-first judged piece)."""
-
-STRIDE_WARMUP = 1 << 16
-"""Steps a chain walks in a call, one arrival at a time, before its stride
-is first chosen: the states met in them stand for those to come.  On the
-heavy-traffic N chain of ROADMAP item 7 the first 2**15 steps meet 302
-states, few enough for stride 2, and the first 2**16 meet 574, too many
-for any stride above 1."""
-
+each walk forced in turn on 6 N chains and 8 W chains (two shared CPUs,
+Python 3.11, 4 replications of 500,000 steps, medians of 3 interleaved
+runs), lanes took 0.53-0.88 of the blocks' time on the N chains, whose
+wrong guesses are 0-4% of their judged lanes; 0.99 of it on a W chain at
+12% on its first judged piece (15% overall); and 1.37-2.52 times it on
+the other W chains, at 21-94% (21-56% overall), the bench W chains'
+among them."""
 
 def _stride(n_atoms: int, states: int = 0, steps: int = 0) -> int:
     """Arrivals walked per multi-step lookup by a chain whose memo holds
@@ -369,20 +366,21 @@ def _arrival_chunks(graph: MatchingGraph, arrivals: ArrivalDistribution,
     A piece covers at most CHUNK_STEPS consecutive steps of one replication
     and never straddles the end of the burn-in; ``atoms`` holds its atom
     indices i * n_s + j in a buffer that the next piece reuses.  Every
-    piece is drawn as a (steps, 2) block of raw Philox words and mapped
-    out of it, on this thread, into one buffer of atoms of the narrowest
-    unsigned type that holds a code of the widest stride; the words are
-    let go once mapped.  So while the chains walk a piece only its codes,
-    the atoms and at most two pieces of words are alive, whatever the
-    horizon and the replications.
+    piece is drawn in halves of ceil(CHUNK_STEPS / 2) steps (a short last
+    piece in one, or in a whole half and what is left), each a (steps, 2)
+    block of raw Philox words, and each half is mapped out of its words, on
+    this thread, into its half of one buffer of atoms of the narrowest
+    unsigned type that holds a code of the widest stride; the words are let
+    go once mapped.  So at most two halves of words are alive at once,
+    whatever the horizon and the replications.
 
     With ``overlap`` and streams of more than one piece, one helper thread
-    (:class:`_Filler`) makes every draw of the run, in (replication, piece)
-    order, one piece ahead: as soon as a piece's words arrive, the helper
-    is asked for the next piece, of this replication or the first of the
-    next, and draws it (without the GIL) while this thread maps this
-    piece, encodes it and the chains walk it.  Otherwise every piece is
-    drawn here and no thread starts.
+    (:class:`_Filler`) makes every draw of the run, in (replication, piece,
+    half) order, two halves ahead: once a half is mapped and its words let
+    go, the helper is asked for the half after the next, of this piece, the
+    next or the next replication's first, and draws it (without the GIL)
+    while this thread maps, encodes and the chains walk.  Otherwise every
+    half is drawn here and no thread starts.
     """
     n_atoms = graph.n_d * graph.n_s
     # The class is the count of CDF knots at or below the uniform, the
@@ -395,31 +393,38 @@ def _arrival_chunks(graph: MatchingGraph, arrivals: ArrivalDistribution,
     def size(start: int) -> int:
         return min(CHUNK_STEPS, cfg.horizon - start)
 
-    def schedule() -> Iterator[tuple[int, int, object]]:
+    # Every half but a stream's last is the same size: halving a short
+    # last piece instead raised the peak RSS of the benchmark's n-model
+    # pass by 0.67 MiB (medians of 6 passes).
+    half = (CHUNK_STEPS + 1) // 2
+
+    def schedule() -> Iterator[tuple[int, int, int, int, object]]:
+        """(rep, start, lo, hi, draw) per half: steps lo .. hi - 1 of the
+        piece that begins at step ``start``."""
         for rep in reps:
             bits = np.random.Philox(key=[cfg.seed, rep])
             for start in range(0, cfg.horizon, CHUNK_STEPS):
-                yield rep, start, functools.partial(bits.random_raw, (size(start), 2))
+                n = size(start)
+                for lo in range(0, n, half):
+                    hi = min(lo + half, n)
+                    draw = functools.partial(bits.random_raw, (hi - lo, 2))
+                    yield rep, start, lo, hi, draw
 
-    flag = np.empty(size(0), dtype=bool)
+    flag = np.empty(half, dtype=bool)
     atom = np.empty(size(0), dtype=np.min_scalar_type(n_atoms ** _stride(n_atoms) - 1))
-    draws = schedule()
-    ahead = next(draws)
+    halves = schedule()
     with contextlib.ExitStack() as stack:
         # Streams of one piece each have no walk to overlap a draw with.
         filler = None
         if overlap and cfg.horizon > CHUNK_STEPS:
+            halves, ahead = itertools.tee(halves)
             filler = _Filler()
             stack.callback(filler.close)
-            filler.fill(ahead[2])
-        while ahead is not None:
-            rep, start, draw = ahead
+            for *_, draw in itertools.islice(ahead, 2):
+                filler.fill(draw)
+        for rep, start, lo, hi, draw in halves:
             words = draw() if filler is None else filler.wait()
-            ahead = next(draws, None)
-            if filler is not None and ahead is not None:
-                filler.fill(ahead[2])
-            n = len(words)
-            a, f = atom[:n], flag[:n]
+            a, f = atom[lo:hi], flag[:hi - lo]
             a.fill(0)
             for knot in d_knots:
                 np.greater_equal(words[:, 0], knot, out=f)
@@ -431,7 +436,16 @@ def _arrival_chunks(graph: MatchingGraph, arrivals: ArrivalDistribution,
             for knot in s_knots:
                 np.greater_equal(words[:, 1], knot, out=f)
                 a += f
+            # The helper may draw the next half only once these words are
+            # let go, so no more than two halves are ever alive.
             words = None
+            if filler is not None:
+                for *_, draw in itertools.islice(ahead, 1):
+                    filler.fill(draw)
+            n = size(start)
+            if hi < n:
+                continue
+            a = atom[:n]
             if start == 0 and first is not None:
                 a[0] = first
             cut = min(max(cfg.burn_in - start, 0), n)
@@ -600,10 +614,10 @@ class _Chain:
     restart drops it too.
 
     The stride follows from the chain's own counts (see :func:`_stride`):
-    the first STRIDE_WARMUP steps a chain walks in a call go one arrival at
-    a time, and after each piece from then on the stride is the rule's for
-    the states met so far and the ``steps`` its memo walks in the call,
-    never above the last.  A fall replays and drops the multi-step table.
+    the first piece a chain walks in a call goes one arrival at a time, and
+    after each piece the stride is the rule's for the states met so far
+    and the ``steps`` its memo walks in the call, never above the last.  A
+    fall replays and drops the multi-step table.
     """
 
     def __init__(self, graph: MatchingGraph, costs: CostVector, policy: Policy,
@@ -614,7 +628,6 @@ class _Chain:
         self.n_atoms = graph.n_d * graph.n_s
         self.top = _stride(self.n_atoms)
         self._set_stride(1)
-        self.walked = 0
         self.walk_lanes: bool | None = None
         self.cvec = [float(c) for c in costs.vector]
         self.level_of = None
@@ -632,10 +645,7 @@ class _Chain:
         self.paths = list(itertools.product(range(self.n_atoms), repeat=m))
 
     def _restride(self) -> None:
-        """After a piece: the stride of the next, from the states met so far,
-        once the chain has walked STRIDE_WARMUP steps in the call."""
-        if self.walked < STRIDE_WARMUP:
-            return
+        """After a piece: the stride of the next, from the states met so far."""
         self.top = min(self.top, _stride(self.n_atoms, len(self.states), self.steps))
         if self.top != self.stride:
             if self.stride > 1:
@@ -809,7 +819,6 @@ class _Chain:
             self.hits = [0] * len(self.next)
             self.mcount = np.zeros(len(self.mnext), dtype=np.int64)
             self.counting = True
-        self.walked += len(piece.codes) * self.stride + len(piece.tail)
         s = self.s
         if len(piece.codes):
             row = self._multi(piece, self._row(s))
@@ -819,12 +828,12 @@ class _Chain:
 
     def _multi(self, piece: _Piece, t: int) -> int:
         """Walk a piece's codes from row t: its whole lanes, or its whole
-        blocks if the chain walks blocks, then the codes left on the slow
-        path; then count them all."""
+        blocks if the chain walks blocks or the lanes are declined, then the
+        codes left on the slow path; then count them all."""
         done = 0
         if self.walk_lanes is not False:
             t, done = self._lanes(piece.lanes, t)
-        if self.walk_lanes is False:
+        if not done:
             self.grid, blocks = piece.blocks
             done = self.grid.size
             blocks = enumerate(blocks)
@@ -852,10 +861,15 @@ class _Chain:
         that restarts or drops the table ends the lanes after the one it
         falls in.
 
-        The first piece whose lanes mostly meet no unfilled entry is judged
-        before any of this: if more than MISGUESS_SHARE of its lanes that
-        follow such a lane start from another row than that lane's end, the
-        chain walks blocks from then on and nothing is walked here.
+        Until the chain is judged, a piece whose lanes mostly meet an
+        unfilled entry is declined (nothing is walked here, and the piece
+        goes in blocks): its guesses go stale as the slow path fills the
+        table, so nearly all of it would be walked again there, noting
+        every entry.  The first piece whose lanes mostly meet no unfilled
+        entry is judged before any walk: if more than MISGUESS_SHARE of
+        its lanes that follow such a lane start from another row than that
+        lane's end, the chain walks blocks from then on and nothing is
+        walked here.
         """
         lanes = grid.shape[1]
         if not lanes:
@@ -863,12 +877,15 @@ class _Chain:
         stall = -self.width
         heads, visits, ends = _speculate(self._mirror(), grid, t)
         ok = ends != stall
-        if self.walk_lanes is None and 2 * np.count_nonzero(ok) > lanes > 1:
-            judged = ok[:-1]
-            wrong = np.count_nonzero(judged & (heads[1:] != ends[:-1]))
-            self.walk_lanes = bool(wrong <= MISGUESS_SHARE * np.count_nonzero(judged))
-            if not self.walk_lanes:
+        if self.walk_lanes is None:
+            if 2 * np.count_nonzero(ok) <= lanes:
                 return t, 0
+            if lanes > 1:
+                judged = ok[:-1]
+                wrong = np.count_nonzero(judged & (heads[1:] != ends[:-1]))
+                self.walk_lanes = bool(wrong <= MISGUESS_SHARE * np.count_nonzero(judged))
+                if not self.walk_lanes:
+                    return t, 0
         # A lane is ok when it met no unfilled entry and, past the first,
         # starts where its predecessor ended.
         ok[1:] &= heads[1:] == ends[:-1]

@@ -256,13 +256,17 @@ class TestHelperThread:
         monkeypatch.setattr(simmod, "CHUNK_STEPS", 7)
         return log
 
+    # A stream of 30 steps in pieces of 7 is drawn in halves of 4 steps,
+    # each piece's second cut to 3, and its last piece of 2 steps in one.
+    HALVES = [(4, 2), (3, 2)] * 4 + [(2, 2)]
+
     def test_one_helper_thread_draws_every_piece_in_order(self, draws):
         graph, arrivals, costs = n_setup()
         cfg = SimConfig(horizon=30, seed=2)
         simulate(graph, arrivals, costs, ThresholdN(graph, 2), cfg, threads=1)
         helpers = {ident for ident, _ in draws["calls"]}
         assert len(helpers) == 1 and threading.get_ident() not in helpers
-        assert [size for _, size in draws["calls"]] == [(7, 2)] * 4 + [(2, 2)]
+        assert [size for _, size in draws["calls"]] == self.HALVES
 
     def test_one_helper_draws_every_replication_in_order(self, draws):
         graph, arrivals, costs = n_setup()
@@ -270,8 +274,8 @@ class TestHelperThread:
         simulate(graph, arrivals, costs, ThresholdN(graph, 2), cfg, threads=1)
         helpers = {ident for ident, _ in draws["calls"]}
         assert len(helpers) == 1 and threading.get_ident() not in helpers
-        assert [size for _, size in draws["calls"]] == ([(7, 2)] * 4 + [(2, 2)]) * 3
-        assert draws["reps"] == [0] * 5 + [1] * 5 + [2] * 5
+        assert [size for _, size in draws["calls"]] == self.HALVES * 3
+        assert draws["reps"] == [0] * 9 + [1] * 9 + [2] * 9
 
     @pytest.fixture
     def no_thread(self, monkeypatch):
@@ -284,14 +288,15 @@ class TestHelperThread:
         graph, arrivals, costs = n_setup()
         cfg = SimConfig(horizon=7, replications=2, seed=2)
         simulate(graph, arrivals, costs, ThresholdN(graph, 2), cfg, threads=1)
-        assert draws["calls"] == [(threading.get_ident(), (7, 2))] * 2
+        here = threading.get_ident()
+        assert draws["calls"] == [(here, (4, 2)), (here, (3, 2))] * 2
 
     def test_a_pool_job_draws_on_its_own_thread(self, draws, no_thread):
         graph, arrivals, costs = n_setup()
         cfg = SimConfig(horizon=30, seed=2)
         simmod._replication_job((graph, arrivals, costs, [ThresholdN(graph, 2)], cfg, 0))
         here = threading.get_ident()
-        assert draws["calls"] == [(here, (7, 2))] * 4 + [(here, (2, 2))]
+        assert draws["calls"] == [(here, size) for size in self.HALVES]
 
     def test_an_error_in_a_draw_reaches_the_caller_unchanged(self, draws):
         graph, arrivals, costs = n_setup()
@@ -302,9 +307,9 @@ class TestHelperThread:
         assert info.value is draws["error"]
         assert threading.active_count() == before
 
-    def test_at_most_two_pieces_of_words_are_alive_at_once(self, monkeypatch):
-        """The helper draws one piece ahead of the piece being mapped, and a
-        piece's words are let go once mapped."""
+    def test_at_most_two_halves_of_words_are_alive_at_once(self, monkeypatch):
+        """The helper draws two halves ahead of the half being mapped, and a
+        half's words are let go once mapped, before the next is asked for."""
         alive = []
         most = [0]
         real = np.random.Philox
@@ -320,28 +325,39 @@ class TestHelperThread:
                 weakref.finalize(words, alive.pop)
                 return words
 
-        # Each request after the first finds this piece's words alive.
-        asked = []
-        fill = simmod._Filler.fill
+        # Each request after the first two finds at most the one half asked
+        # for before it alive, and each wait finds two halves asked for and
+        # not yet taken, but at the end of the stream.
+        asked, owed = [], []
+        fill, wait = simmod._Filler.fill, simmod._Filler.wait
 
         def fill_spy(filler, draw):
             asked.append(len(alive))
             fill(filler, draw)
 
+        def wait_spy(filler):
+            owed.append(len(asked) - len(owed))
+            return wait(filler)
+
         monkeypatch.setattr(np.random, "Philox", Counted)
         monkeypatch.setattr(simmod._Filler, "fill", fill_spy)
+        monkeypatch.setattr(simmod._Filler, "wait", wait_spy)
         monkeypatch.setattr(simmod, "CHUNK_STEPS", 7)
         graph, arrivals, costs = n_setup()
         simulate(graph, arrivals, costs, ThresholdN(graph, 2), CFG, threads=1)
-        assert len(asked) == 2 * math.ceil(CFG.horizon / 7)
-        assert asked[1:] == [1] * (len(asked) - 1)
+        # Each replication ends on a piece of one step, drawn in one half.
+        assert CFG.horizon % 7 == 1
+        halves = CFG.replications * (2 * (CFG.horizon // 7) + 1)
+        assert len(asked) == len(owed) == halves
+        assert max(asked[2:]) <= 1
+        assert owed == [2] * (halves - 1) + [1]
         assert most[0] <= 2 and not alive
 
 
 class InlineFiller:
     """Stands in for the helper thread: each draw is made on the calling
-    thread as soon as it is asked for, so the next piece's words are drawn
-    while this piece's are mapped, at every piece."""
+    thread as soon as it is asked for, so two halves of words are alive
+    after every request."""
 
     def __init__(self):
         self.words = []
@@ -373,16 +389,15 @@ def stream_peak(pieces: int) -> int:
 
 def test_stream_memory_does_not_grow_with_the_horizon(monkeypatch):
     monkeypatch.setattr(simmod, "CHUNK_STEPS", 1024)
-    # Every run walks at the top stride from its first piece on, so its
+    # Every run walks at the top stride from its second piece on, so its
     # tables are the same whatever the horizon.
     monkeypatch.setattr(simmod, "STEPS_PER_ENTRY", 0)
-    monkeypatch.setattr(simmod, "STRIDE_WARMUP", 0)
-    # A helper thread holds two pieces of words at once only if it starts
-    # the next draw before this piece is mapped; drawing inline, every
-    # piece of every run holds both, so the peaks do not hang on timing.
+    # A helper thread holds two halves of words at once only if it has
+    # drawn the next before this one is let go; drawing inline, every
+    # request of every run leaves both, so the peaks do not hang on timing.
     monkeypatch.setattr(simmod, "_Filler", InlineFiller)
     stream_peak(2)  # the first run makes what every run reuses
-    piece = simmod.CHUNK_STEPS * 2 * 8  # one piece of raw 64-bit words
+    piece = simmod.CHUNK_STEPS * 2 * 8  # two halves of raw 64-bit words
     assert abs(stream_peak(64) - stream_peak(4)) <= piece
 
 
@@ -464,7 +479,6 @@ class TestMemoBound:
         first piece, in rows of 64."""
         monkeypatch.setattr(simmod, "STRIDE_WIDTH", 64)
         monkeypatch.setattr(simmod, "STEPS_PER_ENTRY", 0)
-        monkeypatch.setattr(simmod, "STRIDE_WARMUP", 0)
         monkeypatch.setattr(simmod, "STRIDE_LIMIT", 128)
         sizes: list[int] = []
         row = simmod._Chain._row
@@ -568,13 +582,11 @@ def events(monkeypatch):
 
 
 def set_limits(monkeypatch, limits, graph, m):
-    """Patch the row width, the steps per entry and the warm-up so that
-    every chain walks at stride m after its first piece, and the named
-    limits."""
+    """Patch the row width and the steps per entry so that every chain walks
+    at stride m after its first piece, and the named limits."""
     n_atoms = graph.n_d * graph.n_s
     monkeypatch.setattr(simmod, "STRIDE_WIDTH", n_atoms**m)
     monkeypatch.setattr(simmod, "STEPS_PER_ENTRY", 0)
-    monkeypatch.setattr(simmod, "STRIDE_WARMUP", 0)
     assert simmod._stride(n_atoms) == m
     for name, value in LIMITS[limits](n_atoms, n_atoms**m).items():
         monkeypatch.setattr(simmod, name, value)
@@ -716,7 +728,6 @@ class TestStrides:
         # walks at stride 2 after its first piece and at 1 from 126 states,
         # and stays at 1 after each restart at 150 states empties its memo.
         monkeypatch.setattr(simmod, "STEPS_PER_ENTRY", 1)
-        monkeypatch.setattr(simmod, "STRIDE_WARMUP", 0)
         monkeypatch.setattr(simmod, "CHUNK_STEPS", 64)
         monkeypatch.setattr(simmod, "MEMO_LIMIT", 150 * 4)
         strides = []
@@ -749,16 +760,15 @@ class TestStrides:
 
 
 def first_piece_strides(graph, arrivals, costs, policies, steps) -> list[int]:
-    """Each chain's stride after its first STRIDE_WARMUP steps, walked in
-    pieces of CHUNK_STEPS from replication 0, for memos that walk ``steps``
-    in the call."""
-    cfg = SimConfig(horizon=simmod.STRIDE_WARMUP, burn_in=0, seed=20260825)
+    """Each chain's stride after the first piece (CHUNK_STEPS steps) of
+    replication 0, for memos that walk ``steps`` in the call."""
+    cfg = SimConfig(horizon=2 * simmod.CHUNK_STEPS, burn_in=0, seed=20260825)
     chains = [simmod._Chain(graph, costs, p, steps) for p in policies]
     for chain in chains:
         chain.start(tuple(cfg.initial_queue(graph)))
-    for _, counted, atoms in simmod._arrival_chunks(graph, arrivals, cfg, [0], overlap=False):
+    stream = simmod._arrival_chunks(graph, arrivals, cfg, [0], overlap=False)
+    for _, counted, atoms in itertools.islice(stream, 1):
         for chain in chains:
-            assert chain.stride == 1
             chain.walk(simmod._Piece(atoms, graph.n_d * graph.n_s, chain.stride), counted)
     return [chain.stride for chain in chains]
 
@@ -1041,32 +1051,55 @@ class TestLaneWalk:
             if lane > 1:
                 assert any(j is not None and j > 0 for j in joins)
 
+    def test_a_piece_whose_lanes_mostly_stall_goes_in_blocks(self, monkeypatch):
+        """Before the gate judges a chain, a piece whose lanes mostly meet
+        an unfilled entry is walked in blocks, which read the table as it
+        fills: on an empty table every lane stalls, and the chain stays
+        unjudged."""
+        setup = n_setup()
+        walked = []
+        blocks = simmod._blocks
+
+        def spy(*args):
+            walked.append(args[1])
+            return blocks(*args)
+
+        monkeypatch.setattr(simmod, "_blocks", spy)
+        atoms = np.random.default_rng(3).integers(0, 4, 2048).tolist()
+        chain, _ = walk_pieces(setup, ThresholdN(setup[0], 2), 2, [atoms])
+        assert walked and chain.walk_lanes is None
+        assert_same_walk(setup, 2, 2, [atoms], policy=ThresholdN)
+
     def test_the_gate_keeps_lanes_on_the_n_chain_and_blocks_on_the_w_chains(
         self, monkeypatch
     ):
         """On the bench runs every W chain leaves the lane walk after its
         first judged piece; the N chain is judged once and walks lanes to
-        the end."""
+        the end.  Every chain's first piece at its stride, walked on an
+        empty table, is declined before it is judged."""
         calls = []
         lanes = simmod._Chain._lanes
 
         def spy(chain, grid, t):
             before = chain.walk_lanes
             out = lanes(chain, grid, t)
-            calls.append((chain.policy.label, before, chain.walk_lanes))
+            calls.append((chain.policy.label, before, chain.walk_lanes, out[1]))
             return out
 
         monkeypatch.setattr(simmod._Chain, "_lanes", spy)
         for name in ("n-model", "w-model"):
             calls.clear()
             run_bench(name, [])
-            labels = {label for label, _, _ in calls}
+            labels = {label for label, *_ in calls}
             assert len(labels) == (1 if name == "n-model" else 2)
             for label in labels:
-                seen = [(before, after) for lab, before, after in calls if lab == label]
+                seen = [(before, after) for lab, before, after, _ in calls if lab == label]
                 judged = [k for k, (before, after) in enumerate(seen)
                           if before is None and after is not None]
                 assert len(judged) == 1
+                declined = [done for lab, _, after, done in calls
+                            if lab == label and after is None]
+                assert len(declined) == judged[0] >= 1 and not any(declined)
                 verdict = seen[judged[0]][1]
                 if name == "n-model":
                     assert verdict is True
