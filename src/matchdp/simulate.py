@@ -45,21 +45,22 @@ is one table read and one visit count per step, with no test for a miss
 stride m > 1 a piece's codes go in lanes of LANE codes: numpy guesses each
 lane's first row (where a walk from the current row ends its predecessor)
 and walks every lane from it in lockstep through a numpy mirror of the
-table; one scan then accepts the lanes in order, and walks again on a slow
-path a lane whose guess was wrong or that met an entry not met yet.
-``np.bincount`` counts the accepted steps.  Walks of an N chain from
-different rows meet within a few codes, so its guesses are almost all
-right; a chain whose first judged piece has many wrong guesses walks
-blocks of BLOCK codes instead, one table read per m steps with no count at
-all, and after the piece one numpy pass rebuilds and counts the entries
-the blocks visited.  So do the pieces before the judged one whose lanes
-mostly meet entries not met yet.  Only the slow path, which notes each
-entry it visits, fills the ones not met before, so ``decide`` is called on
-the true path, in the order of a walk one arrival at a time; the codes
-left at the end of a piece go that way too, and the atoms left one at a
-time.  Costs, queue means and level frequencies are computed afterwards
-from the visit counts.  With integer costs every partial sum is exact, so
-the result equals a step-by-step run bit for bit.
+table; one scan then accepts, in order, the lanes whose guess was right
+and which met no entry not met yet, and ``np.bincount`` counts their
+steps.  Walks of an N chain from different rows meet within a few codes,
+so its guesses are almost all right; a chain whose first judged piece has
+many wrong guesses walks blocks of BLOCK codes instead, one table read per
+m steps with no count at all, and after the piece one numpy pass rebuilds
+and counts the entries the blocks visited.  So do the pieces before the
+judged one whose lanes mostly meet entries not met yet.  One rule covers
+both walks: what the fast walk does not take, a lane or a block, is walked
+again whole on the slow path, from the row the chain is in.  Only the slow
+path, which notes each entry it visits, fills the ones not met before, so
+``decide`` is called on the true path, in the order of a walk one arrival
+at a time; the codes left at the end of a piece go that way too, and the
+atoms left one at a time.  Costs, queue means and level frequencies are
+computed afterwards from the visit counts.  With integer costs every
+partial sum is exact, so the result equals a step-by-step run bit for bit.
 """
 
 from __future__ import annotations
@@ -269,8 +270,9 @@ took medians of 171, 155, 144, 154 and 166 ms."""
 LANE = 16
 """Codes per lane of the speculative multi-step walk (see
 :func:`_speculate`).  Each pass makes LANE numpy gathers per piece, and a
-lane with a wrong guess or an unfilled entry is walked again in Python;
-longer lanes also give walks from different rows more codes to meet in.
+lane with a wrong guess or an unfilled entry is walked again whole in
+Python; longer lanes also give walks from different rows more codes to
+meet in.
 On two shared CPUs with Python 3.11, in 9 interleaved runs at 4, 8, 16, 32
 and 64 codes, the n-model ``simulate`` of the benchmark took medians of
 119, 106, 96, 122 and 139 ms."""
@@ -278,13 +280,14 @@ and 64 codes, the n-model ``simulate`` of the benchmark took medians of
 MISGUESS_SHARE = 0.1
 """Share of a chain's judged lanes that may start from a wrong guess for
 the chain to keep walking lanes; above it the chain walks blocks.  With
-each walk forced in turn on 6 N chains and 8 W chains (two shared CPUs,
-Python 3.11, 4 replications of 500,000 steps, medians of 3 interleaved
-runs), lanes took 0.53-0.88 of the blocks' time on the N chains, whose
-wrong guesses are 0-4% of their judged lanes; 0.99 of it on a W chain at
-12% on its first judged piece (15% overall); and 1.37-2.52 times it on
-the other W chains, at 21-94% (21-56% overall), the bench W chains'
-among them."""
+each walk forced in turn on 6 N chains and 14 W chains (two shared CPUs,
+Python 3.11, 4 replications of 500,000 steps, medians of 5 interleaved
+runs), lanes took 0.65-0.78 of the blocks' time on the N chains, whose
+wrong guesses are 0-4% of their judged lanes; 0.94-1.02 of it on four W
+chains at 12-15% on their first judged piece (15-20% overall); and
+1.20-1.81 times it on the other W chains, at 16-94% (21-56% overall), the
+bench W chains' among them.  The share sits below the tie; no chain
+measured falls between 4% and 12%."""
 
 def _stride(n_atoms: int, states: int = 0, steps: int = 0) -> int:
     """Arrivals walked per multi-step lookup by a chain whose memo holds
@@ -598,13 +601,14 @@ class _Chain:
     of a walk one arrival at a time.
 
     A piece's codes are walked either in lanes (:meth:`_lanes`): guessed
-    in numpy and confirmed or walked again in order, their accepted steps
-    kept as the grid ``visits``; or in blocks (:func:`_blocks`): walked
-    without counting, a block that meets an unfilled entry walked again
-    from its first row on the slow path, the blocks walked kept as
-    ``heads`` and ``cols``.  A chain walks lanes until its first piece
-    whose lanes mostly meet no unfilled entry is judged, and from then on
-    only if few of that piece's guesses were wrong (``walk_lanes``).
+    in numpy and accepted in order, the grid ``visits`` kept with the mask
+    ``accepted`` of its lanes; or in blocks (:func:`_blocks`): walked
+    without counting, the blocks walked kept as ``heads`` and ``cols``.
+    Either way, a lane or a block the fast walk does not take is walked
+    again whole on the slow path, from the row the chain is in.  A chain
+    walks lanes until its first piece whose lanes mostly meet no unfilled
+    entry is judged, and from then on only if few of that piece's guesses
+    were wrong (``walk_lanes``).
     Either way the visits are counted by :meth:`_flush` after the piece,
     and before any restart or drop, on the table they were walked on.
     Before the one-step visits are folded, the counts of each entry in
@@ -727,10 +731,10 @@ class _Chain:
 
         The blocks in ``heads`` and ``cols`` are rebuilt in one lockstep
         pass over all of them: BLOCK gathers through a numpy mirror of the
-        table, each taking every block one code further.  Each lane of
-        ``visits`` is counted from step ``counted_from`` of the lane on:
-        0 for a lane accepted whole, the join for a lane walked again up to
-        it, and past the end for one walked again whole or not reached.
+        table, each taking every block one code further.  Of the lanes in
+        ``visits`` only the ``accepted`` ones are counted: the others were
+        walked again whole on the slow path, which noted their visits in
+        ``seen``, or not reached.
         """
         counts = np.bincount(np.array(self.seen, dtype=np.intp), minlength=len(self.mnext))
         counts[:len(self.mcount)] += self.mcount
@@ -749,9 +753,11 @@ class _Chain:
                     t = mirror[k]
                 counts += np.bincount(visited[:len(part)].ravel(), minlength=len(counts))
         if self.visits is not None:
-            visits, first = self.visits, self.counted_from
-            if first.any():
-                visits = visits[np.arange(len(visits))[:, None] >= first]
+            visits, accepted = self.visits, self.accepted
+            if not accepted.all():
+                # ``visits[:, accepted]`` comes out in F order, which
+                # ``ravel`` would copy a second time.
+                visits = np.compress(accepted, visits, axis=1)
             counts += np.bincount(visits.ravel(), minlength=len(counts))
             self.visits = None
         self.mcount = counts
@@ -853,10 +859,9 @@ class _Chain:
 
         :func:`_speculate` walks every lane from a guessed first row.  Then,
         in lane order from the row confirmed so far, a lane whose guess is
-        that row and which met no unfilled entry is accepted, and any other
-        is walked again from that row: up to where it joins its speculative
-        path (:meth:`_rejoin`), or whole on the slow path if that path met
-        an unfilled entry.  So only the true path fills entries and asks
+        that row and which met no unfilled entry is accepted, and any other,
+        mis-guessed or stalled, is walked again whole from that row on the
+        slow path.  So only the true path fills entries and asks
         ``decide``, in the order of a walk one lookup at a time.  A fill
         that restarts or drops the table ends the lanes after the one it
         falls in.
@@ -890,53 +895,24 @@ class _Chain:
         # starts where its predecessor ended.
         ok[1:] &= heads[1:] == ends[:-1]
         self.visits = visits
-        self.counted_from = first = np.full(lanes, len(grid), dtype=np.intp)
+        self.accepted = accepted = np.zeros(lanes, dtype=bool)
         nxt = self.mnext
         bad = iter(np.flatnonzero(~ok).tolist())
         b = next(bad, lanes)
         i = 0
         while i < lanes:
-            if i < b and heads[i] == t:
-                # Lanes i .. b - 1 each start where the last one ended.
-                first[i:b] = 0
-                t, i = int(ends[b - 1]), b
-                continue
             if i == b:
                 b = next(bad, lanes)
-            codes = grid[:, i].tolist()
-            if ends[i] == stall:
-                t = self._slow(codes, t)
-            else:
-                t, j = self._rejoin(codes, visits[:, i].tolist(), t)
-                if j is not None:
-                    first[i] = j
-                    t = int(ends[i])
+            if heads[i] == t and ends[i] != stall:
+                # Lanes i .. b - 1 each start where the last one ended.
+                accepted[i:b] = True
+                t, i = int(ends[b - 1]), b
+                continue
+            t = self._slow(grid[:, i].tolist(), t)
             i += 1
             if self.mnext is not nxt:
                 break
         return t, i * len(grid)
-
-    def _rejoin(self, codes: list[int], path: list[int],
-                t: int) -> tuple[int, int | None]:
-        """Walk a lane's codes from row t as :meth:`_slow` does, until the
-        entry visited is the one its speculative ``path`` visited at that
-        step.  Returns the row reached and that step, from which the path
-        is the chain's, or None if the lane never joins it (or a fill
-        restarts or drops the table, after which the lane is finished on
-        the slow path)."""
-        nxt, note = self.mnext, self.seen.append
-        for j, c in enumerate(codes):
-            k = t + c
-            if k == path[j]:
-                return t, j
-            t = nxt[k]
-            if t is None:
-                t = self._fill(k)
-                if self.mnext is not nxt:
-                    return self._slow(codes[j + 1:], t), None
-            else:
-                note(k)
-        return t, None
 
     def _slow(self, codes: list[int], t: int) -> int:
         """Walk codes one lookup at a time from row t, noting each entry

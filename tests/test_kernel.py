@@ -931,31 +931,60 @@ class TestBlockWalk:
 @pytest.fixture
 def lane_events(monkeypatch):
     """Where the unfilled entry falls in each lane that meets one (position
-    in the lane), how each lane walked again ended (the join step, or None),
-    and the restarts and drops made inside :meth:`_Chain._lanes`."""
-    seen = {"misses at": set(), "joins": [], "restarts": 0, "drops": 0}
-    depth = [0]
-    lanes, rejoin, speculate = simmod._Chain._lanes, simmod._Chain._rejoin, simmod._speculate
+    in the lane), the restarts and drops made inside :meth:`_Chain._lanes`,
+    and the lanes it walks again on the slow path.
+
+    Every :meth:`_Chain._slow` call inside it holds one lane's LANE codes,
+    and each walk of lanes that keeps its table is checked against the
+    rule: in lane order from the chain's row, a lane whose guess is that
+    row and which met no unfilled entry is accepted, and every other lane
+    goes through one ``_slow`` call of its codes from that row.
+    ``wrong`` counts the lanes walked again that met no unfilled entry,
+    whose guess alone was wrong."""
+    seen = {"misses at": set(), "restarts": 0, "drops": 0, "checked": 0, "wrong": 0}
+    depth, calls, guesses = [0], [], []
+    lanes, slow, speculate = simmod._Chain._lanes, simmod._Chain._slow, simmod._speculate
     forget, drop = simmod._Chain._forget, simmod._Chain._drop
 
     def lanes_spy(chain, grid, t):
         depth[0] += 1
+        calls.clear()
+        guesses.clear()
+        nxt = chain.mnext
         try:
-            return lanes(chain, grid, t)
+            out = lanes(chain, grid, t)
         finally:
             depth[0] -= 1
+        assert all(len(codes) == len(grid) for _, codes in calls)
+        if chain.mnext is nxt:
+            expected = []
+            for i in range(out[1] // len(grid)):
+                heads, _, ends = guesses[0]
+                if heads[i] == t and ends[i] != -chain.width:
+                    t = int(ends[i])
+                    continue
+                codes = grid[:, i].tolist()
+                expected.append((t, codes))
+                seen["wrong"] += bool(ends[i] != -chain.width)
+                for c in codes:
+                    t = nxt[t + c]
+            assert calls == expected
+            assert out[0] == t
+            seen["checked"] += 1
+        return out
+
+    def slow_spy(chain, codes, t):
+        if depth[0]:
+            calls.append((t, list(codes)))
+        return slow(chain, codes, t)
 
     def speculate_spy(mirror, grid, t):
         heads, visits, ends = speculate(mirror, grid, t)
         for i in np.flatnonzero((ends < 0) & (heads >= 0)):
             # The entry visited last before the walk turns negative.
             seen["misses at"].add(int(np.count_nonzero(visits[:, i] >= 0)) - 1)
+        guesses.append((heads, visits, ends))
         return heads, visits, ends
-
-    def rejoin_spy(chain, codes, path, t):
-        out = rejoin(chain, codes, path, t)
-        seen["joins"].append(out[1])
-        return out
 
     def forget_spy(chain):
         seen["restarts"] += depth[0] > 0
@@ -966,8 +995,8 @@ def lane_events(monkeypatch):
         drop(chain)
 
     monkeypatch.setattr(simmod._Chain, "_lanes", lanes_spy)
+    monkeypatch.setattr(simmod._Chain, "_slow", slow_spy)
     monkeypatch.setattr(simmod, "_speculate", speculate_spy)
-    monkeypatch.setattr(simmod._Chain, "_rejoin", rejoin_spy)
     monkeypatch.setattr(simmod._Chain, "_forget", forget_spy)
     monkeypatch.setattr(simmod._Chain, "_drop", drop_spy)
     return seen
@@ -1030,8 +1059,8 @@ class TestLaneWalk:
     @pytest.mark.parametrize("lane", [1, 2, 3, 5, 16])
     @pytest.mark.parametrize("limits", ["defaults", "one-step restarts", "multi-step drops"])
     def test_wrong_guesses_are_walked_again(self, lane, limits, monkeypatch, lane_events):
-        """Every odd lane is guessed from a wrong row: the scan walks it
-        again, and it joins its speculative path mid-lane or never.  The
+        """Every odd lane is guessed from a wrong row: the scan walks each
+        such lane again whole, in one ``_slow`` call of its LANE codes.  The
         threshold chains keep to few states, so with the default limits
         most guesses meet filled entries only."""
         setup = n_setup()
@@ -1043,13 +1072,11 @@ class TestLaneWalk:
         pieces = [rng.integers(0, 4, 203).tolist() for _ in range(12)]
         for t in range(4):
             assert_same_walk(setup, t, 2, pieces, lanes=True, policy=ThresholdN)
-        # Under the small limits the tables hold too little for a wrong
-        # guess to get far before it meets an unfilled entry.
+        # Under the small limits nearly every walk of lanes restarts or
+        # drops its table, and a wrong guess meets an unfilled entry soon.
         if limits == "defaults":
-            joins = lane_events["joins"]
-            assert None in joins
-            if lane > 1:
-                assert any(j is not None and j > 0 for j in joins)
+            assert lane_events["checked"] > 0
+            assert lane_events["wrong"] > 0
 
     def test_a_piece_whose_lanes_mostly_stall_goes_in_blocks(self, monkeypatch):
         """Before the gate judges a chain, a piece whose lanes mostly meet
