@@ -42,25 +42,26 @@ heavy traffic).  Each piece is encoded once per stride in use into codes
 of m atoms, shared by the chains at that stride.  At stride 1 the hot loop
 is one table read and one visit count per step, with no test for a miss
 (an entry not met yet holds None, and the step after it raises).  At
-stride m > 1 a piece's codes go in lanes of LANE codes: numpy guesses each
-lane's first row (where a walk from the current row ends its predecessor)
-and walks every lane from it in lockstep through a numpy mirror of the
-table; one scan then accepts, in order, the lanes whose guess was right
-and which met no entry not met yet, and ``np.bincount`` counts their
-steps.  Walks of an N chain from different rows meet within a few codes,
-so its guesses are almost all right; a chain whose first judged piece has
-many wrong guesses walks blocks of BLOCK codes instead, one table read per
-m steps with no count at all, and after the piece one numpy pass rebuilds
-and counts the entries the blocks visited.  So do the pieces before the
-judged one whose lanes mostly meet entries not met yet.  One rule covers
-both walks: what the fast walk does not take, a lane or a block, is walked
-again whole on the slow path, from the row the chain is in.  Only the slow
-path, which notes each entry it visits, fills the ones not met before, so
-``decide`` is called on the true path, in the order of a walk one arrival
-at a time; the codes left at the end of a piece go that way too, and the
-atoms left one at a time.  Costs, queue means and level frequencies are
-computed afterwards from the visit counts.  With integer costs every
-partial sum is exact, so the result equals a step-by-step run bit for bit.
+stride m > 1 a piece's codes go in lanes of LANE arrivals: numpy guesses
+each lane's first row (where a walk from the current row ends its
+predecessor) and walks every lane from it in lockstep through a numpy
+mirror of the table.  One scan then takes the lanes in order from the row
+the chain is in, and one rule covers every lane: a lane whose guess was
+right and which met no entry not met yet is accepted; any other is walked
+from that row one table read per code with no count, its first row kept;
+and a lane that meets an entry not met yet on that walk is walked again
+whole on the slow path.  After the piece, one numpy pass walks the kept
+lanes again through the mirror, and ``np.bincount`` counts their steps
+with the accepted lanes'.  Walks of an N chain from different rows meet
+within a few codes, so its guesses are almost all right; a W chain's are
+often wrong, and such lanes are walked uncounted.  Only the
+slow path, which notes each entry it visits, fills the ones not met
+before, so ``decide`` is called on the true path, in the order of a walk
+one arrival at a time; the codes left at the end of a piece go that way
+too, and the atoms left one at a time.  Costs, queue means and level
+frequencies are computed afterwards from the visit counts.  With integer
+costs every partial sum is exact, so the result equals a step-by-step run
+bit for bit.
 """
 
 from __future__ import annotations
@@ -235,12 +236,10 @@ entry is filled by a miss that walks its m steps one at a time, so a chain
 walks at stride m only while ``len(states) * A**m * STEPS_PER_ENTRY`` is
 within the steps its memo walks in the call.
 
-200 was tuned on the block walk alone, where it picked the fastest stride
-on every chain measured.  Forcing each stride in turn with the lane walk
-(two shared CPUs, Python 3.11, medians of 5 interleaved runs), the rule
-still picks the fastest stride, or one within 5% of it, on the N and W
-bench chains, the W recipe's chains and an N chain in heavy traffic; see
-ROADMAP item 7."""
+Forcing each stride in turn (two shared CPUs, Python 3.11, medians of 9
+interleaved runs), the rule picks the fastest stride, or one within 2% of
+it, on the N and W bench chains, the W recipe's chains and an N chain in
+heavy traffic; see ROADMAP item 7."""
 
 MEMO_LIMIT = 1 << 18
 """Entries a policy's one-step transition table may hold.  A run of the
@@ -258,36 +257,19 @@ and its numpy mirror take 8 bytes an entry each, so a full one takes
 ThresholdN(inf) in heavy traffic, which fills 25,239 entries before its
 first drop.  The mirror's sentinel row adds one row, 2 KiB at stride 4."""
 
-BLOCK = 64
-"""Codes per block of the uncounted multi-step walk.  The counting pass
-makes BLOCK numpy gathers per piece, however many blocks it holds, and a
-block that meets an unfilled entry is walked again whole on the slow path;
-smaller blocks cost the walk more bookkeeping per block.  On two shared
-CPUs with Python 3.11, in 9 interleaved runs at 16, 32, 64, 128 and 256
-codes, the w-model ``compare`` of the benchmark (whose chains walk blocks)
-took medians of 171, 155, 144, 154 and 166 ms."""
+LANE = 64
+"""Arrivals per lane of the speculative multi-step walk (see
+:func:`_speculate`), so a lane holds LANE // m codes at stride m (at least
+one): 16 on the N graph at stride 4, 32 on the W graph at stride 2, 21 at
+stride 3.  Each pass makes one numpy gather per code of a lane, however
+many lanes a piece holds, and a lane the scan does not accept is walked
+again in Python; longer lanes give walks from different rows more codes
+to meet in, so fewer guesses are wrong.  On two shared CPUs with Python
+3.11, in 10 interleaved fresh processes at 64 and 128 arrivals, the
+benchmark's n-model chain walked in medians of 53 and 69 ms and its
+w-model chains in 106 and 94 ms; at 32 the w-model ``compare`` took 0.164
+s against 0.119 s at 64."""
 
-LANE = 16
-"""Codes per lane of the speculative multi-step walk (see
-:func:`_speculate`).  Each pass makes LANE numpy gathers per piece, and a
-lane with a wrong guess or an unfilled entry is walked again whole in
-Python; longer lanes also give walks from different rows more codes to
-meet in.
-On two shared CPUs with Python 3.11, in 9 interleaved runs at 4, 8, 16, 32
-and 64 codes, the n-model ``simulate`` of the benchmark took medians of
-119, 106, 96, 122 and 139 ms."""
-
-MISGUESS_SHARE = 0.1
-"""Share of a chain's judged lanes that may start from a wrong guess for
-the chain to keep walking lanes; above it the chain walks blocks.  With
-each walk forced in turn on 6 N chains and 14 W chains (two shared CPUs,
-Python 3.11, 4 replications of 500,000 steps, medians of 5 interleaved
-runs), lanes took 0.65-0.78 of the blocks' time on the N chains, whose
-wrong guesses are 0-4% of their judged lanes; 0.94-1.02 of it on four W
-chains at 12-15% on their first judged piece (15-20% overall); and
-1.20-1.81 times it on the other W chains, at 16-94% (21-56% overall), the
-bench W chains' among them.  The share sits below the tie; no chain
-measured falls between 4% and 12%."""
 
 def _stride(n_atoms: int, states: int = 0, steps: int = 0) -> int:
     """Arrivals walked per multi-step lookup by a chain whose memo holds
@@ -463,9 +445,8 @@ class _Piece:
     atoms left after them (every atom at stride 1, which makes no codes).
 
     The code of atoms a_1 .. a_m is their Horner sum with base n_atoms,
-    a_1 the most significant.  The lane walk and the block walk read the
-    codes in shapes of their own, each made on first use and shared by the
-    chains at this stride.
+    a_1 the most significant.  The lane walk reads the codes in lanes,
+    made on first use and shared by the chains at this stride.
     """
 
     def __init__(self, atoms: np.ndarray, n_atoms: int, stride: int):
@@ -475,22 +456,15 @@ class _Piece:
             codes = codes * n_atoms + atoms[r:body:stride]
         self.codes = codes
         self.tail = atoms[body:].tolist()
+        self.stride = stride
 
     @functools.cached_property
     def lanes(self) -> np.ndarray:
-        """The whole lanes of LANE codes as a (LANE, lanes) array whose
-        column i is lane i."""
-        whole = len(self.codes) - len(self.codes) % LANE
-        return self.codes[:whole].reshape(-1, LANE).T
-
-    @functools.cached_property
-    def blocks(self) -> tuple[np.ndarray, list[list[int]]]:
-        """The whole blocks of BLOCK codes, twice: as a (BLOCK, blocks)
-        array whose column b is block b, which the counting pass reads, and
-        as one list per block, which the walk reads."""
-        whole = len(self.codes) - len(self.codes) % BLOCK
-        blocks = self.codes[:whole].reshape(-1, BLOCK)
-        return blocks.T, blocks.tolist()
+        """The whole lanes of LANE arrivals, LANE // m codes each (at least
+        one), as a (codes, lanes) array whose column i is lane i."""
+        size = max(LANE // self.stride, 1)
+        whole = len(self.codes) - len(self.codes) % size
+        return self.codes[:whole].reshape(-1, size).T
 
 
 def _speculate(mirror: np.ndarray, grid: np.ndarray,
@@ -513,12 +487,20 @@ def _speculate(mirror: np.ndarray, grid: np.ndarray,
     heads = np.empty_like(ends)
     heads[0] = t
     heads[1:] = ends[:-1]
+    return heads, *_lockstep(mirror, grid, heads)
+
+
+def _lockstep(mirror: np.ndarray, grid: np.ndarray,
+              heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Walk every column of ``grid`` in lockstep through ``mirror``, column
+    i from row heads[i]; return the entries visited (shaped as ``grid``)
+    and the last rows."""
     visits = np.empty(grid.shape, dtype=np.intp)
     ends = heads
     for codes, k in zip(grid, visits):
         np.add(ends, codes, out=k)
         ends = mirror[k]
-    return heads, visits, ends
+    return visits, ends
 
 
 def _walk(keys: list[int], s: int, nxt: list, hits: list[int], miss) -> int:
@@ -548,33 +530,6 @@ def _walk(keys: list[int], s: int, nxt: list, hits: list[int], miss) -> int:
     return s
 
 
-def _blocks(blocks: Iterator[tuple[int, list[int]]], t: int, nxt: list,
-            heads: list[int], cols: list[int]) -> tuple[int, list[int] | None]:
-    """The hot loop at stride m > 1: follow (index, block) pairs of codes
-    through the multi-step table from row t, counting nothing.
-
-    A block walked to its end appends its first row to ``heads`` and its
-    index to ``cols``, from which the counting pass rebuilds its visits.
-    Returns the row reached and None once ``blocks`` runs out, or the first
-    row of a block that meets an entry not filled yet, and that block: an
-    unfilled entry holds None, so the step after it fails on ``None +
-    code`` (a TypeError), or the block ends on None.
-    """
-    for i, block in blocks:
-        u = t
-        try:
-            for c in block:
-                u = nxt[u + c]
-        except TypeError:
-            return t, block
-        if u is None:
-            return t, block
-        heads.append(t)
-        cols.append(i)
-        t = u
-    return t, None
-
-
 class _Chain:
     """One policy's chain, memoized per (queue vector, arrival atom).
 
@@ -600,17 +555,13 @@ class _Chain:
     table misses, so the one-step table and the ``decide`` calls are those
     of a walk one arrival at a time.
 
-    A piece's codes are walked either in lanes (:meth:`_lanes`): guessed
-    in numpy and accepted in order, the grid ``visits`` kept with the mask
-    ``accepted`` of its lanes; or in blocks (:func:`_blocks`): walked
-    without counting, the blocks walked kept as ``heads`` and ``cols``.
-    Either way, a lane or a block the fast walk does not take is walked
-    again whole on the slow path, from the row the chain is in.  A chain
-    walks lanes until its first piece whose lanes mostly meet no unfilled
-    entry is judged, and from then on only if few of that piece's guesses
-    were wrong (``walk_lanes``).
-    Either way the visits are counted by :meth:`_flush` after the piece,
-    and before any restart or drop, on the table they were walked on.
+    A piece's codes are walked in lanes (:meth:`_lanes`), guessed in numpy
+    into the grid ``visits``.  A lane is accepted (the mask ``accepted``),
+    walked uncounted from the row the chain is in, its first row and column
+    kept in ``heads`` and ``cols``, or, where it meets an unfilled entry,
+    walked again whole on the slow path.  The visits are counted by
+    :meth:`_flush` after the piece, and before any restart or drop, on the
+    table they were walked on.
     Before the one-step visits are folded, the counts of each entry in
     ``filled`` (the multi-step entries stored so far) are replayed onto
     the one-step entries that entry stands for.  A multi-step table that
@@ -632,7 +583,6 @@ class _Chain:
         self.n_atoms = graph.n_d * graph.n_s
         self.top = _stride(self.n_atoms)
         self._set_stride(1)
-        self.walk_lanes: bool | None = None
         self.cvec = [float(c) for c in costs.vector]
         self.level_of = None
         if isinstance(policy, ThresholdN) and policy.t != math.inf:
@@ -679,6 +629,7 @@ class _Chain:
         self.heads: list[int] = []
         self.cols: list[int] = []
         self.seen: list[int] = []
+        self.grid: np.ndarray | None = None
         self.visits: np.ndarray | None = None
 
     def _locate(self, key: tuple[int, ...]) -> int:
@@ -729,37 +680,26 @@ class _Chain:
     def _flush(self) -> None:
         """Add the visits walked since the last flush to ``mcount``.
 
-        The blocks in ``heads`` and ``cols`` are rebuilt in one lockstep
-        pass over all of them: BLOCK gathers through a numpy mirror of the
-        table, each taking every block one code further.  Of the lanes in
-        ``visits`` only the ``accepted`` ones are counted: the others were
-        walked again whole on the slow path, which noted their visits in
-        ``seen``, or not reached.
+        The lanes walked uncounted, from the rows in ``heads``, are walked
+        again in one lockstep pass through the numpy mirror of the table
+        (:func:`_lockstep`), their visits written over the guessed ones in
+        their columns ``cols`` of ``visits``, and counted with the
+        ``accepted`` lanes.  The other lanes were walked again whole on the
+        slow path, which noted their visits in ``seen``, or not reached.
         """
         counts = np.bincount(np.array(self.seen, dtype=np.intp), minlength=len(self.mnext))
         counts[:len(self.mcount)] += self.mcount
-        if self.heads:
-            grid = self.grid[:, self.cols]
-            mirror = self._mirror()
-            t = np.array(self.heads, dtype=np.intp)
-            # The entries of 16 codes of every block are counted at a time:
-            # holding all 64 at once raised the w-model bench's peak RSS by
-            # about 0.3 MiB.
-            visited = np.empty((16, len(t)), dtype=np.intp)
-            for j in range(0, len(grid), 16):
-                part = grid[j:j + 16]
-                for codes, k in zip(part, visited):
-                    np.add(t, codes, out=k)
-                    t = mirror[k]
-                counts += np.bincount(visited[:len(part)].ravel(), minlength=len(counts))
         if self.visits is not None:
-            visits, accepted = self.visits, self.accepted
-            if not accepted.all():
-                # ``visits[:, accepted]`` comes out in F order, which
-                # ``ravel`` would copy a second time.
-                visits = np.compress(accepted, visits, axis=1)
-            counts += np.bincount(visits.ravel(), minlength=len(counts))
-            self.visits = None
+            visits, accepted, cols = self.visits, self.accepted, self.cols
+            if cols:
+                heads = np.array(self.heads, dtype=np.intp)
+                visits[:, cols] = _lockstep(self._mirror(), self.grid[:, cols], heads)[0]
+                accepted[cols] = True
+            # The other lanes' entries are sent one past the table's end,
+            # which the count leaves out: cheaper than copying the rest.
+            visits[:, ~accepted] = len(counts)
+            counts += np.bincount(visits.ravel(), minlength=len(counts) + 1)[:-1]
+            self.grid = self.visits = None
         self.mcount = counts
         self.heads.clear()
         self.cols.clear()
@@ -833,24 +773,11 @@ class _Chain:
         self._restride()
 
     def _multi(self, piece: _Piece, t: int) -> int:
-        """Walk a piece's codes from row t: its whole lanes, or its whole
-        blocks if the chain walks blocks or the lanes are declined, then the
-        codes left on the slow path; then count them all."""
-        done = 0
-        if self.walk_lanes is not False:
-            t, done = self._lanes(piece.lanes, t)
-        if not done:
-            self.grid, blocks = piece.blocks
-            done = self.grid.size
-            blocks = enumerate(blocks)
-            while True:
-                t, block = _blocks(blocks, t, self.mnext, self.heads, self.cols)
-                if block is None:
-                    break
-                t = self._slow(block, t)
+        """Walk a piece's codes from row t: its whole lanes, then the codes
+        left on the slow path; then count them all."""
+        t, done = self._lanes(piece.lanes, t)
         t = self._slow(piece.codes[done:].tolist(), t)
         self._flush()
-        self.grid = None
         return t
 
     def _lanes(self, grid: np.ndarray, t: int) -> tuple[int, int]:
@@ -859,42 +786,26 @@ class _Chain:
 
         :func:`_speculate` walks every lane from a guessed first row.  Then,
         in lane order from the row confirmed so far, a lane whose guess is
-        that row and which met no unfilled entry is accepted, and any other,
-        mis-guessed or stalled, is walked again whole from that row on the
-        slow path.  So only the true path fills entries and asks
-        ``decide``, in the order of a walk one lookup at a time.  A fill
-        that restarts or drops the table ends the lanes after the one it
-        falls in.
-
-        Until the chain is judged, a piece whose lanes mostly meet an
-        unfilled entry is declined (nothing is walked here, and the piece
-        goes in blocks): its guesses go stale as the slow path fills the
-        table, so nearly all of it would be walked again there, noting
-        every entry.  The first piece whose lanes mostly meet no unfilled
-        entry is judged before any walk: if more than MISGUESS_SHARE of
-        its lanes that follow such a lane start from another row than that
-        lane's end, the chain walks blocks from then on and nothing is
-        walked here.
+        that row and which met no unfilled entry is accepted.  Any other,
+        mis-guessed or stalled, is walked from that row one lookup per code
+        with no count, keeping its first row and column for :meth:`_flush`;
+        if it meets an entry not filled yet (which holds None, so the next
+        code fails on ``None + code`` or the lane ends on None), it is
+        walked again whole on the slow path.  So only the true path fills
+        entries and asks ``decide``, in the order of a walk one lookup at a
+        time.  A fill that restarts or drops the table ends the lanes after
+        the one it falls in.
         """
         lanes = grid.shape[1]
         if not lanes:
             return t, 0
         stall = -self.width
         heads, visits, ends = _speculate(self._mirror(), grid, t)
-        ok = ends != stall
-        if self.walk_lanes is None:
-            if 2 * np.count_nonzero(ok) <= lanes:
-                return t, 0
-            if lanes > 1:
-                judged = ok[:-1]
-                wrong = np.count_nonzero(judged & (heads[1:] != ends[:-1]))
-                self.walk_lanes = bool(wrong <= MISGUESS_SHARE * np.count_nonzero(judged))
-                if not self.walk_lanes:
-                    return t, 0
         # A lane is ok when it met no unfilled entry and, past the first,
         # starts where its predecessor ended.
+        ok = ends != stall
         ok[1:] &= heads[1:] == ends[:-1]
-        self.visits = visits
+        self.grid, self.visits = grid, visits
         self.accepted = accepted = np.zeros(lanes, dtype=bool)
         nxt = self.mnext
         bad = iter(np.flatnonzero(~ok).tolist())
@@ -908,7 +819,19 @@ class _Chain:
                 accepted[i:b] = True
                 t, i = int(ends[b - 1]), b
                 continue
-            t = self._slow(grid[:, i].tolist(), t)
+            codes = grid[:, i].tolist()
+            u = t
+            try:
+                for c in codes:
+                    u = nxt[u + c]
+            except TypeError:
+                u = None
+            if u is None:
+                t = self._slow(codes, t)
+            else:
+                self.heads.append(t)
+                self.cols.append(i)
+                t = u
             i += 1
             if self.mnext is not nxt:
                 break
